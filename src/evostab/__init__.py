@@ -1,8 +1,8 @@
 """Frequency-domain solver and exponential-stability certification for
 linear evolutionary equations on finite-dimensional state spaces."""
 
-from .errors import (CertificationError, ConfigError, EdgeMassError,
-                     EdgeMassWarning, GridMismatchError,
+from .errors import (CertificationError, ConfigError, DecayFitError,
+                     EdgeMassError, EdgeMassWarning, GridMismatchError,
                      KernelAdmissibilityError, SingularFrequencyError)
 from .signals import (Signal, SpectralSignal, TimeGrid, antiderivative,
                       derivative, edge_mass, fourier_laplace, gaussian_pulse,
@@ -10,9 +10,9 @@ from .signals import (Signal, SpectralSignal, TimeGrid, antiderivative,
                       step_exp, support_lower_bound, translate, weighted_inner,
                       weighted_norm)
 from .material import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
-                       KernelMode, eval_frequency_operator, eval_symbol,
-                       hermitian_part_min_eig, kernel_eval, kernel_hat,
-                       kernel_weighted_l1, law_family, shifted_symbol)
+                       KernelMode, eval_symbol, hermitian_part_min_eig,
+                       kernel_eval, kernel_hat, kernel_weighted_l1, law_family,
+                       shifted_symbol)
 from .spatial import (MixedTypeSystem, SpatialOperator, build_grad_1d,
                       build_mixed_type_system, check_maximal_monotone,
                       indicators_from_intervals)

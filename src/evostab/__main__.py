@@ -1,0 +1,7 @@
+"""``python -m evostab``: the command-line interface without an install."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

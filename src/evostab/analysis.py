@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DecayFitError
 from .signals import Signal, weighted_norm
 
 
@@ -23,14 +24,15 @@ class DecayFit:
 
 def fit_decay_rate(u: Signal, window, floor: float = 1e-13) -> DecayFit:
     """Fit ln|u(t)| ~ intercept - rate*t on samples inside ``window`` whose
-    magnitude exceeds ``floor`` (absolute).  Needs at least 8 such samples."""
+    magnitude exceeds ``floor`` (absolute).  Needs at least 8 such samples,
+    else raises :class:`DecayFitError`."""
     t_a, t_b = window
     t = u.grid.times
     mags = u.magnitudes()
     keep = (t >= t_a) & (t <= t_b) & (mags > floor)
     n_used = int(keep.sum())
     if n_used < 8:
-        raise ValueError(f"only {n_used} usable samples in window [{t_a}, {t_b}] above floor {floor:g}")
+        raise DecayFitError(f"only {n_used} usable samples in window [{t_a}, {t_b}] above floor {floor:g}")
     ts = t[keep]
     ys = np.log(mags[keep])
     slope, intercept = np.polyfit(ts, ys, 1)

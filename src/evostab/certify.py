@@ -12,7 +12,12 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
 For the three structured families (c) has closed-form lower bounds derived
 from the defining matrices, which are authoritative; the sampled minimum
 over a (sigma, tau) rectangle is reported as corroborating evidence and is
-the only certificate available for custom symbols.
+the only certificate available for custom symbols.  The DAE and delay scans
+reduce exactly to a sweep over sigma; integro and custom symbols share one
+sampled branch, which builds z^-1 M(z) row by row through the material
+module's lambda-builder (lambda = sigma + i tau, no domain guard, so an
+integro nu above nu0 is reported rather than raised) and takes one batched
+Hermitian eigenvalue call per sigma.
 
 Closed-form decay rates:
 
@@ -32,7 +37,7 @@ from .errors import KernelAdmissibilityError
 from .material import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                        MaterialLaw, hermitian_part, hermitian_part_min_eig,
                        kernel_hat, kernel_weighted_l1, law_family, _norm2,
-                       shifted_symbol, eval_symbol, STRUCT_TOL)
+                       _lambda_stack, _mode_defects, shifted_symbol, STRUCT_TOL)
 
 # Sentinel cap for unbounded rates (M0 = 0, purely algebraic problems).
 RATE_CAP = 1e6
@@ -91,51 +96,30 @@ def solvability_constant(law: MaterialLaw, nu: float,
     sigmas = _sigma_grid(nu, cfg)
     taus = _tau_grid(law, cfg)
 
-    if isinstance(law, DaeLaw):
-        # z^-1 M(z) = (sigma + i tau) M0 + M1; the i tau M0 part is skew.
-        stack = sigmas[:, None, None] * law.M0 + hermitian_part(law.M1)
-        return float(np.linalg.eigvalsh(stack)[:, 0].min())
-
-    if isinstance(law, DelayLaw):
-        # Hermitian part: sigma M0 + exp(sigma h) cos(tau h) I + Re M1.
+    if isinstance(law, (DaeLaw, DelayLaw)):
+        # z^-1 M(z) = (sigma + i tau) M0 + M1 [+ exp(lambda h) I]; i tau M0 is skew.
         stack = sigmas[:, None, None] * law.M0 + hermitian_part(law.M1)
         base = np.linalg.eigvalsh(stack)[:, 0]
+        if isinstance(law, DaeLaw):
+            return float(base.min())
+        # Hermitian part of the delay term: exp(sigma h) cos(tau h) I.
         cos_min = float(np.cos(taus * law.h).min())
         return float(np.min(base + np.exp(sigmas * law.h) * cos_min))
 
-    if isinstance(law, IntegroLaw):
-        n = law.dim
-        eye = np.eye(n)
-        best = np.inf
-        for sigma in sigmas:
-            lam = sigma + 1j * taus
-            w = np.broadcast_to(eye, (lam.size, n, n)).astype(complex).copy()
-            for m in law.kernel.modes:
-                w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
-            zi_m = lam[:, None, None] * np.linalg.inv(w) + law.c * eye
-            herm = 0.5 * (zi_m + np.conj(np.swapaxes(zi_m, 1, 2)))
-            best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
-        return best
-
-    if isinstance(law, CustomLaw):
-        best = np.inf
-        for sigma in sigmas:
-            for tau in taus:
-                zi = complex(sigma, tau)
-                val = zi * eval_symbol(law, 1.0 / zi)
-                best = min(best, hermitian_part_min_eig(val))
-        return float(best)
-
-    raise TypeError(f"not a material law: {type(law)!r}")
+    best = np.inf
+    for sigma in sigmas:
+        herm = hermitian_part(_lambda_stack(law, sigma + 1j * taus))
+        if not np.isfinite(herm).all():
+            raise ValueError(f"z^-1 M(z) is not finite on the sampled line sigma = {sigma:.6g}")
+        best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
+    return best
 
 
 def solvability_lower_bound(law: MaterialLaw, nu: float) -> float | None:
     """Closed-form lower bound on Re z^-1 M(z) over sigma > -nu, or None."""
-    if isinstance(law, DaeLaw):
-        return hermitian_part_min_eig(law.M1) - nu * _norm2(law.M0)
-    if isinstance(law, DelayLaw):
-        return (hermitian_part_min_eig(law.M1) - nu * _norm2(law.M0)
-                - math.exp(-nu * law.h))
+    if isinstance(law, (DaeLaw, DelayLaw)):
+        bound = hermitian_part_min_eig(law.M1) - nu * _norm2(law.M0)
+        return bound if isinstance(law, DaeLaw) else bound - math.exp(-nu * law.h)
     if isinstance(law, IntegroLaw):
         if nu > law.kernel.nu0:
             return None
@@ -267,13 +251,7 @@ def _sign_defect(kernel: Kernel, rho: float, ts: np.ndarray) -> float:
 def check_kernel_conditions(kernel: Kernel) -> KernelConditionReport:
     """Report the three admissibility conditions; failures are reported,
     never raised."""
-    herm = max((_norm2(m.gamma - m.gamma.conj().T) for m in kernel.modes), default=0.0)
-    comm = 0.0
-    for i in range(len(kernel.modes)):
-        gi = kernel.modes[i].gamma
-        for j in range(i + 1, len(kernel.modes)):
-            gj = kernel.modes[j].gamma
-            comm = max(comm, _norm2(gi @ gj - gj @ gi))
+    herm, comm = _mode_defects(kernel)
 
     pos = np.geomspace(1e-3, 1e3, 31)
     ts = np.concatenate([-pos[::-1], [0.0], pos])

@@ -6,7 +6,8 @@ Every run echoes the fully resolved config (all defaults made explicit) to
 lines in a fixed key order so that repeated runs diff clean.
 
 Exit codes: 0 success, 1 analytic failure (certification, singular frequency,
-residual/gap/decay out of bounds), 2 usage or config error.
+residual/gap/decay out of bounds, a decay fit without enough usable
+samples), 2 usage or config error.
 """
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ import numpy as np
 
 from .analysis import auto_tail_window, default_margin, fit_decay_rate, verify_stability
 from .certify import SamplingConfig, certify
-from .errors import (CertificationError, ConfigError, EdgeMassError,
-                     GridMismatchError, KernelAdmissibilityError,
-                     SingularFrequencyError)
+from .errors import (CertificationError, ConfigError, DecayFitError,
+                     EdgeMassError, SingularFrequencyError)
 from .material import DaeLaw, DelayLaw, IntegroLaw, Kernel, KernelMode
 from .signals import (Signal, TimeGrid, gaussian_pulse, signal_from_csv,
                       signal_to_csv, step_exp, support_lower_bound)
@@ -414,17 +414,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args.threads)
-    except (ConfigError, GridMismatchError, KernelAdmissibilityError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (CertificationError, EdgeMassError, DecayFitError) as exc:
+        print(f"analytic failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SingularFrequencyError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    except (CertificationError, EdgeMassError) as exc:
-        print(f"analytic failure: {exc}", file=sys.stderr)
         return 1
 
 

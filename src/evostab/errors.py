@@ -35,5 +35,9 @@ class CertificationError(RuntimeError):
     """Well-posedness prerequisites for a solve were not met."""
 
 
+class DecayFitError(ValueError):
+    """A decay fit cannot run: too few usable samples in the fit window."""
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""

@@ -13,15 +13,23 @@ C(t) = sum_j gamma_j exp(-beta_j t) for t >= 0: for Im z <= nu0,
 
     Chat(z) = (1/sqrt(2 pi)) sum_j gamma_j / (beta_j + i z).
 
-The frequency operator (i*xi + rho) * M(1/(i*xi + rho)) and the shifted
-symbol (1 - nu*z) * M(z/(1 - nu*z)) are evaluated through hand-simplified
-per-family formulas, so the removable point z = 1/nu needs no special
-casing.
+The operator lambda * M(1/lambda) is built for an array of complex lambda
+by one private per-family builder, ``_lambda_stack``.  The solver evaluates
+it at lambda = i*xi + rho (through :func:`frequency_operator_stack`, which
+adds the family's domain guard) and the certificate's positivity scan at
+lambda = sigma + i*tau, where its Hermitian part is Re z^-1 M(z).  The
+integro factor W(lambda) = I - sum_j gamma_j / (beta_j + lambda) is
+inverted in one place, ``_integro_w_inv``, shared with the integro solver.
+
+The shifted symbol (1 - nu*z) * M(z/(1 - nu*z)) is evaluated through
+hand-simplified per-family formulas, so the removable point z = 1/nu needs
+no special casing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Union
 
 import numpy as np
@@ -36,8 +44,9 @@ STRUCT_TOL = 1e-12
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a matrix or of each matrix in a stack."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def hermitian_part_min_eig(a) -> float:
@@ -109,15 +118,9 @@ class Kernel:
     def structural_violations(self) -> list:
         """Structural admissibility defects, empty when admissible."""
         problems = []
-        worst_h = max((_norm2(m.gamma - m.gamma.conj().T) for m in self.modes), default=0.0)
+        worst_h, worst_c = _mode_defects(self)
         if worst_h > STRUCT_TOL:
             problems.append(f"non-Hermitian mode (defect {worst_h:.3g})")
-        worst_c = 0.0
-        for i in range(len(self.modes)):
-            gi = self.modes[i].gamma
-            for j in range(i + 1, len(self.modes)):
-                gj = self.modes[j].gamma
-                worst_c = max(worst_c, _norm2(gi @ gj - gj @ gi))
         if worst_c > STRUCT_TOL:
             problems.append(f"non-commuting modes (defect {worst_c:.3g})")
         if not self.beta_min > self.nu0:
@@ -132,6 +135,14 @@ class Kernel:
         problems = self.structural_violations()
         if problems:
             raise KernelAdmissibilityError("; ".join(problems))
+
+
+def _mode_defects(kernel: Kernel) -> tuple:
+    """(Hermitian defect, commutation defect) of the kernel modes, 2-norm."""
+    herm = max((_norm2(m.gamma - m.gamma.conj().T) for m in kernel.modes), default=0.0)
+    comm = max((_norm2(a.gamma @ b.gamma - b.gamma @ a.gamma)
+                for a, b in combinations(kernel.modes, 2)), default=0.0)
+    return herm, comm
 
 
 def kernel_eval(kernel: Kernel, t: float) -> np.ndarray:
@@ -193,8 +204,9 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
 
 
 @dataclass(frozen=True)
-class DaeLaw:
-    """M(z) = M0 + z*M1 with M0 Hermitian and nonnegative."""
+class _PencilLaw:
+    """Shared M0/M1 fields of the DAE and delay families: M0 Hermitian and
+    nonnegative, M1 of the same shape."""
 
     M0: np.ndarray
     M1: np.ndarray
@@ -215,28 +227,20 @@ class DaeLaw:
 
 
 @dataclass(frozen=True)
-class DelayLaw:
+class DaeLaw(_PencilLaw):
+    """M(z) = M0 + z*M1 with M0 Hermitian and nonnegative."""
+
+
+@dataclass(frozen=True)
+class DelayLaw(_PencilLaw):
     """M(z) = M0 + z*exp(h/z)*I + z*M1 with shift h < 0."""
 
-    M0: np.ndarray
-    M1: np.ndarray
     h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "M0", _as_matrix(self.M0, "M0"))
-        object.__setattr__(self, "M1", _as_matrix(self.M1, "M1"))
-        if self.M0.shape != self.M1.shape:
-            raise ValueError("M0 and M1 must have matching shapes")
+        super().__post_init__()
         if not self.h < 0:
             raise ValueError(f"delay shift h must be negative, got {self.h}")
-        if _norm2(self.M0 - self.M0.conj().T) > STRUCT_TOL:
-            raise ValueError("M0 must be Hermitian")
-        if np.linalg.eigvalsh(self.M0)[0] < -STRUCT_TOL:
-            raise ValueError("M0 must have nonnegative spectrum")
-
-    @property
-    def dim(self) -> int:
-        return self.M0.shape[0]
 
 
 @dataclass(frozen=True)
@@ -285,10 +289,6 @@ def law_family(law: MaterialLaw) -> str:
     raise TypeError(f"not a material law: {type(law)!r}")
 
 
-def law_dim(law: MaterialLaw) -> int:
-    return law.dim
-
-
 def _check_integro_domain(law: IntegroLaw, z: complex):
     r = 1.0 / (2.0 * law.kernel.nu0)
     if abs(z + r) <= r + 1e-15:
@@ -322,39 +322,48 @@ def eval_symbol(law: MaterialLaw, z: complex) -> np.ndarray:
     raise TypeError(f"not a material law: {type(law)!r}")
 
 
-def frequency_operator_stack(law: MaterialLaw, xi, rho: float) -> np.ndarray:
-    """(i*xi + rho) * M(1/(i*xi + rho)) for an array of frequencies.
+def _integro_w_inv(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
+    """W(lambda)^-1 with W(lambda) = I - sum_j gamma_j / (beta_j + lambda),
+    for a 1-D array of lambda; W(lambda) = I - sqrt(2 pi) Chat(-i lambda)."""
+    n = kernel.dim
+    w = np.broadcast_to(np.eye(n), (lam.size, n, n)).astype(complex).copy()
+    for m in kernel.modes:
+        w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
+    return np.linalg.inv(w)
 
-    Returns an array of shape (len(xi), dim, dim) built from the
-    hand-simplified per-family forms.
+
+def _lambda_stack(law: MaterialLaw, lam: np.ndarray) -> np.ndarray:
+    """lambda * M(1/lambda) for a 1-D array of complex lambda, shape
+    (len(lam), dim, dim), from the hand-simplified per-family forms.
+
+    No domain guard: callers keep lambda inside the family's domain.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    lam = 1j * xi + rho
-    n = law.dim
-    eye = np.eye(n)
+    eye = np.eye(law.dim)
     if isinstance(law, DaeLaw):
         return lam[:, None, None] * law.M0 + law.M1
     if isinstance(law, DelayLaw):
         return (lam[:, None, None] * law.M0 + law.M1
                 + np.exp(lam * law.h)[:, None, None] * eye)
     if isinstance(law, IntegroLaw):
-        if rho <= -law.kernel.nu0:
-            raise ValueError(f"need rho > -nu0 = {-law.kernel.nu0}, got {rho}")
-        w = np.broadcast_to(eye, (lam.size, n, n)).astype(complex).copy()
-        for m in law.kernel.modes:
-            w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
-        return lam[:, None, None] * np.linalg.inv(w) + law.c * eye
+        return lam[:, None, None] * _integro_w_inv(law.kernel, lam) + law.c * eye
     if isinstance(law, CustomLaw):
-        out = np.empty((lam.size, n, n), dtype=complex)
+        out = np.empty((lam.size, law.dim, law.dim), dtype=complex)
         for k, l in enumerate(lam):
             out[k] = l * eval_symbol(law, 1.0 / l)
         return out
     raise TypeError(f"not a material law: {type(law)!r}")
 
 
-def eval_frequency_operator(law: MaterialLaw, xi: float, rho: float) -> np.ndarray:
-    """(i*xi + rho) * M(1/(i*xi + rho)) at a single frequency sample."""
-    return frequency_operator_stack(law, [float(xi)], rho)[0]
+def frequency_operator_stack(law: MaterialLaw, xi, rho: float) -> np.ndarray:
+    """(i*xi + rho) * M(1/(i*xi + rho)) for an array of frequencies.
+
+    Returns an array of shape (len(xi), dim, dim).  The integro family needs
+    rho > -nu0 so that the line stays clear of the kernel's poles.
+    """
+    if isinstance(law, IntegroLaw) and rho <= -law.kernel.nu0:
+        raise ValueError(f"need rho > -nu0 = {-law.kernel.nu0}, got {rho}")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return _lambda_stack(law, 1j * xi + rho)
 
 
 def shifted_symbol(law: MaterialLaw, nu: float, z: complex) -> np.ndarray:

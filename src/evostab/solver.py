@@ -10,6 +10,13 @@ sample by sample, and transforming back.  Because the discrete transform
 pair is exactly unitary, the relative residual of the returned solution is
 limited only by the conditioning of the per-frequency solves.
 
+:func:`solve` and :func:`solve_integro` are thin entry points over one
+spectral core.  Each supplies a per-chunk builder that returns the operator
+stack and the right-hand side for a slice of frequencies: the plain
+forcing transform for :func:`solve`, and the transform premultiplied by
+W(lambda)^-1 for :func:`solve_integro`.  :func:`apply_forward` walks the
+same frequency chunks.
+
 Initial-value problems are reduced to forced equations on the whole line:
 with phi the plateau cutoff from :func:`cutoff_phi`, v = u - phi * u0
 satisfies the same equation with the modified right-hand side assembled by
@@ -29,11 +36,10 @@ import numpy as np
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
 from .material import (DaeLaw, IntegroLaw, Kernel, MaterialLaw,
-                       frequency_operator_stack, law_family, _as_matrix)
+                       frequency_operator_stack, law_family, _integro_w_inv)
 from .certify import solvability_constant, solvability_lower_bound
-from .signals import (EDGE_FAIL, EDGE_WARN, Signal, SpectralSignal, TimeGrid,
-                      edge_mass, fourier_laplace, inverse_fourier_laplace,
-                      weighted_norm)
+from .signals import (EDGE_FAIL, EDGE_WARN, Signal, SpectralSignal, edge_mass,
+                      fourier_laplace, inverse_fourier_laplace)
 from .spatial import SpatialOperator
 
 
@@ -73,34 +79,36 @@ def _check_rhs_edges(f: Signal, rho: float, meta_warnings: list) -> float:
     if em > EDGE_WARN:
         msg = f"weighted forcing edge mass {em:.3g} above {EDGE_WARN:g}; wrap-around may pollute the solution"
         meta_warnings.append(msg)
-        _warnings.warn(msg, EdgeMassWarning, stacklevel=3)
+        _warnings.warn(msg, EdgeMassWarning, stacklevel=4)
     return em
 
 
-def _chunk_size(n: int) -> int:
-    # keep per-chunk scratch near 256 MB of complex entries
-    return max(16, min(1024, (1 << 24) // max(n * n, 1)))
+def _chunks(n_samples: int, dim: int) -> list:
+    """Frequency-index slices; keeps per-chunk scratch near 256 MB."""
+    step = max(16, min(1024, (1 << 24) // max(dim * dim, 1)))
+    return [slice(k, min(k + step, n_samples)) for k in range(0, n_samples, step)]
 
 
-def _batched_frequency_solve(build_stack, rhs_hat: np.ndarray, xi: np.ndarray,
-                             threads: int = 1):
-    """Solve B(xi_j) x_j = rhs_j chunk-wise; returns (x, residual_sq, rhs_sq).
+def _spectral_solve(f: Signal, rho: float, build_chunk, family: str,
+                    threads: int) -> Signal:
+    """Transform ``f``, solve B x = rhs chunk-wise, transform back.
 
-    ``build_stack(sl)`` must return the (len, n, n) operator stack for the
-    slice ``sl`` of frequency indices.
+    ``build_chunk(xi, f_hat)`` gets the frequencies and forcing transform of
+    one chunk and returns its (len, n, n) operator stack and right-hand side.
+    The relative residual is measured against that right-hand side.
     """
-    n_samples, dim = rhs_hat.shape
-    x = np.empty((n_samples, dim), dtype=complex)
-    step = _chunk_size(dim)
-    slices = [slice(k, min(k + step, n_samples)) for k in range(0, n_samples, step)]
-
+    meta_warnings: list = []
+    em_rhs = _check_rhs_edges(f, rho, meta_warnings)
+    f_hat = fourier_laplace(f, rho).values
+    xi = f.grid.frequencies
+    x = np.empty_like(f_hat)
+    slices = _chunks(*f_hat.shape)
     res_parts = np.zeros(len(slices))
     rhs_parts = np.zeros(len(slices))
 
-    def work(item):
-        idx, sl = item
-        stack = build_stack(sl)
-        rhs = rhs_hat[sl]
+    def work(idx):
+        sl = slices[idx]
+        stack, rhs = build_chunk(xi[sl], f_hat[sl])
         try:
             sol = np.linalg.solve(stack, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -116,14 +124,25 @@ def _batched_frequency_solve(build_stack, rhs_hat: np.ndarray, xi: np.ndarray,
         res_parts[idx] = np.sum(np.abs(err) ** 2)
         rhs_parts[idx] = np.sum(np.abs(rhs) ** 2)
 
-    items = list(enumerate(slices))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, items))
+            list(pool.map(work, range(len(slices))))
     else:
-        for item in items:
-            work(item)
-    return x, float(res_parts.sum()), float(rhs_parts.sum())
+        for idx in range(len(slices)):
+            work(idx)
+
+    u = inverse_fourier_laplace(SpectralSignal(f.grid, rho, x))
+    res_sq, rhs_sq = float(res_parts.sum()), float(rhs_parts.sum())
+    residual = np.sqrt(res_sq / rhs_sq) if rhs_sq > 0 else 0.0
+    u.meta.update({
+        "residual": float(residual),
+        "edge_mass_rhs": em_rhs,
+        "edge_mass_solution": edge_mass(u, rho),
+        "rho": rho,
+        "family": family,
+        "warnings": tuple(meta_warnings),
+    })
+    return u
 
 
 def _well_posed_gate(symbol: MaterialLaw):
@@ -146,31 +165,15 @@ def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
     :func:`apply_forward` by unitarity), the edge masses of forcing and
     solution, and any wrap-around warnings.
     """
-    symbol, rho, f = problem.symbol, problem.rho, problem.f
+    symbol, rho = problem.symbol, problem.rho
     if check_certified:
         _well_posed_gate(symbol)
-    meta_warnings: list = []
-    em_rhs = _check_rhs_edges(f, rho, meta_warnings)
-
-    f_hat = fourier_laplace(f, rho)
-    xi = f.grid.frequencies
     a = problem.A.matrix
 
-    def build(sl):
-        return frequency_operator_stack(symbol, xi[sl], rho) + a
+    def build(xi, f_hat):
+        return frequency_operator_stack(symbol, xi, rho) + a, f_hat
 
-    u_vals, res_sq, rhs_sq = _batched_frequency_solve(build, f_hat.values, xi, threads)
-    u = inverse_fourier_laplace(SpectralSignal(f.grid, rho, u_vals))
-    residual = np.sqrt(res_sq / rhs_sq) if rhs_sq > 0 else 0.0
-    u.meta.update({
-        "residual": float(residual),
-        "edge_mass_rhs": em_rhs,
-        "edge_mass_solution": edge_mass(u, rho),
-        "rho": rho,
-        "family": law_family(symbol),
-        "warnings": tuple(meta_warnings),
-    })
-    return u
+    return _spectral_solve(problem.f, rho, build, law_family(symbol), threads)
 
 
 def apply_forward(problem: EvolutionaryProblem, u: Signal) -> Signal:
@@ -182,9 +185,7 @@ def apply_forward(problem: EvolutionaryProblem, u: Signal) -> Signal:
     xi = u.grid.frequencies
     a = problem.A.matrix
     out = np.empty_like(u_hat.values)
-    step = _chunk_size(u.dim)
-    for k in range(0, u.grid.n_steps, step):
-        sl = slice(k, min(k + step, u.grid.n_steps))
+    for sl in _chunks(u.grid.n_steps, u.dim):
         stack = frequency_operator_stack(problem.symbol, xi[sl], rho) + a
         out[sl] = np.einsum("kij,kj->ki", stack, u_hat.values[sl])
     return inverse_fourier_laplace(SpectralSignal(u.grid, rho, out))
@@ -199,57 +200,21 @@ def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float, *,
     integro family with right-hand side premultiplied by
     (I - sqrt(2 pi) Chat(xi - i rho))^-1.
     """
-    kernel.require_admissible()
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    law = IntegroLaw(kernel, c)
-    op = _as_operator(A, law.dim)
+    law = IntegroLaw(kernel, c)  # checks c > 0 and kernel admissibility
+    a = _as_operator(A, law.dim).matrix
     if f.dim != law.dim:
         raise ValueError(f"dimension mismatch: kernel {law.dim}, forcing {f.dim}")
+    eye = np.eye(law.dim)
 
-    meta_warnings: list = []
-    em_rhs = _check_rhs_edges(f, rho, meta_warnings)
-    f_hat = fourier_laplace(f, rho)
-    xi = f.grid.frequencies
-    lam_all = 1j * xi + rho
-    n = law.dim
-    eye = np.eye(n)
-    a = op.matrix
+    def build(xi, f_hat):
+        lam = 1j * xi + rho
+        w_inv = _integro_w_inv(kernel, lam)
+        return (lam[:, None, None] * w_inv + c * eye + a,
+                np.einsum("kij,kj->ki", w_inv, f_hat))
 
-    rhs_hat = np.empty_like(f_hat.values)
-
-    def build(sl):
-        lam = lam_all[sl]
-        w = np.broadcast_to(eye, (lam.size, n, n)).astype(complex).copy()
-        for m in kernel.modes:
-            w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
-        w_inv = np.linalg.inv(w)
-        rhs_hat[sl] = np.einsum("kij,kj->ki", w_inv, f_hat.values[sl])
-        return lam[:, None, None] * w_inv + c * eye + a
-
-    u_vals, res_sq, rhs_sq = _batched_frequency_solve(build, _RhsView(rhs_hat), xi, threads)
-    u = inverse_fourier_laplace(SpectralSignal(f.grid, rho, u_vals))
-    residual = np.sqrt(res_sq / rhs_sq) if rhs_sq > 0 else 0.0
-    u.meta.update({
-        "residual": float(residual),
-        "edge_mass_rhs": em_rhs,
-        "edge_mass_solution": edge_mass(u, rho),
-        "rho": rho,
-        "family": "integro",
-        "warnings": tuple(meta_warnings),
-    })
-    return u
-
-
-class _RhsView:
-    """Array wrapper whose slices are produced lazily by build()."""
-
-    def __init__(self, arr):
-        self._arr = arr
-        self.shape = arr.shape
-
-    def __getitem__(self, sl):
-        return self._arr[sl]
+    return _spectral_solve(f, rho, build, "integro", threads)
 
 
 def convolve_time(kernel: Kernel, u: Signal) -> Signal:

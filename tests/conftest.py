@@ -1,0 +1,15 @@
+import os
+
+import pytest
+
+import evostab
+
+
+@pytest.fixture
+def package_env():
+    """Environment for subprocesses that must import the same ``evostab``
+    as the test process, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evostab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -210,7 +210,7 @@ def test_c11_all_solves_report_tiny_residuals():
     assert len(RESIDUALS) >= 1
 
 
-def test_c12_cli_verify_is_byte_deterministic(tmp_path):
+def test_c12_cli_verify_is_byte_deterministic(tmp_path, package_env):
     cfg = {
         "family": "mixed1d",
         "mixed": {"p": 48, "c": 1.0, "omega0": [0.0, 1.0 / 3.0],
@@ -226,7 +226,7 @@ def test_c12_cli_verify_is_byte_deterministic(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "evostab.cli", "verify",
              "--config", str(cfg_path), "--out", out],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env)
         assert proc.returncode == 0, proc.stderr
     for name in ("solution.csv", "decay.kv", "metadata.kv", "report.kv",
                  "config_echo.json"):

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from _oracles import delay_rate_oracle, integro_rate_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, SamplingConfig,
@@ -94,6 +97,30 @@ class TestSolvability:
         a = solvability_constant(dae, 0.5, **kw)
         b = solvability_constant(custom, 0.5, **kw)
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_nonfinite_sample_is_an_error(self):
+        # NaN at tau = 0 must not be dropped from the sampled minimum
+        law = CustomLaw(1, lambda z: np.array([[1.0 + 2.0 * z if z.imag else np.nan]]))
+        with pytest.raises(ValueError, match="not finite"):
+            solvability_constant(law, 0.5, sigma_max=5.0, tau_max=20.0, n_sigma=10, n_tau=21)
+
+    # nu = 0 or nu >= 1e-3: for tinier nu the first sigma row passes within
+    # nu of lambda = 0, where z = 1/lambda overflows and the custom scan
+    # raises (see test_nonfinite_sample_is_an_error)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 3),
+           nu=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    def test_sampled_custom_scan_matches_dae_branch(self, data, dim, nu):
+        # Hermitian positive-definite M0; M1 with positive Hermitian part
+        entries = hnp.arrays(float, (4, dim, dim), elements=st.floats(-1.0, 1.0))
+        g, s, q_re, q_im = data.draw(entries)
+        m0 = g @ g.T + 0.1 * np.eye(dim)
+        q = q_re + 1j * q_im
+        m1 = q @ q.conj().T + 0.1 * np.eye(dim) + (s - s.T)
+        kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=10, n_tau=21)
+        dae = solvability_constant(DaeLaw(m0, m1), nu, **kw)
+        custom = solvability_constant(CustomLaw(dim, lambda z: m0 + z * m1), nu, **kw)
+        assert custom == pytest.approx(dae, rel=1e-9, abs=1e-9)
 
     def test_lower_bound_values(self):
         assert solvability_lower_bound(DaeLaw([[1.0]], [[2.0]]), 1.5) == pytest.approx(0.5)

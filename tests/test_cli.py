@@ -343,6 +343,17 @@ def test_verify_custom_family_requires_nu(tmp_path, monkeypatch):
     assert float(read_kv(os.path.join(out, "decay.kv"))["nu_certified"]) == 1.5
 
 
+def test_verify_decay_fit_failure_is_analytic(tmp_path, capsys):
+    # zero forcing leaves no samples above the fit floor: an analytic
+    # failure (exit 1), not a config error
+    cfg = write_cfg(tmp_path, scalar_dae_cfg())
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analytic failure: only 0 usable samples")
+    assert read_kv(os.path.join(out, "report.kv"))["pass"] == "true"
+
+
 # --- config validation and plumbing ----------------------------------------
 
 def test_malformed_json_exits_two(tmp_path):
@@ -405,6 +416,16 @@ def test_config_echo_is_resolved_and_sorted(tmp_path):
     assert echoed["sampling"]["n_sigma"] == 200
     assert echoed["check_certified"] is True
     assert raw == json.dumps(echoed, indent=2, sort_keys=True) + "\n"
+
+
+def test_python_dash_m_runs_without_install(tmp_path, package_env):
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(nu=1.5))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "evostab", "certify",
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert read_kv(out / "report.kv")["pass"] == "true"
 
 
 def test_console_script_runs_reproducibly(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
-                     KernelAdmissibilityError, KernelMode,
-                     eval_frequency_operator, eval_symbol,
+                     KernelAdmissibilityError, KernelMode, eval_symbol,
                      hermitian_part_min_eig, kernel_eval, kernel_hat,
                      kernel_weighted_l1, law_family, shifted_symbol)
 from evostab.material import frequency_operator_stack
@@ -156,7 +155,7 @@ class TestEvalSymbol:
 class TestFrequencyOperator:
     def test_dae_point(self):
         law = DaeLaw([[1.0]], [[2.0]])
-        assert eval_frequency_operator(law, 0.0, 1.0)[0, 0] == pytest.approx(3.0)
+        assert frequency_operator_stack(law, [0.0], 1.0)[0][0, 0] == pytest.approx(3.0)
 
     def laws(self):
         m0 = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -88,6 +88,14 @@ class TestSolve:
         u2 = solve(dae_problem(f), threads=2)
         assert np.array_equal(u1.values, u2.values)
         assert u1.meta["residual"] == u2.meta["residual"]
+        # integro: the premultiplied right-hand side is built per chunk;
+        # 4096 samples span four chunks
+        gi = TimeGrid(-2.0, 1 / 64, 4096)
+        fi = gaussian_pulse(gi, center=1.0, width=0.2)
+        v1 = solve_integro(scalar_kernel(), 1.0, None, fi, 0.5, threads=1)
+        v2 = solve_integro(scalar_kernel(), 1.0, None, fi, 0.5, threads=2)
+        assert np.array_equal(v1.values, v2.values)
+        assert v1.meta["residual"] == v2.meta["residual"]
 
     def test_certification_gate(self):
         g = TimeGrid(-2.0, 1 / 64, 256)
