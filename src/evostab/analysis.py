@@ -55,10 +55,7 @@ def weighted_norm_profile(u: Signal, mu_values) -> list:
 
 def profile_to_csv(profile, path) -> None:
     """Write a (mu, norm) profile as CSV with a ``mu,norm`` header."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("mu,norm\n")
-        for mu, norm in profile:
-            fh.write(f"{mu:.17g},{norm:.17g}\n")
+    np.savetxt(path, profile, fmt="%.17g", delimiter=",", header="mu,norm", comments="")
 
 
 def causality_check(solve_fn: Callable[[Signal], Signal], f: Signal, g: Signal,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,14 @@ class SamplingConfig:
     tau_max: float = 100.0
     n_sigma: int = 200
     n_tau: int = 401
+
+    def __post_init__(self):
+        for name in ("n_sigma", "n_tau"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        if not self.sigma_max > 0:
+            raise ValueError(f"sigma_max must be positive, got {self.sigma_max!r}")
 
     def describe(self, nu: float) -> str:
         delta = (nu if nu > 0 else self.sigma_max) / self.n_sigma

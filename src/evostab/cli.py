@@ -25,7 +25,7 @@ from .errors import (CertificationError, ConfigError, DecayFitError,
                      EdgeMassError, SingularFrequencyError)
 from .material import DaeLaw, DelayLaw, IntegroLaw, Kernel, KernelMode
 from .signals import (Signal, TimeGrid, gaussian_pulse, signal_from_csv,
-                      signal_to_csv, step_exp, support_lower_bound)
+                      signal_to_csv, step_exp)
 from .solver import EvolutionaryProblem, IvpProblem, ivp_solve, solve, solve_integro
 from .spatial import SpatialOperator, build_mixed_type_system, indicators_from_intervals
 
@@ -76,15 +76,6 @@ def _as_complex_matrix(node, name: str) -> np.ndarray:
     _require(arr.ndim == 3 and arr.shape[2] == 2,
              f"{name}: entries must be [re, im] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
-
-
-def _matrix_to_json(mat: np.ndarray):
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
-def _vector_to_json(vec: np.ndarray):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
 
 
 def load_config(path: str) -> dict:
@@ -177,7 +168,6 @@ class _BuiltProblem:
         self.kernel = None
         self.c = None
         self.A = None
-        self.mixed_system = None
 
         family = self.family
         if family in ("dae", "delay"):
@@ -198,9 +188,9 @@ class _BuiltProblem:
             self.law = IntegroLaw(self.kernel, self.c)
         elif family == "mixed1d":
             _require(cfg["mixed"] is not None, "mixed1d: mixed parameters are required")
-            self.mixed_system = _parse_mixed(cfg["mixed"])
-            self.law = self.mixed_system.law()
-            self.A = self.mixed_system.A
+            system = _parse_mixed(cfg["mixed"])
+            self.law = system.law()
+            self.A = system.A
         else:  # custom
             _require(cfg["custom"] is not None and "import" in cfg["custom"],
                      "custom: an import path module:callable is required")
@@ -242,6 +232,8 @@ def _parse_kernel(node: dict) -> Kernel:
     _require(isinstance(node, dict) and "modes" in node and "nu0" in node,
              "kernel: expected {modes: [...], nu0: ...}")
     _require(set(node) <= {"modes", "nu0"}, "kernel: unknown keys")
+    _require(isinstance(node["modes"], list) and node["modes"],
+             "kernel.modes: expected a non-empty list of {gamma, beta}")
     modes = []
     for k, mode in enumerate(node["modes"]):
         _require(isinstance(mode, dict) and "gamma" in mode and "beta" in mode,
@@ -332,10 +324,7 @@ def cmd_ivp(cfg: dict, out_dir: str, threads: int) -> int:
     u0 = _as_complex_matrix(cfg["u0"], "u0")
     _require(u0.ndim == 1 and u0.shape[0] == built.dim,
              f"ivp: u0 must have {built.dim} entries")
-    f = built.forcing()
-    lower = support_lower_bound(f, 1e-8)
-    _require(lower is None or lower >= 0.0, "ivp: forcing must be supported in [0, inf)")
-    problem = IvpProblem(built.law.M0, built.law.M1, built.A, u0, f,
+    problem = IvpProblem(built.law.M0, built.law.M1, built.A, u0, built.forcing(),
                          rho=cfg["rho"], phi_scale=cfg["phi_scale"])
     u, gap = ivp_solve(problem, threads=threads)
     signal_to_csv(u, os.path.join(out_dir, "solution.csv"))

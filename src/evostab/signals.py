@@ -22,6 +22,11 @@ last sample leaks across the ends under any transform-based operation.  Every
 such operation records the edge-mass ratio in the result's ``meta`` dict;
 solvers escalate to :class:`~evostab.errors.EdgeMassError` above
 ``EDGE_FAIL`` and warn above ``EDGE_WARN``.
+
+CSV I/O is the ``np.savetxt`` / ``np.loadtxt`` pair: :func:`signal_to_csv`
+writes the time column followed by interleaved re/im columns with 17
+significant digits, and :func:`signal_from_csv` reads them back and rebuilds
+the grid.
 """
 
 from __future__ import annotations
@@ -303,15 +308,8 @@ def step_exp(grid: TimeGrid, start: float = 0.0, rate: float = 1.0, dim: int = 1
 def signal_to_csv(f: Signal, path) -> None:
     """Write ``t,re_0,im_0,...`` rows with 17 significant digits."""
     header = "t," + ",".join(f"re_{i},im_{i}" for i in range(f.dim))
-    lines = [header]
-    for t, row in zip(f.grid.times, f.values):
-        cells = [f"{t:.17g}"]
-        for v in row:
-            cells.append(f"{v.real:.17g}")
-            cells.append(f"{v.imag:.17g}")
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack([f.grid.times, f.values.view(float)]),
+               fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def signal_from_csv(path) -> Signal:

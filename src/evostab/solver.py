@@ -39,7 +39,7 @@ from .material import (DaeLaw, IntegroLaw, Kernel, MaterialLaw,
                        frequency_operator_stack, law_family, _integro_w_inv)
 from .certify import solvability_constant, solvability_lower_bound
 from .signals import (EDGE_FAIL, EDGE_WARN, Signal, SpectralSignal, edge_mass,
-                      fourier_laplace, inverse_fourier_laplace)
+                      fourier_laplace, inverse_fourier_laplace, support_lower_bound)
 from .spatial import SpatialOperator
 
 
@@ -198,15 +198,13 @@ def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float, *,
 
     In the frequency domain this is the evolutionary equation for the
     integro family with right-hand side premultiplied by
-    (I - sqrt(2 pi) Chat(xi - i rho))^-1.
+    (I - sqrt(2 pi) Chat(xi - i rho))^-1.  The arguments are validated as
+    ``EvolutionaryProblem(IntegroLaw(kernel, c), A, rho, f)``, so a bad c,
+    kernel, rho or dimension raises ``ValueError``; no positivity gate runs.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    law = IntegroLaw(kernel, c)  # checks c > 0 and kernel admissibility
-    a = _as_operator(A, law.dim).matrix
-    if f.dim != law.dim:
-        raise ValueError(f"dimension mismatch: kernel {law.dim}, forcing {f.dim}")
-    eye = np.eye(law.dim)
+    problem = EvolutionaryProblem(IntegroLaw(kernel, c), A, rho, f)
+    a = problem.A.matrix
+    eye = np.eye(problem.symbol.dim)
 
     def build(xi, f_hat):
         lam = 1j * xi + rho
@@ -272,7 +270,6 @@ class IvpProblem:
     u0: np.ndarray
     f: Signal
     rho: float
-    nu: float | None = None
     phi_scale: float = 1.0
 
     def __post_init__(self):
@@ -288,7 +285,6 @@ class IvpProblem:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not self.phi_scale > 0:
             raise ValueError(f"phi_scale must be positive, got {self.phi_scale}")
-        from .signals import support_lower_bound
         slb = support_lower_bound(self.f, 1e-8)
         if slb is not None and slb < 0:
             raise ValueError(f"forcing must vanish before t = 0, support starts at {slb:.6g}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import DaeLaw, _as_matrix
+from .material import DaeLaw, _as_matrix, hermitian_part_min_eig
 
 # Monotonicity slack: smallest Hermitian-part eigenvalue may sit this far
 # below zero before an operator is rejected.
@@ -24,8 +24,7 @@ MONOTONE_TOL = 1e-12
 
 def check_maximal_monotone(a) -> float:
     """Smallest eigenvalue of the Hermitian part; >= -1e-12 means monotone."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+    return hermitian_part_min_eig(a)
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,28 @@ def test_verify_decay_fit_failure_is_analytic(tmp_path, capsys):
 
 # --- config validation and plumbing ----------------------------------------
 
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("modes", [[], 3])
+def test_empty_or_non_list_kernel_modes_exit_two(tmp_path, capsys, command, modes):
+    cfg = write_cfg(tmp_path, {
+        "family": "integro",
+        "kernel": {"nu0": 0.5, "modes": modes},
+        "c": 1.0,
+        "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 256},
+        "rho": 0.5,
+        "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1},
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: kernel.modes: expected a non-empty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sampling", [{"n_sigma": 0}, {"n_tau": -3}, {"sigma_max": -1.0}])
+def test_bad_sampling_exits_two(tmp_path, capsys, sampling):
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(sampling=sampling))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {next(iter(sampling))} must be")
+
+
 def test_malformed_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"family": "dae", "m0": [[[1,0]]]')

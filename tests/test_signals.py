@@ -264,6 +264,27 @@ class TestSignalBasics:
         assert back.grid == g
         assert np.abs(back.values - f.values).max() <= 1e-15
 
+    def test_csv_exact_text(self, tmp_path):
+        g = TimeGrid(-0.5, 0.25, 8)
+        re = np.array([[-0.0, 1 / 3], [1.0, 0.1], [0.0, 1e22], [2.5, -1.0],
+                       [1e-5, 0.0], [0.0, 0.0], [-1e22, 1.0], [0.0, 0.5]])
+        im = np.array([[1e-300, 1e22], [-1.0, -0.0], [1 / 3, 0.0], [0.0, 0.0],
+                       [0.0, 1e-300], [0.0, 0.0], [0.0, 0.0], [0.25, 0.0]])
+        vals = np.empty((8, 2), dtype=complex)
+        vals.real, vals.imag = re, im
+        path = tmp_path / "sig.csv"
+        signal_to_csv(Signal(g, vals), path)
+        assert path.read_bytes().decode("ascii") == (
+            "t,re_0,im_0,re_1,im_1\n"
+            "-0.5,-0,1e-300,0.33333333333333331,1e+22\n"
+            "-0.25,1,-1,0.10000000000000001,-0\n"
+            "0,0,0.33333333333333331,1e+22,0\n"
+            "0.25,2.5,0,-1,0\n"
+            "0.5,1.0000000000000001e-05,0,0,1e-300\n"
+            "0.75,0,0,0,0\n"
+            "1,-1e+22,0,1,0\n"
+            "1.25,0,0.25,0.5,0\n")
+
     def test_step_exp_values(self):
         g = TimeGrid(-1.0, 0.25, 16)
         f = step_exp(g, start=0.0, rate=2.0)

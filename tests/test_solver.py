@@ -214,6 +214,8 @@ class TestSolveIntegro:
         with pytest.raises(ValueError):
             solve_integro(scalar_kernel(), 1.0, None,
                           gaussian_pulse(g, center=1.0, width=0.2, dim=2), 0.5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_integro(scalar_kernel(), 1.0, np.zeros((2, 2)), f, 0.5)
 
 
 class TestConvolveTime:

@@ -1,0 +1,132 @@
+"""Print the sha256 of every CLI artifact for five fixed configs.
+
+Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
+``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
+``custom`` law whose factory module is written to the temp directory.  All
+use a 1024-sample grid.  Each config gets ``certify``, ``solve`` and
+``verify``; the ``dae`` config also gets ``ivp``.  The output is one sorted
+``<case>-<command>/<file> <sha256>`` line per artifact, then one
+``<case>-<command> exit=<code>`` line per command.
+
+Diff the output for two source trees to check that they write byte-identical
+artifacts::
+
+    git worktree add ../evostab-parent HEAD~1
+    python tools/artifact_digests.py --src ../evostab-parent/src > before.txt
+    python tools/artifact_digests.py --src src > after.txt
+    diff before.txt after.txt
+
+Digests depend on the numpy/BLAS build, so compare runs on one machine.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+GRID = {"dt": 0.015625, "n_steps": 1024}
+PULSE = {"kind": "pulse", "center": 0.5, "width": 0.1}
+SKEW = [[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]
+
+
+def _diag(*entries) -> list:
+    return [[[x if i == j else 0.0, 0.0] for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
+CUSTOM_MODULE = '''
+import numpy as np
+from evostab import CustomLaw
+
+M0 = np.array([[1.0, 0.2], [0.2, 0.5]], dtype=complex)
+M1 = np.array([[3.0, 1.0], [-1.0, 2.5]], dtype=complex)
+G = 0.5
+
+
+def law():
+    """M(z) = M0 + z M1 + G z / (1 + z), singular at z = -1."""
+
+    def eval_fn(z):
+        return M0 + z * M1 + (G * z / (1.0 + z)) * np.eye(2)
+
+    def shifted_fn(nu, z):
+        g = G * z * (1.0 - nu * z) / (1.0 + (1.0 - nu) * z)
+        return (1.0 - nu * z) * M0 + z * M1 + g * np.eye(2)
+
+    return CustomLaw(2, eval_fn, (-1.0,), shifted_fn), None
+'''
+
+CASES = {
+    "dae": {
+        "family": "dae", "m0": _diag(1.0, 1.0), "m1": _diag(2.0, 2.0), "a": SKEW,
+        "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE,
+        "u0": [[1.0, 0.0], [-0.5, 0.25]],
+    },
+    "delay": {
+        "family": "delay", "m0": _diag(1.0, 0.5), "m1": _diag(3.0, 2.5), "h": -1.0,
+        "grid": {"t0": -2.0, **GRID}, "rho": 0.05, "forcing": PULSE,
+    },
+    "integro": {
+        "family": "integro", "c": 1.0, "a": SKEW,
+        "kernel": {"nu0": 0.5, "modes": [{"gamma": _diag(0.2, 0.1), "beta": 1.0},
+                                         {"gamma": _diag(0.05, 0.1), "beta": 2.0}]},
+        "grid": {"t0": -2.0, **GRID}, "rho": 0.05, "forcing": PULSE,
+    },
+    "mixed1d": {
+        "family": "mixed1d",
+        "mixed": {"p": 24, "c": 1.0, "omega0": [0.0, 1.0 / 3.0],
+                  "omega1": [1.0 / 3.0, 2.0 / 3.0]},
+        "grid": {"t0": -2.0, **GRID}, "rho": 0.05, "forcing": PULSE,
+    },
+    "custom": {
+        "family": "custom", "custom": {"import": "digest_custom_law:law"}, "nu": 0.5,
+        "grid": {"t0": -2.0, **GRID}, "rho": 0.05, "forcing": PULSE,
+    },
+}
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True,
+                        help="directory that contains the evostab package")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if not os.path.isdir(os.path.join(src, "evostab")):
+        parser.error(f"{src} has no evostab package")
+
+    digests, exits = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "digest_custom_law.py"), "w") as fh:
+            fh.write(CUSTOM_MODULE)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tmp]))
+        for case, cfg in CASES.items():
+            cfg_path = os.path.join(tmp, f"{case}.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            commands = ["certify", "solve", "verify"] + (["ivp"] if case == "dae" else [])
+            for command in commands:
+                run = f"{case}-{command}"
+                out = os.path.join(tmp, run)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "evostab", command, "--config", cfg_path,
+                     "--out", out],
+                    cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                exits.append(f"{run} exit={proc.returncode}")
+                if os.path.isdir(out):
+                    digests += [f"{run}/{name} {_sha256(os.path.join(out, name))}"
+                                for name in os.listdir(out)]
+    print("\n".join(sorted(digests) + sorted(exits)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
