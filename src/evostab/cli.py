@@ -326,7 +326,7 @@ def cmd_ivp(cfg: dict, out_dir: str, threads: int) -> int:
              f"ivp: u0 must have {built.dim} entries")
     problem = IvpProblem(built.law.M0, built.law.M1, built.A, u0, built.forcing(),
                          rho=cfg["rho"], phi_scale=cfg["phi_scale"])
-    u, gap = ivp_solve(problem, threads=threads)
+    u, gap = ivp_solve(problem)
     signal_to_csv(u, os.path.join(out_dir, "solution.csv"))
     m0u0 = float(np.linalg.norm(np.asarray(built.law.M0) @ u0))
     limit = 10.0 * built.grid.dt * m0u0 + 1e-12
@@ -382,6 +382,13 @@ _COMMANDS = {
 }
 
 
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="evostab",
@@ -392,7 +399,10 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON run config")
         cmd.add_argument("--out", required=True, help="output directory (created if missing)")
-        cmd.add_argument("--threads", type=int, default=1, help="solver thread count")
+        cmd.add_argument("--threads", type=_thread_count, default=1,
+                         help="thread count (>= 1) of the dense solve path used by "
+                              "delay, integro and custom laws; DAE and mixed1d "
+                              "solves take the QZ pencil path, which has no pool")
 
     try:
         args = parser.parse_args(argv)

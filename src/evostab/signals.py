@@ -19,9 +19,11 @@ centered frequency grid.
 
 Wrap-around policy: the grid is circular, so weighted mass at the first or
 last sample leaks across the ends under any transform-based operation.  Every
-such operation records the edge-mass ratio in the result's ``meta`` dict;
-solvers escalate to :class:`~evostab.errors.EdgeMassError` above
-``EDGE_FAIL`` and warn above ``EDGE_WARN``.
+such operation records the edge-mass ratio in the result's ``meta`` dict.
+The solvers gate the *forcing*: they escalate to
+:class:`~evostab.errors.EdgeMassError` above ``EDGE_FAIL`` and warn above
+``EDGE_WARN``.  The solution's edge mass is only recorded
+(``meta['edge_mass_solution']``), not gated.
 
 CSV I/O is the ``np.savetxt`` / ``np.loadtxt`` pair: :func:`signal_to_csv`
 writes the time column followed by interleaved re/im columns with 17

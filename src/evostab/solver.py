@@ -11,11 +11,20 @@ pair is exactly unitary, the relative residual of the returned solution is
 limited only by the conditioning of the per-frequency solves.
 
 :func:`solve` and :func:`solve_integro` are thin entry points over one
-spectral core.  Each supplies a per-chunk builder that returns the operator
-stack and the right-hand side for a slice of frequencies: the plain
-forcing transform for :func:`solve`, and the transform premultiplied by
-W(lambda)^-1 for :func:`solve_integro`.  :func:`apply_forward` walks the
-same frequency chunks.
+spectral core that checks the forcing's edge mass, applies the two
+transforms and assembles ``meta``; only the per-frequency solve differs:
+
+* DAE laws (and with them the mixed-type example and :func:`ivp_solve`)
+  have B(xi) = lambda*M0 + (M1 + A) with lambda = i*xi + rho, one fixed
+  matrix pencil.  One complex QZ factorisation of (M0, M1 + A) reduces every
+  frequency to a triangular back-substitution, vectorised over all
+  frequencies: O(n^3 + N n^2), with no (N, n, n) operator stack.
+* Delay, integro and custom laws build the operator stack chunk by chunk
+  and solve it by batched dense LU, optionally on a thread pool.  The
+  integro right-hand side is the forcing transform premultiplied by
+  W(lambda)^-1.  :func:`apply_forward` walks the same frequency chunks with
+  the dense stack for every family, so it stays an independent check of
+  both solve paths.
 
 Initial-value problems are reduced to forced equations on the whole line:
 with phi the plateau cutoff from :func:`cutoff_phi`, v = u - phi * u0
@@ -30,8 +39,10 @@ from __future__ import annotations
 import warnings as _warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.linalg import qz
 
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
@@ -89,18 +100,17 @@ def _chunks(n_samples: int, dim: int) -> list:
     return [slice(k, min(k + step, n_samples)) for k in range(0, n_samples, step)]
 
 
-def _spectral_solve(f: Signal, rho: float, build_chunk, family: str,
-                    threads: int) -> Signal:
-    """Transform ``f``, solve B x = rhs chunk-wise, transform back.
+def _relative(res_sq: float, rhs_sq: float) -> float:
+    return float(np.sqrt(res_sq / rhs_sq)) if rhs_sq > 0 else 0.0
+
+
+def _dense_solve(build_chunk, threads: int, xi, f_hat) -> tuple:
+    """One batched LU solve per chunk of frequencies.
 
     ``build_chunk(xi, f_hat)`` gets the frequencies and forcing transform of
     one chunk and returns its (len, n, n) operator stack and right-hand side.
     The relative residual is measured against that right-hand side.
     """
-    meta_warnings: list = []
-    em_rhs = _check_rhs_edges(f, rho, meta_warnings)
-    f_hat = fourier_laplace(f, rho).values
-    xi = f.grid.frequencies
     x = np.empty_like(f_hat)
     slices = _chunks(*f_hat.shape)
     res_parts = np.zeros(len(slices))
@@ -130,12 +140,49 @@ def _spectral_solve(f: Signal, rho: float, build_chunk, family: str,
     else:
         for idx in range(len(slices)):
             work(idx)
+    return x, _relative(float(res_parts.sum()), float(rhs_parts.sum()))
 
+
+def _pencil_solve(m0: np.ndarray, k: np.ndarray, rho: float, xi, f_hat) -> tuple:
+    """Solve (lambda*M0 + K) x = f_hat at every lambda = i*xi + rho through
+    one complex QZ factorisation M0 = Q S Z*, K = Q T Z*.
+
+    (lambda*S + T) is upper triangular, so one back-substitution over the
+    n rows, vectorised over all frequencies, costs O(n^3 + N n^2) and never
+    forms an (N, n, n) stack.  The residual is measured against the original
+    pencil, not the triangular factors.
+    """
+    s, t, q, z = qz(m0, k, output="complex")
+    lam = 1j * xi + rho
+    g = q.conj().T @ f_hat.T  # (n, N): row i is (Q* f_hat)_i at every frequency
+    coef = np.stack([s, t], axis=1)  # coef[i] holds row i of S and of T
+    y = np.empty_like(g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in reversed(range(g.shape[0])):
+            sy, ty = coef[i, :, i + 1:] @ y[i + 1:]
+            y[i] = (g[i] - lam * sy - ty) / (lam * s[i, i] + t[i, i])
+        x = y.T @ z.T
+    bad = np.nonzero(~np.isfinite(x).all(axis=1))[0]
+    if bad.size:
+        j = int(bad[0])
+        raise SingularFrequencyError(j, float(xi[j]), "zero pivot or overflow in the QZ pencil")
+    err = lam[:, None] * (x @ m0.T) + x @ k.T - f_hat
+    return x, _relative(float(np.sum(np.abs(err) ** 2)), float(np.sum(np.abs(f_hat) ** 2)))
+
+
+def _spectral_solve(f: Signal, rho: float, solve_hat, family: str) -> Signal:
+    """Transform ``f``, solve B(xi) x = rhs at every frequency, transform back.
+
+    ``solve_hat(xi, f_hat)`` gets all frequencies and the forcing transform
+    and returns the solution transform and its relative residual.
+    """
+    meta_warnings: list = []
+    em_rhs = _check_rhs_edges(f, rho, meta_warnings)
+    f_hat = fourier_laplace(f, rho).values
+    x, residual = solve_hat(f.grid.frequencies, f_hat)
     u = inverse_fourier_laplace(SpectralSignal(f.grid, rho, x))
-    res_sq, rhs_sq = float(res_parts.sum()), float(rhs_parts.sum())
-    residual = np.sqrt(res_sq / rhs_sq) if rhs_sq > 0 else 0.0
     u.meta.update({
-        "residual": float(residual),
+        "residual": residual,
         "edge_mass_rhs": em_rhs,
         "edge_mass_solution": edge_mass(u, rho),
         "rho": rho,
@@ -161,19 +208,26 @@ def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
     """Solve the evolutionary equation for the given forcing.
 
     The result carries ``meta['residual']`` (relative, measured in the
-    rho-weighted norm; identical to the time-domain residual of
-    :func:`apply_forward` by unitarity), the edge masses of forcing and
-    solution, and any wrap-around warnings.
+    rho-weighted norm against B(xi) itself; identical to the time-domain
+    residual of :func:`apply_forward` by unitarity), the edge masses of
+    forcing and solution, and any wrap-around warnings.
+
+    A ``DaeLaw`` is solved through the QZ pencil; other laws through the
+    dense operator stack.  ``threads`` sets the thread pool of the dense
+    path only, so it affects delay, integro and custom laws.
     """
     symbol, rho = problem.symbol, problem.rho
     if check_certified:
         _well_posed_gate(symbol)
     a = problem.A.matrix
+    if isinstance(symbol, DaeLaw):
+        solve_hat = partial(_pencil_solve, symbol.M0, symbol.M1 + a, rho)
+    else:
+        def build(xi, f_hat):
+            return frequency_operator_stack(symbol, xi, rho) + a, f_hat
 
-    def build(xi, f_hat):
-        return frequency_operator_stack(symbol, xi, rho) + a, f_hat
-
-    return _spectral_solve(problem.f, rho, build, law_family(symbol), threads)
+        solve_hat = partial(_dense_solve, build, threads)
+    return _spectral_solve(problem.f, rho, solve_hat, law_family(symbol))
 
 
 def apply_forward(problem: EvolutionaryProblem, u: Signal) -> Signal:
@@ -212,7 +266,7 @@ def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float, *,
         return (lam[:, None, None] * w_inv + c * eye + a,
                 np.einsum("kij,kj->ki", w_inv, f_hat))
 
-    return _spectral_solve(f, rho, build, "integro", threads)
+    return _spectral_solve(f, rho, partial(_dense_solve, build, threads), "integro")
 
 
 def convolve_time(kernel: Kernel, u: Signal) -> Signal:
@@ -303,15 +357,16 @@ def ivp_assemble_rhs(q: IvpProblem) -> Signal:
     return Signal(q.f.grid, q.f.values + corr)
 
 
-def ivp_solve(q: IvpProblem, *, threads: int = 1) -> tuple:
+def ivp_solve(q: IvpProblem) -> tuple:
     """Solve the initial-value problem; returns (u, initial_gap).
 
     ``initial_gap`` is |M0 u(t+) - M0 u0| at the first grid point >= 0 and
-    shrinks linearly with dt.
+    shrinks linearly with dt.  The law is a ``DaeLaw``, so :func:`solve`
+    takes the QZ pencil path, which runs no thread pool.
     """
     g = ivp_assemble_rhs(q)
     prob = EvolutionaryProblem(DaeLaw(q.M0, q.M1), q.A, q.rho, g)
-    v = solve(prob, threads=threads)
+    v = solve(prob)
     t = q.f.grid.times
     phi = cutoff_phi(t, q.phi_scale)
     u = Signal(q.f.grid, v.values + phi[:, None] * q.u0[None, :], meta=dict(v.meta))

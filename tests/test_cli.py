@@ -188,6 +188,16 @@ def test_solve_threads_flag_is_bitwise_stable(tmp_path):
     assert b1 == b2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(
+        forcing={"kind": "pulse", "center": 0.0, "width": 0.1}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_certification_gate_and_override(tmp_path):
     # M1 = 0 constructs but fails the nu = 0 positivity gate
     bad = scalar_dae_cfg(m1=[[[0.0, 0.0]]],

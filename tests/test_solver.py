@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 from _oracles import delay_stepper, volterra_integro_stepper
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evostab import (CertificationError, DaeLaw, DelayLaw, EdgeMassError,
                      EdgeMassWarning, EvolutionaryProblem, IntegroLaw,
                      IvpProblem, Kernel, KernelAdmissibilityError, KernelMode,
                      Signal, SingularFrequencyError, SpatialOperator, TimeGrid,
-                     apply_forward, convolve_time, cutoff_phi, fourier_laplace,
-                     gaussian_pulse, inverse_fourier_laplace, ivp_assemble_rhs,
-                     ivp_solve, kernel_hat, solve, solve_integro, step_exp,
-                     support_lower_bound)
+                     apply_forward, build_mixed_type_system, convolve_time,
+                     cutoff_phi, fourier_laplace, gaussian_pulse,
+                     indicators_from_intervals, inverse_fourier_laplace,
+                     ivp_assemble_rhs, ivp_solve, kernel_hat, solve,
+                     solve_integro, step_exp, support_lower_bound)
+from evostab.material import frequency_operator_stack
 from evostab.signals import SpectralSignal
 
 
@@ -96,6 +101,14 @@ class TestSolve:
         v2 = solve_integro(scalar_kernel(), 1.0, None, fi, 0.5, threads=2)
         assert np.array_equal(v1.values, v2.values)
         assert v1.meta["residual"] == v2.meta["residual"]
+        # delay: the dense path (and its pool) over four chunks; DAE laws
+        # take the QZ pencil path, which has no pool
+        fd = gaussian_pulse(gi, center=1.0, width=0.2, dim=2)
+        prob = EvolutionaryProblem(DelayLaw(np.eye(2), 3.0 * np.eye(2), -0.5), None, 0.5, fd)
+        w1 = solve(prob, threads=1)
+        w2 = solve(prob, threads=2)
+        assert np.array_equal(w1.values, w2.values)
+        assert w1.meta["residual"] == w2.meta["residual"]
 
     def test_certification_gate(self):
         g = TimeGrid(-2.0, 1 / 64, 256)
@@ -113,6 +126,32 @@ class TestSolve:
         with pytest.raises(SingularFrequencyError) as exc:
             solve(prob, check_certified=False)
         assert hasattr(exc.value, "frequency")
+
+    def test_singular_pencil(self):
+        # det(lambda*M0 + M1) = 0 for every lambda although M0 != 0
+        g = TimeGrid(-2.0, 1 / 64, 256)
+        f = gaussian_pulse(g, center=1.0, width=0.2, dim=2)
+        law = DaeLaw(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+        with pytest.raises(SingularFrequencyError) as exc:
+            solve(EvolutionaryProblem(law, None, 0.5, f), check_certified=False)
+        assert exc.value.index == 0
+
+    def test_edge_mass_warning_points_at_caller(self):
+        # the pencil path, the dense path and solve_integro all attribute
+        # the warning to the line that called them
+        g = TimeGrid(0.0, 1 / 16, 64)
+        vals = np.exp(-(((g.times - 2.0) / 0.3) ** 2))[:, None].astype(complex)
+        vals[-1, 0] = 1e-5
+        f = Signal(g, vals)
+        calls = [
+            lambda: solve(EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 0.1, f)),
+            lambda: solve(EvolutionaryProblem(DelayLaw([[1.0]], [[2.0]], -0.5), None, 0.1, f)),
+            lambda: solve_integro(scalar_kernel(), 1.0, None, f, 0.1),
+        ]
+        for call in calls:
+            with pytest.warns(EdgeMassWarning) as rec:
+                call()
+            assert [w.filename for w in rec] == [__file__]
 
     def test_edge_mass_warning_and_error(self):
         g = TimeGrid(0.0, 1 / 16, 64)
@@ -142,6 +181,46 @@ class TestSolve:
         with pytest.raises(ValueError):
             EvolutionaryProblem(DaeLaw(np.eye(2), np.eye(2)),
                                 SpatialOperator(np.eye(3)), 0.5, f)
+
+
+class TestPencilPath:
+    """DAE laws are solved through one QZ factorisation; the dense
+    operator stack and apply_forward are its oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6), rho=st.floats(0.05, 1.0))
+    def test_matches_dense_lu(self, data, dim, rho):
+        # M0 Hermitian PSD of rank 0..dim; M1 with positive definite
+        # Hermitian part plus a skew part; A skew plus PSD (monotone)
+        rank = data.draw(st.integers(0, dim))
+        entries = hnp.arrays(float, (9, dim, dim), elements=st.floats(-1.0, 1.0))
+        g_re, g_im, p_re, p_im, s_re, s_im, w, r, d = data.draw(entries)
+        g = (g_re + 1j * g_im)[:, :rank]
+        m0 = g @ g.conj().T
+        p, sk = p_re + 1j * p_im, s_re + 1j * s_im
+        m1 = p @ p.conj().T + 0.5 * np.eye(dim) + (sk - sk.conj().T)
+        a = (w - w.T) + r @ r.T
+        grid = TimeGrid(-2.0, 1 / 16, 128)
+        f = gaussian_pulse(grid, center=1.0, width=0.3, dim=dim, direction=d[0] + 0.1)
+        law = DaeLaw(m0, m1)
+        u = solve(EvolutionaryProblem(law, a, rho, f), check_certified=False)
+
+        xi = grid.frequencies
+        stack = frequency_operator_stack(law, xi, rho) + a
+        x = np.linalg.solve(stack, fourier_laplace(f, rho).values[:, :, None])[:, :, 0]
+        ref = inverse_fourier_laplace(SpectralSignal(grid, rho, x)).values
+        assert np.abs(u.values - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert u.meta["residual"] <= 1e-12
+
+    def test_apply_forward_inverts_mixed_system(self):
+        p = 24
+        ind0, ind1 = indicators_from_intervals(p, (0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0))
+        sys_ = build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, 1.0)
+        g = TimeGrid(-2.0, 1 / 64, 1024)
+        f = gaussian_pulse(g, center=0.5, width=0.1, dim=2 * p + 1)
+        prob = EvolutionaryProblem(sys_.law(), sys_.A, 0.05, f)
+        back = apply_forward(prob, solve(prob))
+        assert np.abs(back.values - f.values).max() <= 1e-10 * np.abs(f.values).max()
 
 
 class TestApplyForward:
