@@ -3,7 +3,8 @@ linear evolutionary equations on finite-dimensional state spaces."""
 
 from .errors import (CertificationError, ConfigError, DecayFitError,
                      EdgeMassError, EdgeMassWarning, GridMismatchError,
-                     KernelAdmissibilityError, SingularFrequencyError)
+                     KernelAdmissibilityError, NonFiniteSymbolError,
+                     SingularFrequencyError)
 from .signals import (Signal, SpectralSignal, TimeGrid, antiderivative,
                       derivative, edge_mass, fourier_laplace, gaussian_pulse,
                       inverse_fourier_laplace, signal_from_csv, signal_to_csv,

@@ -12,12 +12,28 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
 For the three structured families (c) has closed-form lower bounds derived
 from the defining matrices, which are authoritative; the sampled minimum
 over a (sigma, tau) rectangle is reported as corroborating evidence and is
-the only certificate available for custom symbols.  The DAE and delay scans
-reduce exactly to a sweep over sigma; integro and custom symbols share one
-sampled branch, which builds z^-1 M(z) row by row through the material
-module's lambda-builder (lambda = sigma + i tau, no domain guard, so an
-integro nu above nu0 is reported rather than raised) and takes one batched
-Hermitian eigenvalue call per sigma.
+the only certificate available for custom symbols.  The sampled minimum is
+the value of the dense scan, one Hermitian eigenvalue problem per point,
+but only custom symbols pay for that scan; the structured families get the
+same number from their structure (lambda = sigma + i tau):
+
+* DAE and delay: the Hermitian part is sigma M0 + H(M1) [+ exp(sigma h)
+  cos(tau h) I], so tau enters through cos_min alone and the scan is a sweep
+  over sigma.  M0 >= 0 makes the sweep nondecreasing, and for delays so does
+  cos_min <= 0, so it costs one eigenvalue problem of size n.  An M0 with an
+  eigenvalue in [-STRUCT_TOL, 0) or a delay with cos_min > 0 sweeps all
+  n_sigma values.
+* Integro: the modes are Hermitian and commute, so one unitary U diagonalises
+  every W(lambda) = I - sum_j gamma_j / (beta_j + lambda), with diagonal
+  w_i(lambda), and the minimum is c + min_i Re(lambda / w_i(lambda)).  That is
+  one n x n eigendecomposition plus O(n_sigma n_tau n m) scalar arithmetic
+  (m modes), taken one sigma row at a time so the scratch stays
+  (n_tau, n).  Modes that U does not diagonalise to STRUCT_TOL fall back to
+  the dense scan.
+* Custom, and the integro fallback: the dense scan, which builds z^-1 M(z)
+  row by row through the material module's lambda-builder (no domain guard,
+  so an integro nu above nu0 is reported rather than raised) and takes one
+  batched Hermitian eigenvalue call per sigma.
 
 Closed-form decay rates:
 
@@ -34,11 +50,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import KernelAdmissibilityError
+from .errors import KernelAdmissibilityError, NonFiniteSymbolError
 from .material import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                        MaterialLaw, hermitian_part, hermitian_part_min_eig,
                        kernel_hat, kernel_weighted_l1, law_family, _norm2,
-                       _lambda_stack, _mode_defects, shifted_symbol, STRUCT_TOL)
+                       _lambda_stack, _mode_defects, _mode_eigenvalues,
+                       shifted_symbol, STRUCT_TOL)
 
 # Sentinel cap for unbounded rates (M0 = 0, purely algebraic problems).
 RATE_CAP = 1e6
@@ -95,9 +112,19 @@ def solvability_constant(law: MaterialLaw, nu: float,
     """Sampled min over the rectangle of the smallest eigenvalue of the
     Hermitian part of z^-1 M(z), z^-1 = sigma + i tau.
 
-    For the polynomial and delay families the tau dependence enters only
-    through scalar multiples of the identity, so the scan reduces exactly
-    to a sweep over sigma.
+    The value is that of the dense scan, one Hermitian eigenvalue problem
+    per sampled point; the structured families compute it from their
+    structure (see the module docstring):
+
+    * DAE and delay: one eigenvalue problem when M0 >= 0 (and, for delays,
+      cos_min <= 0) makes the sigma sweep nondecreasing, else n_sigma of them;
+    * integro: c + min_i Re(lambda / w_i(lambda)) in the modes' joint
+      eigenbasis, one sigma row at a time; the dense scan when the modes
+      have no joint eigenbasis to STRUCT_TOL;
+    * custom: the dense scan.
+
+    Raises :class:`NonFiniteSymbolError` when z^-1 M(z) is not finite on a
+    sampled line.
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
@@ -107,20 +134,38 @@ def solvability_constant(law: MaterialLaw, nu: float,
 
     if isinstance(law, (DaeLaw, DelayLaw)):
         # z^-1 M(z) = (sigma + i tau) M0 + M1 [+ exp(lambda h) I]; i tau M0 is skew.
+        monotone = np.linalg.eigvalsh(law.M0)[0] >= 0
+        if isinstance(law, DelayLaw):
+            # Hermitian part of the delay term: exp(sigma h) cos(tau h) I,
+            # nondecreasing in sigma (h < 0) exactly when cos_min <= 0.
+            cos_min = float(np.cos(taus * law.h).min())
+            monotone = monotone and cos_min <= 0
+        if monotone:
+            sigmas = sigmas[:1]
         stack = sigmas[:, None, None] * law.M0 + hermitian_part(law.M1)
         base = np.linalg.eigvalsh(stack)[:, 0]
         if isinstance(law, DaeLaw):
             return float(base.min())
-        # Hermitian part of the delay term: exp(sigma h) cos(tau h) I.
-        cos_min = float(np.cos(taus * law.h).min())
         return float(np.min(base + np.exp(sigmas * law.h) * cos_min))
 
+    g = _mode_eigenvalues(law.kernel) if isinstance(law, IntegroLaw) else None
     best = np.inf
     for sigma in sigmas:
-        herm = hermitian_part(_lambda_stack(law, sigma + 1j * taus))
-        if not np.isfinite(herm).all():
-            raise ValueError(f"z^-1 M(z) is not finite on the sampled line sigma = {sigma:.6g}")
-        best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
+        lam = sigma + 1j * taus
+        if g is None:
+            herm = hermitian_part(_lambda_stack(law, lam))
+            finite = np.isfinite(herm).all()
+            row = np.linalg.eigvalsh(herm)[:, 0] if finite else None
+        else:
+            w = np.ones((lam.size, law.dim), dtype=complex)
+            for g_j, mode in zip(g, law.kernel.modes):
+                w -= g_j / (mode.beta + lam)[:, None]
+            row = (lam[:, None] / w).real + law.c
+            finite = np.isfinite(w).all() and np.isfinite(row).all()
+        if not finite:
+            raise NonFiniteSymbolError(
+                f"z^-1 M(z) is not finite on the sampled line sigma = {sigma:.6g}")
+        best = min(best, float(row.min()))
     return best
 
 

@@ -35,6 +35,14 @@ class CertificationError(RuntimeError):
     """Well-posedness prerequisites for a solve were not met."""
 
 
+class NonFiniteSymbolError(CertificationError, ValueError):
+    """z^-1 M(z) is not finite at a point of the sampled positivity scan.
+
+    An analytic failure of the symbol, not a malformed input.  It is also a
+    ``ValueError``, so callers that catch ``ValueError`` around the scan
+    still catch it."""
+
+
 class DecayFitError(ValueError):
     """A decay fit cannot run: too few usable samples in the fit window."""
 

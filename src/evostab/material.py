@@ -145,6 +145,26 @@ def _mode_defects(kernel: Kernel) -> tuple:
     return herm, comm
 
 
+def _mode_eigenvalues(kernel: Kernel) -> np.ndarray | None:
+    """Joint eigenvalues g[j, i] = (U* gamma_j U)_ii of the kernel modes, shape
+    (modes, dim), or None when one unitary U does not diagonalise them all.
+
+    U comes from ``eigh`` of a fixed, seeded real combination of the modes,
+    which for Hermitian commuting modes separates their joint eigenspaces;
+    None means some U* gamma_j U is off-diagonal by more than STRUCT_TOL.
+    """
+    n = kernel.dim
+    gammas = np.array([m.gamma for m in kernel.modes], dtype=complex).reshape(-1, n, n)
+    weights = np.random.default_rng(0).standard_normal(len(gammas))
+    _, u = np.linalg.eigh(np.tensordot(weights, gammas, axes=1))
+    rotated = u.conj().T @ gammas @ u
+    g = np.diagonal(rotated, axis1=1, axis2=2)
+    off = rotated - g[:, :, None] * np.eye(n)
+    if max((_norm2(o) for o in off), default=0.0) > STRUCT_TOL:
+        return None
+    return g.real
+
+
 def kernel_eval(kernel: Kernel, t: float) -> np.ndarray:
     """C(t) for t >= 0; zero matrix for t < 0 (causal kernel)."""
     n = kernel.dim

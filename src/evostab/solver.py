@@ -11,8 +11,9 @@ pair is exactly unitary, the relative residual of the returned solution is
 limited only by the conditioning of the per-frequency solves.
 
 :func:`solve` and :func:`solve_integro` are thin entry points over one
-spectral core that checks the forcing's edge mass, applies the two
-transforms and assembles ``meta``; only the per-frequency solve differs:
+spectral core that gates the edge mass of the forcing and of the solution,
+applies the two transforms and assembles ``meta``; only the per-frequency
+solve differs:
 
 * DAE laws (and with them the mixed-type example and :func:`ivp_solve`)
   have B(xi) = lambda*M0 + (M1 + A) with lambda = i*xi + rho, one fixed
@@ -49,8 +50,9 @@ from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
 from .material import (DaeLaw, IntegroLaw, Kernel, MaterialLaw,
                        frequency_operator_stack, law_family, _integro_w_inv)
 from .certify import solvability_constant, solvability_lower_bound
-from .signals import (EDGE_FAIL, EDGE_WARN, Signal, SpectralSignal, edge_mass,
-                      fourier_laplace, inverse_fourier_laplace, support_lower_bound)
+from .signals import (EDGE_FAIL, EDGE_WARN, SOLUTION_EDGE_FAIL, Signal, SpectralSignal,
+                      edge_mass, fourier_laplace, inverse_fourier_laplace,
+                      support_lower_bound)
 from .spatial import SpatialOperator
 
 
@@ -81,14 +83,15 @@ class EvolutionaryProblem:
                 f"dimension mismatch: symbol {n}, operator {self.A.dim}, forcing {self.f.dim}")
 
 
-def _check_rhs_edges(f: Signal, rho: float, meta_warnings: list) -> float:
-    em = edge_mass(f, rho)
-    if em > EDGE_FAIL:
+def _check_edges(signal: Signal, rho: float, what: str, warn: float, fail: float,
+                 meta_warnings: list) -> float:
+    em = edge_mass(signal, rho)
+    if em > fail:
         raise EdgeMassError(
-            f"weighted forcing mass at the grid edges is {em:.3g} (limit {EDGE_FAIL:g}); "
+            f"weighted {what} mass at the grid edges is {em:.3g} (limit {fail:g}); "
             "enlarge the grid or raise rho")
-    if em > EDGE_WARN:
-        msg = f"weighted forcing edge mass {em:.3g} above {EDGE_WARN:g}; wrap-around may pollute the solution"
+    if em > warn:
+        msg = f"weighted {what} edge mass {em:.3g} above {warn:g}; wrap-around may pollute the solution"
         meta_warnings.append(msg)
         _warnings.warn(msg, EdgeMassWarning, stacklevel=4)
     return em
@@ -177,14 +180,20 @@ def _spectral_solve(f: Signal, rho: float, solve_hat, family: str) -> Signal:
     and returns the solution transform and its relative residual.
     """
     meta_warnings: list = []
-    em_rhs = _check_rhs_edges(f, rho, meta_warnings)
+    em_rhs = _check_edges(f, rho, "forcing", EDGE_WARN, EDGE_FAIL, meta_warnings)
     f_hat = fourier_laplace(f, rho).values
     x, residual = solve_hat(f.grid.frequencies, f_hat)
     u = inverse_fourier_laplace(SpectralSignal(f.grid, rho, x))
+    if em_rhs > EDGE_WARN:
+        # The forcing's edge mass is already reported, and the solution's
+        # edges carry the response to it: one cause, one warning.
+        em_u = edge_mass(u, rho)
+    else:
+        em_u = _check_edges(u, rho, "solution", EDGE_FAIL, SOLUTION_EDGE_FAIL, meta_warnings)
     u.meta.update({
         "residual": residual,
         "edge_mass_rhs": em_rhs,
-        "edge_mass_solution": edge_mass(u, rho),
+        "edge_mass_solution": em_u,
         "rho": rho,
         "family": family,
         "warnings": tuple(meta_warnings),

@@ -1,16 +1,33 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here deliberately avoids the package's frequency-domain machinery:
-rates come from scipy root finding on the scalar defining equations, and the
+Rates come from scipy root finding on the scalar defining equations, and the
 integro/delay solvers are plain time steppers, so agreement with the library
-is evidence rather than tautology.
+is evidence rather than tautology.  The positivity scan is the brute-force
+definition of the sampled minimum: it shares only the sampling grid and the
+lambda * M(1/lambda) builder with the structured minima it checks.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import brentq
 
+from evostab.certify import SamplingConfig, _sigma_grid, _tau_grid
+from evostab.material import _lambda_stack
+
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def dense_positivity_scan(law, nu: float, **grid) -> float:
+    """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over every
+    sampled (sigma, tau) of the certify grid, one sigma row at a time."""
+    cfg = SamplingConfig(**grid)
+    taus = _tau_grid(law, cfg)
+    best = np.inf
+    for sigma in _sigma_grid(nu, cfg):
+        stack = _lambda_stack(law, sigma + 1j * taus)
+        herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+        best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
+    return best
 
 
 def delay_rate_oracle(norm_m0: float, h: float, c: float) -> float:

@@ -1,17 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from _oracles import delay_rate_oracle, integro_rate_oracle
+from _oracles import delay_rate_oracle, dense_positivity_scan, integro_rate_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
-                     KernelAdmissibilityError, KernelMode, SamplingConfig,
-                     build_mixed_type_system, certify, check_kernel_conditions,
-                     closed_form_rate, dae_rate, delay_rate, integro_rate,
-                     kernel_hat, solvability_constant, solvability_lower_bound)
+                     KernelAdmissibilityError, KernelMode, NonFiniteSymbolError,
+                     SamplingConfig, build_mixed_type_system, certify,
+                     check_kernel_conditions, closed_form_rate, dae_rate,
+                     delay_rate, integro_rate, kernel_hat, solvability_constant,
+                     solvability_lower_bound)
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -149,6 +151,100 @@ class TestSolvability:
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError):
             solvability_constant(DaeLaw([[1.0]], [[2.0]]), -0.2)
+
+
+def random_unitary(re, im):
+    q, r = np.linalg.qr(re + 1j * im)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# The structured minima against the dense scan.  Both sides round; the scan's
+# eigenvalues carry an absolute error of a few ulps of ||z^-1 M(z)||, hence
+# the abs floor next to rel 1e-12 for minima near zero.
+MATCH = dict(rel=1e-12, abs=1e-12)
+
+
+class TestStructuredMinima:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4),
+           nu=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    def test_pencil_families_match_dense_scan(self, data, dim, nu):
+        # M0 >= 0, rank-deficient for rank < dim (diagonal M0 keeps its zero
+        # eigenvalues exact); M1 with positive Hermitian part
+        entries = hnp.arrays(float, (4, dim, dim), elements=st.floats(-1.0, 1.0))
+        g, s, q_re, q_im = data.draw(entries)
+        rank = data.draw(st.integers(0, dim))
+        if data.draw(st.booleans()):
+            m0 = np.diag(np.abs(np.diag(g)) * (np.arange(dim) < rank))
+        else:
+            m0 = g[:, :rank] @ g[:, :rank].T
+            m0 = 0.5 * (m0 + m0.T)
+        q = q_re + 1j * q_im
+        m1 = q @ q.conj().T + 0.1 * np.eye(dim) + (s - s.T)
+        kw = dict(sigma_max=10.0, tau_max=50.0, n_sigma=20, n_tau=41)
+        dae = DaeLaw(m0, m1)
+        assert solvability_constant(dae, nu, **kw) == pytest.approx(
+            dense_positivity_scan(dae, nu, **kw), **MATCH)
+        # tau_max below pi/(2|h|) keeps cos_min > 0 and the sigma sweep;
+        # above it, and past the first critical value pi/|h|, cos_min <= 0
+        h = -data.draw(st.floats(0.1, 2.0))
+        kw["tau_max"] = data.draw(st.sampled_from([0.25, 0.75, 1.5, 4.0])) * math.pi / abs(h)
+        delay = DelayLaw(m0, m1 + 1.5 * np.eye(dim), h)
+        assert solvability_constant(delay, nu, **kw) == pytest.approx(
+            dense_positivity_scan(delay, nu, **kw), **MATCH)
+
+    def test_slightly_negative_m0_keeps_the_sweep(self):
+        # M0 may have eigenvalues down to -STRUCT_TOL; then lambda_min falls
+        # with sigma and the first sigma row is not the minimum
+        law = DaeLaw([[-1e-12]], [[2.0]])
+        kw = dict(sigma_max=10.0, tau_max=50.0, n_sigma=20, n_tau=41)
+        assert solvability_constant(law, 0.0, **kw) == pytest.approx(
+            dense_positivity_scan(law, 0.0, **kw), **MATCH)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_integro_pole_on_the_grid_is_an_error(self):
+        # nu = 2 puts the sigma row -1 = -beta (tau = 0) on the grid
+        law = IntegroLaw(scalar_kernel(), 1.0)
+        with pytest.raises(NonFiniteSymbolError, match="sigma = -1"):
+            solvability_constant(law, 2.0, sigma_max=3.5, tau_max=10.0, n_sigma=8, n_tau=21)
+
+    @staticmethod
+    def rotated_integro_law(data, dim):
+        """Modes Q diag(d_j) Q* with a random unitary Q; the diagonals take
+        few distinct values, so joint eigenvalues repeat."""
+        n_modes = data.draw(st.integers(1, 3))
+        mats = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+        q = random_unitary(mats[0] + 2.0 * np.eye(dim), mats[1])
+        levels = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+        modes = []
+        for _ in range(n_modes):
+            beta = data.draw(st.floats(1.0, 3.0))
+            d = np.array(data.draw(st.lists(levels, min_size=dim, max_size=dim)))
+            # weighted L1 at nu0 = 0.5 stays below 0.3
+            d *= 0.3 * (beta - 0.5) / n_modes
+            modes.append(KernelMode(q @ np.diag(d) @ q.conj().T, beta))
+        kernel = Kernel(tuple(modes), nu0=0.5)
+        return IntegroLaw(kernel, data.draw(st.floats(0.2, 2.0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), nu=st.floats(0.0, 0.5))
+    def test_integro_matches_dense_scan(self, data, dim, nu):
+        law = self.rotated_integro_law(data, dim)
+        kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
+        assert solvability_constant(law, nu, **kw) == pytest.approx(
+            dense_positivity_scan(law, nu, **kw), **MATCH)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), nu=st.floats(0.0, 0.5))
+    def test_integro_fallback_is_the_dense_scan(self, data, dim, nu):
+        law = self.rotated_integro_law(data, dim)
+        kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
+        with pytest.MonkeyPatch.context() as mp:
+            # the package attribute evostab.certify is the function, not the module
+            mp.setattr(sys.modules["evostab.certify"], "_mode_eigenvalues", lambda kernel: None)
+            got = solvability_constant(law, nu, **kw)
+        assert got == dense_positivity_scan(law, nu, **kw)
 
 
 class TestKernelConditions:

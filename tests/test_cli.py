@@ -85,6 +85,9 @@ def shifted():
         return (1.0 - nu * z) * m0 + z * m1
 
     return CustomLaw(1, fn, (), shifted_fn), None
+
+def nan_symbol():
+    return CustomLaw(1, lambda z: np.array([[np.nan]])), None
 '''
 
 
@@ -362,6 +365,20 @@ def test_verify_decay_fit_failure_is_analytic(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("analytic failure: only 0 usable samples")
     assert read_kv(os.path.join(out, "report.kv"))["pass"] == "true"
+
+
+def test_certify_nonfinite_symbol_is_analytic(tmp_path, monkeypatch, capsys):
+    # a symbol that is not finite on the scan grid fails the certificate
+    # (exit 1); it is not a config error
+    install_custom_module(tmp_path, monkeypatch)
+    cfg = write_cfg(tmp_path, {
+        "family": "custom",
+        "custom": {"import": "cli_custom_laws:nan_symbol"},
+        "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256},
+        "rho": 0.5,
+    })
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("analytic failure: z^-1 M(z) is not finite")
 
 
 # --- config validation and plumbing ----------------------------------------

@@ -5,7 +5,7 @@ from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, eval_symbol,
                      hermitian_part_min_eig, kernel_eval, kernel_hat,
                      kernel_weighted_l1, law_family, shifted_symbol)
-from evostab.material import frequency_operator_stack
+from evostab.material import _mode_eigenvalues, frequency_operator_stack
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -72,6 +72,22 @@ class TestKernel:
         assert any("beta_min" in p for p in slow.structural_violations())
         heavy = Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5)
         assert any("L1" in p for p in heavy.structural_violations())
+
+    def test_mode_eigenvalues(self):
+        # commuting modes in a rotated basis: the joint eigenvalues come back
+        # in one common order; non-commuting modes have no joint eigenbasis
+        q = np.array([[3.0, -4.0], [4.0, 3.0]]) / 5.0
+        d1, d2 = np.array([0.1, -0.2]), np.array([0.3, 0.3])
+        k = Kernel(modes=(KernelMode(q @ np.diag(d1) @ q.T, 1.0),
+                          KernelMode(q @ np.diag(d2) @ q.T, 2.0)), nu0=0.5)
+        g = _mode_eigenvalues(k)
+        order = np.argsort(g[0])
+        assert np.allclose(g[:, order], [np.sort(d1), d2[np.argsort(d1)]], atol=1e-15)
+        a = np.array([[1.0, 0.0], [0.0, 2.0]])
+        b = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert _mode_eigenvalues(Kernel(modes=(KernelMode(a, 2.0), KernelMode(b, 3.0)),
+                                        nu0=0.5)) is None
+        assert _mode_eigenvalues(Kernel(modes=(), nu0=0.5, dim=2)).shape == (0, 2)
 
     def test_construction_guards(self):
         with pytest.raises(ValueError):

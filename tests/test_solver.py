@@ -171,6 +171,19 @@ class TestSolve:
         with pytest.raises(EdgeMassError):
             solve(bad)
 
+    def test_solution_edge_mass_gate(self):
+        # clean forcing; u' + m1 u = f decays too slowly for an 8-unit grid
+        # at rho = 0.05, so the weighted solution keeps weight at the edges
+        g = TimeGrid(-2.0, 1 / 64, 512)
+        f = gaussian_pulse(g, center=0.5, width=0.1)
+        with pytest.warns(EdgeMassWarning, match="solution edge mass"):
+            u = solve(EvolutionaryProblem(DaeLaw([[1.0]], [[0.3]]), None, 0.05, f))
+        assert u.meta["edge_mass_rhs"] < 1e-8
+        assert len(u.meta["warnings"]) == 1
+        # edge mass 0.73: the weighted solution has barely decayed in the grid
+        with pytest.raises(EdgeMassError, match="solution mass"):
+            solve(EvolutionaryProblem(DaeLaw([[1.0]], [[0.01]]), None, 0.05, f))
+
     def test_problem_validation(self):
         g = TimeGrid(-2.0, 1 / 64, 256)
         f = gaussian_pulse(g, center=1.0, width=0.2, dim=2)
