@@ -13,6 +13,7 @@ enough usable samples), 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import os
@@ -150,7 +151,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
 
     sampling = raw.get("sampling", {})
     _require(isinstance(sampling, dict), "sampling: expected an object")
-    defaults = {"sigma_max": 10.0, "tau_max": 100.0, "n_sigma": 200, "n_tau": 401}
+    defaults = dataclasses.asdict(SamplingConfig())
     _require(set(sampling) <= set(defaults), "sampling: unknown keys")
     defaults.update(sampling)
     cfg["sampling"] = defaults

@@ -1,46 +1,51 @@
 """Material-law symbols M(z) and exponential-sum convolution kernels.
 
-Four families are supported, each a holomorphic matrix-valued function of
-z = 1/(i*xi + rho):
+A material law is a holomorphic matrix-valued function of
+z = 1/(i*xi + rho).  Each family is one class deriving from
+:class:`MaterialLaw` and carries everything that differs between families:
+the operator lambda * M(1/lambda) for an array of lambda, the pointwise
+symbol and its nu-shifted form, the analyticity check, the sampled
+positivity minimum, the closed-form positivity bound and the decay rate
+derived from it.  The module functions :func:`law_family`,
+:func:`eval_symbol`, :func:`shifted_symbol` and
+:func:`frequency_operator_stack` are the entry points over those methods.
 
-* ``DaeLaw``      M(z) = M0 + z*M1
-* ``DelayLaw``    M(z) = M0 + z*exp(h/z)*I + z*M1          (h < 0)
-* ``IntegroLaw``  M(z) = (I - sqrt(2 pi) Chat(-i/z))^-1 + c*z
-* ``CustomLaw``   caller-supplied pointwise evaluation
+The solver evaluates lambda * M(1/lambda) at lambda = i*xi + rho and the
+certificate's positivity scan at lambda = sigma + i*tau, where its
+Hermitian part is Re z^-1 M(z).
 
 ``Chat`` is the half-line Fourier transform of an exponential-sum kernel
 C(t) = sum_j gamma_j exp(-beta_j t) for t >= 0: for Im z <= nu0,
 
     Chat(z) = (1/sqrt(2 pi)) sum_j gamma_j / (beta_j + i z).
 
-The operator lambda * M(1/lambda) is built for an array of complex lambda
-by one private per-family builder, ``_lambda_stack``.  The solver evaluates
-it at lambda = i*xi + rho (through :func:`frequency_operator_stack`, which
-adds the family's domain guard) and the certificate's positivity scan at
-lambda = sigma + i*tau, where its Hermitian part is Re z^-1 M(z).  The
-integro factor W(lambda) = I - sum_j gamma_j / (beta_j + lambda) is
-inverted in one place, ``_integro_w_inv``, shared with the integro solver.
-
-The shifted symbol (1 - nu*z) * M(z/(1 - nu*z)) is evaluated through
-hand-simplified per-family formulas, so the removable point z = 1/nu needs
-no special casing.
+Kernel admissibility (:meth:`Kernel.structural_violations` and the three
+conditions of :func:`check_kernel_conditions`) lives here too, next to the
+kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import KernelAdmissibilityError
+from .errors import KernelAdmissibilityError, NonFiniteSymbolError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # Absolute tolerance for Hermiticity / commutation checks (matrix 2-norm).
 STRUCT_TOL = 1e-12
+
+# Tolerance for the sign condition t * Im Chat(t + i nu0) <= 0.
+SIGN_TOL = 1e-10
+
+_OFF_DOMAIN = "z = 0 is not in the domain of this family"
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -224,9 +229,170 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
 
 
 @dataclass(frozen=True)
-class _PencilLaw:
+class KernelConditionReport:
+    """Outcome of the three kernel admissibility conditions.
+
+    Condition 3 is the sign requirement t * Im Chat(t + i nu0) <= 0 (as a
+    Hermitian matrix inequality), checked on a log-spaced grid of t and, as
+    corroborating evidence, along sampled lines Im z = -rho for
+    rho in [-nu0, 5].
+    """
+
+    hermitian_defect: float
+    commutation_defect: float
+    sign_defect_base: float
+    sign_defect_lines: float
+    hermitian_ok: bool
+    commuting_ok: bool
+    sign_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.hermitian_ok and self.commuting_ok and self.sign_ok
+
+    def problems(self) -> list:
+        out = []
+        if not self.hermitian_ok:
+            out.append(f"modes not Hermitian (defect {self.hermitian_defect:.3g})")
+        if not self.commuting_ok:
+            out.append(f"modes not commuting (defect {self.commutation_defect:.3g})")
+        if not self.sign_ok:
+            defect = max(self.sign_defect_base, self.sign_defect_lines)
+            out.append(f"transform sign condition violated (defect {defect:.3g})")
+        return out
+
+
+def _sign_defect(kernel: Kernel, rho: float, ts: np.ndarray) -> float:
+    worst = -math.inf
+    for t in ts:
+        ch = kernel_hat(kernel, complex(t, -rho))
+        im = (ch - ch.conj().T) / 2j
+        worst = max(worst, float(np.linalg.eigvalsh(t * im)[-1]))
+    return worst
+
+
+def check_kernel_conditions(kernel: Kernel) -> KernelConditionReport:
+    """Report the three admissibility conditions; failures are reported,
+    never raised."""
+    herm, comm = _mode_defects(kernel)
+
+    pos = np.geomspace(1e-3, 1e3, 31)
+    ts = np.concatenate([-pos[::-1], [0.0], pos])
+    base = _sign_defect(kernel, -kernel.nu0, ts)
+    lines = max(_sign_defect(kernel, rho, ts)
+                for rho in np.linspace(-kernel.nu0, 5.0, 7))
+
+    return KernelConditionReport(
+        hermitian_defect=herm,
+        commutation_defect=comm,
+        sign_defect_base=base,
+        sign_defect_lines=lines,
+        hermitian_ok=herm <= STRUCT_TOL,
+        commuting_ok=comm <= STRUCT_TOL,
+        sign_ok=base <= SIGN_TOL and lines <= SIGN_TOL,
+    )
+
+
+def _integro_w_inv(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
+    """W(lambda)^-1 with W(lambda) = I - sum_j gamma_j / (beta_j + lambda),
+    for a 1-D array of lambda; W(lambda) = I - sqrt(2 pi) Chat(-i lambda)."""
+    n = kernel.dim
+    w = np.broadcast_to(np.eye(n), (lam.size, n, n)).astype(complex).copy()
+    for m in kernel.modes:
+        w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
+    return np.linalg.inv(w)
+
+
+def _nonfinite_line(sigma: float) -> NonFiniteSymbolError:
+    return NonFiniteSymbolError(f"z^-1 M(z) is not finite on the sampled line sigma = {sigma:.6g}")
+
+
+def _last_nonnegative(bound, hi: float, tol: float) -> float:
+    """Largest nu in [0, hi] with bound(nu) >= 0, for a bound that decreases
+    from bound(0) > 0: hi itself when bound(hi) >= 0, else bisection to tol."""
+    if bound(hi) >= 0:
+        return hi
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if bound(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class MaterialLaw:
+    """A material-law family.  Each family sets the ``family`` tag and ``dim``
+    and implements, with z a Python complex:
+
+    * ``stack(lam)``: lambda * M(1/lambda) for a 1-D array of complex lambda,
+      shape (len(lam), dim, dim), from the hand-simplified family form.  No
+      domain guard: callers keep lambda inside the family's domain;
+    * ``symbol(z)``: the pointwise M(z);
+    * ``_shifted(nu, z)``: the shifted symbol for nu > 0 and z != 0 (see
+      :meth:`shifted`), unless the family overrides ``shifted`` itself;
+    * ``analyticity(nu)``: (passed, evidence) for holomorphy of M outside the
+      closed ball of radius 1/(2 nu) centred at -1/(2 nu).
+
+    The defaults below serve laws without structure: no critical tau values,
+    the dense positivity scan, and no closed-form bound or rate.
+    """
+
+    def shifted(self, nu: float, z: complex) -> np.ndarray:
+        """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)), through a
+        closed form that stays finite at the removable point z = 1/nu."""
+        if nu == 0.0:
+            return self.symbol(z)
+        if z == 0:
+            raise ValueError(_OFF_DOMAIN)
+        return self._shifted(nu, z)
+
+    def critical_taus(self, tau_max: float) -> np.ndarray | None:
+        """tau values in [-tau_max, tau_max] that the positivity scan samples
+        besides its uniform grid, or None."""
+        return None
+
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+        """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over
+        z^-1 = lambda = sigma + i*tau for every sampled pair.
+
+        This is the dense scan: stack(lambda) one sigma row at a time, one
+        batched Hermitian eigenvalue call per row.  ``stack`` has no domain
+        guard, so a row past the family's domain (an integro nu above nu0)
+        is reported, not raised; :class:`NonFiniteSymbolError` when a row is
+        not finite.
+        """
+        best = np.inf
+        for sigma in sigmas:
+            herm = hermitian_part(self.stack(sigma + 1j * taus))
+            if not np.isfinite(herm).all():
+                raise _nonfinite_line(sigma)
+            best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
+        return best
+
+    def lower_bound(self, nu: float) -> float | None:
+        """Closed-form lower bound on Re z^-1 M(z) over Re z^-1 > -nu, or None."""
+        return None
+
+    def rate(self) -> float | None:
+        """Largest nu at which ``lower_bound`` stays nonnegative, or None.
+
+        Raises ValueError when the family's structural requirements fail.
+        """
+        return None
+
+
+@dataclass(frozen=True)
+class _PencilLaw(MaterialLaw):
     """Shared M0/M1 fields of the DAE and delay families: M0 Hermitian and
-    nonnegative, M1 of the same shape."""
+    nonnegative, M1 of the same shape.
+
+    Their Hermitian part of z^-1 M(z) at lambda = sigma + i*tau is
+    sigma*M0 + H(M1) plus, for delays, a multiple of I: i*tau*M0 is skew.
+    The closed-form bound starts from c - nu*||M0||, with c the smallest
+    eigenvalue of H(M1).
+    """
 
     M0: np.ndarray
     M1: np.ndarray
@@ -245,30 +411,153 @@ class _PencilLaw:
     def dim(self) -> int:
         return self.M0.shape[0]
 
+    @cached_property
+    def _bound_terms(self) -> tuple:
+        """(c, ||M0||): smallest eigenvalue of H(M1) and the 2-norm of M0.
+
+        Cached because the delay rate's bisection evaluates the bound about
+        40 times (at dim 101 the two decompositions cost ~6 ms per call);
+        M0 and M1 are read-only, so the cache cannot go stale.
+        """
+        return hermitian_part_min_eig(self.M1), _norm2(self.M0)
+
+    def _sigma_sweep(self, sigmas: np.ndarray, monotone: bool) -> tuple:
+        """(sigmas, smallest eigenvalue of sigma*M0 + H(M1) at each sigma).
+
+        M0 >= 0 makes the sweep nondecreasing in sigma; when the caller's
+        extra term is nondecreasing too (``monotone``), only the first sigma
+        is kept.  An M0 with an eigenvalue in [-STRUCT_TOL, 0) sweeps them all.
+        """
+        if monotone and np.linalg.eigvalsh(self.M0)[0] >= 0:
+            sigmas = sigmas[:1]
+        stack = sigmas[:, None, None] * self.M0 + hermitian_part(self.M1)
+        return sigmas, np.linalg.eigvalsh(stack)[:, 0]
+
+    def lower_bound(self, nu: float) -> float:
+        c, n0 = self._bound_terms
+        return c - nu * n0
+
 
 @dataclass(frozen=True)
 class DaeLaw(_PencilLaw):
-    """M(z) = M0 + z*M1 with M0 Hermitian and nonnegative."""
+    """M(z) = M0 + z*M1 with M0 Hermitian and nonnegative; entire.
+
+    The bound c - nu*||M0|| gives the rate c / ||M0||, unchanged by skew
+    perturbations of M1; M0 = 0 gives the +inf sentinel (a purely algebraic
+    problem, every rate is admissible).
+    """
+
+    family = "dae"
+
+    def stack(self, lam: np.ndarray) -> np.ndarray:
+        return lam[:, None, None] * self.M0 + self.M1
+
+    def symbol(self, z: complex) -> np.ndarray:
+        return self.M0 + z * self.M1
+
+    def shifted(self, nu: float, z: complex) -> np.ndarray:
+        return (1.0 - nu * z) * self.M0 + z * self.M1
+
+    def analyticity(self, nu: float) -> tuple:
+        return True, "polynomial symbol, entire"
+
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+        return float(self._sigma_sweep(sigmas, True)[1].min())
+
+    def rate(self) -> float:
+        c, n0 = self._bound_terms
+        if c <= 0:
+            raise ValueError(f"Hermitian part of M1 must be positive definite, min eig = {c:.6g}")
+        return math.inf if n0 == 0.0 else c / n0
 
 
 @dataclass(frozen=True)
 class DelayLaw(_PencilLaw):
-    """M(z) = M0 + z*exp(h/z)*I + z*M1 with shift h < 0."""
+    """M(z) = M0 + z*exp(h/z)*I + z*M1 with shift h < 0.
+
+    The delay term adds exp(sigma*h) cos(tau*h) I to the Hermitian part,
+    nondecreasing in sigma exactly when cos_min <= 0 over the sampled tau;
+    cos(tau*h) attains its extremes on multiples of pi/|h|, which the scan
+    samples.  The bound c - nu*||M0|| - exp(-nu*h) is nonnegative up to the
+    unique root of nu*||M0|| + exp(-nu*h) = c, which needs c > 1.
+    """
 
     h: float
+    family = "delay"
 
     def __post_init__(self):
         super().__post_init__()
         if not self.h < 0:
             raise ValueError(f"delay shift h must be negative, got {self.h}")
 
+    def stack(self, lam: np.ndarray) -> np.ndarray:
+        return (lam[:, None, None] * self.M0 + self.M1
+                + np.exp(lam * self.h)[:, None, None] * np.eye(self.dim))
+
+    def symbol(self, z: complex) -> np.ndarray:
+        if z == 0:
+            raise ValueError(_OFF_DOMAIN)
+        w = self.h / z
+        if w.real > 700.0:
+            raise ValueError(f"delay term exp(h/z) overflows at z = {z}")
+        return self.M0 + z * np.exp(w) * np.eye(self.dim) + z * self.M1
+
+    def _shifted(self, nu: float, z: complex) -> np.ndarray:
+        w = (1.0 / z - nu) * self.h
+        if w.real > 700.0:
+            raise ValueError(f"delay term overflows at z = {z}")
+        return (1.0 - nu * z) * self.M0 + z * np.exp(w) * np.eye(self.dim) + z * self.M1
+
+    def analyticity(self, nu: float) -> tuple:
+        return True, "holomorphic away from 0, which lies in the excluded ball"
+
+    def critical_taus(self, tau_max: float) -> np.ndarray:
+        step = math.pi / abs(self.h)
+        k_max = int(math.floor(tau_max / step))
+        return step * np.arange(-k_max, k_max + 1)
+
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+        cos_min = float(np.cos(taus * self.h).min())
+        sigmas, base = self._sigma_sweep(sigmas, cos_min <= 0)
+        with np.errstate(over="ignore"):  # sigma*h > 709.78 gives an inf term, reported
+            return float(np.min(base + np.exp(sigmas * self.h) * cos_min))
+
+    def lower_bound(self, nu: float) -> float:
+        try:
+            return super().lower_bound(nu) - math.exp(-nu * self.h)
+        except OverflowError:  # nu*|h| > 709.78: the bound is below every float
+            return -math.inf
+
+    def rate(self) -> float:
+        c, n0 = self._bound_terms
+        if c <= 1.0:
+            raise ValueError(f"need min eig of Hermitian part of M1 above 1, got {c:.6g}")
+        hi = c / max(n0, 1e-12) + abs(math.log(c)) / abs(self.h) + 1.0
+        return _last_nonnegative(self.lower_bound, hi, 1e-12)
+
 
 @dataclass(frozen=True)
-class IntegroLaw:
-    """M(z) = (I - sqrt(2 pi)*Chat(-i/z))^-1 + c*z with an admissible kernel."""
+class IntegroLaw(MaterialLaw):
+    """M(z) = (I - sqrt(2 pi)*Chat(-i/z))^-1 + c*z with an admissible kernel.
+
+    With W(lambda) = I - sum_j gamma_j / (beta_j + lambda), inverted by
+    ``_integro_w_inv`` (shared with the integro solver),
+    lambda * M(1/lambda) = lambda W(lambda)^-1 + c I.  The modes are
+    Hermitian and commute, so one unitary U diagonalises every W(lambda),
+    with diagonal w_i(lambda), and the positivity minimum is
+    c + min_i Re(lambda / w_i(lambda)): one n x n eigendecomposition plus
+    scalar arithmetic, one sigma row at a time.  Modes that U does not
+    diagonalise to STRUCT_TOL fall back to the dense scan.
+
+    The bound c - nu (1 - L1(nu))^-1 holds for nu <= nu0 while the weighted
+    L1 norm L1(nu) stays below one; the rate is nu0 when the bound is
+    nonnegative there, else its root in (0, nu0].  The rate also needs the
+    transform sign condition of :func:`check_kernel_conditions`.
+    """
 
     kernel: Kernel
     c: float
+    family = "integro"
 
     def __post_init__(self):
         if not self.c > 0:
@@ -279,99 +568,122 @@ class IntegroLaw:
     def dim(self) -> int:
         return self.kernel.dim
 
+    def stack(self, lam: np.ndarray) -> np.ndarray:
+        return lam[:, None, None] * _integro_w_inv(self.kernel, lam) + self.c * np.eye(self.dim)
+
+    def symbol(self, z: complex) -> np.ndarray:
+        if z == 0:
+            raise ValueError(_OFF_DOMAIN)
+        r = 1.0 / (2.0 * self.kernel.nu0)
+        if abs(z + r) <= r + 1e-15:
+            raise ValueError(
+                f"z = {z} lies in the singular ball of radius {r:.6g} centered at {-r:.6g}")
+        eye = np.eye(self.dim)
+        w = eye - SQRT_2PI * kernel_hat(self.kernel, -1j / z)
+        return np.linalg.inv(w) + (self.c * z) * eye
+
+    def _shifted(self, nu: float, z: complex) -> np.ndarray:
+        if nu > self.kernel.nu0 + 1e-12:
+            raise ValueError(f"shifted symbol needs nu <= nu0 = {self.kernel.nu0}, got {nu}")
+        eye = np.eye(self.dim)
+        w = eye - SQRT_2PI * kernel_hat(self.kernel, -1j * (1.0 / z - nu))
+        return (1.0 - nu * z) * np.linalg.inv(w) + (self.c * z) * eye
+
+    def analyticity(self, nu: float) -> tuple:
+        nu0 = self.kernel.nu0
+        if nu <= nu0 + 1e-15:
+            return True, f"singular ball of kernel (nu0 = {nu0:.6g}) is contained in the excluded ball"
+        return False, f"requested nu = {nu:.6g} exceeds kernel nu0 = {nu0:.6g}"
+
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+        g = _mode_eigenvalues(self.kernel)
+        if g is None:
+            return super().positivity_min(sigmas, taus)
+        best = np.inf
+        for sigma in sigmas:
+            lam = sigma + 1j * taus
+            w = np.ones((lam.size, self.dim), dtype=complex)
+            for g_j, mode in zip(g, self.kernel.modes):
+                w -= g_j / (mode.beta + lam)[:, None]
+            row = (lam[:, None] / w).real + self.c
+            if not (np.isfinite(w).all() and np.isfinite(row).all()):
+                raise _nonfinite_line(sigma)
+            best = min(best, float(row.min()))
+        return best
+
+    def lower_bound(self, nu: float) -> float | None:
+        if nu > self.kernel.nu0:
+            return None
+        if nu == 0.0:
+            return self.c
+        l1 = kernel_weighted_l1(self.kernel, nu)
+        if l1 >= 1.0:
+            return None
+        return self.c - nu / (1.0 - l1)
+
+    def rate(self) -> float:
+        report = check_kernel_conditions(self.kernel)
+        if not report.passed:
+            raise KernelAdmissibilityError("; ".join(report.problems()))
+        return _last_nonnegative(self.lower_bound, self.kernel.nu0, 1e-10)
+
 
 @dataclass(frozen=True)
-class CustomLaw:
+class CustomLaw(MaterialLaw):
     """Caller-supplied symbol with declared singularities.
 
     ``shifted_fn(nu, z)``, when given, evaluates the analytic extension of
-    (1 - nu*z) * M(z/(1 - nu*z)); without it only nu = 0 is available.
+    (1 - nu*z) * M(z/(1 - nu*z)); without it only nu = 0 is available.  The
+    positivity minimum is the dense scan, which calls ``eval_fn`` once per
+    sampled point, and there is no closed-form bound or rate.
     """
 
     dim: int
     eval_fn: Callable[[complex], np.ndarray]
     singularities: tuple = ()
     shifted_fn: Callable[[float, complex], np.ndarray] | None = None
+    family = "custom"
 
+    def stack(self, lam: np.ndarray) -> np.ndarray:
+        out = np.empty((lam.size, self.dim, self.dim), dtype=complex)
+        for k, l in enumerate(lam):
+            out[k] = l * self.symbol(complex(1.0 / l))
+        return out
 
-MaterialLaw = Union[DaeLaw, DelayLaw, IntegroLaw, CustomLaw]
+    def symbol(self, z: complex) -> np.ndarray:
+        if z == 0:
+            raise ValueError(_OFF_DOMAIN)
+        for s in self.singularities:
+            if abs(z - s) < 1e-12:
+                raise ValueError(f"z = {z} is a declared singularity")
+        return np.asarray(self.eval_fn(z), dtype=complex)
+
+    def _shifted(self, nu: float, z: complex) -> np.ndarray:
+        if self.shifted_fn is None:
+            raise ValueError("custom law has no shifted-extension rule; only nu = 0 is available")
+        return np.asarray(self.shifted_fn(nu, z), dtype=complex)
+
+    def analyticity(self, nu: float) -> tuple:
+        if not self.singularities:
+            return True, "no declared singularities"
+        for s in self.singularities:
+            s = complex(s)
+            if nu > 0:
+                r = 1.0 / (2.0 * nu)
+                if abs(s + r) > r + 1e-12:
+                    return False, f"declared singularity {s} lies outside the excluded ball"
+            elif s.real > 1e-12:
+                return False, f"declared singularity {s} has positive real part"
+        return True, "all declared singularities inside the excluded ball"
 
 
 def law_family(law: MaterialLaw) -> str:
-    if isinstance(law, DaeLaw):
-        return "dae"
-    if isinstance(law, DelayLaw):
-        return "delay"
-    if isinstance(law, IntegroLaw):
-        return "integro"
-    if isinstance(law, CustomLaw):
-        return "custom"
-    raise TypeError(f"not a material law: {type(law)!r}")
-
-
-def _check_integro_domain(law: IntegroLaw, z: complex):
-    r = 1.0 / (2.0 * law.kernel.nu0)
-    if abs(z + r) <= r + 1e-15:
-        raise ValueError(
-            f"z = {z} lies in the singular ball of radius {r:.6g} centered at {-r:.6g}")
+    return law.family
 
 
 def eval_symbol(law: MaterialLaw, z: complex) -> np.ndarray:
     """Pointwise M(z).  z = 0 is only admissible for the polynomial family."""
-    z = complex(z)
-    if isinstance(law, DaeLaw):
-        return law.M0 + z * law.M1
-    if z == 0:
-        raise ValueError("z = 0 is not in the domain of this family")
-    if isinstance(law, DelayLaw):
-        w = law.h / z
-        if w.real > 700.0:
-            raise ValueError(f"delay term exp(h/z) overflows at z = {z}")
-        eye = np.eye(law.dim)
-        return law.M0 + z * np.exp(w) * eye + z * law.M1
-    if isinstance(law, IntegroLaw):
-        _check_integro_domain(law, z)
-        eye = np.eye(law.dim)
-        w = eye - SQRT_2PI * kernel_hat(law.kernel, -1j / z)
-        return np.linalg.inv(w) + (law.c * z) * eye
-    if isinstance(law, CustomLaw):
-        for s in law.singularities:
-            if abs(z - s) < 1e-12:
-                raise ValueError(f"z = {z} is a declared singularity")
-        return np.asarray(law.eval_fn(z), dtype=complex)
-    raise TypeError(f"not a material law: {type(law)!r}")
-
-
-def _integro_w_inv(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
-    """W(lambda)^-1 with W(lambda) = I - sum_j gamma_j / (beta_j + lambda),
-    for a 1-D array of lambda; W(lambda) = I - sqrt(2 pi) Chat(-i lambda)."""
-    n = kernel.dim
-    w = np.broadcast_to(np.eye(n), (lam.size, n, n)).astype(complex).copy()
-    for m in kernel.modes:
-        w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
-    return np.linalg.inv(w)
-
-
-def _lambda_stack(law: MaterialLaw, lam: np.ndarray) -> np.ndarray:
-    """lambda * M(1/lambda) for a 1-D array of complex lambda, shape
-    (len(lam), dim, dim), from the hand-simplified per-family forms.
-
-    No domain guard: callers keep lambda inside the family's domain.
-    """
-    eye = np.eye(law.dim)
-    if isinstance(law, DaeLaw):
-        return lam[:, None, None] * law.M0 + law.M1
-    if isinstance(law, DelayLaw):
-        return (lam[:, None, None] * law.M0 + law.M1
-                + np.exp(lam * law.h)[:, None, None] * eye)
-    if isinstance(law, IntegroLaw):
-        return lam[:, None, None] * _integro_w_inv(law.kernel, lam) + law.c * eye
-    if isinstance(law, CustomLaw):
-        out = np.empty((lam.size, law.dim, law.dim), dtype=complex)
-        for k, l in enumerate(lam):
-            out[k] = l * eval_symbol(law, 1.0 / l)
-        return out
-    raise TypeError(f"not a material law: {type(law)!r}")
+    return law.symbol(complex(z))
 
 
 def frequency_operator_stack(law: MaterialLaw, xi, rho: float) -> np.ndarray:
@@ -383,7 +695,7 @@ def frequency_operator_stack(law: MaterialLaw, xi, rho: float) -> np.ndarray:
     if isinstance(law, IntegroLaw) and rho <= -law.kernel.nu0:
         raise ValueError(f"need rho > -nu0 = {-law.kernel.nu0}, got {rho}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return _lambda_stack(law, 1j * xi + rho)
+    return law.stack(1j * xi + rho)
 
 
 def shifted_symbol(law: MaterialLaw, nu: float, z: complex) -> np.ndarray:
@@ -394,27 +706,4 @@ def shifted_symbol(law: MaterialLaw, nu: float, z: complex) -> np.ndarray:
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    z = complex(z)
-    if isinstance(law, DaeLaw):
-        return (1.0 - nu * z) * law.M0 + z * law.M1
-    if nu == 0.0:
-        return eval_symbol(law, z)
-    if z == 0:
-        raise ValueError("z = 0 is not in the domain of this family")
-    if isinstance(law, DelayLaw):
-        w = (1.0 / z - nu) * law.h
-        if w.real > 700.0:
-            raise ValueError(f"delay term overflows at z = {z}")
-        eye = np.eye(law.dim)
-        return (1.0 - nu * z) * law.M0 + z * np.exp(w) * eye + z * law.M1
-    if isinstance(law, IntegroLaw):
-        if nu > law.kernel.nu0 + 1e-12:
-            raise ValueError(f"shifted symbol needs nu <= nu0 = {law.kernel.nu0}, got {nu}")
-        eye = np.eye(law.dim)
-        w = eye - SQRT_2PI * kernel_hat(law.kernel, -1j * (1.0 / z - nu))
-        return (1.0 - nu * z) * np.linalg.inv(w) + (law.c * z) * eye
-    if isinstance(law, CustomLaw):
-        if law.shifted_fn is None:
-            raise ValueError("custom law has no shifted-extension rule; only nu = 0 is available")
-        return np.asarray(law.shifted_fn(nu, z), dtype=complex)
-    raise TypeError(f"not a material law: {type(law)!r}")
+    return law.shifted(nu, complex(z))

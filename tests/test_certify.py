@@ -135,6 +135,10 @@ class TestSolvability:
         assert solvability_lower_bound(law, 0.6) is None
         assert solvability_lower_bound(CustomLaw(1, lambda z: np.eye(1)), 0.1) is None
 
+    def test_delay_lower_bound_past_exp_overflow(self):
+        # exp(-nu*h) overflows a float at nu*|h| > 709.78; the bound is -inf
+        assert solvability_lower_bound(DelayLaw([[1.0]], [[3.0]], -1.0), 710.0) == -math.inf
+
     def test_lower_bound_below_sample(self):
         rng = np.random.default_rng(41)
         kw = dict(sigma_max=5.0, tau_max=30.0, n_sigma=60, n_tau=61)
@@ -241,8 +245,7 @@ class TestStructuredMinima:
         law = self.rotated_integro_law(data, dim)
         kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
         with pytest.MonkeyPatch.context() as mp:
-            # the package attribute evostab.certify is the function, not the module
-            mp.setattr(sys.modules["evostab.certify"], "_mode_eigenvalues", lambda kernel: None)
+            mp.setattr(sys.modules["evostab.material"], "_mode_eigenvalues", lambda kernel: None)
             got = solvability_constant(law, nu, **kw)
         assert got == dense_positivity_scan(law, nu, **kw)
 
@@ -312,6 +315,18 @@ class TestCertify:
         assert rep.certificate == "sampled"
         assert rep.passed
         assert rep.closed_form_rate is None
+
+    @pytest.mark.parametrize("singularity, nu, passed", [
+        (-0.5, 0.5, True),       # inside the excluded ball B(-1, 1)
+        (-3.0, 0.5, False),      # outside it
+        (0.2 + 1j, 0.0, False),  # positive real part at nu = 0
+    ])
+    def test_custom_analyticity(self, singularity, nu, passed):
+        law = CustomLaw(1, lambda z: np.array([[1.0 + 2.0 * z]]), (singularity,),
+                        lambda nu, z: np.array([[1.0 - nu * z + 2.0 * z]]))
+        rep = certify(law, nu, SamplingConfig(5.0, 20.0, 10, 11))
+        assert rep.analyticity.passed is passed
+        assert ("inside the excluded ball" in rep.analyticity.evidence) is passed
 
     def test_report_kv_pairs_structure(self):
         rep = certify(DaeLaw([[1.0]], [[2.0]]), 1.0)

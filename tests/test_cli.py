@@ -125,6 +125,24 @@ def test_certify_defaults_to_nu_zero(tmp_path):
     assert float(read_kv(os.path.join(out, "report.kv"))["nu"]) == 0.0
 
 
+def test_certify_delay_past_exp_overflow_fails_cleanly(tmp_path, package_env):
+    # nu*|h| = 800 is past exp's overflow: the closed-form bound is -inf, the
+    # report is written and the run exits 1 without a traceback or warning
+    cfg = write_cfg(tmp_path, {
+        "family": "delay", "m0": [[[1.0, 0.0]]], "m1": [[[3.0, 0.0]]], "h": -1.0,
+        "nu": 800.0, "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256}, "rho": 0.5,
+    })
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "evostab", "certify",
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    kv = read_kv(out / "report.kv")
+    assert kv["positivity"] == "fail"
+    assert kv["c_nu"] == "-inf"
+
+
 # --- solve -----------------------------------------------------------------
 
 def test_solve_matches_scalar_closed_form(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evostab import (CertificationError, DaeLaw, DelayLaw, EdgeMassError,
+from evostab import (CertificationError, CustomLaw, DaeLaw, DelayLaw, EdgeMassError,
                      EdgeMassWarning, EvolutionaryProblem, IntegroLaw,
                      IvpProblem, Kernel, KernelAdmissibilityError, KernelMode,
                      Signal, SingularFrequencyError, SpatialOperator, TimeGrid,
@@ -135,6 +135,17 @@ class TestSolve:
         with pytest.raises(SingularFrequencyError) as exc:
             solve(EvolutionaryProblem(law, None, 0.5, f), check_certified=False)
         assert exc.value.index == 0
+
+    def test_singular_frequency_on_the_dense_path(self):
+        # lambda * M(1/lambda) = lambda - 0.5 vanishes at xi = 0 for rho = 0.5:
+        # the batched LU fails and the per-frequency retry names the sample
+        g = TimeGrid(-2.0, 1 / 16, 64)
+        f = gaussian_pulse(g, center=1.0, width=0.2)
+        law = CustomLaw(1, lambda z: (1 - 0.5 * z) * np.eye(1))
+        with pytest.raises(SingularFrequencyError) as exc:
+            solve(EvolutionaryProblem(law, None, 0.5, f), check_certified=False)
+        assert exc.value.index == 32
+        assert exc.value.frequency == 0.0
 
     def test_edge_mass_warning_points_at_caller(self):
         # the pencil path, the dense path and solve_integro all attribute
