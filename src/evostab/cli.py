@@ -224,8 +224,7 @@ class _BuiltProblem:
 
     def run_solve(self, f: Signal, threads: int) -> Signal:
         if self.family == "integro":
-            return solve_integro(self.kernel, self.c, self.A, f, self.cfg["rho"],
-                                 threads=threads)
+            return solve_integro(self.kernel, self.c, self.A, f, self.cfg["rho"])
         problem = EvolutionaryProblem(self.law, self.A, self.cfg["rho"], f)
         return solve(problem, check_certified=self.cfg["check_certified"], threads=threads)
 
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", required=True, help="output directory (created if missing)")
         cmd.add_argument("--threads", type=_thread_count, default=1,
                          help="thread count (>= 1) of the dense solve path used by "
-                              "delay, integro and custom laws; DAE and mixed1d "
+                              "delay and custom laws; DAE, mixed1d and integro "
                               "solves take the QZ pencil path, which has no pool")
 
     try:

@@ -293,16 +293,6 @@ def check_kernel_conditions(kernel: Kernel) -> KernelConditionReport:
     )
 
 
-def _integro_w_inv(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
-    """W(lambda)^-1 with W(lambda) = I - sum_j gamma_j / (beta_j + lambda),
-    for a 1-D array of lambda; W(lambda) = I - sqrt(2 pi) Chat(-i lambda)."""
-    n = kernel.dim
-    w = np.broadcast_to(np.eye(n), (lam.size, n, n)).astype(complex).copy()
-    for m in kernel.modes:
-        w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
-    return np.linalg.inv(w)
-
-
 def _nonfinite_line(sigma: float) -> NonFiniteSymbolError:
     return NonFiniteSymbolError(f"z^-1 M(z) is not finite on the sampled line sigma = {sigma:.6g}")
 
@@ -336,8 +326,16 @@ class MaterialLaw:
       closed ball of radius 1/(2 nu) centred at -1/(2 nu).
 
     The defaults below serve laws without structure: no critical tau values,
-    the dense positivity scan, and no closed-form bound or rate.
+    the dense positivity scan, no closed-form bound or rate, and no
+    constant linearisation (``linearization``), so the solver builds the
+    dense operator stack.
     """
+
+    def linearization(self, a: np.ndarray) -> tuple | None:
+        """Constant matrices (E, F, L) with B(lambda) x = f equivalent to
+        (lambda E + F) X = L f, where B(lambda) = lambda M(1/lambda) + a and
+        x is the first ``dim`` entries of X; None when there are none."""
+        return None
 
     def shifted(self, nu: float, z: complex) -> np.ndarray:
         """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)), through a
@@ -455,6 +453,9 @@ class DaeLaw(_PencilLaw):
     def symbol(self, z: complex) -> np.ndarray:
         return self.M0 + z * self.M1
 
+    def linearization(self, a: np.ndarray) -> tuple:
+        return self.M0, self.M1 + a, np.eye(self.dim)
+
     def shifted(self, nu: float, z: complex) -> np.ndarray:
         return (1.0 - nu * z) * self.M0 + z * self.M1
 
@@ -540,9 +541,13 @@ class DelayLaw(_PencilLaw):
 class IntegroLaw(MaterialLaw):
     """M(z) = (I - sqrt(2 pi)*Chat(-i/z))^-1 + c*z with an admissible kernel.
 
-    With W(lambda) = I - sum_j gamma_j / (beta_j + lambda), inverted by
-    ``_integro_w_inv`` (shared with the integro solver),
-    lambda * M(1/lambda) = lambda W(lambda)^-1 + c I.  The modes are
+    With W(lambda) = I - sum_j gamma_j / (beta_j + lambda),
+    lambda * M(1/lambda) = lambda W(lambda)^-1 + c I; ``stack`` inverts
+    W(lambda) at each lambda and is the dense oracle of the solver.  The
+    solver instead uses ``linearization``: with K = c I + a and memory states
+    y_j = (K x - f) / (beta_j + lambda), B(lambda) x = f is the constant
+    pencil (lambda I + F) X = L f of size dim * (modes + 1), which encodes
+    lambda x + W(lambda) (K x - f) = 0 without inverting W.  The modes are
     Hermitian and commute, so one unitary U diagonalises every W(lambda),
     with diagonal w_i(lambda), and the positivity minimum is
     c + min_i Re(lambda / w_i(lambda)): one n x n eigendecomposition plus
@@ -569,7 +574,21 @@ class IntegroLaw(MaterialLaw):
         return self.kernel.dim
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
-        return lam[:, None, None] * _integro_w_inv(self.kernel, lam) + self.c * np.eye(self.dim)
+        w = np.broadcast_to(np.eye(self.dim), (lam.size, self.dim, self.dim)).astype(complex)
+        for m in self.kernel.modes:
+            w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
+        return lam[:, None, None] * np.linalg.inv(w) + self.c * np.eye(self.dim)
+
+    def linearization(self, a: np.ndarray) -> tuple:
+        """E = I, F = [[K, -gamma_1, ...], [-K, beta_1 I, 0, ...], ...] and
+        L = [I; -I; ...; -I], with K = c I + a."""
+        n, modes = self.dim, self.kernel.modes
+        eye = np.eye(n)
+        k = self.c * eye + a
+        f = np.kron(np.diag([0.0] + [m.beta for m in modes]), eye).astype(complex)
+        f[:n] = np.hstack([k] + [-m.gamma for m in modes])
+        f[n:, :n] = np.tile(-k, (len(modes), 1))
+        return np.eye(len(f)), f, np.kron(np.r_[1.0, -np.ones(len(modes))][:, None], eye)
 
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:

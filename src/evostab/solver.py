@@ -12,20 +12,21 @@ limited only by the conditioning of the per-frequency solves.
 
 :func:`solve` and :func:`solve_integro` are thin entry points over one
 spectral core that gates the edge mass of the forcing and of the solution,
-applies the two transforms and assembles ``meta``; only the per-frequency
-solve differs:
+applies the two transforms, refuses a non-finite solution transform and
+assembles ``meta``; only the per-frequency solve differs:
 
-* DAE laws (and with them the mixed-type example and :func:`ivp_solve`)
-  have B(xi) = lambda*M0 + (M1 + A) with lambda = i*xi + rho, one fixed
-  matrix pencil.  One complex QZ factorisation of (M0, M1 + A) reduces every
-  frequency to a triangular back-substitution, vectorised over all
-  frequencies: O(n^3 + N n^2), with no (N, n, n) operator stack.
-* Delay, integro and custom laws build the operator stack chunk by chunk
-  and solve it by batched dense LU, optionally on a thread pool.  The
-  integro right-hand side is the forcing transform premultiplied by
-  W(lambda)^-1.  :func:`apply_forward` walks the same frequency chunks with
-  the dense stack for every family, so it stays an independent check of
-  both solve paths.
+* Laws with a constant linearisation (``MaterialLaw.linearization``) turn
+  B(xi) x = f_hat, lambda = i*xi + rho, into one fixed matrix pencil
+  (lambda*E + F) X = L f_hat.  One complex QZ factorisation of (E, F)
+  reduces every frequency to a triangular back-substitution, vectorised
+  over all frequencies: O(n^3 + N n^2), with no (N, n, n) operator stack.
+  DAE laws (and with them the mixed-type example and :func:`ivp_solve`)
+  are the pencil (M0, M1 + A) itself; integro laws lift to a pencil of size
+  n(m+1) whose extra entries are the m kernel modes' memory states.
+* Delay and custom laws build the operator stack chunk by chunk and solve
+  it by batched dense LU, optionally on a thread pool.  :func:`apply_forward`
+  walks the same frequency chunks with the dense stack for every family, so
+  it stays an independent check of both solve paths.
 
 Initial-value problems are reduced to forced equations on the whole line:
 with phi the plateau cutoff from :func:`cutoff_phi`, v = u - phi * u0
@@ -48,7 +49,7 @@ from scipy.linalg import qz
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
 from .material import (DaeLaw, IntegroLaw, Kernel, MaterialLaw,
-                       frequency_operator_stack, law_family, _integro_w_inv)
+                       frequency_operator_stack, law_family)
 from .certify import solvability_constant, solvability_lower_bound
 from .signals import (EDGE_FAIL, EDGE_WARN, SOLUTION_EDGE_FAIL, Signal, SpectralSignal,
                       edge_mass, fourier_laplace, inverse_fourier_laplace,
@@ -107,13 +108,9 @@ def _relative(res_sq: float, rhs_sq: float) -> float:
     return float(np.sqrt(res_sq / rhs_sq)) if rhs_sq > 0 else 0.0
 
 
-def _dense_solve(build_chunk, threads: int, xi, f_hat) -> tuple:
-    """One batched LU solve per chunk of frequencies.
-
-    ``build_chunk(xi, f_hat)`` gets the frequencies and forcing transform of
-    one chunk and returns its (len, n, n) operator stack and right-hand side.
-    The relative residual is measured against that right-hand side.
-    """
+def _dense_solve(law: MaterialLaw, a: np.ndarray, rho: float, threads: int, xi, f_hat) -> tuple:
+    """One batched LU solve of the operator stack B(xi) = lambda M(1/lambda) + a
+    per chunk of frequencies, optionally on a thread pool."""
     x = np.empty_like(f_hat)
     slices = _chunks(*f_hat.shape)
     res_parts = np.zeros(len(slices))
@@ -121,7 +118,7 @@ def _dense_solve(build_chunk, threads: int, xi, f_hat) -> tuple:
 
     def work(idx):
         sl = slices[idx]
-        stack, rhs = build_chunk(xi[sl], f_hat[sl])
+        stack, rhs = frequency_operator_stack(law, xi[sl], rho) + a, f_hat[sl]
         try:
             sol = np.linalg.solve(stack, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -146,43 +143,53 @@ def _dense_solve(build_chunk, threads: int, xi, f_hat) -> tuple:
     return x, _relative(float(res_parts.sum()), float(rhs_parts.sum()))
 
 
-def _pencil_solve(m0: np.ndarray, k: np.ndarray, rho: float, xi, f_hat) -> tuple:
-    """Solve (lambda*M0 + K) x = f_hat at every lambda = i*xi + rho through
-    one complex QZ factorisation M0 = Q S Z*, K = Q T Z*.
+def _pencil_solve(e: np.ndarray, f: np.ndarray, lift: np.ndarray, rho: float, xi, f_hat) -> tuple:
+    """Solve (lambda*E + F) X = L f_hat at every lambda = i*xi + rho through
+    one complex QZ factorisation E = Q S Z*, F = Q T Z*; return the first
+    f_hat.shape[1] entries of X.
 
-    (lambda*S + T) is upper triangular, so one back-substitution over the
-    n rows, vectorised over all frequencies, costs O(n^3 + N n^2) and never
-    forms an (N, n, n) stack.  The residual is measured against the original
-    pencil, not the triangular factors.
+    (lambda*S + T) is upper triangular, so one back-substitution over its
+    rows, vectorised over all frequencies and written over the transformed
+    right-hand side, costs O(n^3 + N n^2) and never forms an (N, n, n) stack.
+    The residual is measured against the lifted pencil, not the triangular
+    factors, one chunk of frequencies at a time.
     """
-    s, t, q, z = qz(m0, k, output="complex")
+    s, t, q, z = qz(e, f, output="complex")
     lam = 1j * xi + rho
-    g = q.conj().T @ f_hat.T  # (n, N): row i is (Q* f_hat)_i at every frequency
+    y = (q.conj().T @ lift) @ f_hat.T  # row i: (Q* L f_hat)_i at every frequency
     coef = np.stack([s, t], axis=1)  # coef[i] holds row i of S and of T
-    y = np.empty_like(g)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in reversed(range(g.shape[0])):
-            sy, ty = coef[i, :, i + 1:] @ y[i + 1:]
-            y[i] = (g[i] - lam * sy - ty) / (lam * s[i, i] + t[i, i])
-        x = y.T @ z.T
-    bad = np.nonzero(~np.isfinite(x).all(axis=1))[0]
-    if bad.size:
-        j = int(bad[0])
-        raise SingularFrequencyError(j, float(xi[j]), "zero pivot or overflow in the QZ pencil")
-    err = lam[:, None] * (x @ m0.T) + x @ k.T - f_hat
-    return x, _relative(float(np.sum(np.abs(err) ** 2)), float(np.sum(np.abs(f_hat) ** 2)))
+    for i in reversed(range(len(y))):
+        sy, ty = coef[i, :, i + 1:] @ y[i + 1:]
+        y[i] = (y[i] - lam * sy - ty) / (lam * s[i, i] + t[i, i])
+    x = np.empty_like(f_hat)
+    res_sq = rhs_sq = 0.0
+    for sl in _chunks(len(xi), len(e)):
+        lifted = y[:, sl].T @ z.T
+        x[sl] = lifted[:, :x.shape[1]]
+        rhs = f_hat[sl] @ lift.T
+        err = lam[sl, None] * (lifted @ e.T) + lifted @ f.T - rhs
+        res_sq += np.sum(np.abs(err) ** 2)
+        rhs_sq += np.sum(np.abs(rhs) ** 2)
+    return x, _relative(res_sq, rhs_sq)
 
 
 def _spectral_solve(f: Signal, rho: float, solve_hat, family: str) -> Signal:
     """Transform ``f``, solve B(xi) x = rhs at every frequency, transform back.
 
     ``solve_hat(xi, f_hat)`` gets all frequencies and the forcing transform
-    and returns the solution transform and its relative residual.
+    and returns the solution transform and its relative residual.  A
+    non-finite solution transform raises :class:`SingularFrequencyError` at
+    its first bad sample.
     """
     meta_warnings: list = []
     em_rhs = _check_edges(f, rho, "forcing", EDGE_WARN, EDGE_FAIL, meta_warnings)
     f_hat = fourier_laplace(f, rho).values
-    x, residual = solve_hat(f.grid.frequencies, f_hat)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, residual = solve_hat(f.grid.frequencies, f_hat)
+    bad = np.nonzero(~np.isfinite(x).all(axis=1))[0]
+    if bad.size:
+        j = int(bad[0])
+        raise SingularFrequencyError(j, float(f.grid.frequencies[j]), "solution not finite")
     u = inverse_fourier_laplace(SpectralSignal(f.grid, rho, x))
     if em_rhs > EDGE_WARN:
         # The forcing's edge mass is already reported, and the solution's
@@ -221,21 +228,19 @@ def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
     residual of :func:`apply_forward` by unitarity), the edge masses of
     forcing and solution, and any wrap-around warnings.
 
-    A ``DaeLaw`` is solved through the QZ pencil; other laws through the
-    dense operator stack.  ``threads`` sets the thread pool of the dense
-    path only, so it affects delay, integro and custom laws.
+    A law with a constant linearisation (DAE and integro laws) is solved
+    through the QZ pencil, other laws through the dense operator stack.
+    For integro laws the residual is measured against the lifted pencil of
+    size n(m+1).  ``threads`` sets the thread pool of the dense path only,
+    so it affects delay and custom laws.
     """
     symbol, rho = problem.symbol, problem.rho
     if check_certified:
         _well_posed_gate(symbol)
     a = problem.A.matrix
-    if isinstance(symbol, DaeLaw):
-        solve_hat = partial(_pencil_solve, symbol.M0, symbol.M1 + a, rho)
-    else:
-        def build(xi, f_hat):
-            return frequency_operator_stack(symbol, xi, rho) + a, f_hat
-
-        solve_hat = partial(_dense_solve, build, threads)
+    pencil = symbol.linearization(a)
+    solve_hat = (partial(_dense_solve, symbol, a, rho, threads) if pencil is None
+                 else partial(_pencil_solve, *pencil, rho))
     return _spectral_solve(problem.f, rho, solve_hat, law_family(symbol))
 
 
@@ -254,28 +259,22 @@ def apply_forward(problem: EvolutionaryProblem, u: Signal) -> Signal:
     return inverse_fourier_laplace(SpectralSignal(u.grid, rho, out))
 
 
-def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float, *,
-                  threads: int = 1) -> Signal:
+def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float) -> Signal:
     """Solve the integro-differential equation u' + B u - C * (B u) = f with
     B = c*I + A.
 
-    In the frequency domain this is the evolutionary equation for the
-    integro family with right-hand side premultiplied by
-    (I - sqrt(2 pi) Chat(xi - i rho))^-1.  The arguments are validated as
+    In the frequency domain this is lambda x + W(lambda) B x = f_hat with
+    W(lambda) = I - sqrt(2 pi) Chat(-i lambda): the integro law's pencil
+    (``IntegroLaw.linearization``) with the forcing lifted into the first
+    block only, L = [I; 0; ...; 0].  The residual is measured against that
+    lifted pencil.  The arguments are validated as
     ``EvolutionaryProblem(IntegroLaw(kernel, c), A, rho, f)``, so a bad c,
     kernel, rho or dimension raises ``ValueError``; no positivity gate runs.
     """
     problem = EvolutionaryProblem(IntegroLaw(kernel, c), A, rho, f)
-    a = problem.A.matrix
-    eye = np.eye(problem.symbol.dim)
-
-    def build(xi, f_hat):
-        lam = 1j * xi + rho
-        w_inv = _integro_w_inv(kernel, lam)
-        return (lam[:, None, None] * w_inv + c * eye + a,
-                np.einsum("kij,kj->ki", w_inv, f_hat))
-
-    return _spectral_solve(f, rho, partial(_dense_solve, build, threads), "integro")
+    e, f_mat, _ = problem.symbol.linearization(problem.A.matrix)
+    lift = np.eye(len(e), problem.symbol.dim)
+    return _spectral_solve(f, rho, partial(_pencil_solve, e, f_mat, lift, rho), "integro")
 
 
 def convolve_time(kernel: Kernel, u: Signal) -> Signal:

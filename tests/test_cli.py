@@ -88,6 +88,13 @@ def shifted():
 
 def nan_symbol():
     return CustomLaw(1, lambda z: np.array([[np.nan]])), None
+
+def inf_beyond_scan():
+    # M(z) = 1 + z, but inf where |1/z| > 150: past the gate's |tau| <= 100
+    def fn(z):
+        return np.array([[np.inf if abs(1.0 / z) > 150.0 else 1.0 + z]])
+
+    return CustomLaw(1, fn), None
 '''
 
 
@@ -243,6 +250,26 @@ def test_solve_custom_family_import(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     _, u = read_solution(out)
     assert u.shape[1] == 2
+
+
+def test_solve_nonfinite_dense_solve_is_analytic(tmp_path, monkeypatch, package_env):
+    # the symbol passes the gate but is inf at the outer frequencies: the
+    # solve fails (exit 1) at the first bad sample; it is not a config error
+    install_custom_module(tmp_path, monkeypatch)
+    cfg = write_cfg(tmp_path, {
+        "family": "custom",
+        "custom": {"import": "cli_custom_laws:inf_beyond_scan"},
+        "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 1024},
+        "rho": 0.5,
+        "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1},
+    })
+    env = dict(package_env, PYTHONPATH=os.pathsep.join([str(tmp_path), package_env["PYTHONPATH"]]))
+    proc = subprocess.run([sys.executable, "-m", "evostab", "solve", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("solve failed: singular frequency operator at sample 0 ")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_solve_rejects_missing_custom_import(tmp_path):

@@ -93,16 +93,9 @@ class TestSolve:
         u2 = solve(dae_problem(f), threads=2)
         assert np.array_equal(u1.values, u2.values)
         assert u1.meta["residual"] == u2.meta["residual"]
-        # integro: the premultiplied right-hand side is built per chunk;
-        # 4096 samples span four chunks
-        gi = TimeGrid(-2.0, 1 / 64, 4096)
-        fi = gaussian_pulse(gi, center=1.0, width=0.2)
-        v1 = solve_integro(scalar_kernel(), 1.0, None, fi, 0.5, threads=1)
-        v2 = solve_integro(scalar_kernel(), 1.0, None, fi, 0.5, threads=2)
-        assert np.array_equal(v1.values, v2.values)
-        assert v1.meta["residual"] == v2.meta["residual"]
         # delay: the dense path (and its pool) over four chunks; DAE laws
         # take the QZ pencil path, which has no pool
+        gi = TimeGrid(-2.0, 1 / 64, 4096)
         fd = gaussian_pulse(gi, center=1.0, width=0.2, dim=2)
         prob = EvolutionaryProblem(DelayLaw(np.eye(2), 3.0 * np.eye(2), -0.5), None, 0.5, fd)
         w1 = solve(prob, threads=1)
@@ -235,6 +228,60 @@ class TestPencilPath:
         ref = inverse_fourier_laplace(SpectralSignal(grid, rho, x)).values
         assert np.abs(u.values - ref).max() <= 1e-10 * np.abs(ref).max()
         assert u.meta["residual"] <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6), n_modes=st.integers(1, 3),
+           c=st.floats(0.5, 3.0), rho=st.floats(0.05, 1.0))
+    def test_integro_matches_dense_lu(self, data, dim, n_modes, c, rho):
+        # modes Q diag(d_j) Q* with one random unitary Q, beta_j > nu0 and
+        # weighted L1 norm at nu0 at most 0.9; A skew plus PSD (monotone).
+        # Compared in the rho-weighted norm the solver works in: unweighting
+        # scales round-off by up to exp(14 rho) on this grid
+        nu0 = 0.5
+        entries = hnp.arrays(float, (5, dim, dim), elements=st.floats(-1.0, 1.0))
+        q_re, q_im, w, r, d = data.draw(entries)
+        q, _ = np.linalg.qr(q_re + 1j * q_im + 3.0 * np.eye(dim))
+        diags = data.draw(hnp.arrays(float, (n_modes, dim), elements=st.floats(-1.0, 1.0)))
+        gaps = data.draw(hnp.arrays(float, n_modes, elements=st.floats(0.1, 3.0)))
+        l1 = np.sum(np.abs(diags).max(axis=1) / gaps)
+        diags = diags * (0.9 / l1 if l1 > 0.9 else 1.0)
+        modes = []
+        for d_j, gap in zip(diags, gaps):
+            g = (q * d_j) @ q.conj().T
+            modes.append(KernelMode(0.5 * (g + g.conj().T), nu0 + gap))
+        kernel = Kernel(tuple(modes), nu0)
+        a = (w - w.T) + r @ r.T
+        grid = TimeGrid(-2.0, 1 / 16, 256)
+        f = gaussian_pulse(grid, center=1.0, width=0.3, dim=dim, direction=d[0] + 0.1)
+        law = IntegroLaw(kernel, c)
+        xi = grid.frequencies
+        lam = 1j * xi + rho
+        stack = frequency_operator_stack(law, xi, rho) + a
+        f_hat = fourier_laplace(f, rho).values
+        w_lam = np.eye(dim) - sum(m.gamma / (m.beta + lam)[:, None, None] for m in modes)
+        weight = np.exp(-rho * grid.times)[:, None]
+
+        def dense(rhs):
+            x = np.linalg.solve(stack, rhs[:, :, None])[:, :, 0]
+            return weight * inverse_fourier_laplace(SpectralSignal(grid, rho, x)).values
+
+        for u, ref in [
+            (solve(EvolutionaryProblem(law, a, rho, f), check_certified=False), dense(f_hat)),
+            (solve_integro(kernel, c, a, f, rho),
+             dense(np.linalg.solve(w_lam, f_hat[:, :, None])[:, :, 0])),
+        ]:
+            assert np.abs(weight * u.values - ref).max() <= 1e-10 * np.abs(ref).max()
+            assert u.meta["residual"] <= 1e-12
+
+    def test_apply_forward_inverts_integro_solve(self):
+        kernel = Kernel(modes=(KernelMode(np.diag([0.2, 0.1]), 1.0),
+                               KernelMode(np.diag([0.05, 0.1]), 2.0)), nu0=0.5)
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        g = TimeGrid(-2.0, 1 / 64, 1024)
+        f = gaussian_pulse(g, center=0.5, width=0.1, dim=2)
+        prob = EvolutionaryProblem(IntegroLaw(kernel, 1.0), a, 0.05, f)
+        back = apply_forward(prob, solve(prob))
+        assert np.abs(back.values - f.values).max() <= 1e-10 * np.abs(f.values).max()
 
     def test_apply_forward_inverts_mixed_system(self):
         p = 24

@@ -17,10 +17,16 @@ artifacts::
     diff before.txt after.txt
 
 Digests depend on the numpy/BLAS build, so compare runs on one machine.
+
+``--keep DIR`` writes the configs and artifacts to ``DIR`` (missing or
+empty) instead of a temporary directory, so two trees' ``solution.csv``
+files can be compared numerically where their bytes differ.  The printed
+output is the same.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -98,13 +104,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True,
                         help="directory that contains the evostab package")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write configs and artifacts to DIR (missing or empty) "
+                             "instead of a temporary directory")
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
     if not os.path.isdir(os.path.join(src, "evostab")):
         parser.error(f"{src} has no evostab package")
 
     digests, exits = [], []
-    with tempfile.TemporaryDirectory() as tmp:
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
+        if os.listdir(args.keep):  # stale artifacts would be digested too
+            parser.error(f"--keep directory {args.keep} is not empty")
+    with (contextlib.nullcontext(os.path.abspath(args.keep)) if args.keep
+          else tempfile.TemporaryDirectory()) as tmp:
         with open(os.path.join(tmp, "digest_custom_law.py"), "w") as fh:
             fh.write(CUSTOM_MODULE)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tmp]))
