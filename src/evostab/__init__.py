@@ -4,7 +4,7 @@ linear evolutionary equations on finite-dimensional state spaces."""
 from .errors import (CertificationError, ConfigError, DecayFitError,
                      EdgeMassError, EdgeMassWarning, GridMismatchError,
                      KernelAdmissibilityError, NonFiniteSymbolError,
-                     SingularFrequencyError)
+                     QuadratureError, SingularFrequencyError)
 from .signals import (Signal, SpectralSignal, TimeGrid, antiderivative,
                       derivative, edge_mass, fourier_laplace, gaussian_pulse,
                       inverse_fourier_laplace, signal_from_csv, signal_to_csv,

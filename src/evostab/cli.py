@@ -6,9 +6,10 @@ Every run echoes the fully resolved config (all defaults made explicit) to
 lines in a fixed key order so that repeated runs diff clean.
 
 Exit codes: 0 success, 1 analytic failure (certification, a symbol that is
-not finite on the positivity scan, edge mass of forcing or solution,
-singular frequency, residual/gap/decay out of bounds, a decay fit without
-enough usable samples), 2 usage or config error.
+not finite on the positivity scan, a kernel L1 quadrature that does not
+converge, edge mass of forcing or solution, singular frequency,
+residual/gap/decay out of bounds, a decay fit without enough usable
+samples), 2 usage or config error.
 """
 from __future__ import annotations
 

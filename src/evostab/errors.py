@@ -43,6 +43,11 @@ class NonFiniteSymbolError(CertificationError, ValueError):
     still catch it."""
 
 
+class QuadratureError(CertificationError):
+    """The kernel L1 quadrature did not meet its tolerance within its
+    bisection cap.  An analytic failure: no partial sum is returned."""
+
+
 class DecayFitError(ValueError):
     """A decay fit cannot run: too few usable samples in the fit window."""
 

@@ -20,6 +20,9 @@ assembles ``meta``; only the per-frequency solve differs:
   (lambda*E + F) X = L f_hat.  One complex QZ factorisation of (E, F)
   reduces every frequency to a triangular back-substitution, vectorised
   over all frequencies: O(n^3 + N n^2), with no (N, n, n) operator stack.
+  ``scipy.linalg.qz`` is the package's only SciPy call, imported on the
+  first pencil solve, so importing the package and certifying never load
+  SciPy.
   DAE laws (and with them the mixed-type example and :func:`ivp_solve`)
   are the pencil (M0, M1 + A) itself; integro laws lift to a pencil of size
   n(m+1) whose extra entries are the m kernel modes' memory states.
@@ -44,7 +47,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import qz
 
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
@@ -154,6 +156,8 @@ def _pencil_solve(e: np.ndarray, f: np.ndarray, lift: np.ndarray, rho: float, xi
     The residual is measured against the lifted pencil, not the triangular
     factors, one chunk of frequencies at a time.
     """
+    from scipy.linalg import qz  # imported here to keep SciPy off the package's import path
+
     s, t, q, z = qz(e, f, output="complex")
     lam = 1j * xi + rho
     y = (q.conj().T @ lift) @ f_hat.T  # row i: (Q* L f_hat)_i at every frequency

@@ -5,10 +5,12 @@ integro/delay solvers are plain time steppers, so agreement with the library
 is evidence rather than tautology.  The positivity scan is the brute-force
 definition of the sampled minimum: it shares only the sampling grid and the
 law's lambda * M(1/lambda) builder with the structured minima it checks.
+The kernel L1 norm is scipy ``quad`` told where the integrand's kinks are.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from evostab.certify import SamplingConfig, _sigma_grid, _tau_grid
@@ -27,6 +29,50 @@ def dense_positivity_scan(law, nu: float, **grid) -> float:
         herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
         best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
     return best
+
+
+def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
+    """Integral of ||C(t)||_2 exp(nu t) over t >= 0 for Hermitian modes.
+
+    ||C(t)||_2 = max_i |c_i(t)| with smooth curves c_i: the exponential sums
+    sum_j joint[j, i] exp(-beta_j t) when the caller knows the modes' joint
+    eigenvalues ``joint`` (modes, dim), else the sorted eigenvalues of C(t),
+    smooth while they do not cross; commuting modes, whose eigenvalue curves
+    do cross, need ``joint``.  The kinks, where the largest |c_i|
+    hands over to another, are located by brentq between the fine-grid
+    points where the argmax changes and handed to ``quad`` as break points.
+    [0, T] leaves out less than 1e-17, which is bounded analytically.
+    """
+    rates = np.array([m.beta - nu for m in kernel.modes])
+    norms = np.array([np.linalg.norm(m.gamma, 2) for m in kernel.modes])
+    t_end = max(np.log(max(n * len(rates) / (a * 1e-17), 1.0)) / a
+                for n, a in zip(norms, rates))
+    gammas = np.array([m.gamma for m in kernel.modes])
+
+    def curves(t):
+        decay = np.exp(-np.outer(np.atleast_1d(t), rates))
+        if joint is not None:
+            return decay @ np.asarray(joint)
+        return np.linalg.eigvalsh(np.tensordot(decay, gammas, axes=1))
+
+    def gap(t, i, k):
+        ct = np.abs(curves(t)[0])
+        return ct[i] - ct[k]
+
+    grid = np.linspace(0.0, t_end, 20001)
+    top = np.abs(curves(grid)).argmax(axis=1)
+    kinks = []
+    for j in np.nonzero(top[:-1] != top[1:])[0]:
+        args = (top[j], top[j + 1])
+        if gap(grid[j], *args) * gap(grid[j + 1], *args) < 0:
+            kinks.append(brentq(gap, grid[j], grid[j + 1], args=args, xtol=1e-15))
+
+    def integrand(t):
+        return float(np.abs(curves(t)).max())
+
+    val, _ = quad(integrand, 0.0, t_end, points=sorted(kinks) or None,
+                  epsabs=1e-14, epsrel=1e-13, limit=1000)
+    return val + float(np.sum(norms * np.exp(-rates * t_end) / rates))
 
 
 def delay_rate_oracle(norm_m0: float, h: float, c: float) -> float:

@@ -426,6 +426,63 @@ def test_certify_nonfinite_symbol_is_analytic(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("analytic failure: z^-1 M(z) is not finite")
 
 
+def crossing_integro_cfg() -> dict:
+    """A two-mode diagonal kernel whose curves |s_i(t)| cross: its L1 norm
+    needs the quadrature's bisection."""
+    return {
+        "family": "integro",
+        "kernel": {"modes": [{"gamma": [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.05, 0.0]]],
+                              "beta": 2.0},
+                             {"gamma": [[[0.02, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]],
+                              "beta": 0.8}],
+                   "nu0": 0.5},
+        "c": 1.0,
+        "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 256},
+        "rho": 0.05,
+        "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1},
+    }
+
+
+def test_certify_unconverged_kernel_l1_is_analytic(tmp_path, monkeypatch, capsys):
+    # a quadrature that runs out of bisection rounds fails the run (exit 1)
+    # instead of certifying from a partial sum; it is not a config error
+    cfg = write_cfg(tmp_path, crossing_integro_cfg())
+    out = str(tmp_path / "out")
+    assert main(["certify", "--config", cfg, "--out", out]) == 0
+    monkeypatch.setattr("evostab.material._L1_MAX_LEVELS", 1)
+    assert main(["certify", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("analytic failure: kernel L1 quadrature")
+
+
+IMPORT_GUARD = """
+import sys
+
+import evostab
+import evostab.cli
+
+sys.path.insert(0, sys.argv[1])
+codes = [evostab.cli.main(["certify", "--config", cfg, "--out", cfg + ".out"])
+         for cfg in sys.argv[2:]]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_certify_imports_no_scipy(tmp_path, package_env):
+    # SciPy is loaded only by pencil solves: start-up and certify of the
+    # dae, integro and custom families never import it
+    (tmp_path / "cli_custom_laws.py").write_text(CUSTOM_MODULE)
+    cfgs = [write_cfg(tmp_path, scalar_dae_cfg(nu=1.5), name="dae.json"),
+            write_cfg(tmp_path, crossing_integro_cfg(), name="integro.json"),
+            write_cfg(tmp_path, {"family": "custom",
+                                 "custom": {"import": "cli_custom_laws:shifted"},
+                                 "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256},
+                                 "rho": 0.5, "nu": 0.5}, name="custom.json")]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), *cfgs],
+                          capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
 # --- config validation and plumbing ----------------------------------------
 
 @pytest.mark.parametrize("command", ["certify", "solve"])

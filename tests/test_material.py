@@ -1,10 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from _oracles import kernel_l1_oracle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.integrate import quad
 
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
-                     KernelAdmissibilityError, KernelMode, eval_symbol,
-                     hermitian_part_min_eig, kernel_eval, kernel_hat,
-                     kernel_weighted_l1, law_family, shifted_symbol)
+                     KernelAdmissibilityError, KernelMode, QuadratureError,
+                     eval_symbol, hermitian_part_min_eig, kernel_eval,
+                     kernel_hat, kernel_weighted_l1, law_family, shifted_symbol)
 from evostab.material import _mode_eigenvalues, frequency_operator_stack
 
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -99,6 +106,82 @@ class TestKernel:
         with pytest.raises(ValueError):
             Kernel(modes=(), nu0=0.5)
         assert Kernel(modes=(), nu0=0.5, dim=3).dim == 3
+
+
+# Two diagonal modes whose curves s_1 = 0.3 e^{-2t} + 0.02 e^{-0.8t} and
+# s_2 = 0.05 e^{-2t} + 0.1 e^{-0.8t} cross once: ||C(t)|| has a kink there.
+CROSSING_JOINT = np.array([[0.3, 0.05], [0.02, 0.1]])
+CROSSING_BETAS = (2.0, 0.8)
+
+
+def crossing_kernel():
+    return Kernel(tuple(KernelMode(np.diag(d), b) for d, b in zip(CROSSING_JOINT, CROSSING_BETAS)),
+                  nu0=0.5)
+
+
+class TestKernelL1:
+    """The Gauss-Legendre kernel L1 norm against scipy quad told the kinks."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5])
+    def test_crossing_curves_match_oracle_without_warning(self, nu):
+        kernel = crossing_kernel()
+        expected = kernel_l1_oracle(kernel, nu, CROSSING_JOINT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_weighted_l1(kernel, nu)
+        assert abs(got - expected) <= 1e-12
+
+    def test_kink_next_to_a_panel_end(self):
+        # the curves cross 6.4e-5 before the end of a bisected panel, closer
+        # than the last Gauss node of both the panel's rule and its halves'
+        # rules, so those two agree while both miss the kink by 1.2e-10
+        joint = np.array([[0.10550804693430005, 0.0], [0.0, 0.41558039525419777]])
+        betas = (0.9378402262758108, 2.2188819843835685)
+        kernel = Kernel(tuple(KernelMode(np.diag(d), b) for d, b in zip(joint, betas)), nu0=0.5)
+        nu = 0.06484621689933778
+        assert abs(kernel_weighted_l1(kernel, nu) - kernel_l1_oracle(kernel, nu, joint)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), nu=st.floats(0.0, 0.5))
+    def test_commuting_psd_modes_match_oracle(self, data, dim, nu):
+        mats = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+        q, r = np.linalg.qr(mats[0] + 2.0 * np.eye(dim) + 1j * mats[1])
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        joint = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 3)), dim),
+                                     elements=st.floats(0.0, 1.0)))
+        modes = tuple(KernelMode(q @ np.diag(d) @ q.conj().T, data.draw(st.floats(0.6, 3.0)))
+                      for d in joint)
+        kernel = Kernel(modes, nu0=0.5)
+        assert abs(kernel_weighted_l1(kernel, nu) - kernel_l1_oracle(kernel, nu, joint)) <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4), nu=st.floats(0.0, 0.5))
+    def test_noncommuting_fallback_matches_oracle(self, data, dim, nu):
+        roots = data.draw(hnp.arrays(float, (data.draw(st.integers(2, 3)), dim, dim),
+                                     elements=st.floats(-1.0, 1.0)))
+        modes = tuple(KernelMode(r @ r.T / dim, data.draw(st.floats(0.6, 3.0))) for r in roots)
+        kernel = Kernel(modes, nu0=0.5)
+        assume(_mode_eigenvalues(kernel) is None)
+        assert abs(kernel_weighted_l1(kernel, nu) - kernel_l1_oracle(kernel, nu)) <= 1e-12
+
+    def test_normal_non_hermitian_modes_keep_their_phase(self):
+        # |0.2i e^{-t} + 0.1 e^{-2t}|: the imaginary mode is not rounded away
+        kernel = Kernel((KernelMode([[0.2j]], 1.0), KernelMode([[0.1]], 2.0)), nu0=0.5)
+        expected, _ = quad(lambda t: abs(0.2j * np.exp(-t) + 0.1 * np.exp(-2.0 * t)),
+                           0.0, np.inf, epsabs=1e-14, epsrel=1e-13)
+        assert abs(kernel_weighted_l1(kernel, 0.0) - expected) <= 1e-12
+
+    def test_non_normal_modes_take_singular_values(self):
+        # C(t) = [[0, e^{-t}], [0.5 e^{-2t}, 0]] has norm e^{-t}, so L1(0) = 1
+        kernel = Kernel((KernelMode([[0, 1], [0, 0]], 1.0), KernelMode([[0, 0], [0.5, 0]], 2.0)),
+                        nu0=0.5)
+        assert _mode_eigenvalues(kernel) is None
+        assert abs(kernel_weighted_l1(kernel, 0.0) - 1.0) <= 1e-12
+
+    def test_level_cap_raises_instead_of_a_partial_sum(self, monkeypatch):
+        monkeypatch.setattr("evostab.material._L1_MAX_LEVELS", 1)
+        with pytest.raises(QuadratureError, match="did not converge within 1 bisection"):
+            kernel_weighted_l1(crossing_kernel(), 0.3)
 
 
 class TestLawConstruction:

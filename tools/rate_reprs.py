@@ -12,8 +12,11 @@ a fixed seed:
   ``c`` in [0.05, 2], so that part of the draws lands below ``nu0`` and
   takes the bisection.
 
-The last line counts the integro draws below ``nu0``.  Diff the output for
-two source trees to check that they return the same rates::
+Each integro line ends with a third column, the kernel's weighted L1 norm
+``kernel_weighted_l1(kernel, nu0)`` as ``%.12e``, so that a change to the
+quadrature shows in the diff next to the rate it feeds.  The last line
+counts the integro draws below ``nu0``.  Diff the output for two source
+trees to check that they return the same rates and L1 norms::
 
     python tools/rate_reprs.py --src ../evostab-parent/src > before.txt
     python tools/rate_reprs.py --src src > after.txt
@@ -56,16 +59,17 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from evostab import Kernel, KernelMode, dae_rate, delay_rate, integro_rate
+    from evostab import (Kernel, KernelMode, dae_rate, delay_rate, integro_rate,
+                         kernel_weighted_l1)
 
     rng = np.random.default_rng(args.seed)
 
-    def show(name, fn, *fn_args):
+    def show(name, fn, *fn_args, extra=()):
         try:
             value = repr(fn(*fn_args))
         except ValueError as exc:
             value = f"{type(exc).__name__}: {exc}"
-        print(name, value)
+        print(name, value, *extra)
         return value
 
     for k in range(args.draws):
@@ -79,7 +83,9 @@ def main() -> int:
     for k in range(args.draws):
         n = int(rng.integers(1, 4))
         kernel = Kernel(tuple(KernelMode(g, b) for g, b in _modes(rng, n)), nu0=0.5)
-        value = show(f"integro-{k}", integro_rate, kernel, float(rng.uniform(0.05, 2.0)))
+        l1 = f"{kernel_weighted_l1(kernel, 0.5):.12e}"
+        value = show(f"integro-{k}", integro_rate, kernel, float(rng.uniform(0.05, 2.0)),
+                     extra=(l1,))
         below += value != repr(0.5)
     print("integro draws below nu0:", below)
     return 0
