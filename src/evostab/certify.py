@@ -57,8 +57,10 @@ class SamplingConfig:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-        if not self.sigma_max > 0:
-            raise ValueError(f"sigma_max must be positive, got {self.sigma_max!r}")
+        if not (math.isfinite(self.sigma_max) and self.sigma_max > 0):
+            raise ValueError(f"sigma_max must be finite and positive, got {self.sigma_max!r}")
+        if not (math.isfinite(self.tau_max) and self.tau_max >= 0):
+            raise ValueError(f"tau_max must be finite and >= 0, got {self.tau_max!r}")
 
     def describe(self, nu: float) -> str:
         delta = (nu if nu > 0 else self.sigma_max) / self.n_sigma

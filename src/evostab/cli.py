@@ -5,6 +5,13 @@ Every run echoes the fully resolved config (all defaults made explicit) to
 ``config_echo.json`` in the output directory.  Report files are ``key=value``
 lines in a fixed key order so that repeated runs diff clean.
 
+Every command builds the problem once and runs up to three steps: the
+certify step (``report.txt``, ``report.kv``), the solution step
+(``solution.csv``, ``metadata.kv``) and, for ``verify``, the decay step
+(``decay.kv``).  Each step writes its artifacts and reports its gate; the run
+exits 0 only when every gate of the command passed.  ``solve``, ``ivp`` and
+``verify`` all gate on the solution step's ``residual <= RESIDUAL_LIMIT``.
+
 Exit codes: 0 success, 1 analytic failure (certification, a symbol that is
 not finite on the positivity scan, a kernel L1 quadrature that does not
 converge, edge mass of forcing or solution, singular frequency,
@@ -23,7 +30,7 @@ import sys
 import numpy as np
 
 from .analysis import auto_tail_window, default_margin, fit_decay_rate, verify_stability
-from .certify import SamplingConfig, certify
+from .certify import RATE_CAP, SamplingConfig, certify
 from .errors import (CertificationError, ConfigError, DecayFitError,
                      EdgeMassError, SingularFrequencyError)
 from .material import DaeLaw, DelayLaw, IntegroLaw, Kernel, KernelMode
@@ -65,6 +72,11 @@ def _write_kv(path: str, pairs) -> None:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _is_number(x) -> bool:
+    """A JSON number: int or float, but not a boolean (bool is an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _as_complex_matrix(node, name: str) -> np.ndarray:
@@ -112,11 +124,11 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
                    "n_steps": int(grid["n_steps"])}
 
     rho = raw.get("rho")
-    _require(isinstance(rho, (int, float)) and rho > 0, "rho must be a positive number")
+    _require(_is_number(rho) and rho > 0, "rho must be a positive number")
     cfg["rho"] = float(rho)
 
     nu = raw.get("nu")
-    _require(nu is None or isinstance(nu, (int, float)), "nu must be a number or null")
+    _require(nu is None or _is_number(nu), "nu must be a number or null")
     cfg["nu"] = None if nu is None else float(nu)
 
     for key in ("m0", "m1", "a"):
@@ -157,7 +169,9 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     defaults.update(sampling)
     cfg["sampling"] = defaults
 
-    cfg["check_certified"] = bool(raw.get("check_certified", True))
+    check = raw.get("check_certified", True)
+    _require(isinstance(check, bool), f"check_certified must be true or false, got {check!r}")
+    cfg["check_certified"] = check
     return cfg
 
 
@@ -272,54 +286,62 @@ def _echo_config(cfg: dict, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _certification(built: _BuiltProblem, nu: float):
-    sampling = SamplingConfig(**built.cfg["sampling"])
-    return certify(built.law, nu, sampling=sampling)
-
-
 def _write_certification(report, out_dir: str) -> None:
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="ascii") as fh:
         fh.write(report.to_text())
     _write_kv(os.path.join(out_dir, "report.kv"), report.kv_pairs())
 
 
-def _solution_metadata(built: _BuiltProblem, u: Signal, extra=()) -> list:
-    meta = u.meta
-    pairs = [
-        ("family", built.family),
-        ("t0", built.grid.t0),
-        ("dt", built.grid.dt),
-        ("n_steps", built.grid.n_steps),
-        ("rho", built.cfg["rho"]),
-        ("residual", meta["residual"]),
-        ("edge_mass_rhs", meta["edge_mass_rhs"]),
-        ("edge_mass_solution", meta["edge_mass_solution"]),
-    ]
-    pairs.extend(extra)
-    pairs.append(("warnings", ";".join(meta["warnings"]) if meta.get("warnings") else "none"))
-    return pairs
-
-
-def cmd_certify(cfg: dict, out_dir: str, threads: int) -> int:
-    built = _BuiltProblem(cfg)
-    nu = cfg["nu"] if cfg["nu"] is not None else 0.0
-    report = _certification(built, nu)
+def _certify_step(built: _BuiltProblem, out_dir: str):
+    """Certify at the configured nu (0 when unset); write report.txt and report.kv."""
+    nu = 0.0 if built.cfg["nu"] is None else built.cfg["nu"]
+    report = certify(built.law, nu, sampling=SamplingConfig(**built.cfg["sampling"]))
     _write_certification(report, out_dir)
-    _echo_config(cfg, out_dir)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_solve(cfg: dict, out_dir: str, threads: int) -> int:
-    built = _BuiltProblem(cfg)
-    u = built.run_solve(built.forcing(), threads)
+def _solution_step(built: _BuiltProblem, u: Signal, out_dir: str, extra=()) -> bool:
+    """Write solution.csv and metadata.kv; True when the residual is within bounds."""
     signal_to_csv(u, os.path.join(out_dir, "solution.csv"))
-    _write_kv(os.path.join(out_dir, "metadata.kv"), _solution_metadata(built, u))
-    _echo_config(cfg, out_dir)
-    return 0 if u.meta["residual"] <= RESIDUAL_LIMIT else 1
+    meta, grid = u.meta, built.grid
+    _write_kv(os.path.join(out_dir, "metadata.kv"), [
+        ("family", built.family),
+        ("t0", grid.t0), ("dt", grid.dt), ("n_steps", grid.n_steps),
+        ("rho", built.cfg["rho"]),
+        *((key, meta[key]) for key in ("residual", "edge_mass_rhs", "edge_mass_solution")),
+        *extra,
+        ("warnings", ";".join(meta["warnings"]) if meta.get("warnings") else "none"),
+    ])
+    return meta["residual"] <= RESIDUAL_LIMIT
 
 
-def cmd_ivp(cfg: dict, out_dir: str, threads: int) -> int:
-    built = _BuiltProblem(cfg)
+def _decay_step(u: Signal, nu: float, out_dir: str) -> bool:
+    """Fit the tail decay of u against nu; write decay.kv and return the verdict."""
+    margin = default_margin(nu)
+    window = auto_tail_window(u)
+    fit = fit_decay_rate(u, window)
+    passed, _ = verify_stability(u, nu, margin)
+    _write_kv(os.path.join(out_dir, "decay.kv"), [
+        ("nu_certified", nu), ("margin", margin),
+        ("fitted_rate", fit.rate), ("window_lo", window[0]), ("window_hi", window[1]),
+        ("rms_residual", fit.rms_residual), ("samples_used", fit.samples_used),
+        ("passed", passed),
+    ])
+    return passed
+
+
+# Each command runs its steps and returns whether every one of its gates passed.
+
+def cmd_certify(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
+    return _certify_step(built, out_dir).passed
+
+
+def cmd_solve(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
+    return _solution_step(built, built.run_solve(built.forcing(), threads), out_dir)
+
+
+def cmd_ivp(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
+    cfg = built.cfg
     _require(built.family in ("dae", "mixed1d"),
              "ivp: only dae/mixed1d families carry (M0, M1) initial data")
     _require(cfg["u0"] is not None, "ivp: u0 is required")
@@ -329,51 +351,22 @@ def cmd_ivp(cfg: dict, out_dir: str, threads: int) -> int:
     problem = IvpProblem(built.law.M0, built.law.M1, built.A, u0, built.forcing(),
                          rho=cfg["rho"], phi_scale=cfg["phi_scale"])
     u, gap = ivp_solve(problem)
-    signal_to_csv(u, os.path.join(out_dir, "solution.csv"))
     m0u0 = float(np.linalg.norm(np.asarray(built.law.M0) @ u0))
     limit = 10.0 * built.grid.dt * m0u0 + 1e-12
-    _write_kv(os.path.join(out_dir, "metadata.kv"),
-              _solution_metadata(built, u, extra=[("initial_gap", gap),
-                                                  ("gap_limit", limit)]))
-    _echo_config(cfg, out_dir)
-    return 0 if gap <= limit else 1
+    residual_ok = _solution_step(built, u, out_dir, [("initial_gap", gap), ("gap_limit", limit)])
+    return residual_ok and gap <= limit
 
 
-def cmd_verify(cfg: dict, out_dir: str, threads: int) -> int:
-    built = _BuiltProblem(cfg)
-    if cfg["nu"] is not None:
-        nu_certified = cfg["nu"]
-        report = _certification(built, nu_certified)
-    else:
-        report = _certification(built, 0.0)
+def cmd_verify(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
+    report = _certify_step(built, out_dir)
+    nu = built.cfg["nu"]
+    if nu is None:
         _require(report.closed_form_rate is not None,
                  "verify: nu is required for families without a closed-form rate")
-        nu_certified = min(report.closed_form_rate, 1e6)
-    _write_certification(report, out_dir)
-    code = 0 if report.passed else 1
-
+        nu = min(report.closed_form_rate, RATE_CAP)
     u = built.run_solve(built.forcing(), threads)
-    signal_to_csv(u, os.path.join(out_dir, "solution.csv"))
-    _write_kv(os.path.join(out_dir, "metadata.kv"), _solution_metadata(built, u))
-
-    margin = default_margin(nu_certified)
-    window = auto_tail_window(u)
-    fit = fit_decay_rate(u, window)
-    passed, _ = verify_stability(u, nu_certified, margin)
-    _write_kv(os.path.join(out_dir, "decay.kv"), [
-        ("nu_certified", nu_certified),
-        ("margin", margin),
-        ("fitted_rate", fit.rate),
-        ("window_lo", window[0]),
-        ("window_hi", window[1]),
-        ("rms_residual", fit.rms_residual),
-        ("samples_used", fit.samples_used),
-        ("passed", passed),
-    ])
-    _echo_config(cfg, out_dir)
-    if not passed:
-        code = 1
-    return code
+    residual_ok = _solution_step(built, u, out_dir)
+    return _decay_step(u, nu, out_dir) and residual_ok and report.passed
 
 
 _COMMANDS = {
@@ -414,7 +407,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.threads)
+        built = _BuiltProblem(cfg)
+        passed = _COMMANDS[args.command](built, args.out, args.threads)
+        _echo_config(cfg, args.out)
+        return 0 if passed else 1
     except (CertificationError, EdgeMassError, DecayFitError) as exc:
         print(f"analytic failure: {exc}", file=sys.stderr)
         return 1

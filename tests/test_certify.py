@@ -349,7 +349,9 @@ class TestCertify:
             certify(DaeLaw([[1.0]], [[2.0]]), -1.0)
 
     @pytest.mark.parametrize("kw", [{"n_sigma": 0}, {"n_tau": -3}, {"n_sigma": 2.5},
-                                    {"sigma_max": -1.0}, {"sigma_max": 0.0}])
+                                    {"sigma_max": -1.0}, {"sigma_max": 0.0},
+                                    {"sigma_max": float("inf")}, {"tau_max": float("nan")},
+                                    {"tau_max": -1.0}])
     def test_bad_sampling_rejected(self, kw):
         with pytest.raises(ValueError):
             SamplingConfig(**kw)

@@ -483,6 +483,33 @@ def test_certify_imports_no_scipy(tmp_path, package_env):
     assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
+# --- gates shared by the commands ------------------------------------------
+
+GATE_ARTIFACTS = {
+    "solve": {"solution.csv", "metadata.kv", "config_echo.json"},
+    "ivp": {"solution.csv", "metadata.kv", "config_echo.json"},
+    "verify": {"report.txt", "report.kv", "solution.csv", "metadata.kv", "decay.kv",
+               "config_echo.json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(GATE_ARTIFACTS))
+def test_residual_above_limit_exits_one(tmp_path, monkeypatch, command):
+    # every command that solves gates on the residual, and still writes all
+    # of its artifacts when the gate fails
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(
+        u0=[[1.0, 0.0]],
+        grid={"t0": -2.0, "dt": 0.015625, "n_steps": 1024},
+        rho=0.05,
+        forcing={"kind": "pulse", "center": 1.0, "width": 0.1}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr("evostab.cli.RESIDUAL_LIMIT", 0.0)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert set(os.listdir(out)) == GATE_ARTIFACTS[command]
+    assert float(read_kv(out / "metadata.kv")["residual"]) > 0.0
+
+
 # --- config validation and plumbing ----------------------------------------
 
 @pytest.mark.parametrize("command", ["certify", "solve"])
@@ -500,11 +527,23 @@ def test_empty_or_non_list_kernel_modes_exit_two(tmp_path, capsys, command, mode
     assert "config error: kernel.modes: expected a non-empty list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sampling", [{"n_sigma": 0}, {"n_tau": -3}, {"sigma_max": -1.0}])
+@pytest.mark.parametrize("sampling", [{"n_sigma": 0}, {"n_tau": -3}, {"sigma_max": -1.0},
+                                      {"sigma_max": float("inf")}, {"tau_max": float("nan")},
+                                      {"tau_max": -1.0}])
 def test_bad_sampling_exits_two(tmp_path, capsys, sampling):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(sampling=sampling))
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {next(iter(sampling))} must be")
+
+
+@pytest.mark.parametrize("override", [{"check_certified": "false"}, {"check_certified": 0},
+                                      {"rho": True}, {"nu": True}, {"nu": "1.5"}])
+def test_mistyped_config_values_exit_two(tmp_path, capsys, override):
+    # "false" is a truthy string and true is an int: neither may slip through
+    # as a boolean gate or a number
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(**override))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {next(iter(override))} must be")
 
 
 def test_malformed_json_exits_two(tmp_path):

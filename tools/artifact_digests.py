@@ -1,10 +1,14 @@
-"""Print the sha256 of every CLI artifact for five fixed configs.
+"""Print the sha256 of every CLI artifact for nine fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
-``custom`` law whose factory module is written to the temp directory.  All
-use a 1024-sample grid.  Each config gets ``certify``, ``solve`` and
-``verify``; the ``dae`` config also gets ``ivp``.  The output is one sorted
+``custom`` law (at nu = 0.5) whose factory module is written to the temp
+directory.  All use a 1024-sample grid.  Each config gets ``certify``,
+``solve`` and ``verify``; the ``dae`` config also gets ``ivp``.  The four
+structured configs run once more as ``<family>-nu`` with an explicit ``nu``
+below the family's closed-form rate (dae 1.5, delay 0.3, integro 0.3,
+mixed1d 0.5), through ``certify`` and ``verify`` only, so that the nu > 0
+certificate is byte-checked too.  The output is one sorted
 ``<case>-<command>/<file> <sha256>`` line per artifact, then one
 ``<case>-<command> exit=<code>`` line per command.
 
@@ -93,6 +97,11 @@ CASES = {
         "grid": {"t0": -2.0, **GRID}, "rho": 0.05, "forcing": PULSE,
     },
 }
+# The structured configs again at a rate nu > 0 below the family's closed-form
+# rate, so that the nu > 0 certificate (sigma grid from -nu + delta, the
+# bound at nu, the shifted check) and verify at an explicit nu are covered.
+NU_CASES = {"dae": 1.5, "delay": 0.3, "integro": 0.3, "mixed1d": 0.5}
+CASES.update({f"{case}-nu": {**CASES[case], "nu": nu} for case, nu in NU_CASES.items()})
 
 
 def _sha256(path: str) -> str:
@@ -126,7 +135,10 @@ def main(argv=None) -> int:
             cfg_path = os.path.join(tmp, f"{case}.json")
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
-            commands = ["certify", "solve", "verify"] + (["ivp"] if case == "dae" else [])
+            if case.endswith("-nu"):  # solve and ivp do not depend on nu
+                commands = ["certify", "verify"]
+            else:
+                commands = ["certify", "solve", "verify"] + (["ivp"] if case == "dae" else [])
             for command in commands:
                 run = f"{case}-{command}"
                 out = os.path.join(tmp, run)
