@@ -18,8 +18,12 @@ rate is the largest nu at which its bound on c(nu) stays nonnegative.
 The family-specific parts (analyticity, the sampled minimum, the bound and
 the rate) are methods of the law classes in :mod:`evostab.material`, where
 each family documents its own; the functions here are the public entry
-points over them plus the report assembly.  The kernel admissibility checks
-live next to the kernel in :mod:`evostab.material` and are re-exported here.
+points over them plus the report assembly.  Kernel admissibility is one
+:class:`KernelConditionReport` per kernel, evaluated once and cached on the
+kernel next to which it lives in :mod:`evostab.material`; the integro law
+raises on its structural conditions when built and on its sign condition in
+the rate.  :func:`check_kernel_conditions` returns that report and is
+re-exported here.
 """
 
 from __future__ import annotations

@@ -79,6 +79,16 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _number(node, name: str, integral: bool = False):
+    """``node`` as a float, or as an int when ``integral``; ConfigError unless
+    it is a finite JSON number (and a whole one when ``integral``).  The
+    range test also rejects inf, nan and ints beyond the float range."""
+    _require(_is_number(node) and abs(node) <= sys.float_info.max
+             and (not integral or float(node).is_integer()),
+             f"{name} must be a finite {'integer' if integral else 'number'}, got {node!r}")
+    return int(node) if integral else float(node)
+
+
 def _as_complex_matrix(node, name: str) -> np.ndarray:
     """Parse a nested list of [re, im] pairs into a complex matrix."""
     try:
@@ -120,21 +130,16 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     for key in ("t0", "dt", "n_steps"):
         _require(key in grid, f"grid.{key} is required")
     _require(set(grid) <= {"t0", "dt", "n_steps"}, "grid: unknown keys")
-    cfg["grid"] = {"t0": float(grid["t0"]), "dt": float(grid["dt"]),
-                   "n_steps": int(grid["n_steps"])}
+    cfg["grid"] = {"t0": _number(grid["t0"], "grid.t0"), "dt": _number(grid["dt"], "grid.dt"),
+                   "n_steps": _number(grid["n_steps"], "grid.n_steps", integral=True)}
 
-    rho = raw.get("rho")
-    _require(_is_number(rho) and rho > 0, "rho must be a positive number")
-    cfg["rho"] = float(rho)
-
-    nu = raw.get("nu")
-    _require(nu is None or _is_number(nu), "nu must be a number or null")
-    cfg["nu"] = None if nu is None else float(nu)
+    cfg["rho"] = _number(raw.get("rho"), "rho")
+    _require(cfg["rho"] > 0, "rho must be a positive number")
+    for key in ("nu", "h", "c"):
+        cfg[key] = None if raw.get(key) is None else _number(raw[key], key)
 
     for key in ("m0", "m1", "a"):
         cfg[key] = raw.get(key)
-    cfg["h"] = None if raw.get("h") is None else float(raw["h"])
-    cfg["c"] = None if raw.get("c") is None else float(raw["c"])
     cfg["kernel"] = raw.get("kernel")
     cfg["mixed"] = raw.get("mixed")
     cfg["custom"] = raw.get("custom")
@@ -160,7 +165,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     cfg["forcing"] = resolved
 
     cfg["u0"] = raw.get("u0")
-    cfg["phi_scale"] = float(raw.get("phi_scale", 1.0))
+    cfg["phi_scale"] = _number(raw.get("phi_scale", 1.0), "phi_scale")
 
     sampling = raw.get("sampling", {})
     _require(isinstance(sampling, dict), "sampling: expected an object")
@@ -255,8 +260,8 @@ def _parse_kernel(node: dict) -> Kernel:
         _require(isinstance(mode, dict) and "gamma" in mode and "beta" in mode,
                  f"kernel.modes[{k}]: expected {{gamma, beta}}")
         modes.append(KernelMode(_as_complex_matrix(mode["gamma"], f"kernel.modes[{k}].gamma"),
-                                float(mode["beta"])))
-    return Kernel(tuple(modes), float(node["nu0"]), modes[0].gamma.shape[0])
+                                _number(mode["beta"], f"kernel.modes[{k}].beta")))
+    return Kernel(tuple(modes), _number(node["nu0"], "kernel.nu0"), modes[0].gamma.shape[0])
 
 
 def _parse_mixed(node: dict):
@@ -264,9 +269,9 @@ def _parse_mixed(node: dict):
     _require(set(node) <= {"p", "c", "omega0", "omega1"}, "mixed: unknown keys")
     for key in ("p", "c", "omega0", "omega1"):
         _require(key in node, f"mixed.{key} is required")
-    p = int(node["p"])
+    p = _number(node["p"], "mixed.p", integral=True)
     ind0, ind1 = indicators_from_intervals(p, tuple(node["omega0"]), tuple(node["omega1"]))
-    return build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, float(node["c"]))
+    return build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, _number(node["c"], "mixed.c"))
 
 
 def _load_custom(spec: str):

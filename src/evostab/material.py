@@ -17,12 +17,19 @@ Hermitian part is Re z^-1 M(z).
 ``Chat`` is the half-line Fourier transform of an exponential-sum kernel
 C(t) = sum_j gamma_j exp(-beta_j t) for t >= 0: for Im z <= nu0,
 
-    Chat(z) = (1/sqrt(2 pi)) sum_j gamma_j / (beta_j + i z).
+    Chat(z) = (1/sqrt(2 pi)) sum_j gamma_j / (beta_j + i z),
 
-Kernel admissibility (:meth:`Kernel.structural_violations` and the three
-conditions of :func:`check_kernel_conditions`) lives here too, next to the
-kernel, with the weighted L1 norm :func:`kernel_weighted_l1`, an adaptive
-composite Gauss-Legendre rule in numpy.
+so that W(lambda) = I - sqrt(2 pi) Chat(-i lambda) = I - sum_j gamma_j /
+(beta_j + lambda).  :func:`_kernel_w` is the one place that forms this sum,
+for the integro law's stack, symbol and shifted symbol, its positivity scan
+in the modes' joint eigenbasis, the transform sign condition and
+:func:`kernel_hat`.
+
+Kernel admissibility is one :class:`KernelConditionReport` per kernel,
+:attr:`Kernel.conditions` (also returned by :func:`check_kernel_conditions`):
+Hermitian commuting modes, beta_min > nu0, the weighted L1 norm at nu0
+below one (:func:`kernel_weighted_l1`, an adaptive composite Gauss-Legendre
+rule in numpy) and the transform sign condition, evaluated once per kernel.
 """
 
 from __future__ import annotations
@@ -43,8 +50,11 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Absolute tolerance for Hermiticity / commutation checks (matrix 2-norm).
 STRUCT_TOL = 1e-12
 
-# Tolerance for the sign condition t * Im Chat(t + i nu0) <= 0.
+# Tolerance for the sign condition t * Im Chat(t + i nu0) <= 0, and its
+# samples: 63 log-spaced t on each of 7 lines Im z = -rho, rho in [-nu0, 5].
 SIGN_TOL = 1e-10
+_SIGN_TS = np.concatenate([-np.geomspace(1e-3, 1e3, 31)[::-1], [0.0], np.geomspace(1e-3, 1e3, 31)])
+_SIGN_LINES = 7
 
 _OFF_DOMAIN = "z = 0 is not in the domain of this family"
 
@@ -94,14 +104,70 @@ class KernelMode:
 
 
 @dataclass(frozen=True)
+class KernelConditionReport:
+    """The five admissibility conditions of a kernel, worded once.
+
+    Structural: Hermitian modes, commuting modes, beta_min > nu0 and the
+    weighted L1 norm at nu0 below one.  Sign: t * Im Chat(t + i nu0) <= 0 as
+    a Hermitian matrix inequality, checked on a log-spaced grid of t and, as
+    corroborating evidence, along sampled lines Im z = -rho for
+    rho in [-nu0, 5].  When beta_min <= nu0, Chat has a pole in the
+    half-plane Im z <= nu0: the L1 norm and the sign defects are then inf,
+    not evaluated.
+    """
+
+    hermitian_defect: float
+    commutation_defect: float
+    beta_min: float
+    nu0: float
+    weighted_l1: float
+    sign_defect_base: float
+    sign_defect_lines: float
+
+    @property
+    def hermitian_ok(self) -> bool:
+        return self.hermitian_defect <= STRUCT_TOL
+
+    @property
+    def commuting_ok(self) -> bool:
+        return self.commutation_defect <= STRUCT_TOL
+
+    @property
+    def structural_ok(self) -> bool:
+        return self.hermitian_ok and self.commuting_ok and self.weighted_l1 < 1.0
+
+    @property
+    def sign_ok(self) -> bool:
+        return self.sign_defect_base <= SIGN_TOL and self.sign_defect_lines <= SIGN_TOL
+
+    @property
+    def passed(self) -> bool:
+        return self.structural_ok and self.sign_ok
+
+    def problems(self) -> list:
+        """Every failed condition.  beta_min <= nu0 is the one problem
+        reported for the L1 norm and the sign, which it leaves unevaluated."""
+        evaluated = self.beta_min > self.nu0
+        sign_defect = max(self.sign_defect_base, self.sign_defect_lines)
+        return [message for ok, message in (
+            (self.hermitian_ok, f"non-Hermitian mode (defect {self.hermitian_defect:.3g})"),
+            (self.commuting_ok, f"non-commuting modes (defect {self.commutation_defect:.3g})"),
+            (evaluated, f"beta_min = {self.beta_min:.6g} must exceed nu0 = {self.nu0:.6g}"),
+            (not evaluated or self.weighted_l1 < 1.0,
+             f"weighted L1 norm at nu0 is {self.weighted_l1:.6g} >= 1"),
+            (not evaluated or self.sign_ok,
+             f"transform sign condition violated (defect {sign_defect:.3g})"),
+        ) if not ok]
+
+
+@dataclass(frozen=True)
 class Kernel:
     """Exponential-sum kernel C(t) = sum_j gamma_j exp(-beta_j t), t >= 0.
 
-    ``nu0`` is the declared admissibility weight: the structural requirements
-    (Hermitian commuting modes, beta_min > nu0, weighted L1 norm at nu0 below
-    one) are *not* enforced at construction so that diagnostic checks can be
-    run on violating kernels; entry points that rely on them call
-    :meth:`require_admissible`.
+    ``nu0`` is the declared admissibility weight.  The admissibility
+    conditions are *not* enforced at construction, so that they can be
+    reported on violating kernels; :attr:`conditions` evaluates them once,
+    and :class:`IntegroLaw` raises on them.
     """
 
     modes: tuple
@@ -128,34 +194,49 @@ class Kernel:
     def beta_min(self) -> float:
         return min((m.beta for m in self.modes), default=np.inf)
 
-    def structural_violations(self) -> list:
-        """Structural admissibility defects, empty when admissible."""
-        problems = []
-        worst_h, worst_c = _mode_defects(self)
-        if worst_h > STRUCT_TOL:
-            problems.append(f"non-Hermitian mode (defect {worst_h:.3g})")
-        if worst_c > STRUCT_TOL:
-            problems.append(f"non-commuting modes (defect {worst_c:.3g})")
-        if not self.beta_min > self.nu0:
-            problems.append(f"beta_min = {self.beta_min:.6g} must exceed nu0 = {self.nu0:.6g}")
-        else:
+    @cached_property
+    def hermitian_defect(self) -> float:
+        """Largest 2-norm of gamma_j - gamma_j* over the modes."""
+        return max((_norm2(m.gamma - m.gamma.conj().T) for m in self.modes), default=0.0)
+
+    @cached_property
+    def conditions(self) -> KernelConditionReport:
+        """The admissibility report, evaluated once per kernel: the modes are
+        read-only and the fields frozen, so the cache cannot go stale.
+
+        The sign condition is one batched expression: Chat(t - i rho) at
+        lambda = rho + i t for every sampled (rho, t), and one batched
+        Hermitian eigenvalue call.
+        """
+        comm = max((_norm2(a.gamma @ b.gamma - b.gamma @ a.gamma)
+                    for a, b in combinations(self.modes, 2)), default=0.0)
+        l1 = base = lines = math.inf
+        if self.beta_min > self.nu0:
             l1 = kernel_weighted_l1(self, self.nu0)
-            if not l1 < 1.0:
-                problems.append(f"weighted L1 norm at nu0 is {l1:.6g} >= 1")
-        return problems
+            rhos = np.linspace(-self.nu0, 5.0, _SIGN_LINES)
+            lam = (rhos[:, None] + 1j * _SIGN_TS)[..., None, None]
+            chat = _kernel_w(self, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
+            im = hermitian_part(-1j * chat)  # (Chat - Chat*) / 2i, one per (line, t)
+            top = np.linalg.eigvalsh(lam.imag * im)[..., -1].max(axis=1)
+            base, lines = float(top[0]), float(top.max())
+        return KernelConditionReport(self.hermitian_defect, comm, self.beta_min, self.nu0,
+                                     l1, base, lines)
 
-    def require_admissible(self):
-        problems = self.structural_violations()
-        if problems:
-            raise KernelAdmissibilityError("; ".join(problems))
 
+def _kernel_w(kernel: Kernel, lam, one, gammas=None):
+    """one - sum_j gammas[j] / (beta_j + lam), subtracting one mode at a time.
 
-def _mode_defects(kernel: Kernel) -> tuple:
-    """(Hermitian defect, commutation defect) of the kernel modes, 2-norm."""
-    herm = max((_norm2(m.gamma - m.gamma.conj().T) for m in kernel.modes), default=0.0)
-    comm = max((_norm2(a.gamma @ b.gamma - b.gamma @ a.gamma)
-                for a, b in combinations(kernel.modes, 2)), default=0.0)
-    return herm, comm
+    ``lam`` is a Python complex or an array shaped to broadcast against
+    ``one``.  With one = I and the modes' gamma_j (the default) this is
+    W(lambda); with one = 0 it is -sqrt(2 pi) Chat(-i lambda); with one = 1
+    and the joint eigenvalues g[j] of :func:`_mode_eigenvalues` it is the
+    diagonal of U* W(lambda) U.
+    """
+    gammas = [m.gamma for m in kernel.modes] if gammas is None else gammas
+    w = one
+    for g, m in zip(gammas, kernel.modes):
+        w = w - g / (m.beta + lam)
+    return w
 
 
 def _mode_eigenvalues(kernel: Kernel) -> np.ndarray | None:
@@ -196,11 +277,7 @@ def kernel_hat(kernel: Kernel, z: complex) -> np.ndarray:
     z = complex(z)
     if z.imag > kernel.nu0 + 1e-12:
         raise ValueError(f"Chat is defined for Im z <= nu0 = {kernel.nu0}, got Im z = {z.imag}")
-    n = kernel.dim
-    out = np.zeros((n, n), dtype=complex)
-    for m in kernel.modes:
-        out += m.gamma / (m.beta + 1j * z)
-    return out / SQRT_2PI
+    return _kernel_w(kernel, 1j * z, np.zeros((kernel.dim, kernel.dim))) / -SQRT_2PI
 
 
 def _norm_curves(kernel: Kernel, nu: float) -> Callable:
@@ -219,7 +296,7 @@ def _norm_curves(kernel: Kernel, nu: float) -> Callable:
     if g is not None:
         return lambda t: np.exp(-np.outer(t, decay)) @ g
     gammas = np.array([m.gamma for m in kernel.modes])
-    hermitian = _mode_defects(kernel)[0] <= STRUCT_TOL
+    hermitian = kernel.hermitian_defect <= STRUCT_TOL
 
     def curves(t):
         stack = np.tensordot(np.exp(-np.outer(t, decay)), gammas, axes=1)
@@ -310,69 +387,10 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
     return float(val + tail)
 
 
-@dataclass(frozen=True)
-class KernelConditionReport:
-    """Outcome of the three kernel admissibility conditions.
-
-    Condition 3 is the sign requirement t * Im Chat(t + i nu0) <= 0 (as a
-    Hermitian matrix inequality), checked on a log-spaced grid of t and, as
-    corroborating evidence, along sampled lines Im z = -rho for
-    rho in [-nu0, 5].
-    """
-
-    hermitian_defect: float
-    commutation_defect: float
-    sign_defect_base: float
-    sign_defect_lines: float
-    hermitian_ok: bool
-    commuting_ok: bool
-    sign_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.hermitian_ok and self.commuting_ok and self.sign_ok
-
-    def problems(self) -> list:
-        out = []
-        if not self.hermitian_ok:
-            out.append(f"modes not Hermitian (defect {self.hermitian_defect:.3g})")
-        if not self.commuting_ok:
-            out.append(f"modes not commuting (defect {self.commutation_defect:.3g})")
-        if not self.sign_ok:
-            defect = max(self.sign_defect_base, self.sign_defect_lines)
-            out.append(f"transform sign condition violated (defect {defect:.3g})")
-        return out
-
-
-def _sign_defect(kernel: Kernel, rho: float, ts: np.ndarray) -> float:
-    worst = -math.inf
-    for t in ts:
-        ch = kernel_hat(kernel, complex(t, -rho))
-        im = (ch - ch.conj().T) / 2j
-        worst = max(worst, float(np.linalg.eigvalsh(t * im)[-1]))
-    return worst
-
-
 def check_kernel_conditions(kernel: Kernel) -> KernelConditionReport:
-    """Report the three admissibility conditions; failures are reported,
-    never raised."""
-    herm, comm = _mode_defects(kernel)
-
-    pos = np.geomspace(1e-3, 1e3, 31)
-    ts = np.concatenate([-pos[::-1], [0.0], pos])
-    base = _sign_defect(kernel, -kernel.nu0, ts)
-    lines = max(_sign_defect(kernel, rho, ts)
-                for rho in np.linspace(-kernel.nu0, 5.0, 7))
-
-    return KernelConditionReport(
-        hermitian_defect=herm,
-        commutation_defect=comm,
-        sign_defect_base=base,
-        sign_defect_lines=lines,
-        hermitian_ok=herm <= STRUCT_TOL,
-        commuting_ok=comm <= STRUCT_TOL,
-        sign_ok=base <= SIGN_TOL and lines <= SIGN_TOL,
-    )
+    """The kernel's admissibility report (:attr:`Kernel.conditions`); failures
+    are reported, never raised."""
+    return kernel.conditions
 
 
 def _nonfinite_line(sigma: float) -> NonFiniteSymbolError:
@@ -412,6 +430,9 @@ class MaterialLaw:
     constant linearisation (``linearization``), so the solver builds the
     dense operator stack.
     """
+
+    # Weights rho at or below this put lambda = i*xi + rho outside the domain.
+    rho_floor = -math.inf
 
     def linearization(self, a: np.ndarray) -> tuple | None:
         """Constant matrices (E, F, L) with B(lambda) x = f equivalent to
@@ -638,8 +659,9 @@ class IntegroLaw(MaterialLaw):
 
     The bound c - nu (1 - L1(nu))^-1 holds for nu <= nu0 while the weighted
     L1 norm L1(nu) stays below one; the rate is nu0 when the bound is
-    nonnegative there, else its root in (0, nu0].  The rate also needs the
-    transform sign condition of :func:`check_kernel_conditions`.
+    nonnegative there, else its root in (0, nu0].  Construction raises on
+    the structural conditions of :attr:`Kernel.conditions` and the rate on
+    its transform sign condition.
     """
 
     kernel: Kernel
@@ -649,16 +671,19 @@ class IntegroLaw(MaterialLaw):
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
-        self.kernel.require_admissible()
+        if not self.kernel.conditions.structural_ok:
+            raise KernelAdmissibilityError("; ".join(self.kernel.conditions.problems()))
 
     @property
     def dim(self) -> int:
         return self.kernel.dim
 
+    @property
+    def rho_floor(self) -> float:
+        return -self.kernel.nu0
+
     def stack(self, lam: np.ndarray) -> np.ndarray:
-        w = np.broadcast_to(np.eye(self.dim), (lam.size, self.dim, self.dim)).astype(complex)
-        for m in self.kernel.modes:
-            w -= m.gamma[None, :, :] / (m.beta + lam)[:, None, None]
+        w = _kernel_w(self.kernel, lam[:, None, None], np.eye(self.dim))
         return lam[:, None, None] * np.linalg.inv(w) + self.c * np.eye(self.dim)
 
     def linearization(self, a: np.ndarray) -> tuple:
@@ -679,16 +704,19 @@ class IntegroLaw(MaterialLaw):
         if abs(z + r) <= r + 1e-15:
             raise ValueError(
                 f"z = {z} lies in the singular ball of radius {r:.6g} centered at {-r:.6g}")
-        eye = np.eye(self.dim)
-        w = eye - SQRT_2PI * kernel_hat(self.kernel, -1j / z)
-        return np.linalg.inv(w) + (self.c * z) * eye
+        return self._shifted(0.0, z)  # 1 - 0*z = 1 exactly: M(z) itself
 
     def _shifted(self, nu: float, z: complex) -> np.ndarray:
-        if nu > self.kernel.nu0 + 1e-12:
-            raise ValueError(f"shifted symbol needs nu <= nu0 = {self.kernel.nu0}, got {nu}")
+        nu0 = self.kernel.nu0
+        if nu > nu0 + 1e-12:
+            raise ValueError(f"shifted symbol needs nu <= nu0 = {nu0}, got {nu}")
+        lam = 1.0 / z - nu
+        if lam.real < -(nu0 + 1e-12):
+            raise ValueError(f"Chat is defined for Re(1/z) - nu >= -nu0 = {-nu0}, got {lam.real}")
+        # the paper's form I - sqrt(2 pi) Chat(-i lambda) of W(lambda)
         eye = np.eye(self.dim)
-        w = eye - SQRT_2PI * kernel_hat(self.kernel, -1j * (1.0 / z - nu))
-        return (1.0 - nu * z) * np.linalg.inv(w) + (self.c * z) * eye
+        chat = _kernel_w(self.kernel, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
+        return (1.0 - nu * z) * np.linalg.inv(eye - SQRT_2PI * chat) + (self.c * z) * eye
 
     def analyticity(self, nu: float) -> tuple:
         nu0 = self.kernel.nu0
@@ -700,13 +728,10 @@ class IntegroLaw(MaterialLaw):
         g = _mode_eigenvalues(self.kernel)
         if g is None:
             return super().positivity_min(sigmas, taus)
-        g = g.real
         best = np.inf
         for sigma in sigmas:
             lam = sigma + 1j * taus
-            w = np.ones((lam.size, self.dim), dtype=complex)
-            for g_j, mode in zip(g, self.kernel.modes):
-                w -= g_j / (mode.beta + lam)[:, None]
+            w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g.real)
             row = (lam[:, None] / w).real + self.c
             if not (np.isfinite(w).all() and np.isfinite(row).all()):
                 raise _nonfinite_line(sigma)
@@ -724,9 +749,8 @@ class IntegroLaw(MaterialLaw):
         return self.c - nu / (1.0 - l1)
 
     def rate(self) -> float:
-        report = check_kernel_conditions(self.kernel)
-        if not report.passed:
-            raise KernelAdmissibilityError("; ".join(report.problems()))
+        if not self.kernel.conditions.passed:
+            raise KernelAdmissibilityError("; ".join(self.kernel.conditions.problems()))
         return _last_nonnegative(self.lower_bound, self.kernel.nu0, 1e-10)
 
 
@@ -791,11 +815,12 @@ def eval_symbol(law: MaterialLaw, z: complex) -> np.ndarray:
 def frequency_operator_stack(law: MaterialLaw, xi, rho: float) -> np.ndarray:
     """(i*xi + rho) * M(1/(i*xi + rho)) for an array of frequencies.
 
-    Returns an array of shape (len(xi), dim, dim).  The integro family needs
-    rho > -nu0 so that the line stays clear of the kernel's poles.
+    Returns an array of shape (len(xi), dim, dim).  rho must exceed the
+    law's ``rho_floor``: -nu0 for the integro family, so that the line stays
+    clear of the kernel's poles.
     """
-    if isinstance(law, IntegroLaw) and rho <= -law.kernel.nu0:
-        raise ValueError(f"need rho > -nu0 = {-law.kernel.nu0}, got {rho}")
+    if rho <= law.rho_floor:
+        raise ValueError(f"need rho > {law.rho_floor:.6g}, got {rho}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     return law.stack(1j * xi + rho)
 

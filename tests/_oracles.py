@@ -6,6 +6,8 @@ is evidence rather than tautology.  The positivity scan is the brute-force
 definition of the sampled minimum: it shares only the sampling grid and the
 law's lambda * M(1/lambda) builder with the structured minima it checks.
 The kernel L1 norm is scipy ``quad`` told where the integrand's kinks are.
+The transform sign condition is evaluated one sampled point at a time, with
+Chat summed from its defining formula.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from evostab.certify import SamplingConfig, _sigma_grid, _tau_grid
+from evostab.material import _SIGN_LINES, _SIGN_TS
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -73,6 +76,28 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
     val, _ = quad(integrand, 0.0, t_end, points=sorted(kinks) or None,
                   epsabs=1e-14, epsrel=1e-13, limit=1000)
     return val + float(np.sum(norms * np.exp(-rates * t_end) / rates))
+
+
+def sign_defects_oracle(kernel) -> tuple:
+    """(base, lines) defects of the sign condition t * Im Chat(t - i rho) <= 0:
+    its largest eigenvalue over the sampled t on the line rho = -nu0, and over
+    every sampled line rho in [-nu0, 5], one point at a time."""
+    n = kernel.dim
+
+    def defect(rho):
+        worst = -np.inf
+        for t in _SIGN_TS:
+            z = complex(t, -rho)
+            ch = np.zeros((n, n), dtype=complex)
+            for m in kernel.modes:
+                ch += m.gamma / (m.beta + 1j * z)
+            ch /= SQRT_2PI
+            im = (ch - ch.conj().T) / 2j
+            worst = max(worst, float(np.linalg.eigvalsh(t * im)[-1]))
+        return worst
+
+    lines = np.linspace(-kernel.nu0, 5.0, _SIGN_LINES)
+    return defect(-kernel.nu0), max(defect(rho) for rho in lines)
 
 
 def delay_rate_oracle(norm_m0: float, h: float, c: float) -> float:

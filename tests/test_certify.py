@@ -3,7 +3,8 @@ import sys
 
 import numpy as np
 import pytest
-from _oracles import delay_rate_oracle, dense_positivity_scan, integro_rate_oracle
+from _oracles import (delay_rate_oracle, dense_positivity_scan, integro_rate_oracle,
+                      sign_defects_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -281,6 +282,34 @@ class TestKernelConditions:
         rep = check_kernel_conditions(scalar_kernel(gamma=-0.25))
         assert rep.hermitian_ok and rep.commuting_ok and not rep.sign_ok
         assert any("sign" in p for p in rep.problems())
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           kind=st.sampled_from(["commuting", "non-commuting", "sign-violating"]))
+    def test_batched_sign_defects_match_pointwise(self, data, dim, kind):
+        # one batched expression over every sampled (rho, t) against the
+        # per-point loop, equal because the arithmetic is the same; commuting
+        # modes share a random unitary eigenbasis, non-commuting ones are
+        # independent PSD matrices, and sign-violating ones have eigenvalues
+        # of both signs
+        mats = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+        q, _ = np.linalg.qr(mats[0] + 2.0 * np.eye(dim) + 1j * mats[1])
+        lo = -1.0 if kind == "sign-violating" else 0.0
+        modes = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            beta = data.draw(st.floats(0.6, 3.0))
+            if kind == "non-commuting":
+                r = data.draw(hnp.arrays(float, (dim, dim), elements=st.floats(-1.0, 1.0)))
+                gamma = 0.2 * r @ r.T
+            else:
+                d = data.draw(hnp.arrays(float, dim, elements=st.floats(lo, 1.0)))
+                gamma = q @ np.diag(0.2 * d) @ q.conj().T
+            modes.append(KernelMode(gamma, beta))
+        kernel = Kernel(tuple(modes), nu0=0.5)
+        rep = check_kernel_conditions(kernel)
+        base, lines = sign_defects_oracle(kernel)
+        assert (rep.sign_defect_base, rep.sign_defect_lines) == (base, lines)
+        assert rep.sign_ok == (base <= 1e-10 and lines <= 1e-10)
 
 
 class TestCertify:

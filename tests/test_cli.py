@@ -546,6 +546,56 @@ def test_mistyped_config_values_exit_two(tmp_path, capsys, override):
     assert capsys.readouterr().err.startswith(f"config error: {next(iter(override))} must be")
 
 
+def integro_cfg(**overrides) -> dict:
+    cfg = {
+        "family": "integro",
+        "kernel": {"modes": [{"gamma": [[[0.25, 0.0]]], "beta": 1.0}], "nu0": 0.5},
+        "c": 1.0,
+        "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 1024},
+        "rho": 0.05,
+        "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+BASE_CFGS = {"dae": scalar_dae_cfg, "delay": lambda: scalar_dae_cfg(family="delay", h=-1.0),
+             "integro": integro_cfg, "mixed1d": mixed_cfg}
+
+
+@pytest.mark.parametrize("base, path, value", [
+    ("dae", ("grid", "n_steps"), 256.7),
+    ("dae", ("grid", "dt"), True),
+    ("dae", ("grid", "t0"), "-1"),
+    ("delay", ("h",), "-1"),
+    ("dae", ("rho",), float("inf")),
+    ("dae", ("phi_scale",), float("nan")),
+    ("integro", ("c",), "1"),
+    ("integro", ("kernel", "nu0"), True),
+    ("integro", ("kernel", "modes", 0, "beta"), float("inf")),
+    ("mixed1d", ("mixed", "p"), 24.5),
+    ("mixed1d", ("mixed", "c"), "1"),
+], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else str(x))
+def test_mistyped_numbers_exit_two(tmp_path, capsys, base, path, value):
+    # a bool, a string, a fractional count or a non-finite value is a config
+    # error naming its key, never silently converted
+    cfg = BASE_CFGS[base]()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    name = ".".join(f"[{k}]" if isinstance(k, int) else k for k in path).replace(".[", "[")
+    assert capsys.readouterr().err.startswith(f"config error: {name} must be a finite")
+
+
+def test_whole_float_count_is_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(grid={"t0": -1.0, "dt": 0.015625, "n_steps": 256.0}))
+    out = tmp_path / "o"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "config_echo.json").read_text())["grid"]["n_steps"] == 256
+
+
 def test_malformed_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"family": "dae", "m0": [[[1,0]]]')

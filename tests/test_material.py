@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, QuadratureError,
-                     eval_symbol, hermitian_part_min_eig, kernel_eval,
+                     check_kernel_conditions, eval_symbol, hermitian_part_min_eig, kernel_eval,
                      kernel_hat, kernel_weighted_l1, law_family, shifted_symbol)
 from evostab.material import _mode_eigenvalues, frequency_operator_stack
 
@@ -68,17 +68,37 @@ class TestKernel:
             kernel_weighted_l1(scalar_kernel(), 1.0)
 
     def test_structural_violations(self):
-        assert scalar_kernel().structural_violations() == []
+        assert scalar_kernel().conditions.problems() == []
         bad_h = Kernel(modes=(KernelMode([[0, 1], [0, 0]], 1.0),), nu0=0.5)
-        assert any("Hermitian" in p for p in bad_h.structural_violations())
+        assert any("Hermitian" in p for p in bad_h.conditions.problems())
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
         b = np.array([[2.0, 1.0], [1.0, 2.0]])
         bad_c = Kernel(modes=(KernelMode(0.1 * a, 2.0), KernelMode(0.1 * b, 3.0)), nu0=0.5)
-        assert any("commut" in p for p in bad_c.structural_violations())
+        assert any("commut" in p for p in bad_c.conditions.problems())
+        # a pole of Chat in the strip: neither the L1 norm nor the sign is evaluated
         slow = Kernel(modes=(KernelMode([[0.25]], 1.0),), nu0=1.0)
-        assert any("beta_min" in p for p in slow.structural_violations())
+        assert slow.conditions.problems() == ["beta_min = 1 must exceed nu0 = 1"]
+        assert slow.conditions.weighted_l1 == slow.conditions.sign_defect_base == np.inf
         heavy = Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5)
-        assert any("L1" in p for p in heavy.structural_violations())
+        assert any("L1" in p for p in heavy.conditions.problems())
+        for kernel in (bad_h, bad_c, slow, heavy):
+            assert not kernel.conditions.structural_ok and not kernel.conditions.passed
+
+    def test_second_integro_law_reuses_the_report(self, monkeypatch):
+        calls = []
+
+        def counted(kernel, nu):
+            calls.append(nu)
+            return kernel_weighted_l1(kernel, nu)
+
+        monkeypatch.setattr("evostab.material.kernel_weighted_l1", counted)
+        kernel = Kernel(modes=(KernelMode(np.diag([0.2, 0.1]), 1.0),
+                               KernelMode(np.diag([0.05, 0.1]), 2.0)), nu0=0.5)
+        IntegroLaw(kernel, c=1.0)
+        assert calls == [0.5]
+        IntegroLaw(kernel, c=0.3)
+        assert calls == [0.5]
+        assert check_kernel_conditions(kernel) is kernel.conditions
 
     def test_mode_eigenvalues(self):
         # commuting modes in a rotated basis: the joint eigenvalues come back

@@ -1,14 +1,18 @@
-"""Print the sha256 of every CLI artifact for nine fixed configs.
+"""Print the sha256 of every CLI artifact for eleven fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
 ``custom`` law (at nu = 0.5) whose factory module is written to the temp
-directory.  All use a 1024-sample grid.  Each config gets ``certify``,
-``solve`` and ``verify``; the ``dae`` config also gets ``ivp``.  The four
-structured configs run once more as ``<family>-nu`` with an explicit ``nu``
-below the family's closed-form rate (dae 1.5, delay 0.3, integro 0.3,
-mixed1d 0.5), through ``certify`` and ``verify`` only, so that the nu > 0
-certificate is byte-checked too.  The output is one sorted
+directory.  ``integro-rot`` is the ``integro`` kernel turned by a complex
+unitary into commuting Hermitian modes that are not diagonal, with the same
+joint eigenvalues, so that the kernel's W(lambda) and the joint-eigenbasis
+positivity scan are byte-checked on off-diagonal modes.  All use a
+1024-sample grid.  Each config gets ``certify``, ``solve`` and ``verify``;
+the ``dae`` config also gets ``ivp``.  The structured configs run once more
+as ``<case>-nu`` with an explicit ``nu`` below the family's closed-form rate
+(dae 1.5, delay 0.3, integro and integro-rot 0.3, mixed1d 0.5), through
+``certify`` and ``verify`` only, so that the nu > 0 certificate is
+byte-checked too.  The output is one sorted
 ``<case>-<command>/<file> <sha256>`` line per artifact, then one
 ``<case>-<command> exit=<code>`` line per command.
 
@@ -46,6 +50,11 @@ SKEW = [[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]
 def _diag(*entries) -> list:
     return [[[x if i == j else 0.0, 0.0] for j in range(len(entries))]
             for i, x in enumerate(entries)]
+
+
+def _hermitian2(a: float, b: complex, c: float) -> list:
+    """[[a, b], [conj(b), c]] as nested [re, im] pairs."""
+    return [[[a, 0.0], [b.real, b.imag]], [[b.real, -b.imag], [c, 0.0]]]
 
 
 CUSTOM_MODULE = '''
@@ -86,6 +95,14 @@ CASES = {
                                          {"gamma": _diag(0.05, 0.1), "beta": 2.0}]},
         "grid": {"t0": -2.0, **GRID}, "rho": 0.05, "forcing": PULSE,
     },
+    # U diag(d) U* with U = [[0.6, 0.8i], [0.8i, 0.6]] and the integro case's
+    # d = (0.2, 0.1) and (0.05, 0.1)
+    "integro-rot": {
+        "family": "integro", "c": 1.0, "a": SKEW,
+        "kernel": {"nu0": 0.5, "modes": [{"gamma": _hermitian2(0.136, -0.048j, 0.164), "beta": 1.0},
+                                         {"gamma": _hermitian2(0.082, 0.024j, 0.068), "beta": 2.0}]},
+        "grid": {"t0": -2.0, **GRID}, "rho": 0.05, "forcing": PULSE,
+    },
     "mixed1d": {
         "family": "mixed1d",
         "mixed": {"p": 24, "c": 1.0, "omega0": [0.0, 1.0 / 3.0],
@@ -100,7 +117,7 @@ CASES = {
 # The structured configs again at a rate nu > 0 below the family's closed-form
 # rate, so that the nu > 0 certificate (sigma grid from -nu + delta, the
 # bound at nu, the shifted check) and verify at an explicit nu are covered.
-NU_CASES = {"dae": 1.5, "delay": 0.3, "integro": 0.3, "mixed1d": 0.5}
+NU_CASES = {"dae": 1.5, "delay": 0.3, "integro": 0.3, "integro-rot": 0.3, "mixed1d": 0.5}
 CASES.update({f"{case}-nu": {**CASES[case], "nu": nu} for case, nu in NU_CASES.items()})
 
 
