@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class SamplingConfig:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        for name in ("sigma_max", "tau_max"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise ValueError(f"{name} must be a real number, got {x!r}")
         if not (math.isfinite(self.sigma_max) and self.sigma_max > 0):
             raise ValueError(f"sigma_max must be finite and positive, got {self.sigma_max!r}")
         if not (math.isfinite(self.tau_max) and self.tau_max >= 0):

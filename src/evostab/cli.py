@@ -75,32 +75,30 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _is_number(x) -> bool:
-    """A JSON number: int or float, but not a boolean (bool is an int)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number: int or float, but not a boolean (bool is an
+    int); the range test also rejects inf, nan and ints beyond the float
+    range."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _number(node, name: str, integral: bool = False):
     """``node`` as a float, or as an int when ``integral``; ConfigError unless
-    it is a finite JSON number (and a whole one when ``integral``).  The
-    range test also rejects inf, nan and ints beyond the float range."""
-    _require(_is_number(node) and abs(node) <= sys.float_info.max
-             and (not integral or float(node).is_integer()),
+    it is a finite JSON number (and a whole one when ``integral``)."""
+    _require(_is_number(node) and (not integral or float(node).is_integer()),
              f"{name} must be a finite {'integer' if integral else 'number'}, got {node!r}")
     return int(node) if integral else float(node)
 
 
 def _as_complex_matrix(node, name: str) -> np.ndarray:
-    """Parse a nested list of [re, im] pairs into a complex matrix."""
-    try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: expected nested [re, im] arrays") from exc
-    if arr.ndim == 2:  # vector of [re, im] pairs
-        _require(arr.shape[1] == 2, f"{name}: entries must be [re, im] pairs")
-        return arr[:, 0] + 1j * arr[:, 1]
-    _require(arr.ndim == 3 and arr.shape[2] == 2,
-             f"{name}: entries must be [re, im] pairs")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    """Parse a nested list of [re, im] pairs into a complex vector or matrix."""
+    # an object array keeps every leaf as parsed (a ragged list stays a list
+    # leaf), so "1", true and null cannot pass as numbers through float()
+    arr = np.asarray(node, dtype=object)
+    for x in arr.flat:
+        _require(_is_number(x), f"{name} must be a finite [re, im] number array, got the entry {x!r}")
+    arr = arr.astype(float)
+    _require(arr.ndim in (2, 3) and arr.shape[-1] == 2, f"{name}: entries must be [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def load_config(path: str) -> dict:
@@ -155,6 +153,8 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
             continue
         _require(key in _FORCING_DEFAULTS[kind] or (kind == "csv" and key == "path"),
                  f"forcing: unknown key {key!r} for kind {kind!r}")
+        if key != "path":
+            _number(value, f"forcing.{key}")  # checked only: the echo keeps the raw value
         resolved[key] = value
     if kind == "csv":
         _require("path" in resolved, "forcing: csv forcing needs a path")
@@ -172,6 +172,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     defaults = dataclasses.asdict(SamplingConfig())
     _require(set(sampling) <= set(defaults), "sampling: unknown keys")
     defaults.update(sampling)
+    SamplingConfig(**defaults)  # every command, not only those that certify, checks it
     cfg["sampling"] = defaults
 
     check = raw.get("check_certified", True)
@@ -270,6 +271,10 @@ def _parse_mixed(node: dict):
     for key in ("p", "c", "omega0", "omega1"):
         _require(key in node, f"mixed.{key} is required")
     p = _number(node["p"], "mixed.p", integral=True)
+    for key in ("omega0", "omega1"):
+        pair = node[key]
+        _require(isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)),
+                 f"mixed.{key} must be a finite interval of two numbers [lo, hi], got {pair!r}")
     ind0, ind1 = indicators_from_intervals(p, tuple(node["omega0"]), tuple(node["omega1"]))
     return build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, _number(node["c"], "mixed.c"))
 

@@ -760,8 +760,11 @@ class CustomLaw(MaterialLaw):
 
     ``shifted_fn(nu, z)``, when given, evaluates the analytic extension of
     (1 - nu*z) * M(z/(1 - nu*z)); without it only nu = 0 is available.  The
-    positivity minimum is the dense scan, which calls ``eval_fn`` once per
-    sampled point, and there is no closed-form bound or rate.
+    positivity minimum is the dense scan, and there is no closed-form bound
+    or rate.  ``stack`` is one row expression: 1/lambda for the whole row,
+    ``eval_fn`` once per point through the guards of ``symbol``, then one
+    multiplication by lambda.  ``eval_fn`` takes one Python complex; there
+    is no vectorised form.
     """
 
     dim: int
@@ -771,10 +774,8 @@ class CustomLaw(MaterialLaw):
     family = "custom"
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
-        out = np.empty((lam.size, self.dim, self.dim), dtype=complex)
-        for k, l in enumerate(lam):
-            out[k] = l * self.symbol(complex(1.0 / l))
-        return out
+        values = np.array([self.symbol(z) for z in (1.0 / lam).tolist()], dtype=complex)
+        return lam[:, None, None] * values.reshape(lam.size, self.dim, self.dim)
 
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:

@@ -214,11 +214,16 @@ def inverse_fourier_laplace(F: SpectralSignal, rho: float | None = None) -> Sign
     return Signal(grid, vals, meta=dict(F.meta))
 
 
+def _multiply(f: Signal, rho: float, mult: np.ndarray) -> Signal:
+    """Inverse transform of mult(xi_j) * F(xi_j); keeps the forward
+    transform's ``meta`` (its ``edge_mass``)."""
+    F = fourier_laplace(f, rho)
+    return inverse_fourier_laplace(SpectralSignal(f.grid, rho, mult[:, None] * F.values, meta=F.meta))
+
+
 def derivative(f: Signal, rho: float) -> Signal:
     """Weighted time derivative: spectral multiplication by (i*xi + rho)."""
-    F = fourier_laplace(f, rho)
-    mult = 1j * f.grid.frequencies + rho
-    return inverse_fourier_laplace(SpectralSignal(f.grid, rho, mult[:, None] * F.values, meta=dict(F.meta)))
+    return _multiply(f, rho, 1j * f.grid.frequencies + rho)
 
 
 def antiderivative(f: Signal, rho: float, mode: str = "spectral") -> Signal:
@@ -233,9 +238,7 @@ def antiderivative(f: Signal, rho: float, mode: str = "spectral") -> Signal:
     if rho == 0.0:
         raise ValueError("antiderivative is unbounded at rho = 0 (0 lies in the continuous spectrum)")
     if mode == "spectral":
-        F = fourier_laplace(f, rho)
-        mult = 1.0 / (1j * f.grid.frequencies + rho)
-        return inverse_fourier_laplace(SpectralSignal(f.grid, rho, mult[:, None] * F.values, meta=dict(F.meta)))
+        return _multiply(f, rho, 1.0 / (1j * f.grid.frequencies + rho))
     if mode == "time_domain":
         if rho <= 0:
             raise ValueError("time_domain mode implements forward integration and needs rho > 0")
@@ -270,9 +273,7 @@ def translate(f: Signal, h: float, rho: float, mode: str = "spectral") -> Signal
         out = g * (np.exp(rho * f.grid.times) * np.exp(rho * h))[:, None]
         return Signal(f.grid, out)
     if mode == "spectral":
-        F = fourier_laplace(f, rho)
-        mult = np.exp((1j * f.grid.frequencies + rho) * h)
-        return inverse_fourier_laplace(SpectralSignal(f.grid, rho, mult[:, None] * F.values, meta=dict(F.meta)))
+        return _multiply(f, rho, np.exp((1j * f.grid.frequencies + rho) * h))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -293,26 +294,27 @@ def support_lower_bound(f: Signal, floor: float) -> float | None:
     return float(f.grid.times[idx[0]])
 
 
+def _along(grid: TimeGrid, env: np.ndarray, dim: int, direction) -> Signal:
+    """The scalar envelope ``env`` times ``direction`` (all-ones of length
+    ``dim`` when None) at every sample."""
+    if direction is None:
+        direction = np.ones(dim)
+    direction = np.asarray(direction, dtype=complex).reshape(-1)
+    return Signal(grid, env[:, None] * direction[None, :])
+
+
 def gaussian_pulse(grid: TimeGrid, center: float, width: float, dim: int = 1,
                    amplitude: float = 1.0, direction=None) -> Signal:
     """Smooth bump amplitude*exp(-((t-center)/width)^2) along ``direction``
     (all-ones by default)."""
-    if direction is None:
-        direction = np.ones(dim)
-    direction = np.asarray(direction, dtype=complex).reshape(-1)
-    env = amplitude * np.exp(-(((grid.times - center) / width) ** 2))
-    return Signal(grid, env[:, None] * direction[None, :])
+    return _along(grid, amplitude * np.exp(-(((grid.times - center) / width) ** 2)), dim, direction)
 
 
 def step_exp(grid: TimeGrid, start: float = 0.0, rate: float = 1.0, dim: int = 1,
              direction=None) -> Signal:
     """Causal decaying step: exp(-rate*(t-start)) for t >= start, zero before."""
-    if direction is None:
-        direction = np.ones(dim)
-    direction = np.asarray(direction, dtype=complex).reshape(-1)
     t = grid.times
-    env = np.where(t >= start, np.exp(-rate * (t - start)), 0.0)
-    return Signal(grid, env[:, None] * direction[None, :])
+    return _along(grid, np.where(t >= start, np.exp(-rate * (t - start)), 0.0), dim, direction)
 
 
 def signal_to_csv(f: Signal, path) -> None:

@@ -7,7 +7,8 @@ definition of the sampled minimum: it shares only the sampling grid and the
 law's lambda * M(1/lambda) builder with the structured minima it checks.
 The kernel L1 norm is scipy ``quad`` told where the integrand's kinks are.
 The transform sign condition is evaluated one sampled point at a time, with
-Chat summed from its defining formula.
+Chat summed from its defining formula, and a custom law's lambda * M(1/lambda)
+one point at a time into a preallocated array.
 """
 from __future__ import annotations
 
@@ -98,6 +99,15 @@ def sign_defects_oracle(kernel) -> tuple:
 
     lines = np.linspace(-kernel.nu0, 5.0, _SIGN_LINES)
     return defect(-kernel.nu0), max(defect(rho) for rho in lines)
+
+
+def custom_stack_oracle(law, lam: np.ndarray) -> np.ndarray:
+    """lambda * M(1/lambda) of a :class:`CustomLaw` for a 1-D array of complex
+    lambda, one numpy-scalar 1/lambda and one symbol call per point."""
+    out = np.empty((lam.size, law.dim, law.dim), dtype=complex)
+    for k, l in enumerate(lam):
+        out[k] = l * law.symbol(complex(1.0 / l))
+    return out
 
 
 def delay_rate_oracle(norm_m0: float, h: float, c: float) -> float:

@@ -529,11 +529,19 @@ def test_empty_or_non_list_kernel_modes_exit_two(tmp_path, capsys, command, mode
 
 @pytest.mark.parametrize("sampling", [{"n_sigma": 0}, {"n_tau": -3}, {"sigma_max": -1.0},
                                       {"sigma_max": float("inf")}, {"tau_max": float("nan")},
-                                      {"tau_max": -1.0}])
+                                      {"tau_max": -1.0}, {"sigma_max": True}, {"tau_max": "100"}])
 def test_bad_sampling_exits_two(tmp_path, capsys, sampling):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(sampling=sampling))
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {next(iter(sampling))} must be")
+
+
+@pytest.mark.parametrize("command", ["solve", "ivp"])
+def test_bad_sampling_exits_two_without_certify(tmp_path, capsys, command):
+    # commands that never certify still check the sampling block they echo
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(sampling={"tau_max": "100"}, u0=[[1.0, 0.0]]))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: tau_max must be")
 
 
 @pytest.mark.parametrize("override", [{"check_certified": "false"}, {"check_certified": 0},
@@ -563,28 +571,42 @@ BASE_CFGS = {"dae": scalar_dae_cfg, "delay": lambda: scalar_dae_cfg(family="dela
              "integro": integro_cfg, "mixed1d": mixed_cfg}
 
 
-@pytest.mark.parametrize("base, path, value", [
-    ("dae", ("grid", "n_steps"), 256.7),
-    ("dae", ("grid", "dt"), True),
-    ("dae", ("grid", "t0"), "-1"),
-    ("delay", ("h",), "-1"),
-    ("dae", ("rho",), float("inf")),
-    ("dae", ("phi_scale",), float("nan")),
-    ("integro", ("c",), "1"),
-    ("integro", ("kernel", "nu0"), True),
-    ("integro", ("kernel", "modes", 0, "beta"), float("inf")),
-    ("mixed1d", ("mixed", "p"), 24.5),
-    ("mixed1d", ("mixed", "c"), "1"),
-], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else str(x))
-def test_mistyped_numbers_exit_two(tmp_path, capsys, base, path, value):
-    # a bool, a string, a fractional count or a non-finite value is a config
-    # error naming its key, never silently converted
+def _mistyped(command, base, path, value):
+    """One case of the test below; its id names the command unless it is certify."""
+    parts = [command] * (command != "certify") + [base, ".".join(map(str, path)), str(value)]
+    return pytest.param(command, base, path, value, id="-".join(parts))
+
+
+@pytest.mark.parametrize("command, base, path, value", [_mistyped(*case) for case in [
+    ("certify", "dae", ("grid", "n_steps"), 256.7),
+    ("certify", "dae", ("grid", "dt"), True),
+    ("certify", "dae", ("grid", "t0"), "-1"),
+    ("certify", "delay", ("h",), "-1"),
+    ("certify", "dae", ("rho",), float("inf")),
+    ("certify", "dae", ("phi_scale",), float("nan")),
+    ("certify", "integro", ("c",), "1"),
+    ("certify", "integro", ("kernel", "nu0"), True),
+    ("certify", "integro", ("kernel", "modes", 0, "beta"), float("inf")),
+    ("certify", "mixed1d", ("mixed", "p"), 24.5),
+    ("certify", "mixed1d", ("mixed", "c"), "1"),
+    ("solve", "integro", ("forcing", "width"), "0.1"),
+    ("solve", "integro", ("forcing", "amplitude"), True),
+    ("certify", "mixed1d", ("mixed", "omega0"), [False, True]),
+    ("certify", "mixed1d", ("mixed", "omega1"), [0.3, "0.6"]),
+    ("certify", "dae", ("m0",), [[["1", "0"]]]),
+    ("certify", "dae", ("m1",), [[[True, False]]]),
+    ("certify", "integro", ("kernel", "modes", 0, "gamma"), [[[0.25, None]]]),
+    ("ivp", "dae", ("u0",), [["1", "0"]]),
+]])
+def test_mistyped_numbers_exit_two(tmp_path, capsys, command, base, path, value):
+    # a bool, a string, a null, a fractional count or a non-finite value is a
+    # config error naming its key, never silently converted
     cfg = BASE_CFGS[base]()
     node = cfg
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     name = ".".join(f"[{k}]" if isinstance(k, int) else k for k in path).replace(".[", "[")
     assert capsys.readouterr().err.startswith(f"config error: {name} must be a finite")
 

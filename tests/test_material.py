@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _oracles import kernel_l1_oracle
+from _oracles import custom_stack_oracle, kernel_l1_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -302,6 +302,45 @@ class TestFrequencyOperator:
         law = IntegroLaw(scalar_kernel(), c=1.0)
         with pytest.raises(ValueError):
             frequency_operator_stack(law, [0.0], -0.5)
+
+
+def custom_law(dim: int, singularities=()) -> CustomLaw:
+    """M(z) = M0 + z M1 + z^2 I with fixed non-Hermitian M0 and M1; no
+    Python complex division, so no z raises inside the symbol."""
+    rng = np.random.default_rng(dim)
+    m0, m1 = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+    return CustomLaw(dim, lambda z: m0 + z * m1 + (z * z) * np.eye(dim), singularities)
+
+
+class TestCustomStack:
+    # |lambda| below ~1e-308 makes 1/lambda overflow to inf (lambda = 0 to inf + nan i)
+    _parts = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e-306, 1e-306))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 3), sigma=_parts,
+           taus=hnp.arrays(float, st.integers(0, 40), elements=_parts))
+    def test_stack_is_bitwise_the_per_point_loop(self, dim, sigma, taus):
+        law, lam = custom_law(dim), sigma + 1j * taus
+        with np.errstate(all="ignore"):
+            got, want = law.stack(lam), custom_stack_oracle(law, lam)
+        assert got.shape == want.shape == (lam.size, dim, dim)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_python_scalar_symbol_stacks_for_dim_one(self):
+        lam = np.array([0.5 + 2j, 1.0, -3j])
+        stack = CustomLaw(1, lambda z: 1.0 + z).stack(lam)
+        assert stack.shape == (3, 1, 1)
+        assert np.array_equal(stack[:, 0, 0], lam * (1.0 + 1.0 / lam))
+
+    def test_vector_symbol_is_refused_for_dim_two(self):
+        # a (dim,) value used to be broadcast into every row of the matrix
+        with pytest.raises(ValueError):
+            CustomLaw(2, lambda z: np.array([1.0, z])).stack(np.array([1.0 + 1j, 2.0]))
+
+    def test_row_through_a_declared_singularity_raises(self):
+        law = custom_law(2, singularities=(-1.0,))
+        with pytest.raises(ValueError, match="declared singularity"):
+            law.stack(-1.0 + 1j * np.linspace(-1.0, 1.0, 5))  # tau = 0 gives z = -1
 
 
 class TestShiftedSymbol:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evostab import (GridMismatchError, Signal, TimeGrid, antiderivative,
                      derivative, edge_mass, fourier_laplace, gaussian_pulse,
@@ -92,6 +94,21 @@ class TestTransformPair:
             spectral = np.sum(np.abs(F.values) ** 2) * g.dxi
             direct = weighted_inner(f, f, rho).real
             assert spectral == pytest.approx(direct, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t0=st.floats(-50.0, 50.0), dt=st.floats(1e-3, 1.0), k=st.integers(3, 10),
+           rho_frac=st.floats(-1.0, 1.0), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_and_plancherel_on_random_grids(self, t0, dt, k, rho_frac, dim, seed):
+        # |rho * t| <= 50 keeps exp(-+2 rho t) and the squared errors of the
+        # roundtrip far from overflow; both checks are in the weighted norm,
+        # the one the pair is unitary in
+        g = TimeGrid(t0, dt, 2 ** k)
+        rho = rho_frac * min(1.0, 50.0 / np.abs(g.times).max())
+        f = random_signal(g, dim, np.random.default_rng(seed))
+        F = fourier_laplace(f, rho)
+        norm = weighted_norm(f, rho)
+        assert weighted_norm(inverse_fourier_laplace(F) - f, rho) <= 1e-12 * norm
+        assert np.sum(np.abs(F.values) ** 2) * g.dxi == pytest.approx(norm ** 2, rel=1e-12)
 
     def test_pulse_recovered(self):
         g = TimeGrid(-4.0, 1 / 64, 512)

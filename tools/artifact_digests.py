@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for eleven fixed configs.
+"""Print the sha256 of every CLI artifact for twelve fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -12,7 +12,10 @@ the ``dae`` config also gets ``ivp``.  The structured configs run once more
 as ``<case>-nu`` with an explicit ``nu`` below the family's closed-form rate
 (dae 1.5, delay 0.3, integro and integro-rot 0.3, mixed1d 0.5), through
 ``certify`` and ``verify`` only, so that the nu > 0 certificate is
-byte-checked too.  The output is one sorted
+byte-checked too.  ``custom-nu0`` is the ``custom`` config without ``nu``,
+through ``certify`` and ``verify``: the default 200 x 401 positivity scan on
+the nu = 0 sigma grid, and verify's exit 2 for a law that has no
+closed-form rate and no ``nu``.  The output is one sorted
 ``<case>-<command>/<file> <sha256>`` line per artifact, then one
 ``<case>-<command> exit=<code>`` line per command.
 
@@ -119,6 +122,7 @@ CASES = {
 # bound at nu, the shifted check) and verify at an explicit nu are covered.
 NU_CASES = {"dae": 1.5, "delay": 0.3, "integro": 0.3, "integro-rot": 0.3, "mixed1d": 0.5}
 CASES.update({f"{case}-nu": {**CASES[case], "nu": nu} for case, nu in NU_CASES.items()})
+CASES["custom-nu0"] = {key: value for key, value in CASES["custom"].items() if key != "nu"}
 
 
 def _sha256(path: str) -> str:
@@ -152,7 +156,7 @@ def main(argv=None) -> int:
             cfg_path = os.path.join(tmp, f"{case}.json")
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
-            if case.endswith("-nu"):  # solve and ivp do not depend on nu
+            if case.endswith(("-nu", "-nu0")):  # solve and ivp do not depend on nu
                 commands = ["certify", "verify"]
             else:
                 commands = ["certify", "solve", "verify"] + (["ivp"] if case == "dae" else [])
