@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DecayFitError
-from .signals import Signal, weighted_norm
+from .signals import Signal, _write_csv, weighted_norm
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ def weighted_norm_profile(u: Signal, mu_values) -> list:
 
 
 def profile_to_csv(profile, path) -> None:
-    """Write a (mu, norm) profile as CSV with a ``mu,norm`` header."""
-    np.savetxt(path, profile, fmt="%.17g", delimiter=",", header="mu,norm", comments="")
+    """Write a (mu, norm) profile as CSV with a ``mu,norm`` header, each
+    float as ``'%.17g'``; an empty profile writes the header line only."""
+    _write_csv(path, profile, "mu,norm")
 
 
 def causality_check(solve_fn: Callable[[Signal], Signal], f: Signal, g: Signal,

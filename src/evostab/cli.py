@@ -145,7 +145,8 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     forcing = raw.get("forcing", {"kind": "zero"})
     _require(isinstance(forcing, dict) and "kind" in forcing, "forcing: expected {kind: ...}")
     kind = forcing["kind"]
-    _require(kind in _FORCING_DEFAULTS, f"forcing.kind must be pulse|step_exp|csv|zero, got {kind!r}")
+    _require(isinstance(kind, str) and kind in _FORCING_DEFAULTS,
+             f"forcing.kind must be pulse|step_exp|csv|zero, got {kind!r}")
     resolved = {"kind": kind}
     resolved.update(_FORCING_DEFAULTS[kind])
     for key, value in forcing.items():
@@ -153,7 +154,9 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
             continue
         _require(key in _FORCING_DEFAULTS[kind] or (kind == "csv" and key == "path"),
                  f"forcing: unknown key {key!r} for kind {kind!r}")
-        if key != "path":
+        if key == "path":
+            _require(isinstance(value, str), f"forcing.path must be a string, got {value!r}")
+        else:
             _number(value, f"forcing.{key}")  # checked only: the echo keeps the raw value
         resolved[key] = value
     if kind == "csv":
@@ -215,7 +218,7 @@ class _BuiltProblem:
             self.law = system.law()
             self.A = system.A
         else:  # custom
-            _require(cfg["custom"] is not None and "import" in cfg["custom"],
+            _require(isinstance(cfg["custom"], dict) and "import" in cfg["custom"],
                      "custom: an import path module:callable is required")
             self.law, self.A = _load_custom(cfg["custom"]["import"])
 
@@ -280,7 +283,8 @@ def _parse_mixed(node: dict):
 
 
 def _load_custom(spec: str):
-    _require(":" in spec, "custom.import must look like package.module:callable")
+    _require(isinstance(spec, str) and ":" in spec,
+             f"custom.import must be a string package.module:callable, got {spec!r}")
     mod_name, attr = spec.split(":", 1)
     try:
         factory = getattr(importlib.import_module(mod_name), attr)

@@ -28,10 +28,11 @@ that has not decayed inside the grid no longer passes silently.  When the
 forcing already warned, the solution's edge mass, which then carries the
 response to the forcing's, is only recorded (``meta['edge_mass_solution']``).
 
-CSV I/O is the ``np.savetxt`` / ``np.loadtxt`` pair: :func:`signal_to_csv`
-writes the time column followed by interleaved re/im columns with 17
-significant digits, and :func:`signal_from_csv` reads them back and rebuilds
-the grid.
+CSV I/O: :func:`signal_to_csv` writes the time column followed by
+interleaved re/im columns with 17 significant digits, the exact bytes of
+``np.savetxt(..., fmt="%.17g")``, but with the digits computed in numpy
+rather than by Python's per-float ``%`` formatting; :func:`signal_from_csv`
+reads them back with ``np.loadtxt`` and rebuilds the grid.
 """
 
 from __future__ import annotations
@@ -317,11 +318,185 @@ def step_exp(grid: TimeGrid, start: float = 0.0, rate: float = 1.0, dim: int = 1
     return _along(grid, np.where(t >= start, np.exp(-rate * (t - start)), 0.0), dim, direction)
 
 
+# ``'%.17g' % x`` in numpy.  A normal x != 0 is written from D, the integer
+# nearest to |x| * 10^(16-k) where k = floor(log10|x|), that is its 17
+# significant digits, and from the decimal exponent X = k of the rounded
+# value (k + 1 when D rounds up to 10^17).  10^(16-k) = 5^j * 2^j with
+# j = 16 - k: |x| * 2^j is exact for every normal x, and 5^j is held as a
+# double-double hi + lo (hi Dekker-split), so TwoProduct gives |x| * 10^j as
+# p + t to about 4e-15 with p integer-valued (p >= 10^16 > 2^53).
+_CSV_BLOCK = 1 << 15  # cells formatted at a time; bounds the transients to a few MB
+_J0, _J1 = -300, 330  # the range of j = 16 - k over every normal |x|, with margin
+
+
+def _split(x):
+    """Dekker's split x = hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _pow5_table():
+    """5^j for j in [_J0, _J1] as (hi split, lo), hi and lo correctly rounded."""
+    hi, lo = [], []
+    for j in range(_J0, _J1 + 1):
+        a, b = (5 ** j, 1) if j >= 0 else (1, 5 ** -j)
+        h = a / b
+        num, den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((a * den - num * b) / (b * den))
+    return (*_split(np.array(hi)), np.array(lo))
+
+
+_P5_HH, _P5_HL, _P5_LO = _pow5_table()
+# "0000" .. "9999" as 4 bytes each, and the number of trailing '0's of each.
+_QUAD_BYTES = np.empty((10, 10, 10, 10, 4), np.uint8)
+for _i in range(4):
+    _QUAD_BYTES[..., _i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - _i))
+_QUAD_BYTES = _QUAD_BYTES.reshape(10000, 4)
+_QUADS = _QUAD_BYTES.view(np.uint32).ravel()
+_QUAD_TZ = np.zeros(10000, np.int64)
+for _i in (10, 100, 1000, 10000):
+    _QUAD_TZ[::_i] += 1
+# "e-330" .. "e+330" at row exponent + _EXP_OFF; below 100 the hundreds digit
+# is a 0, so "e+05" keeps two digits as in %.17g.
+_EXP_OFF = 330
+_EXPONENT = np.frombuffer(b"".join(b"e%+04d" % e for e in range(-_EXP_OFF, _EXP_OFF + 1)),
+                          np.uint8).reshape(-1, 5).copy()
+_EXPONENT[np.abs(np.arange(-_EXP_OFF, _EXP_OFF + 1)) < 100, 2] = 0
+# Row 2*last + fixed zeroes the columns after ``last`` up to 18 in a
+# scientific cell (the exponent stays) or up to 23 in a fixed one.
+_COL = np.arange(25)
+_KEEP = np.where((_COL > np.arange(24)[:, None, None])
+                 & (_COL <= np.array([18, 23])[:, None]), 0, 255).astype(np.uint8).reshape(48, 25)
+_LEAD = np.frombuffer(b"0.000", np.uint8)
+
+
+def _floor_frac(a, k):
+    """Floor and fractional part of a * 10^(16-k): the floor exact and the
+    fraction to about 4e-15 where the product lies in [2^53, 2^63), which
+    holds for k within one of floor(log10 a) unless it is one too large;
+    then the product is below 10^16 and so is the floor, if one low."""
+    j = (16 - k).astype(np.int32)
+    x = np.ldexp(a, j)
+    xh, xl = _split(x)
+    j -= _J0
+    hh, hl = _P5_HH.take(j), _P5_HL.take(j)
+    p = x * (hh + hl)
+    t = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl) + x * _P5_LO.take(j)
+    ft = np.floor(t)
+    return p.astype(np.int64) + ft.astype(np.int64), t - ft
+
+
+def _g17_cells(v, ncols: int) -> bytes:
+    """``'%.17g' % x`` of every float in the flat C-order block ``v`` of whole
+    rows of ``ncols``, the cells joined by commas and each row ended by a
+    newline.
+
+    Each cell is laid out in a row of a (n, 25) byte matrix, first in
+    scientific form, then in fixed form for -4 <= X <= 16; every byte that
+    ``%.17g`` drops (an absent sign, trailing zero digits, a point with no
+    fraction, a hundreds digit of the exponent below 100) is a 0, and the
+    cells are the matrix's nonzero bytes (the separator column holds the
+    comma or the newline).  Subnormals, non-finite values and
+    |frac - 1/2| <= 1e-6 (an exact tie such as 1 + 2**-17 rounds half to
+    even, which the ~4e-15 error above cannot decide) go to Python's own
+    ``%``.
+    """
+    n = v.size
+    a = np.abs(v)
+    zero = a == 0.0
+    fallback = ~zero & ~((a >= np.finfo(float).tiny) & (a <= np.finfo(float).max))
+    a = np.where(zero | fallback, 1.0, a)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    D, frac = _floor_frac(a, k)
+    # log10 can miss by one next to a power of ten.  Judge k on the exact
+    # floor, not on the rounded p: 9.9999999999999998e-266 is not 1e-265.
+    # One step corrects; the second pass only confirms.
+    for _ in range(2):
+        off = (D >= 10 ** 17).astype(np.int64) - (D < 10 ** 16)
+        bad = np.flatnonzero(off)
+        if not bad.size:
+            break
+        k[bad] += off[bad]
+        D[bad], frac[bad] = _floor_frac(a[bad], k[bad])
+    fallback |= np.abs(frac - 0.5) <= 1e-6
+    D += frac > 0.5
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    k += carry
+    D[zero] = 0
+    k[zero] = 0
+    digits = []  # d0, then four groups of four digits
+    for s in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4):
+        digits.append(D // s)
+        D = D - digits[-1] * s
+    digits.append(D)
+    tz = np.zeros(n, np.int64)  # trailing zero digits of D
+    run = np.ones(n, bool)
+    for g in digits[:0:-1]:
+        tz += run * _QUAD_TZ.take(g)
+        run &= g == 0
+    tz += run & (digits[0] == 0)
+
+    B = np.empty((n, 25), np.uint8)
+    B[:, 0] = np.signbit(v) * np.uint8(45)
+    B[:, 1] = digits[0] + 48
+    B[:, 2] = 46
+    B[:, 3:19] = _QUADS.take(np.stack(digits[1:], axis=1)).view(np.uint8)
+    B[:, 19:24] = _EXPONENT.take(k + _EXP_OFF, axis=0)
+    B[:, 24] = 44
+    B[ncols - 1::ncols, 24] = 10
+    last = 18 - tz  # the column of the last fraction digit kept
+    last[last < 3] = 1  # no fraction digit left: drop the point too
+    fixed = (k >= -4) & (k <= 16)
+    fx = np.flatnonzero(fixed)
+    kx = k[fx]
+    for X in np.unique(kx):
+        rows = fx[kx == X]
+        if X > 0:  # d0..dX, point, fraction
+            B[rows, 2:X + 2] = B[rows, 3:X + 3]
+            B[rows, X + 2] = 46
+            last[rows] = np.where(last[rows] >= X + 3, last[rows], X + 1)
+        elif X < 0:  # 0.000d0d1...
+            B[rows, 3 - X:19 - X] = B[rows, 3:19]
+            B[rows, 2 - X] = B[rows, 1]
+            B[rows, 1:2 - X] = _LEAD[:1 - X]
+            last[rows] = 18 - X - tz[rows]
+    B &= _KEEP.take(2 * last + fixed, axis=0)
+    for i in np.flatnonzero(fallback):
+        B[i, :24] = np.frombuffer((b"%.17g" % v[i]).ljust(24, b"\0"), np.uint8)
+    return B.tobytes().translate(None, b"\0")
+
+
+def _write_csv(path, rows, header: str) -> None:
+    """Write ``header`` and ``rows`` (a 1-D or 2-D float array or nested
+    sequence) with the bytes of ``np.savetxt(path, rows, fmt="%.17g",
+    delimiter=",", header=header, comments="")``."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D array, got {rows.ndim}-D")
+    ncols = rows.shape[1]
+    step = max(1, _CSV_BLOCK // max(ncols, 1))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("latin1") + b"\n")
+        for r in range(0, rows.shape[0], step):
+            fh.write(_g17_cells(np.ravel(rows[r:r + step]), ncols))
+
+
 def signal_to_csv(f: Signal, path) -> None:
-    """Write ``t,re_0,im_0,...`` rows with 17 significant digits."""
+    """Write ``t,re_0,im_0,...`` rows with 17 significant digits.
+
+    The file is byte for byte what ``np.savetxt(path, rows, fmt="%.17g",
+    delimiter=",", header=..., comments="")`` writes: each float is
+    ``'%.17g' % x``.  The digits are computed in numpy; a subnormal, a
+    non-finite value or a value within 1e-6 of a decimal tie in its 17th
+    digit is formatted by Python's ``%`` instead.
+    """
     header = "t," + ",".join(f"re_{i},im_{i}" for i in range(f.dim))
-    np.savetxt(path, np.column_stack([f.grid.times, f.values.view(float)]),
-               fmt="%.17g", delimiter=",", header=header, comments="")
+    _write_csv(path, np.column_stack([f.grid.times, f.values.view(float)]), header)
 
 
 def signal_from_csv(path) -> Signal:

@@ -88,6 +88,13 @@ class TestWeightedNormProfile:
         assert lines[1].startswith("-0.5,1.25")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("profile", [[], [(-0.5, 1.25), (0.0, 0.1), (1e-5, 2.0 / 3.0)]])
+    def test_csv_matches_savetxt(self, tmp_path, profile):
+        profile_to_csv(profile, tmp_path / "new.csv")
+        np.savetxt(tmp_path / "old.csv", profile, fmt="%.17g", delimiter=",",
+                   header="mu,norm", comments="")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
 
 class TestCausalityCheck:
     def test_identical_forcings(self):

@@ -611,6 +611,18 @@ def test_mistyped_numbers_exit_two(tmp_path, capsys, command, base, path, value)
     assert capsys.readouterr().err.startswith(f"config error: {name} must be a finite")
 
 
+@pytest.mark.parametrize("cfg, name", [
+    (scalar_dae_cfg(forcing={"kind": ["pulse"]}), "forcing.kind"),
+    (scalar_dae_cfg(forcing={"kind": "csv", "path": 5}), "forcing.path"),
+    (scalar_dae_cfg(family="custom", custom={"import": 5}), "custom.import"),
+], ids=["forcing.kind", "forcing.path", "custom.import"])
+def test_mistyped_strings_exit_two(tmp_path, capsys, cfg, name):
+    # a string leaf of another type is a config error naming its key, not a
+    # TypeError from the code that uses it
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name} must be")
+
+
 def test_whole_float_count_is_accepted(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(grid={"t0": -1.0, "dt": 0.015625, "n_steps": 256.0}))
     out = tmp_path / "o"

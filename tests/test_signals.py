@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evostab import signals
 from evostab import (GridMismatchError, Signal, TimeGrid, antiderivative,
                      derivative, edge_mass, fourier_laplace, gaussian_pulse,
                      inverse_fourier_laplace, signal_from_csv, signal_to_csv,
@@ -308,3 +311,63 @@ class TestSignalBasics:
         t = g.times
         expected = np.where(t >= 0, np.exp(-2.0 * t), 0.0)[:, None]
         assert np.allclose(f.values, expected)
+
+
+# --- the %.17g CSV writer --------------------------------------------------
+
+def _bits(b: int) -> float:
+    return float(np.uint64(b).view(np.float64))
+
+
+def _power_of_ten_neighbour(k: int, step: int) -> float:
+    """10^k, or the float one ulp above (step 1) or below (step -1) it."""
+    x = float(f"1e{k}")
+    return float(np.nextafter(x, step * math.inf)) if step else x
+
+
+def _decimal_tie(k: int, i: int) -> float:
+    """M * 2^(k-17) for an odd M whose exact decimal M * 5^(17-k) has 18
+    digits ending in 5: a tie at 17 significant digits."""
+    five = 5 ** (17 - k)
+    lo = -(-10 ** 17 // five) | 1
+    hi = min((10 ** 18 - 1) // five, 2 ** 53 - 1)
+    return float(lo + 2 * (i % ((hi - lo) // 2 + 1))) * 2.0 ** (k - 17)
+
+
+_G17_FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_bits).filter(math.isfinite),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(1, 2 ** 52 - 1).map(lambda m: m * 5e-324),  # subnormals
+    st.builds(_power_of_ten_neighbour, st.integers(-323, 308), st.sampled_from([-1, 0, 1])),
+    st.builds(_decimal_tie, st.integers(0, 15), st.integers(0, 2 ** 60)),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_G17_FLOATS, min_size=1, max_size=40))
+    def test_cells_match_percent_format(self, xs):
+        text = signals._g17_cells(np.array(xs), len(xs))
+        assert text == (",".join("%.17g" % x for x in xs) + "\n").encode()
+
+    def test_fallback_row(self):
+        # a subnormal and two exact ties (half to even: down, then up) sit in
+        # one row with cells the numpy digits handle
+        row = np.array([5e-324, 1 + 2 ** -17, 0.1, 1 + 3 * 2 ** -17, -2.5e-300])
+        assert signals._g17_cells(np.concatenate([row, row[::-1]]), 5) == (
+            b"4.9406564584124654e-324,1.0000076293945312,0.10000000000000001,"
+            b"1.0000228881835938,-2.5e-300\n"
+            b"-2.5e-300,1.0000228881835938,0.10000000000000001,"
+            b"1.0000076293945312,4.9406564584124654e-324\n")
+
+    def test_signal_longer_than_a_block_matches_savetxt(self, tmp_path):
+        g = TimeGrid(-3.0, 2.0 ** -10, 8192)
+        assert g.n_steps > signals._CSV_BLOCK // 5  # two re/im pairs and t
+        rng = np.random.default_rng(13)
+        vals = rng.standard_normal((g.n_steps, 2)) * 10.0 ** rng.integers(-25, 25, (g.n_steps, 2))
+        vals = vals + 1j * np.where(rng.random((g.n_steps, 2)) < 0.1, 0.0, vals[::-1])
+        f = Signal(g, vals)
+        signal_to_csv(f, tmp_path / "new.csv")
+        np.savetxt(tmp_path / "old.csv", np.column_stack([g.times, f.values.view(float)]),
+                   fmt="%.17g", delimiter=",", header="t,re_0,im_0,re_1,im_1", comments="")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
