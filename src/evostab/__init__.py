@@ -11,16 +11,14 @@ from .signals import (Signal, SpectralSignal, TimeGrid, antiderivative,
                       step_exp, support_lower_bound, translate, weighted_inner,
                       weighted_norm)
 from .material import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
-                       KernelMode, eval_symbol, hermitian_part_min_eig,
-                       kernel_eval, kernel_hat, kernel_weighted_l1, law_family,
-                       shifted_symbol)
+                       KernelMode, hermitian_part_min_eig, kernel_eval,
+                       kernel_hat, kernel_weighted_l1, shifted_symbol)
 from .spatial import (MixedTypeSystem, SpatialOperator, build_grad_1d,
-                      build_mixed_type_system, check_maximal_monotone,
-                      indicators_from_intervals)
+                      build_mixed_type_system, indicators_from_intervals)
 from .certify import (CertificationReport, KernelConditionReport,
                       SamplingConfig, certify, check_kernel_conditions,
-                      closed_form_rate, dae_rate, delay_rate, integro_rate,
-                      solvability_constant, solvability_lower_bound)
+                      closed_form_rate, solvability_constant,
+                      solvability_lower_bound)
 from .solver import (EvolutionaryProblem, IvpProblem, apply_forward,
                      convolve_time, cutoff_phi, ivp_assemble_rhs, ivp_solve,
                      solve, solve_integro)

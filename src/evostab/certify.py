@@ -17,13 +17,15 @@ rate is the largest nu at which its bound on c(nu) stays nonnegative.
 
 The family-specific parts (analyticity, the sampled minimum, the bound and
 the rate) are methods of the law classes in :mod:`evostab.material`, where
-each family documents its own; the functions here are the public entry
-points over them plus the report assembly.  Kernel admissibility is one
-:class:`KernelConditionReport` per kernel, evaluated once and cached on the
-kernel next to which it lives in :mod:`evostab.material`; the integro law
-raises on its structural conditions when built and on its sign condition in
-the rate.  :func:`check_kernel_conditions` returns that report and is
-re-exported here.
+each family documents its own; a family's rate is ``law.rate()``.  The
+functions here are the sampled scan, which builds its grids, the report
+assembly, and three names kept for ``perfbench/spans.py``, which times them
+here.  Kernel admissibility is one :class:`KernelConditionReport` per
+kernel, evaluated once and cached on the kernel next to which it lives in
+:mod:`evostab.material`; the integro law raises on its structural
+conditions when built and on its sign condition in the rate.
+:func:`check_kernel_conditions` returns that report and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ import numpy as np
 
 # KernelConditionReport, check_kernel_conditions and kernel_weighted_l1 are
 # re-exported: kernel admissibility is part of the certificate's public API.
-from .material import (DaeLaw, DelayLaw, IntegroLaw, Kernel, KernelConditionReport,
-                       MaterialLaw, _norm2, check_kernel_conditions, kernel_weighted_l1,
-                       law_family, shifted_symbol)
+from .material import (KernelConditionReport, MaterialLaw, _norm2, check_kernel_conditions,
+                       kernel_weighted_l1, shifted_symbol)
 
 # Sentinel cap for unbounded rates (M0 = 0, purely algebraic problems).
 RATE_CAP = 1e6
@@ -71,20 +72,13 @@ class SamplingConfig:
             raise ValueError(f"tau_max must be finite and >= 0, got {self.tau_max!r}")
 
     def describe(self, nu: float) -> str:
-        delta = (nu if nu > 0 else self.sigma_max) / self.n_sigma
-        return (f"sigma in [{-nu + delta:.6g}, {self.sigma_max:.6g}] x {self.n_sigma}, "
+        return (f"sigma in [{_sigma_grid(nu, self)[0]:.6g}, {self.sigma_max:.6g}] x {self.n_sigma}, "
                 f"tau in [{-self.tau_max:.6g}, {self.tau_max:.6g}] x {self.n_tau} plus critical values")
 
 
 def _sigma_grid(nu: float, cfg: SamplingConfig) -> np.ndarray:
     delta = (nu if nu > 0 else cfg.sigma_max) / cfg.n_sigma
     return np.linspace(-nu + delta, cfg.sigma_max, cfg.n_sigma)
-
-
-def _tau_grid(law: MaterialLaw, cfg: SamplingConfig) -> np.ndarray:
-    taus = np.linspace(-cfg.tau_max, cfg.tau_max, cfg.n_tau)
-    crit = law.critical_taus(cfg.tau_max)
-    return taus if crit is None else np.unique(np.concatenate([taus, crit]))
 
 
 def solvability_constant(law: MaterialLaw, nu: float, sigma_max: float = SamplingConfig.sigma_max,
@@ -94,11 +88,14 @@ def solvability_constant(law: MaterialLaw, nu: float, sigma_max: float = Samplin
     """Sampled min over the rectangle of the smallest eigenvalue of the
     Hermitian part of z^-1 M(z), z^-1 = sigma + i tau.
 
-    The value is that of the dense scan, one Hermitian eigenvalue problem
-    per sampled point; the structured families compute it from their
-    structure (``positivity_min`` of each law class): one eigenvalue
-    problem for most DAE and delay laws, scalar arithmetic in the modes'
-    joint eigenbasis for integro laws.
+    A function rather than ``law.positivity_min``: it checks the rectangle
+    and builds the sigma and tau grids.  The value is that of the dense
+    scan, one Hermitian eigenvalue problem per sampled point; the structured
+    families compute it from their structure (``positivity_min`` of each law
+    class): one eigenvalue problem for most DAE and delay laws, scalar
+    arithmetic in the modes' joint eigenbasis for integro laws.  A delay law
+    also counts the critical values tau = k pi/|h| inside the rectangle,
+    where cos(tau h) = +-1 (the "plus critical values" of the report).
 
     Raises :class:`NonFiniteSymbolError` when z^-1 M(z) is not finite on a
     sampled line.
@@ -106,35 +103,17 @@ def solvability_constant(law: MaterialLaw, nu: float, sigma_max: float = Samplin
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     cfg = SamplingConfig(sigma_max, tau_max, n_sigma, n_tau)
-    return law.positivity_min(_sigma_grid(nu, cfg), _tau_grid(law, cfg))
+    taus = np.linspace(-cfg.tau_max, cfg.tau_max, cfg.n_tau)
+    return law.positivity_min(_sigma_grid(nu, cfg), taus)
 
 
 def solvability_lower_bound(law: MaterialLaw, nu: float) -> float | None:
-    """Closed-form lower bound on Re z^-1 M(z) over sigma > -nu, or None."""
+    """Closed-form lower bound on Re z^-1 M(z) over sigma > -nu, or None.
+
+    ``law.lower_bound(nu)``, kept as a function because ``perfbench/spans.py``
+    times it under this name here and in :mod:`evostab.solver`.
+    """
     return law.lower_bound(nu)
-
-
-def dae_rate(M0, M1) -> float:
-    """Decay rate c / ||M0|| for the polynomial family.
-
-    Skew perturbations of M1 do not change the rate.  M0 = 0 returns the
-    +inf sentinel (purely algebraic problem; every rate is admissible).
-    """
-    return DaeLaw(M0, M1).rate()
-
-
-def delay_rate(M0, M1, h: float) -> float:
-    """Unique root of nu*||M0|| + exp(-nu*h) = c, requiring c > 1 and h < 0."""
-    return DelayLaw(M0, M1, h).rate()
-
-
-def integro_rate(kernel: Kernel, c: float) -> float:
-    """Largest nu1 in (0, nu0] with nu1 * (1 - L1(nu1))^-1 <= c.
-
-    The kernel must pass the full admissibility checks (structure and the
-    transform sign condition).
-    """
-    return IntegroLaw(kernel, c).rate()
 
 
 @dataclass(frozen=True)
@@ -227,8 +206,10 @@ def _check_shifted_bounded(law: MaterialLaw, nu: float) -> HypothesisResult:
 def closed_form_rate(law: MaterialLaw) -> float | None:
     """Family decay rate from the defining matrices; None for custom symbols.
 
-    Raises ValueError when the family's structural requirements (positive
-    Hermitian part, c > 1 for delays, kernel admissibility) fail.
+    ``law.rate()``, kept as a function because ``perfbench/spans.py`` times
+    it under this name.  Raises ValueError when the family's structural
+    requirements (positive Hermitian part, c > 1 for delays, kernel
+    admissibility) fail.
     """
     return law.rate()
 
@@ -270,7 +251,7 @@ def certify(law: MaterialLaw, nu: float, sampling: SamplingConfig | None = None)
         warnings.append(f"closed-form rate unavailable: {exc}")
 
     return CertificationReport(
-        family=law_family(law),
+        family=law.family,
         nu=nu,
         c_nu=c_nu,
         c_nu_sampled=c_sampled,

@@ -6,9 +6,10 @@ z = 1/(i*xi + rho).  Each family is one class deriving from
 the operator lambda * M(1/lambda) for an array of lambda, the pointwise
 symbol and its nu-shifted form, the analyticity check, the sampled
 positivity minimum, the closed-form positivity bound and the decay rate
-derived from it.  The module functions :func:`law_family`,
-:func:`eval_symbol`, :func:`shifted_symbol` and
-:func:`frequency_operator_stack` are the entry points over those methods.
+derived from it.  Callers ask the law itself: ``law.family``,
+``law.symbol(z)``, ``law.rate()``.  The two module functions over those
+methods, :func:`shifted_symbol` and :func:`frequency_operator_stack`, each
+add a guard of their own (nu >= 0, and rho above the law's floor).
 
 The solver evaluates lambda * M(1/lambda) at lambda = i*xi + rho and the
 certificate's positivity scan at lambda = sigma + i*tau, where its
@@ -425,10 +426,9 @@ class MaterialLaw:
     * ``analyticity(nu)``: (passed, evidence) for holomorphy of M outside the
       closed ball of radius 1/(2 nu) centred at -1/(2 nu).
 
-    The defaults below serve laws without structure: no critical tau values,
-    the dense positivity scan, no closed-form bound or rate, and no
-    constant linearisation (``linearization``), so the solver builds the
-    dense operator stack.
+    The defaults below serve laws without structure: the dense positivity
+    scan, no closed-form bound or rate, and no constant linearisation
+    (``linearization``), so the solver builds the dense operator stack.
     """
 
     # Weights rho at or below this put lambda = i*xi + rho outside the domain.
@@ -448,11 +448,6 @@ class MaterialLaw:
         if z == 0:
             raise ValueError(_OFF_DOMAIN)
         return self._shifted(nu, z)
-
-    def critical_taus(self, tau_max: float) -> np.ndarray | None:
-        """tau values in [-tau_max, tau_max] that the positivity scan samples
-        besides its uniform grid, or None."""
-        return None
 
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
         """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over
@@ -581,9 +576,10 @@ class DelayLaw(_PencilLaw):
 
     The delay term adds exp(sigma*h) cos(tau*h) I to the Hermitian part,
     nondecreasing in sigma exactly when cos_min <= 0 over the sampled tau;
-    cos(tau*h) attains its extremes on multiples of pi/|h|, which the scan
-    samples.  The bound c - nu*||M0|| - exp(-nu*h) is nonnegative up to the
-    unique root of nu*||M0|| + exp(-nu*h) = c, which needs c > 1.
+    cos(tau*h) attains its extremes on multiples of pi/|h|, so cos_min is -1
+    once the sampled range reaches pi/|h|, and the smallest sampled value
+    below that.  The bound c - nu*||M0|| - exp(-nu*h) is nonnegative up to
+    the unique root of nu*||M0|| + exp(-nu*h) = c, which needs c > 1.
     """
 
     h: float
@@ -615,13 +611,11 @@ class DelayLaw(_PencilLaw):
     def analyticity(self, nu: float) -> tuple:
         return True, "holomorphic away from 0, which lies in the excluded ball"
 
-    def critical_taus(self, tau_max: float) -> np.ndarray:
-        step = math.pi / abs(self.h)
-        k_max = int(math.floor(tau_max / step))
-        return step * np.arange(-k_max, k_max + 1)
-
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
-        cos_min = float(np.cos(taus * self.h).min())
+        if float(np.abs(taus).max()) / (math.pi / abs(self.h)) >= 1.0:
+            cos_min = -1.0  # cos(tau*h) at tau = pi/|h|
+        else:
+            cos_min = float(np.cos(taus * self.h).min())
         sigmas, base = self._sigma_sweep(sigmas, cos_min <= 0)
         with np.errstate(over="ignore"):  # sigma*h > 709.78 gives an inf term, reported
             return float(np.min(base + np.exp(sigmas * self.h) * cos_min))
@@ -804,18 +798,11 @@ class CustomLaw(MaterialLaw):
         return True, "all declared singularities inside the excluded ball"
 
 
-def law_family(law: MaterialLaw) -> str:
-    return law.family
-
-
-def eval_symbol(law: MaterialLaw, z: complex) -> np.ndarray:
-    """Pointwise M(z).  z = 0 is only admissible for the polynomial family."""
-    return law.symbol(complex(z))
-
-
 def frequency_operator_stack(law: MaterialLaw, xi, rho: float) -> np.ndarray:
     """(i*xi + rho) * M(1/(i*xi + rho)) for an array of frequencies.
 
+    A function rather than ``law.stack``: it guards the rho floor, which
+    ``stack`` leaves to its callers, and maps frequencies to lambda.
     Returns an array of shape (len(xi), dim, dim).  rho must exceed the
     law's ``rho_floor``: -nu0 for the integro family, so that the line stays
     clear of the kernel's poles.
@@ -830,7 +817,8 @@ def shifted_symbol(law: MaterialLaw, nu: float, z: complex) -> np.ndarray:
     """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)).
 
     Evaluated through closed per-family forms that stay finite at the
-    removable point z = 1/nu.  For nu = 0 this is M(z) itself.
+    removable point z = 1/nu.  For nu = 0 this is M(z) itself.  A function
+    rather than ``law.shifted``: it refuses nu < 0, which the method does not.
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")

@@ -50,8 +50,7 @@ import numpy as np
 
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
-from .material import (DaeLaw, IntegroLaw, Kernel, MaterialLaw,
-                       frequency_operator_stack, law_family)
+from .material import DaeLaw, IntegroLaw, Kernel, MaterialLaw, frequency_operator_stack
 from .certify import solvability_constant, solvability_lower_bound
 from .signals import (EDGE_FAIL, EDGE_WARN, SOLUTION_EDGE_FAIL, Signal, SpectralSignal,
                       edge_mass, fourier_laplace, inverse_fourier_laplace,
@@ -245,7 +244,7 @@ def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
     pencil = symbol.linearization(a)
     solve_hat = (partial(_dense_solve, symbol, a, rho, threads) if pencil is None
                  else partial(_pencil_solve, *pencil, rho))
-    return _spectral_solve(problem.f, rho, solve_hat, law_family(symbol))
+    return _spectral_solve(problem.f, rho, solve_hat, symbol.family)
 
 
 def apply_forward(problem: EvolutionaryProblem, u: Signal) -> Signal:
@@ -369,16 +368,17 @@ def ivp_assemble_rhs(q: IvpProblem) -> Signal:
     return Signal(q.f.grid, q.f.values + corr)
 
 
-def ivp_solve(q: IvpProblem) -> tuple:
+def ivp_solve(q: IvpProblem, *, check_certified: bool = True) -> tuple:
     """Solve the initial-value problem; returns (u, initial_gap).
 
     ``initial_gap`` is |M0 u(t+) - M0 u0| at the first grid point >= 0 and
     shrinks linearly with dt.  The law is a ``DaeLaw``, so :func:`solve`
-    takes the QZ pencil path, which runs no thread pool.
+    takes the QZ pencil path, which runs no thread pool;
+    ``check_certified`` is passed on to it.
     """
     g = ivp_assemble_rhs(q)
     prob = EvolutionaryProblem(DaeLaw(q.M0, q.M1), q.A, q.rho, g)
-    v = solve(prob)
+    v = solve(prob, check_certified=check_certified)
     t = q.f.grid.times
     phi = cutoff_phi(t, q.phi_scale)
     u = Signal(q.f.grid, v.values + phi[:, None] * q.u0[None, :], meta=dict(v.meta))

@@ -22,11 +22,6 @@ from .material import DaeLaw, _as_matrix, hermitian_part_min_eig
 MONOTONE_TOL = 1e-12
 
 
-def check_maximal_monotone(a) -> float:
-    """Smallest eigenvalue of the Hermitian part; >= -1e-12 means monotone."""
-    return hermitian_part_min_eig(a)
-
-
 @dataclass(frozen=True)
 class SpatialOperator:
     """Square matrix acting on the state space, validated to be monotone."""
@@ -36,7 +31,7 @@ class SpatialOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, "matrix"))
-        margin = check_maximal_monotone(self.matrix)
+        margin = hermitian_part_min_eig(self.matrix)
         if margin < -MONOTONE_TOL:
             raise ValueError(f"operator is not monotone: min Hermitian eigenvalue {margin:.3g}")
         object.__setattr__(self, "monotone_margin", margin)

@@ -3,8 +3,9 @@
 Rates come from scipy root finding on the scalar defining equations, and the
 integro/delay solvers are plain time steppers, so agreement with the library
 is evidence rather than tautology.  The positivity scan is the brute-force
-definition of the sampled minimum: it shares only the sampling grid and the
-law's lambda * M(1/lambda) builder with the structured minima it checks.
+definition of the sampled minimum: it shares only the sigma grid and the
+law's lambda * M(1/lambda) builder with the structured minima it checks,
+and samples a delay law's critical tau values itself.
 The kernel L1 norm is scipy ``quad`` told where the integrand's kinks are.
 The transform sign condition is evaluated one sampled point at a time, with
 Chat summed from its defining formula, and a custom law's lambda * M(1/lambda)
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from evostab.certify import SamplingConfig, _sigma_grid, _tau_grid
+from evostab.certify import SamplingConfig, _sigma_grid
 from evostab.material import _SIGN_LINES, _SIGN_TS
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -24,9 +25,16 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 def dense_positivity_scan(law, nu: float, **grid) -> float:
     """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over every
-    sampled (sigma, tau) of the certify grid, one sigma row at a time."""
+    sampled (sigma, tau) of the certify grid, one sigma row at a time.
+
+    For a delay law the tau grid also holds the multiples of pi/|h| in
+    [-tau_max, tau_max], where cos(tau h) takes its extremes."""
     cfg = SamplingConfig(**grid)
-    taus = _tau_grid(law, cfg)
+    taus = np.linspace(-cfg.tau_max, cfg.tau_max, cfg.n_tau)
+    if law.family == "delay":
+        step = np.pi / abs(law.h)
+        k_max = int(np.floor(cfg.tau_max / step))
+        taus = np.unique(np.concatenate([taus, step * np.arange(-k_max, k_max + 1)]))
     best = np.inf
     for sigma in _sigma_grid(nu, cfg):
         stack = law.stack(sigma + 1j * taus)

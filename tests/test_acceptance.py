@@ -14,14 +14,13 @@ import sys
 import numpy as np
 import pytest
 
-from evostab import (DaeLaw, DelayLaw, EvolutionaryProblem, IvpProblem,
-                     Kernel, KernelMode, Signal, TimeGrid,
+from evostab import (DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLaw,
+                     IvpProblem, Kernel, KernelMode, Signal, TimeGrid,
                      build_mixed_type_system, check_kernel_conditions,
-                     convolve_time, dae_rate, delay_rate, fourier_laplace,
-                     gaussian_pulse, indicators_from_intervals, integro_rate,
-                     inverse_fourier_laplace, ivp_solve, kernel_hat, solve,
-                     solve_integro, step_exp, translate, verify_stability,
-                     weighted_inner)
+                     convolve_time, fourier_laplace, gaussian_pulse,
+                     indicators_from_intervals, inverse_fourier_laplace,
+                     ivp_solve, kernel_hat, solve, solve_integro, step_exp,
+                     translate, verify_stability, weighted_inner)
 from evostab.signals import SpectralSignal
 
 RESIDUALS: list = []
@@ -69,7 +68,7 @@ def test_c02_scalar_dae_matches_ode_oracle():
 
 
 def test_c03_closed_form_rates_match_oracles():
-    assert dae_rate(np.eye(2), 2.0 * np.eye(2)) == 2.0
+    assert DaeLaw(np.eye(2), 2.0 * np.eye(2)).rate() == 2.0
 
     # bisection on nu + e^nu = 2 (|M0| = 1, h = -1, c = 2)
     lo, hi = 0.0, 1.0
@@ -80,14 +79,14 @@ def test_c03_closed_form_rates_match_oracles():
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    got = delay_rate([[1.0]], [[2.0]], -1.0)
+    got = DelayLaw([[1.0]], [[2.0]], -1.0).rate()
     assert abs(got - root) <= 1e-9
     assert abs(got - 0.442854) <= 1e-4
 
     # quadratic nu^2 - 2 nu + 0.75 = 0, smaller root
     k = Kernel(modes=(KernelMode([[0.25]], 1.0),), nu0=0.5)
     quad = 1.0 - np.sqrt(1.0 - 0.75)
-    assert abs(integro_rate(k, 1.0) - quad) <= 1e-8
+    assert abs(IntegroLaw(k, 1.0).rate() - quad) <= 1e-8
 
 
 def test_c04_three_families_are_causal():
@@ -126,7 +125,7 @@ def test_c06_mixed_system_verifies_certified_rate():
     p = 48
     ind0, ind1 = indicators_from_intervals(p, (0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0))
     sys_ = build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, 1.0)
-    assert dae_rate(sys_.M0, sys_.M1) == pytest.approx(1.0)
+    assert DaeLaw(sys_.M0, sys_.M1).rate() == pytest.approx(1.0)
     g = TimeGrid(-2.0, 1 / 64, 1024)
     f = gaussian_pulse(g, center=0.5, width=0.1, dim=2 * p + 1)
     u = tracked(solve(EvolutionaryProblem(sys_.law(), sys_.A, 0.05, f)))

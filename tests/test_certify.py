@@ -12,9 +12,8 @@ from hypothesis.extra import numpy as hnp
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, NonFiniteSymbolError,
                      SamplingConfig, build_mixed_type_system, certify,
-                     check_kernel_conditions, closed_form_rate, dae_rate,
-                     delay_rate, integro_rate, kernel_hat, solvability_constant,
-                     solvability_lower_bound)
+                     check_kernel_conditions, closed_form_rate, kernel_hat,
+                     solvability_constant, solvability_lower_bound)
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -25,50 +24,50 @@ def scalar_kernel(gamma=0.25, beta=1.0, nu0=0.5):
 
 class TestRates:
     def test_dae_rate_values(self):
-        assert dae_rate(np.eye(2), 2 * np.eye(2)) == pytest.approx(2.0)
-        assert dae_rate(np.diag([1.0, 0.0]), 2 * np.eye(2)) == pytest.approx(2.0)
+        assert DaeLaw(np.eye(2), 2 * np.eye(2)).rate() == pytest.approx(2.0)
+        assert DaeLaw(np.diag([1.0, 0.0]), 2 * np.eye(2)).rate() == pytest.approx(2.0)
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert dae_rate(np.eye(2), 2 * np.eye(2) + skew) == pytest.approx(2.0)
+        assert DaeLaw(np.eye(2), 2 * np.eye(2) + skew).rate() == pytest.approx(2.0)
 
     def test_dae_rate_mixed_system(self):
         sys = build_mixed_type_system(8, 1.0 / 9, np.ones(8), np.zeros(8), 1.0)
-        assert dae_rate(sys.M0, sys.M1) == pytest.approx(1.0)
+        assert DaeLaw(sys.M0, sys.M1).rate() == pytest.approx(1.0)
 
     def test_dae_rate_algebraic_sentinel(self):
-        assert dae_rate(np.zeros((2, 2)), np.eye(2)) == math.inf
+        assert DaeLaw(np.zeros((2, 2)), np.eye(2)).rate() == math.inf
 
     def test_dae_rate_needs_positive_m1(self):
         with pytest.raises(ValueError):
-            dae_rate(np.eye(2), np.diag([1.0, 0.0]))
+            DaeLaw(np.eye(2), np.diag([1.0, 0.0])).rate()
 
     def test_delay_rate_against_root_finder(self):
-        got = delay_rate([[1.0]], [[2.0]], -1.0)
+        got = DelayLaw([[1.0]], [[2.0]], -1.0).rate()
         assert got == pytest.approx(delay_rate_oracle(1.0, -1.0, 2.0), abs=1e-9)
         assert got == pytest.approx(0.4428544010, abs=1e-9)
 
     def test_delay_rate_without_m0(self):
-        assert delay_rate([[0.0]], [[2.0]], -1.0) == pytest.approx(math.log(2.0), abs=1e-9)
+        assert DelayLaw([[0.0]], [[2.0]], -1.0).rate() == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_delay_rate_needs_c_above_one(self):
         with pytest.raises(ValueError):
-            delay_rate([[1.0]], [[1.0]], -1.0)
+            DelayLaw([[1.0]], [[1.0]], -1.0).rate()
 
     def test_integro_rate_hits_nu0(self):
-        assert integro_rate(scalar_kernel(), 1.0) == pytest.approx(0.5, abs=1e-8)
+        assert IntegroLaw(scalar_kernel(), 1.0).rate() == pytest.approx(0.5, abs=1e-8)
 
     def test_integro_rate_zero_kernel(self):
         k = Kernel(modes=(KernelMode([[0.0]], 1.0),), nu0=0.5)
-        assert integro_rate(k, 1.0) == pytest.approx(0.5, abs=1e-9)
-        assert integro_rate(k, 0.3) == pytest.approx(0.3, abs=1e-9)
+        assert IntegroLaw(k, 1.0).rate() == pytest.approx(0.5, abs=1e-9)
+        assert IntegroLaw(k, 0.3).rate() == pytest.approx(0.3, abs=1e-9)
 
     def test_integro_rate_interior_root(self):
-        got = integro_rate(scalar_kernel(), 0.2)
+        got = IntegroLaw(scalar_kernel(), 0.2).rate()
         oracle = integro_rate_oracle(0.25, 1.0, 0.2, 0.5)
         assert got == pytest.approx(oracle, abs=1e-8)
 
     def test_integro_rate_rejects_bad_kernel(self):
         with pytest.raises(KernelAdmissibilityError):
-            integro_rate(Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5), 1.0)
+            IntegroLaw(Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5), 1.0).rate()
 
     def test_closed_form_rate_dispatch(self):
         assert closed_form_rate(DaeLaw([[1.0]], [[2.0]])) == pytest.approx(2.0)

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from evostab import TimeGrid, gaussian_pulse, signal_to_csv
+from evostab import EdgeMassWarning, TimeGrid, gaussian_pulse, signal_to_csv
+from evostab.analysis import auto_tail_window, fit_decay_rate
 from evostab.cli import main
 
 
@@ -319,6 +320,18 @@ def test_ivp_requires_u0(tmp_path):
     assert main(["ivp", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_ivp_honours_check_certified(tmp_path):
+    # Re M1 = -0.5 fails the nu = 0 positivity gate; the config turns it off,
+    # for ivp as for solve, and the growing solution is solved with a warning
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(
+        m1=[[[-0.5, 0.0]]], check_certified=False, rho=1.0, u0=[[1.0, 0.0]],
+        grid={"t0": -2.0, "dt": 0.015625, "n_steps": 1024}))
+    out = str(tmp_path / "out")
+    with pytest.warns(EdgeMassWarning):
+        assert main(["ivp", "--config", cfg, "--out", out]) == 0
+    assert "solution edge mass" in read_kv(os.path.join(out, "metadata.kv"))["warnings"]
+
+
 def test_ivp_rejects_delay_family(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(family="delay", h=-1.0,
                                              u0=[[1.0, 0.0]]))
@@ -399,6 +412,25 @@ def test_verify_custom_family_requires_nu(tmp_path, monkeypatch):
     out = str(tmp_path / "o2")
     assert main(["verify", "--config", cfg, "--out", out]) == 0
     assert float(read_kv(os.path.join(out, "decay.kv"))["nu_certified"]) == 1.5
+
+
+def test_verify_fits_the_decay_once(tmp_path, monkeypatch):
+    # the decay step writes the fit that verify_stability judged; every fit
+    # is counted, whether it is called through the cli or the analysis name
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return fit_decay_rate(*args, **kwargs)
+
+    monkeypatch.setattr("evostab.cli.fit_decay_rate", counted)
+    monkeypatch.setattr("evostab.analysis.fit_decay_rate", counted)
+    cfg = write_cfg(tmp_path, mixed_cfg())
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    assert len(fits) == 1
+    kv = read_kv(os.path.join(out, "decay.kv"))
+    assert (float(kv["window_lo"]), float(kv["window_hi"])) == auto_tail_window(fits[0][0])
 
 
 def test_verify_decay_fit_failure_is_analytic(tmp_path, capsys):
@@ -677,6 +709,17 @@ def test_out_directory_is_created_nested(tmp_path):
     out = str(tmp_path / "a" / "b" / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "solution.csv"))
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "below-a-file"])
+def test_out_that_cannot_be_created_exits_two(tmp_path, capsys, below):
+    cfg = write_cfg(tmp_path, scalar_dae_cfg())
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / below)  # "" leaves the file itself
+    assert main(["solve", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert "Traceback" not in err
 
 
 def test_config_echo_is_resolved_and_sorted(tmp_path):

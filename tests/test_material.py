@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, QuadratureError,
-                     check_kernel_conditions, eval_symbol, hermitian_part_min_eig, kernel_eval,
-                     kernel_hat, kernel_weighted_l1, law_family, shifted_symbol)
+                     check_kernel_conditions, hermitian_part_min_eig, kernel_eval,
+                     kernel_hat, kernel_weighted_l1, shifted_symbol)
 from evostab.material import _mode_eigenvalues, frequency_operator_stack
 
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -226,49 +226,49 @@ class TestLawConstruction:
             IntegroLaw(Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5), c=1.0)
 
     def test_family_tags(self):
-        assert law_family(DaeLaw(np.eye(1), np.eye(1))) == "dae"
-        assert law_family(DelayLaw(np.eye(1), np.eye(1), -1.0)) == "delay"
-        assert law_family(IntegroLaw(scalar_kernel(), 1.0)) == "integro"
-        assert law_family(CustomLaw(1, lambda z: np.eye(1))) == "custom"
+        assert DaeLaw(np.eye(1), np.eye(1)).family == "dae"
+        assert DelayLaw(np.eye(1), np.eye(1), -1.0).family == "delay"
+        assert IntegroLaw(scalar_kernel(), 1.0).family == "integro"
+        assert CustomLaw(1, lambda z: np.eye(1)).family == "custom"
 
 
 class TestEvalSymbol:
     def test_dae_value(self):
         law = DaeLaw([[1.0]], [[2.0]])
-        assert eval_symbol(law, 0.5)[0, 0] == pytest.approx(2.0)
-        assert eval_symbol(law, 0.0)[0, 0] == pytest.approx(1.0)  # z=0 fine here
+        assert law.symbol(complex(0.5))[0, 0] == pytest.approx(2.0)
+        assert law.symbol(complex(0.0))[0, 0] == pytest.approx(1.0)  # z=0 fine here
 
     def test_delay_value(self):
         law = DelayLaw([[1.0]], [[2.0]], h=-1.0)
-        got = eval_symbol(law, 1.0)[0, 0]
+        got = law.symbol(complex(1.0))[0, 0]
         assert got == pytest.approx(1.0 + np.exp(-1.0) + 2.0, abs=1e-12)
 
     def test_delay_overflow_guard(self):
         law = DelayLaw([[1.0]], [[2.0]], h=-1.0)
         with pytest.raises(ValueError):
-            eval_symbol(law, -1e-3)
+            law.symbol(complex(-1e-3))
 
     def test_integro_value(self):
         law = IntegroLaw(scalar_kernel(), c=1.0)
-        assert eval_symbol(law, 1.0)[0, 0] == pytest.approx(1.0 / 0.875 + 1.0, abs=1e-12)
+        assert law.symbol(complex(1.0))[0, 0] == pytest.approx(1.0 / 0.875 + 1.0, abs=1e-12)
 
     def test_integro_singular_ball(self):
         law = IntegroLaw(scalar_kernel(), c=1.0)  # ball center -1, radius 1
         with pytest.raises(ValueError):
-            eval_symbol(law, -0.5)
-        eval_symbol(law, 0.5)  # outside the ball
+            law.symbol(complex(-0.5))
+        law.symbol(complex(0.5))  # outside the ball
 
     def test_z_zero_rejected_for_nonpolynomial(self):
         with pytest.raises(ValueError):
-            eval_symbol(DelayLaw([[1.0]], [[2.0]], -1.0), 0.0)
+            DelayLaw([[1.0]], [[2.0]], -1.0).symbol(complex(0.0))
         with pytest.raises(ValueError):
-            eval_symbol(IntegroLaw(scalar_kernel(), 1.0), 0.0)
+            IntegroLaw(scalar_kernel(), 1.0).symbol(complex(0.0))
 
     def test_custom_singularity(self):
         law = CustomLaw(1, lambda z: np.array([[1.0 / z]]), singularities=(0.0,))
         with pytest.raises(ValueError):
-            eval_symbol(law, 0.0)
-        assert eval_symbol(law, 2.0)[0, 0] == pytest.approx(0.5)
+            law.symbol(complex(0.0))
+        assert law.symbol(complex(2.0))[0, 0] == pytest.approx(0.5)
 
 
 class TestFrequencyOperator:
@@ -295,7 +295,7 @@ class TestFrequencyOperator:
                 stack = frequency_operator_stack(law, xi, rho)
                 for k, x in enumerate(xi):
                     lam = 1j * x + rho
-                    direct = lam * eval_symbol(law, 1.0 / lam)
+                    direct = lam * law.symbol(complex(1.0 / lam))
                     assert np.abs(stack[k] - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
     def test_integro_rho_guard(self):
@@ -347,7 +347,7 @@ class TestShiftedSymbol:
     def test_nu_zero_is_plain_symbol(self):
         law = DelayLaw([[1.0]], [[2.0]], h=-1.0)
         z = 0.4 + 0.3j
-        assert np.abs(shifted_symbol(law, 0.0, z) - eval_symbol(law, z)).max() <= 1e-15
+        assert np.abs(shifted_symbol(law, 0.0, z) - law.symbol(complex(z))).max() <= 1e-15
 
     def test_dae_removable_point(self):
         # at z = 1/nu the prefactor vanishes and only z*M1 survives
@@ -368,11 +368,11 @@ class TestShiftedSymbol:
             for _ in range(10):
                 z = complex(rng.uniform(0.05, 0.5), rng.uniform(-0.3, 0.3))
                 w = z / (1.0 - nu * z)
-                if law_family(law) == "integro":
+                if law.family == "integro":
                     r = 1.0 / (2 * law.kernel.nu0)
                     if abs(w + r) <= r + 1e-6:
                         continue
-                direct = (1.0 - nu * z) * eval_symbol(law, w)
+                direct = (1.0 - nu * z) * law.symbol(complex(w))
                 got = shifted_symbol(law, nu, z)
                 assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 

@@ -462,6 +462,24 @@ class TestIvp:
         plain = solve(EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 0.5, f))
         assert np.array_equal(u_ivp.values, plain.values)
 
+    def test_certification_gate_and_override(self):
+        # u' - u/2 = 0 fails the nu = 0 positivity gate; without it the
+        # solution is e^{t/2} from u(0) = 1
+        dt = 1 / 64
+        g = TimeGrid(dt / 2 - 2.0, dt, 1024)
+        q = IvpProblem([[1.0]], [[-0.5]], None, [1.0], Signal.zeros(g, 1), 1.0)
+        with pytest.raises(CertificationError, match="check_certified=False"):
+            ivp_solve(q)
+        with pytest.warns(EdgeMassWarning):
+            u, gap = ivp_solve(q, check_certified=False)
+        t = g.times
+        keep = (t >= 0) & (t <= 6.0)
+        for spot in (0.0, 1.0, 2.0):
+            keep &= np.abs(t - spot) > 4 * dt
+        exact = np.exp(0.5 * t[keep])
+        assert np.abs(u.values[keep, 0] - exact).max() <= 2e-3 * exact.max()
+        assert gap <= 10.0 * dt
+
     def test_algebraic_part_has_no_gap(self):
         g = TimeGrid(-2.0, 1 / 128, 1024)
         f = gaussian_pulse(g, center=1.0, width=0.2)

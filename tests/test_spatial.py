@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evostab import (SpatialOperator, build_grad_1d, build_mixed_type_system,
-                     check_maximal_monotone, indicators_from_intervals)
+                     hermitian_part_min_eig, indicators_from_intervals)
 
 
 class TestGrad1d:
@@ -41,10 +41,10 @@ class TestGrad1d:
 
 class TestMonotone:
     def test_values(self):
-        assert check_maximal_monotone(np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-15)
+        assert hermitian_part_min_eig(np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-15)
         skew = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        assert check_maximal_monotone(skew) == pytest.approx(0.0, abs=1e-13)
-        assert check_maximal_monotone(np.eye(2) + skew) == pytest.approx(1.0)
+        assert hermitian_part_min_eig(skew) == pytest.approx(0.0, abs=1e-13)
+        assert hermitian_part_min_eig(np.eye(2) + skew) == pytest.approx(1.0)
 
     def test_operator_accepts_and_records_margin(self):
         op = SpatialOperator(np.eye(2))
@@ -113,4 +113,4 @@ class TestMixedTypeSystem:
                 p, 1.0 / (p + 1),
                 (rng.random(p) < 0.4).astype(float),
                 np.zeros(p), 1.0)
-            assert check_maximal_monotone(sys.A.matrix) >= -1e-13
+            assert hermitian_part_min_eig(sys.A.matrix) >= -1e-13

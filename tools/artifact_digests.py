@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for twelve fixed configs.
+"""Print the sha256 of every CLI artifact for fourteen fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -15,7 +15,12 @@ as ``<case>-nu`` with an explicit ``nu`` below the family's closed-form rate
 byte-checked too.  ``custom-nu0`` is the ``custom`` config without ``nu``,
 through ``certify`` and ``verify``: the default 200 x 401 positivity scan on
 the nu = 0 sigma grid, and verify's exit 2 for a law that has no
-closed-form rate and no ``nu``.  The output is one sorted
+closed-form rate and no ``nu``.  ``mixed1d-ivp`` is the ``mixed1d`` config
+with a 49-entry ``u0``, through ``ivp`` only, so that the initial-value path
+is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
+``tau_max = 2``, below the first critical value pi/|h| = pi, through
+``certify`` only: the delay scan's smallest cos(tau h) is then a sampled
+value, not -1.  The output is one sorted
 ``<case>-<command>/<file> <sha256>`` line per artifact, then one
 ``<case>-<command> exit=<code>`` line per command.
 
@@ -123,6 +128,14 @@ CASES = {
 NU_CASES = {"dae": 1.5, "delay": 0.3, "integro": 0.3, "integro-rot": 0.3, "mixed1d": 0.5}
 CASES.update({f"{case}-nu": {**CASES[case], "nu": nu} for case, nu in NU_CASES.items()})
 CASES["custom-nu0"] = {key: value for key, value in CASES["custom"].items() if key != "nu"}
+CASES["mixed1d-ivp"] = {**CASES["mixed1d"], "u0": [[1.0 / (k + 1), 0.0] for k in range(49)]}
+CASES["delay-tau"] = {**CASES["delay"], "sampling": {"tau_max": 2.0}}
+
+# Commands per case: certify, solve and verify unless named here.  solve and
+# ivp do not depend on nu.
+COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certify", "verify"],
+            "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"]}
+COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
 def _sha256(path: str) -> str:
@@ -156,11 +169,7 @@ def main(argv=None) -> int:
             cfg_path = os.path.join(tmp, f"{case}.json")
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
-            if case.endswith(("-nu", "-nu0")):  # solve and ivp do not depend on nu
-                commands = ["certify", "verify"]
-            else:
-                commands = ["certify", "solve", "verify"] + (["ivp"] if case == "dae" else [])
-            for command in commands:
+            for command in COMMANDS.get(case, ["certify", "solve", "verify"]):
                 run = f"{case}-{command}"
                 out = os.path.join(tmp, run)
                 proc = subprocess.run(

@@ -1,5 +1,5 @@
-"""Print the ``repr`` of ``dae_rate``, ``delay_rate`` and ``integro_rate`` on
-seeded random draws, one line per draw.
+"""Print the ``repr`` of ``DaeLaw.rate()``, ``DelayLaw.rate()`` and
+``IntegroLaw.rate()`` on seeded random draws, one line per draw.
 
 Imports ``evostab`` from ``--src`` and draws ``--draws`` laws per family from
 a fixed seed:
@@ -12,11 +12,14 @@ a fixed seed:
   ``c`` in [0.05, 2], so that part of the draws lands below ``nu0`` and
   takes the bisection.
 
-Each integro line ends with a third column, the kernel's weighted L1 norm
+A ``ValueError`` from building the law or from its ``rate()`` prints as
+``<type>: <message>`` in place of the rate.  Each integro line ends with a
+third column, the kernel's weighted L1 norm
 ``kernel_weighted_l1(kernel, nu0)`` as ``%.12e``, so that a change to the
 quadrature shows in the diff next to the rate it feeds.  The last line
 counts the integro draws below ``nu0``.  Diff the output for two source
-trees to check that they return the same rates and L1 norms::
+trees whose law classes have ``rate()`` to check that they return the same
+rates and L1 norms::
 
     python tools/rate_reprs.py --src ../evostab-parent/src > before.txt
     python tools/rate_reprs.py --src src > after.txt
@@ -59,14 +62,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from evostab import (Kernel, KernelMode, dae_rate, delay_rate, integro_rate,
-                         kernel_weighted_l1)
+    from evostab import DaeLaw, DelayLaw, IntegroLaw, Kernel, KernelMode, kernel_weighted_l1
 
     rng = np.random.default_rng(args.seed)
 
-    def show(name, fn, *fn_args, extra=()):
+    def show(name, law_class, *law_args, extra=()):
         try:
-            value = repr(fn(*fn_args))
+            value = repr(law_class(*law_args).rate())
         except ValueError as exc:
             value = f"{type(exc).__name__}: {exc}"
         print(name, value, *extra)
@@ -74,17 +76,17 @@ def main() -> int:
 
     for k in range(args.draws):
         n = int(rng.integers(1, 5))
-        show(f"dae-{k}", dae_rate, _psd(rng, n), _m1(rng, n, rng.uniform(0.01, 2.0)))
+        show(f"dae-{k}", DaeLaw, _psd(rng, n), _m1(rng, n, rng.uniform(0.01, 2.0)))
     for k in range(args.draws):
         n = int(rng.integers(1, 4))
-        show(f"delay-{k}", delay_rate, _psd(rng, n), _m1(rng, n, rng.uniform(1.01, 4.0)),
+        show(f"delay-{k}", DelayLaw, _psd(rng, n), _m1(rng, n, rng.uniform(1.01, 4.0)),
              -float(rng.uniform(0.1, 3.0)))
     below = 0
     for k in range(args.draws):
         n = int(rng.integers(1, 4))
         kernel = Kernel(tuple(KernelMode(g, b) for g, b in _modes(rng, n)), nu0=0.5)
         l1 = f"{kernel_weighted_l1(kernel, 0.5):.12e}"
-        value = show(f"integro-{k}", integro_rate, kernel, float(rng.uniform(0.05, 2.0)),
+        value = show(f"integro-{k}", IntegroLaw, kernel, float(rng.uniform(0.05, 2.0)),
                      extra=(l1,))
         below += value != repr(0.5)
     print("integro draws below nu0:", below)
