@@ -4,9 +4,10 @@ A material law is a holomorphic matrix-valued function of
 z = 1/(i*xi + rho).  Each family is one class deriving from
 :class:`MaterialLaw` and carries everything that differs between families:
 the operator lambda * M(1/lambda) for an array of lambda, the pointwise
-symbol and its nu-shifted form, the analyticity check, the sampled
-positivity minimum, the closed-form positivity bound and the decay rate
-derived from it.  Callers ask the law itself: ``law.family``,
+symbol and its nu-shifted form with, where the family's structure gives
+them, the 2-norms of that form at an array of points, the analyticity
+check, the sampled positivity minimum, the closed-form positivity bound and
+the decay rate derived from it.  Callers ask the law itself: ``law.family``,
 ``law.symbol(z)``, ``law.rate()``.  The two module functions over those
 methods, :func:`shifted_symbol` and :func:`frequency_operator_stack`, each
 add a guard of their own (nu >= 0, and rho above the law's floor).
@@ -201,6 +202,30 @@ class Kernel:
         return max((_norm2(m.gamma - m.gamma.conj().T) for m in self.modes), default=0.0)
 
     @cached_property
+    def joint_eigenvalues(self) -> np.ndarray | None:
+        """Joint eigenvalues g[j, i] = (U* gamma_j U)_ii of the modes, shape
+        (modes, dim), or None when one unitary U does not diagonalise them all.
+
+        U comes from ``eigh`` of a fixed, seeded real combination of the modes,
+        which for Hermitian commuting modes separates their joint eigenspaces;
+        None means some U* gamma_j U is off-diagonal by more than STRUCT_TOL.
+        g is complex: its imaginary part is roundoff for Hermitian modes, and the
+        eigenvalues themselves for normal non-Hermitian ones.  Evaluated once
+        per kernel, like :attr:`conditions`, for the positivity scan, the L1
+        norm's curves and the shifted-symbol norms of :class:`IntegroLaw`.
+        """
+        n = self.dim
+        gammas = np.array([m.gamma for m in self.modes], dtype=complex).reshape(-1, n, n)
+        weights = np.random.default_rng(0).standard_normal(len(gammas))
+        _, u = np.linalg.eigh(np.tensordot(weights, gammas, axes=1))
+        rotated = u.conj().T @ gammas @ u
+        g = np.diagonal(rotated, axis1=1, axis2=2)  # a read-only view
+        off = rotated - g[:, :, None] * np.eye(n)
+        if max((_norm2(o) for o in off), default=0.0) > STRUCT_TOL:
+            return None
+        return g
+
+    @cached_property
     def conditions(self) -> KernelConditionReport:
         """The admissibility report, evaluated once per kernel: the modes are
         read-only and the fields frozen, so the cache cannot go stale.
@@ -230,36 +255,14 @@ def _kernel_w(kernel: Kernel, lam, one, gammas=None):
     ``lam`` is a Python complex or an array shaped to broadcast against
     ``one``.  With one = I and the modes' gamma_j (the default) this is
     W(lambda); with one = 0 it is -sqrt(2 pi) Chat(-i lambda); with one = 1
-    and the joint eigenvalues g[j] of :func:`_mode_eigenvalues` it is the
-    diagonal of U* W(lambda) U.
+    and the joint eigenvalues g[j] of :attr:`Kernel.joint_eigenvalues` it is
+    the diagonal of U* W(lambda) U.
     """
     gammas = [m.gamma for m in kernel.modes] if gammas is None else gammas
     w = one
     for g, m in zip(gammas, kernel.modes):
         w = w - g / (m.beta + lam)
     return w
-
-
-def _mode_eigenvalues(kernel: Kernel) -> np.ndarray | None:
-    """Joint eigenvalues g[j, i] = (U* gamma_j U)_ii of the kernel modes, shape
-    (modes, dim), or None when one unitary U does not diagonalise them all.
-
-    U comes from ``eigh`` of a fixed, seeded real combination of the modes,
-    which for Hermitian commuting modes separates their joint eigenspaces;
-    None means some U* gamma_j U is off-diagonal by more than STRUCT_TOL.
-    g is complex: its imaginary part is roundoff for Hermitian modes, and the
-    eigenvalues themselves for normal non-Hermitian ones.
-    """
-    n = kernel.dim
-    gammas = np.array([m.gamma for m in kernel.modes], dtype=complex).reshape(-1, n, n)
-    weights = np.random.default_rng(0).standard_normal(len(gammas))
-    _, u = np.linalg.eigh(np.tensordot(weights, gammas, axes=1))
-    rotated = u.conj().T @ gammas @ u
-    g = np.diagonal(rotated, axis1=1, axis2=2)
-    off = rotated - g[:, :, None] * np.eye(n)
-    if max((_norm2(o) for o in off), default=0.0) > STRUCT_TOL:
-        return None
-    return g
 
 
 def kernel_eval(kernel: Kernel, t: float) -> np.ndarray:
@@ -293,7 +296,7 @@ def _norm_curves(kernel: Kernel, nu: float) -> Callable:
     smooth where they do not cross, else its singular values.
     """
     decay = np.array([m.beta - nu for m in kernel.modes])
-    g = _mode_eigenvalues(kernel)
+    g = kernel.joint_eigenvalues
     if g is not None:
         return lambda t: np.exp(-np.outer(t, decay)) @ g
     gammas = np.array([m.gamma for m in kernel.modes])
@@ -427,8 +430,10 @@ class MaterialLaw:
       closed ball of radius 1/(2 nu) centred at -1/(2 nu).
 
     The defaults below serve laws without structure: the dense positivity
-    scan, no closed-form bound or rate, and no constant linearisation
-    (``linearization``), so the solver builds the dense operator stack.
+    scan, no closed-form bound or rate, no constant linearisation
+    (``linearization``), so the solver builds the dense operator stack, and
+    no structured shifted-symbol norms (``shifted_norms``), so the
+    boundedness check takes a dense 2-norm at every point.
     """
 
     # Weights rho at or below this put lambda = i*xi + rho outside the domain.
@@ -448,6 +453,18 @@ class MaterialLaw:
         if z == 0:
             raise ValueError(_OFF_DOMAIN)
         return self._shifted(nu, z)
+
+    def shifted_norms(self, nu: float, z: np.ndarray) -> tuple | None:
+        """(norms, slack) for a 1-D array of points z, or None.
+
+        ``norms`` is the 2-norm of ``shifted(nu, z)`` at each point, computed
+        from the law's structure; ``slack`` (an array or a scalar, inf where
+        no bound holds) bounds its distance from the exact 2-norm, rounding
+        apart.  None when the law
+        has no such structure, or when ``shifted`` might refuse a point:
+        the caller then evaluates every point densely.
+        """
+        return None
 
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
         """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over
@@ -517,6 +534,29 @@ class _PencilLaw(MaterialLaw):
         """
         return hermitian_part_min_eig(self.M1), _norm2(self.M0)
 
+    @cached_property
+    def _diagonals(self) -> tuple | None:
+        """(diag M0, diag M1) when neither matrix has a nonzero off-diagonal
+        entry, else None."""
+        off = ~np.eye(self.dim, dtype=bool)
+        if np.count_nonzero(self.M0[off]) or np.count_nonzero(self.M1[off]):
+            return None
+        return np.diagonal(self.M0), np.diagonal(self.M1)
+
+    def shifted_norms(self, nu: float, z: np.ndarray) -> tuple | None:
+        """With M0 and M1 exactly diagonal the shifted symbol is diagonal,
+        (1 - nu z) d0_i + z d1_i plus the family's multiple of I
+        (``_shifted_identity``), and its 2-norm is the largest |entry|."""
+        if self._diagonals is None:
+            return None
+        d0, d1 = self._diagonals
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: the caller's dense check
+            identity = self._shifted_identity(nu, z)
+            if identity is None:
+                return None
+            entries = (1.0 - nu * z)[:, None] * d0 + z[:, None] * d1 + identity[:, None]
+            return np.abs(entries).max(axis=1), 0.0
+
     def _sigma_sweep(self, sigmas: np.ndarray, monotone: bool) -> tuple:
         """(sigmas, smallest eigenvalue of sigma*M0 + H(M1) at each sigma).
 
@@ -556,6 +596,9 @@ class DaeLaw(_PencilLaw):
 
     def shifted(self, nu: float, z: complex) -> np.ndarray:
         return (1.0 - nu * z) * self.M0 + z * self.M1
+
+    def _shifted_identity(self, nu: float, z: np.ndarray) -> np.ndarray:
+        return np.zeros_like(z)
 
     def analyticity(self, nu: float) -> tuple:
         return True, "polynomial symbol, entire"
@@ -607,6 +650,16 @@ class DelayLaw(_PencilLaw):
         if w.real > 700.0:
             raise ValueError(f"delay term overflows at z = {z}")
         return (1.0 - nu * z) * self.M0 + z * np.exp(w) * np.eye(self.dim) + z * self.M1
+
+    def _shifted_identity(self, nu: float, z: np.ndarray) -> np.ndarray | None:
+        """z exp((1/z - nu) h) at each point, or None where ``shifted`` raises
+        (z = 0) or might: w.real above 699, within rounding of its guard 700."""
+        if (z == 0).any():
+            return None
+        w = self.h / z if nu == 0.0 else (1.0 / z - nu) * self.h
+        if (w.real > 699.0).any():
+            return None
+        return z * np.exp(w)
 
     def analyticity(self, nu: float) -> tuple:
         return True, "holomorphic away from 0, which lies in the excluded ball"
@@ -718,8 +771,36 @@ class IntegroLaw(MaterialLaw):
             return True, f"singular ball of kernel (nu0 = {nu0:.6g}) is contained in the excluded ball"
         return False, f"requested nu = {nu:.6g} exceeds kernel nu0 = {nu0:.6g}"
 
+    def shifted_norms(self, nu: float, z: np.ndarray) -> tuple | None:
+        """In the modes' joint eigenbasis U the shifted symbol is
+        U diag((1 - nu z) / w_i + c z) U* with w_i = w_i(1/z - nu), the
+        diagonal of U* W U.  U* gamma_j U is diagonal only up to its
+        off-diagonal part O_j, ||O_j|| <= STRUCT_TOL, so W = U (diag(w) - D) U*
+        with ||D|| <= d = STRUCT_TOL sum_j 1/|beta_j + lambda|; by the Neumann
+        series and Weyl's inequality the 2-norm moves by at most
+        |1 - nu z| a^2 d / (1 - a d), a = max_i 1/|w_i|: the slack.
+
+        None without a joint eigenbasis, for nu > nu0, and unless every point
+        has Re z > 0 and lies outside the singular ball of ``symbol``: then
+        Re(1/z) - nu >= -nu0 and ``shifted`` refuses no point.
+        """
+        g = self.kernel.joint_eigenvalues
+        nu0 = self.kernel.nu0
+        r = 1.0 / (2.0 * nu0)
+        if g is None or nu > nu0 or not (z.real > 0).all() or (np.abs(z + r) <= r + 1e-15).any():
+            return None
+        lam = 1.0 / z - nu
+        scale = 1.0 - nu * z
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g)
+            norms = np.abs(scale[:, None] / w + (self.c * z)[:, None]).max(axis=1)
+            a = 1.0 / np.abs(w).min(axis=1)
+            d = STRUCT_TOL * sum(1.0 / np.abs(m.beta + lam) for m in self.kernel.modes)
+            slack = np.abs(scale) * a * a * d / np.maximum(1.0 - a * d, 0.0)
+        return norms, slack
+
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
-        g = _mode_eigenvalues(self.kernel)
+        g = self.kernel.joint_eigenvalues
         if g is None:
             return super().positivity_min(sigmas, taus)
         best = np.inf

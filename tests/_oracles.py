@@ -9,16 +9,19 @@ and samples a delay law's critical tau values itself.
 The kernel L1 norm is scipy ``quad`` told where the integrand's kinks are.
 The transform sign condition is evaluated one sampled point at a time, with
 Chat summed from its defining formula, and a custom law's lambda * M(1/lambda)
-one point at a time into a preallocated array.
+one point at a time into a preallocated array.  The shifted-symbol check is
+the dense loop, one 2-norm at every spot-check point.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
-from evostab.certify import SamplingConfig, _sigma_grid
-from evostab.material import _SIGN_LINES, _SIGN_TS
+from evostab.certify import SHIFT_RADII, HypothesisResult, SamplingConfig, _sigma_grid
+from evostab.material import _SIGN_LINES, _SIGN_TS, _norm2, shifted_symbol
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -49,10 +52,12 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
     ||C(t)||_2 = max_i |c_i(t)| with smooth curves c_i: the exponential sums
     sum_j joint[j, i] exp(-beta_j t) when the caller knows the modes' joint
     eigenvalues ``joint`` (modes, dim), else the sorted eigenvalues of C(t),
-    smooth while they do not cross; commuting modes, whose eigenvalue curves
-    do cross, need ``joint``.  The kinks, where the largest |c_i|
+    smooth while they do not cross.  The kinks, where the largest |c_i|
     hands over to another, are located by brentq between the fine-grid
     points where the argmax changes and handed to ``quad`` as break points.
+    Sorted eigenvalues that cross swap places instead, so without ``joint``
+    the strict local minima of the gap between the two largest |c_i| on the
+    fine grid, located by bounded minimisation, are break points too.
     [0, T] leaves out less than 1e-17, which is bounded analytically.
     """
     rates = np.array([m.beta - nu for m in kernel.modes])
@@ -71,6 +76,10 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
         ct = np.abs(curves(t)[0])
         return ct[i] - ct[k]
 
+    def top_gap(t):
+        ct = np.sort(np.abs(curves(t)), axis=1)
+        return ct[:, -1] - ct[:, -2]
+
     grid = np.linspace(0.0, t_end, 20001)
     top = np.abs(curves(grid)).argmax(axis=1)
     kinks = []
@@ -78,6 +87,11 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
         args = (top[j], top[j + 1])
         if gap(grid[j], *args) * gap(grid[j + 1], *args) < 0:
             kinks.append(brentq(gap, grid[j], grid[j + 1], args=args, xtol=1e-15))
+    if joint is None and kernel.dim > 1:
+        g = top_gap(grid)
+        for j in np.nonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:]))[0] + 1:
+            kinks.append(minimize_scalar(lambda t: top_gap(t)[0], method="bounded",
+                                         bounds=(grid[j - 1], grid[j + 1])).x)
 
     def integrand(t):
         return float(np.abs(curves(t)).max())
@@ -107,6 +121,27 @@ def sign_defects_oracle(kernel) -> tuple:
 
     lines = np.linspace(-kernel.nu0, 5.0, _SIGN_LINES)
     return defect(-kernel.nu0), max(defect(rho) for rho in lines)
+
+
+def shifted_bounded_oracle(law, nu: float) -> HypothesisResult:
+    """Check (b) of the certificate with one dense 2-norm at each of the 480
+    points (481 when 1/nu falls inside a ball), in their report order."""
+    worst = 0.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
+    radii_frac = (0.25, 0.5, 0.8, 0.95, 0.999)
+    try:
+        for r in SHIFT_RADII:
+            pts = [r + s * r * np.exp(1j * th) for s in radii_frac for th in thetas]
+            if nu > 0 and abs(1.0 / nu - r) < r:
+                pts.append(1.0 / nu)  # removable point of the substitution
+            for z in pts:
+                norm = _norm2(shifted_symbol(law, nu, z))
+                if not math.isfinite(norm):
+                    return HypothesisResult(False, f"shifted symbol not finite at z = {z}")
+                worst = max(worst, norm)
+    except ValueError as exc:
+        return HypothesisResult(False, f"shifted symbol unavailable: {exc}")
+    return HypothesisResult(True, f"finite on sampled balls B(r, r), r in {SHIFT_RADII}; max norm {worst:.6g}", worst)
 
 
 def custom_stack_oracle(law, lam: np.ndarray) -> np.ndarray:

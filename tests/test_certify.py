@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 from _oracles import (delay_rate_oracle, dense_positivity_scan, integro_rate_oracle,
-                      sign_defects_oracle)
+                      shifted_bounded_oracle, sign_defects_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,8 +12,9 @@ from hypothesis.extra import numpy as hnp
 from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, NonFiniteSymbolError,
                      SamplingConfig, build_mixed_type_system, certify,
-                     check_kernel_conditions, closed_form_rate, kernel_hat,
-                     solvability_constant, solvability_lower_bound)
+                     check_kernel_conditions, closed_form_rate, indicators_from_intervals,
+                     kernel_hat, solvability_constant, solvability_lower_bound)
+from evostab.certify import _check_shifted_bounded
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -214,12 +215,14 @@ class TestStructuredMinima:
             solvability_constant(law, 2.0, sigma_max=3.5, tau_max=10.0, n_sigma=8, n_tau=21)
 
     @staticmethod
-    def rotated_integro_law(data, dim):
-        """Modes Q diag(d_j) Q* with a random unitary Q; the diagonals take
-        few distinct values, so joint eigenvalues repeat."""
+    def rotated_integro_law(data, dim, rotate=True):
+        """Modes Q diag(d_j) Q* with a random unitary Q, or Q = I; the
+        diagonals take few distinct values, so joint eigenvalues repeat."""
         n_modes = data.draw(st.integers(1, 3))
-        mats = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
-        q = random_unitary(mats[0] + 2.0 * np.eye(dim), mats[1])
+        q = np.eye(dim)
+        if rotate:
+            mats = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+            q = random_unitary(mats[0] + 2.0 * np.eye(dim), mats[1])
         levels = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
         modes = []
         for _ in range(n_modes):
@@ -245,9 +248,84 @@ class TestStructuredMinima:
         law = self.rotated_integro_law(data, dim)
         kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sys.modules["evostab.material"], "_mode_eigenvalues", lambda kernel: None)
+            mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
             got = solvability_constant(law, nu, **kw)
         assert got == dense_positivity_scan(law, nu, **kw)
+
+
+def assert_same_result(got, expected):
+    """Equal HypothesisResults, with the values compared bit for bit."""
+    assert (got.passed, got.evidence) == (expected.passed, expected.evidence)
+    bits = [None if r.value is None else r.value.hex() for r in (got, expected)]
+    assert bits[0] == bits[1]
+
+
+# nu = 0 and nu <= 0.05 keep 1/nu out of every ball B(r, r), r <= 10; larger
+# nu put the removable point 1/nu inside B(10, 10) at least
+SHIFT_NUS = st.one_of(st.just(0.0), st.floats(1e-3, 0.05), st.floats(0.0501, 2.0))
+
+
+class TestShiftedBounded:
+    """The screened shifted-symbol check against the dense loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), nu=SHIFT_NUS)
+    def test_diagonal_pencil_laws_match_dense_loop(self, data, dim, nu):
+        d0, d1, e = data.draw(hnp.arrays(float, (3, dim), elements=st.floats(-2.0, 2.0)))
+        m0, m1 = np.diag(np.abs(d0)), np.diag(d1 + 1j * e)
+        # |h| >= 5000 puts w.real = (Re 1/z - nu) |h| past the guard's 700 at
+        # the points near z = 20 once nu > 0.05 + 700/|h|
+        h = -data.draw(st.one_of(st.floats(0.1, 2.0), st.floats(5e3, 2e4)))
+        for law in (DaeLaw(m0, m1), DelayLaw(m0, m1, h)):
+            assert_same_result(_check_shifted_bounded(law, nu), shifted_bounded_oracle(law, nu))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), rotate=st.booleans(),
+           nu=st.one_of(SHIFT_NUS, st.floats(0.5, 1.0)))
+    def test_integro_laws_match_dense_loop(self, data, dim, rotate, nu):
+        # nu0 = 0.5: nu above it is refused by the shifted symbol
+        law = TestStructuredMinima.rotated_integro_law(data, dim, rotate)
+        assert_same_result(_check_shifted_bounded(law, nu), shifted_bounded_oracle(law, nu))
+
+    @pytest.mark.parametrize("law, nu, evidence", [
+        (DelayLaw([[1.0]], [[2.0]], -1e4), 0.5, "shifted symbol unavailable: delay term overflows"),
+        # largest w.real 705, past the guard but below exp's overflow at 709.78
+        (DelayLaw([[1.0]], [[2.0]], -1567.0), 0.5, "shifted symbol unavailable: delay term overflows"),
+        (IntegroLaw(scalar_kernel(), 1.0), 0.6, "shifted symbol unavailable: shifted symbol needs"),
+    ])
+    def test_refused_points_keep_the_dense_evidence(self, law, nu, evidence):
+        got = _check_shifted_bounded(law, nu)
+        assert not got.passed and got.evidence.startswith(evidence)
+        assert_same_result(got, shifted_bounded_oracle(law, nu))
+
+    @staticmethod
+    def dense_norm_calls(law, nu):
+        """(report, number of dense 2-norms certify took).  The package
+        attribute evostab.certify is the function, so the module is reached
+        through sys.modules."""
+        module = sys.modules["evostab.certify"]
+        norm2, calls = module._norm2, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "_norm2", lambda a: calls.append(a) or norm2(a))
+            report = certify(law, nu, SamplingConfig(n_sigma=4, n_tau=5))
+        return report, len(calls)
+
+    def test_mixed1d_law_takes_a_handful_of_dense_norms(self):
+        ind0, ind1 = indicators_from_intervals(50, (0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0))
+        mixed = build_mixed_type_system(50, 1.0 / 51, ind0, ind1, 1.0)
+        law = DaeLaw(mixed.M0, mixed.M1)
+        for nu in (0.0, 0.5):
+            report, calls = self.dense_norm_calls(law, nu)
+            assert calls <= 4
+            assert_same_result(report.shifted_bounded, shifted_bounded_oracle(law, nu))
+
+    def test_laws_without_structure_evaluate_every_point(self):
+        dense = DaeLaw([[1.0, 0.3], [0.3, 0.5]], [[2.0, 1.0], [0.0, 1.5]])
+        custom = CustomLaw(1, lambda z: np.array([[1.0 + 2.0 * z]]),
+                           shifted_fn=lambda nu, z: np.array([[1.0 - nu * z + 2.0 * z]]))
+        for law in (dense, custom):
+            report, calls = self.dense_norm_calls(law, 0.5)  # 1/nu = 2 lies in B(10, 10)
+            assert report.shifted_bounded.passed and calls == 481
 
 
 class TestKernelConditions:

@@ -12,7 +12,7 @@ from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, QuadratureError,
                      check_kernel_conditions, hermitian_part_min_eig, kernel_eval,
                      kernel_hat, kernel_weighted_l1, shifted_symbol)
-from evostab.material import _mode_eigenvalues, frequency_operator_stack
+from evostab.material import frequency_operator_stack
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -107,14 +107,14 @@ class TestKernel:
         d1, d2 = np.array([0.1, -0.2]), np.array([0.3, 0.3])
         k = Kernel(modes=(KernelMode(q @ np.diag(d1) @ q.T, 1.0),
                           KernelMode(q @ np.diag(d2) @ q.T, 2.0)), nu0=0.5)
-        g = _mode_eigenvalues(k)
+        g = k.joint_eigenvalues
         order = np.argsort(g[0])
         assert np.allclose(g[:, order], [np.sort(d1), d2[np.argsort(d1)]], atol=1e-15)
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
         b = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert _mode_eigenvalues(Kernel(modes=(KernelMode(a, 2.0), KernelMode(b, 3.0)),
-                                        nu0=0.5)) is None
-        assert _mode_eigenvalues(Kernel(modes=(), nu0=0.5, dim=2)).shape == (0, 2)
+        assert Kernel(modes=(KernelMode(a, 2.0), KernelMode(b, 3.0)),
+                      nu0=0.5).joint_eigenvalues is None
+        assert Kernel(modes=(), nu0=0.5, dim=2).joint_eigenvalues.shape == (0, 2)
 
     def test_construction_guards(self):
         with pytest.raises(ValueError):
@@ -181,7 +181,7 @@ class TestKernelL1:
                                      elements=st.floats(-1.0, 1.0)))
         modes = tuple(KernelMode(r @ r.T / dim, data.draw(st.floats(0.6, 3.0))) for r in roots)
         kernel = Kernel(modes, nu0=0.5)
-        assume(_mode_eigenvalues(kernel) is None)
+        assume(kernel.joint_eigenvalues is None)
         assert abs(kernel_weighted_l1(kernel, nu) - kernel_l1_oracle(kernel, nu)) <= 1e-12
 
     def test_normal_non_hermitian_modes_keep_their_phase(self):
@@ -195,7 +195,7 @@ class TestKernelL1:
         # C(t) = [[0, e^{-t}], [0.5 e^{-2t}, 0]] has norm e^{-t}, so L1(0) = 1
         kernel = Kernel((KernelMode([[0, 1], [0, 0]], 1.0), KernelMode([[0, 0], [0.5, 0]], 2.0)),
                         nu0=0.5)
-        assert _mode_eigenvalues(kernel) is None
+        assert kernel.joint_eigenvalues is None
         assert abs(kernel_weighted_l1(kernel, 0.0) - 1.0) <= 1e-12
 
     def test_level_cap_raises_instead_of_a_partial_sum(self, monkeypatch):
@@ -392,3 +392,40 @@ class TestShiftedSymbol:
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError):
             shifted_symbol(DaeLaw([[1.0]], [[2.0]]), -0.1, 1.0)
+
+
+class TestShiftedNorms:
+    """law.shifted_norms: the 2-norm of each shifted symbol from the law's
+    structure, or None where there is none or ``shifted`` may refuse a point."""
+
+    Z = np.array([0.3 + 0.2j, 1.0, 2.0 - 1.5j, 19.99])
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3])
+    def test_structured_norms_match_dense(self, nu):
+        q = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        modes = tuple(KernelMode(q @ np.diag(d) @ q.conj().T, b)
+                      for d, b in (([0.2, 0.1], 1.0), ([0.05, 0.1], 2.0)))
+        laws = [DaeLaw(np.diag([1.0, 0.0]), np.diag([2.0, 1.0 + 1.0j])),
+                DelayLaw(np.diag([1.0, 0.5]), np.diag([3.0, 2.5]), h=-1.0),
+                IntegroLaw(Kernel(modes, nu0=0.5), c=1.2)]
+        for law in laws:
+            norms, slack = law.shifted_norms(nu, self.Z)
+            dense = [np.linalg.norm(shifted_symbol(law, nu, z), 2) for z in self.Z]
+            assert np.all(np.abs(norms - dense) <= slack + 1e-14 * np.max(dense))
+
+    def test_none_without_structure_or_where_shifted_refuses(self):
+        assert DaeLaw([[1.0, 0.1], [0.1, 1.0]], np.eye(2)).shifted_norms(0.3, self.Z) is None
+        assert DaeLaw(np.eye(2), [[2.0, 1e-300], [0.0, 2.0]]).shifted_norms(0.3, self.Z) is None
+        assert CustomLaw(1, lambda z: np.array([[1.0 + z]])).shifted_norms(0.0, self.Z) is None
+        delay = DelayLaw([[1.0]], [[2.0]], h=-1.0)
+        assert delay.shifted_norms(0.3, np.array([0.0j, 1.0])) is None
+        assert delay.shifted_norms(0.3, np.array([1e-3 + 0j, 1.0])) is not None
+        with pytest.raises(ValueError, match="overflows"):
+            shifted_symbol(delay, 0.3, -1.4e-3)  # w.real = 714.6
+        assert delay.shifted_norms(0.3, np.array([-1.4e-3 + 0j, 1.0])) is None
+        integro = IntegroLaw(scalar_kernel(), c=1.0)
+        assert integro.shifted_norms(0.6, self.Z) is None
+        assert integro.shifted_norms(0.3, np.array([-0.5 + 0j])) is None
+        noncommuting = Kernel((KernelMode([[1.0, 0.0], [0.0, 2.0]], 2.0),
+                               KernelMode([[2.0, 1.0], [1.0, 2.0]], 3.0)), nu0=0.5)
+        assert noncommuting.joint_eigenvalues is None

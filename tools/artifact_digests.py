@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for fourteen fixed configs.
+"""Print the sha256 of every CLI artifact for fifteen fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -20,7 +20,11 @@ with a 49-entry ``u0``, through ``ivp`` only, so that the initial-value path
 is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``tau_max = 2``, below the first critical value pi/|h| = pi, through
 ``certify`` only: the delay scan's smallest cos(tau h) is then a sampled
-value, not -1.  The output is one sorted
+value, not -1.  ``dae-dense`` is a DAE law with a non-diagonal Hermitian
+``M0`` and a non-normal ``M1`` at nu = 0.5, through ``certify`` and
+``verify``: every other DAE and delay law is diagonal, and this one has no
+structured shifted-symbol norms, so its check takes the dense 2-norm at
+every point.  The output is one sorted
 ``<case>-<command>/<file> <sha256>`` line per artifact, then one
 ``<case>-<command> exit=<code>`` line per command.
 
@@ -130,11 +134,16 @@ CASES.update({f"{case}-nu": {**CASES[case], "nu": nu} for case, nu in NU_CASES.i
 CASES["custom-nu0"] = {key: value for key, value in CASES["custom"].items() if key != "nu"}
 CASES["mixed1d-ivp"] = {**CASES["mixed1d"], "u0": [[1.0 / (k + 1), 0.0] for k in range(49)]}
 CASES["delay-tau"] = {**CASES["delay"], "sampling": {"tau_max": 2.0}}
+CASES["dae-dense"] = {
+    "family": "dae", "m0": _hermitian2(1.0, 0.3 - 0.2j, 0.5),
+    "m1": [[[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]], "a": SKEW,
+    "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE, "nu": 0.5,
+}
 
 # Commands per case: certify, solve and verify unless named here.  solve and
 # ivp do not depend on nu.
 COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certify", "verify"],
-            "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"]}
+            "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
