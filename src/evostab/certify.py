@@ -79,9 +79,11 @@ class SamplingConfig:
         if not (math.isfinite(self.tau_max) and self.tau_max >= 0):
             raise ValueError(f"tau_max must be finite and >= 0, got {self.tau_max!r}")
 
-    def describe(self, nu: float) -> str:
-        return (f"sigma in [{_sigma_grid(nu, self)[0]:.6g}, {self.sigma_max:.6g}] x {self.n_sigma}, "
-                f"tau in [{-self.tau_max:.6g}, {self.tau_max:.6g}] x {self.n_tau} plus critical values")
+    def describe(self, nu: float, extra: str | None = None) -> str:
+        """The grid at nu, plus ``extra``, what the scan samples besides it."""
+        grid = (f"sigma in [{_sigma_grid(nu, self)[0]:.6g}, {self.sigma_max:.6g}] x {self.n_sigma}, "
+                f"tau in [{-self.tau_max:.6g}, {self.tau_max:.6g}] x {self.n_tau}")
+        return grid if extra is None else f"{grid} plus {extra}"
 
 
 def _sigma_grid(nu: float, cfg: SamplingConfig) -> np.ndarray:
@@ -294,7 +296,7 @@ def certify(law: MaterialLaw, nu: float, sampling: SamplingConfig | None = None)
         nu=nu,
         c_nu=c_nu,
         c_nu_sampled=c_sampled,
-        sample_grid=cfg.describe(nu),
+        sample_grid=cfg.describe(nu, law.extra_samples),
         closed_form_rate=rate,
         analyticity=analyticity,
         shifted_bounded=shifted,

@@ -439,6 +439,10 @@ class MaterialLaw:
     # Weights rho at or below this put lambda = i*xi + rho outside the domain.
     rho_floor = -math.inf
 
+    # What the positivity scan samples besides its sigma x tau grid, for the
+    # report's sample grid; None when it samples the grid alone.
+    extra_samples = None
+
     def linearization(self, a: np.ndarray) -> tuple | None:
         """Constant matrices (E, F, L) with B(lambda) x = f equivalent to
         (lambda E + F) X = L f, where B(lambda) = lambda M(1/lambda) + a and
@@ -627,6 +631,7 @@ class DelayLaw(_PencilLaw):
 
     h: float
     family = "delay"
+    extra_samples = "critical values"  # tau = k pi/|h|, where cos(tau h) = +-1
 
     def __post_init__(self):
         super().__post_init__()

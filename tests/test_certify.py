@@ -444,6 +444,14 @@ class TestCertify:
         assert dict(pairs)["certificate"] == "closed_form"
         assert "PASS" in rep.to_text()
 
+    def test_only_delay_grids_name_critical_values(self):
+        kw = SamplingConfig(n_sigma=4, n_tau=5)
+        grid = "sigma in [2.5, 10] x 4, tau in [-100, 100] x 5"
+        assert certify(DaeLaw([[1.0]], [[2.0]]), 0.0, kw).sample_grid == grid
+        assert certify(IntegroLaw(scalar_kernel(), 1.0), 0.0, kw).sample_grid == grid
+        assert certify(DelayLaw([[1.0]], [[2.0]], -1.0), 0.0, kw).sample_grid == \
+            grid + " plus critical values"
+
     def test_rate_cap_for_algebraic_law(self):
         rep = certify(DaeLaw([[0.0]], [[2.0]]), 1.0)
         got = dict(rep.kv_pairs())
