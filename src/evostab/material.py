@@ -66,6 +66,14 @@ _OFF_DOMAIN = "z = 0 is not in the domain of this family"
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _L1_PANELS = 16
 _L1_MAX_LEVELS = 48
+# Grid on which sorted fallback curves are searched for crossings, the
+# golden-section steps that refine each one (0.618^80 < 1e-16), and the gap,
+# relative to the largest |c_i|, that a grid neighbour of a crossing must
+# exceed: below it the gap is rounding, and a kink that shallow is below
+# the rule's tolerance.
+_CROSSING_GRID = 4097
+_CROSSING_STEPS = 80
+_CROSSING_FLOOR = 1e-12
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -309,6 +317,33 @@ def _norm_curves(kernel: Kernel, nu: float) -> Callable:
     return curves
 
 
+def _top_crossings(curves: Callable, t_cut: float) -> np.ndarray:
+    """Where the two largest |c_i| of sorted curves may cross on [0, t_cut].
+
+    Sorted eigenvalues or singular values swap places where they cross, so
+    the largest stays one curve and :func:`_panel_rules` sees no hand-over;
+    the kink shows only as a zero of the gap between the two largest.  Each
+    strict local minimum of that gap on a fine grid is refined by
+    golden-section search, all at once, to rounding; minima whose grid
+    neighbours are at rounding level too are no crossing.
+    """
+    def gap(t):
+        c = np.sort(np.abs(curves(t)), axis=1)
+        return c[:, -1] - c[:, -2]
+
+    t = np.linspace(0.0, t_cut, _CROSSING_GRID)
+    g, floor = gap(t), _CROSSING_FLOOR * np.abs(curves(t)).max()
+    lo, mid, hi = g[:-2], g[1:-1], g[2:]
+    j = np.nonzero((mid < lo) & (mid < hi) & (np.maximum(lo, hi) > floor))[0] + 1
+    a, b = t[j - 1], t[j + 1]
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    for _ in range(_CROSSING_STEPS):
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        left = gap(c) < gap(d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    return 0.5 * (a + b)
+
+
 def _panel_rules(curves: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
     """Gauss-Legendre rules on every panel [a_k, b_k]: (coarse, fine, smooth,
     spread).
@@ -347,6 +382,10 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
       the curvature between samples.  Only panels holding a kink, where two
       curves |c_i| of :func:`_norm_curves` cross, are settled this way.
 
+    Without a joint eigenbasis the curves are sorted and hide their
+    crossings, so those (:func:`_top_crossings`) are panel ends from the
+    start.
+
     The other panels are bisected.  A panel still open after
     ``_L1_MAX_LEVELS`` rounds raises :class:`QuadratureError`; no partial
     sum is returned.
@@ -371,6 +410,8 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
 
     curves = _norm_curves(kernel, nu)
     edges = np.linspace(0.0, t_cut, _L1_PANELS + 1)
+    if kernel.joint_eigenvalues is None:  # sorted curves: their crossings become panel ends
+        edges = np.union1d(edges, _top_crossings(curves, t_cut))
     a, b = edges[:-1], edges[1:]
     val = 0.0
     for _ in range(_L1_MAX_LEVELS):

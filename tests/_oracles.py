@@ -57,7 +57,8 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
     points where the argmax changes and handed to ``quad`` as break points.
     Sorted eigenvalues that cross swap places instead, so without ``joint``
     the strict local minima of the gap between the two largest |c_i| on the
-    fine grid, located by bounded minimisation, are break points too.
+    fine grid, located by bounded minimisation, are break points too, unless
+    the gap next to them is rounding (below 1e-12 of the largest |c_i|).
     [0, T] leaves out less than 1e-17, which is bounded analytically.
     """
     rates = np.array([m.beta - nu for m in kernel.modes])
@@ -88,8 +89,9 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
         if gap(grid[j], *args) * gap(grid[j + 1], *args) < 0:
             kinks.append(brentq(gap, grid[j], grid[j + 1], args=args, xtol=1e-15))
     if joint is None and kernel.dim > 1:
-        g = top_gap(grid)
-        for j in np.nonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:]))[0] + 1:
+        g, floor = top_gap(grid), 1e-12 * np.abs(curves(grid)).max()
+        lo, mid, hi = g[:-2], g[1:-1], g[2:]
+        for j in np.nonzero((mid < lo) & (mid < hi) & (np.maximum(lo, hi) > floor))[0] + 1:
             kinks.append(minimize_scalar(lambda t: top_gap(t)[0], method="bounded",
                                          bounds=(grid[j - 1], grid[j + 1])).x)
 

@@ -184,6 +184,20 @@ class TestKernelL1:
         assume(kernel.joint_eigenvalues is None)
         assert abs(kernel_weighted_l1(kernel, nu) - kernel_l1_oracle(kernel, nu)) <= 1e-12
 
+    @pytest.mark.parametrize("entry", [1.0, 0.25])
+    def test_crossing_sorted_eigenvalues_match_oracle(self, entry):
+        # block-diagonal non-commuting modes: the largest eigenvalue of the
+        # {1, 2} block crosses the {0} block's, and sorted eigenvalues swap
+        # there without an argmax change (0.25 was 6.8e-10 off, 1.0 fooled
+        # the oracle by 2.1e-10)
+        r1 = np.zeros((4, 4))
+        r1[1, :2], r1[2, 1] = (0.875, entry), entry
+        r2 = np.zeros((4, 4))
+        r2[0, 0], r2[2, 1] = 0.875, 0.5
+        kernel = Kernel((KernelMode(r1 @ r1.T / 4, 2.0), KernelMode(r2 @ r2.T / 4, 0.75)), nu0=0.5)
+        assert kernel.joint_eigenvalues is None
+        assert abs(kernel_weighted_l1(kernel, 0.0) - kernel_l1_oracle(kernel, 0.0)) <= 1e-12
+
     def test_normal_non_hermitian_modes_keep_their_phase(self):
         # |0.2i e^{-t} + 0.1 e^{-2t}|: the imaginary mode is not rounded away
         kernel = Kernel((KernelMode([[0.2j]], 1.0), KernelMode([[0.1]], 2.0)), nu0=0.5)
