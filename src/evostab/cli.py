@@ -38,8 +38,8 @@ from .errors import (CertificationError, ConfigError, DecayFitError,
                      EdgeMassError, SingularFrequencyError)
 from .material import DaeLaw, DelayLaw, IntegroLaw, Kernel, KernelMode
 from .signals import (Signal, TimeGrid, gaussian_pulse, signal_from_csv,
-                      signal_to_csv, step_exp)
-from .solver import EvolutionaryProblem, IvpProblem, ivp_solve, solve, solve_integro
+                      signal_to_csv, step_exp, _times_close)
+from .solver import EvolutionaryProblem, ivp_solve, solve, solve_integro
 from .spatial import SpatialOperator, build_mixed_type_system, indicators_from_intervals
 
 RESIDUAL_LIMIT = 1e-8
@@ -242,11 +242,13 @@ class _BuiltProblem:
         if kind == "step_exp":
             return step_exp(self.grid, start=spec["start"], rate=spec["rate"], dim=self.dim)
         if kind == "csv":
+            # the file's dt is rebuilt as t[1] - t[0], so compare the times
+            # themselves, within the reader's tolerance, not the grids
             f = signal_from_csv(spec["path"])
-            if f.grid != self.grid:
-                raise ConfigError("forcing: csv grid does not match the config grid")
+            _require(_times_close(f.grid.times, self.grid.times),
+                     "forcing: csv grid does not match the config grid")
             _require(f.dim == self.dim, "forcing: csv dimension does not match the problem")
-            return f
+            return Signal(self.grid, f.values)
         return Signal.zeros(self.grid, self.dim)
 
     def run_solve(self, f: Signal, threads: int) -> Signal:
@@ -363,10 +365,10 @@ def cmd_ivp(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
     u0 = _as_complex_matrix(cfg["u0"], "u0")
     _require(u0.ndim == 1 and u0.shape[0] == built.dim,
              f"ivp: u0 must have {built.dim} entries")
-    problem = IvpProblem(built.law.M0, built.law.M1, built.A, u0, built.forcing(),
-                         rho=cfg["rho"], phi_scale=cfg["phi_scale"])
-    u, gap = ivp_solve(problem, check_certified=cfg["check_certified"])
-    m0u0 = float(np.linalg.norm(np.asarray(built.law.M0) @ u0))
+    problem = EvolutionaryProblem(built.law, built.A, cfg["rho"], built.forcing())
+    u, gap = ivp_solve(problem, u0, phi_scale=cfg["phi_scale"],
+                       check_certified=cfg["check_certified"])
+    m0u0 = float(np.linalg.norm(built.law.M0 @ u0))
     limit = 10.0 * built.grid.dt * m0u0 + 1e-12
     residual_ok = _solution_step(built, u, out_dir, [("initial_gap", gap), ("gap_limit", limit)])
     return residual_ok and gap <= limit

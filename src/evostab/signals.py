@@ -499,6 +499,13 @@ def signal_to_csv(f: Signal, path) -> None:
     _write_csv(path, np.column_stack([f.grid.times, f.values.view(float)]), header)
 
 
+def _times_close(times: np.ndarray, ref: np.ndarray) -> bool:
+    """True when two time columns have one length and agree within
+    1e-9 * max(1, max |ref|), the tolerance of :func:`signal_from_csv`."""
+    return (times.shape == ref.shape
+            and np.max(np.abs(times - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref))))
+
+
 def signal_from_csv(path) -> Signal:
     """Read a signal written by :func:`signal_to_csv`, rebuilding its grid."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -508,7 +515,7 @@ def signal_from_csv(path) -> Signal:
         raise ValueError("need at least two samples to reconstruct a grid")
     dt = t[1] - t[0]
     grid = TimeGrid(float(t[0]), float(dt), n)
-    if np.max(np.abs(grid.times - t)) > 1e-9 * max(1.0, np.max(np.abs(t))):
+    if not _times_close(grid.times, t):
         raise ValueError("CSV time column is not a uniform grid")
     pairs = data[:, 1:]
     if pairs.shape[1] % 2 != 0:

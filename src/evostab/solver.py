@@ -31,26 +31,28 @@ assembles ``meta``; only the per-frequency solve differs:
   walks the same frequency chunks with the dense stack for every family, so
   it stays an independent check of both solve paths.
 
-Initial-value problems are reduced to forced equations on the whole line:
-with phi the plateau cutoff from :func:`cutoff_phi`, v = u - phi * u0
-satisfies the same equation with the modified right-hand side assembled by
-:func:`ivp_assemble_rhs`, and u is recovered as v + phi * u0.  The jump of
-u at t = 0 is carried by phi exactly, so the achieved initial value can be
-read off the first grid point at or after zero.
+An initial-value problem is the :class:`EvolutionaryProblem` of a DAE law,
+the same one :func:`solve` takes, plus an initial state u0; it is reduced to
+a forced equation on the whole line: with phi the plateau cutoff from
+:func:`cutoff_phi`, v = u - phi * u0 satisfies the same equation with the
+modified right-hand side assembled by :func:`ivp_assemble_rhs`, and u is
+recovered as v + phi * u0.  The jump of u at t = 0 is carried by phi
+exactly, so the achieved initial value can be read off the first grid point
+at or after zero.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
-from .material import DaeLaw, IntegroLaw, Kernel, MaterialLaw, frequency_operator_stack
+from .material import IntegroLaw, Kernel, MaterialLaw, frequency_operator_stack
 from .certify import solvability_constant, solvability_lower_bound
 from .signals import (EDGE_FAIL, EDGE_WARN, SOLUTION_EDGE_FAIL, Signal, SpectralSignal,
                       edge_mass, fourier_laplace, inverse_fourier_laplace,
@@ -324,70 +326,53 @@ def cutoff_phi(t, scale: float = 1.0):
     return out
 
 
-@dataclass(frozen=True)
-class IvpProblem:
-    """Initial-value problem data: (d/dt M0 + M1 + A) u = f on t > 0 with
-    M0 u(0+) = M0 u0 and f supported in t >= 0."""
+def ivp_assemble_rhs(problem: EvolutionaryProblem, u0, phi_scale: float = 1.0) -> Signal:
+    """Right-hand side for v = u - phi*u0 in the initial-value problem
+    (d/dt M0 + M1 + A) u = f on t > 0 with M0 u(0+) = M0 u0:
+    g = f + (1/s) chi_(s,2s) M0 u0 - phi M1 u0 - phi A u0.
 
-    M0: np.ndarray
-    M1: np.ndarray
-    A: SpatialOperator
-    u0: np.ndarray
-    f: Signal
-    rho: float
-    phi_scale: float = 1.0
-
-    def __post_init__(self):
-        law = DaeLaw(self.M0, self.M1)  # validates M0
-        object.__setattr__(self, "M0", law.M0)
-        object.__setattr__(self, "M1", law.M1)
-        object.__setattr__(self, "A", _as_operator(self.A, law.dim))
-        u0 = np.asarray(self.u0, dtype=complex).reshape(-1)
-        if u0.shape != (law.dim,):
-            raise ValueError(f"u0 must have length {law.dim}, got {u0.shape}")
-        object.__setattr__(self, "u0", u0)
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not self.phi_scale > 0:
-            raise ValueError(f"phi_scale must be positive, got {self.phi_scale}")
-        slb = support_lower_bound(self.f, 1e-8)
-        if slb is not None and slb < 0:
-            raise ValueError(f"forcing must vanish before t = 0, support starts at {slb:.6g}")
-
-
-def ivp_assemble_rhs(q: IvpProblem) -> Signal:
-    """Right-hand side for v = u - phi*u0:
-    g = f + (1/s) chi_(s,2s) M0 u0 - phi M1 u0 - phi A u0."""
-    t = q.f.grid.times
-    s = q.phi_scale
-    chi = ((t > s) & (t < 2 * s)).astype(float)
+    ``problem.symbol`` must be a DAE law M(z) = M0 + z*M1, ``u0`` a vector of
+    its dimension, ``problem.f`` must vanish before t = 0 and its grid must
+    hold a point t >= 0; otherwise ValueError, as for ``phi_scale <= 0``.
+    """
+    law, f, s = problem.symbol, problem.f, phi_scale
+    if law.family != "dae":
+        raise ValueError(f"initial-value data need a DAE law M0 + z*M1, got the {law.family} family")
+    u0 = np.asarray(u0, dtype=complex).reshape(-1)
+    if u0.shape != (law.dim,):
+        raise ValueError(f"u0 must have length {law.dim}, got {u0.shape}")
+    slb = support_lower_bound(f, 1e-8)
+    if slb is not None and slb < 0:
+        raise ValueError(f"forcing must vanish before t = 0, support starts at {slb:.6g}")
+    t = f.grid.times
+    if not t[-1] >= 0.0:
+        raise ValueError("grid does not contain t >= 0")
     phi = cutoff_phi(t, s)
-    m0u = q.M0 @ q.u0
-    rest = (q.M1 + q.A.matrix) @ q.u0
+    chi = ((t > s) & (t < 2 * s)).astype(float)
+    m0u = law.M0 @ u0
+    rest = (law.M1 + problem.A.matrix) @ u0
     corr = (chi / s)[:, None] * m0u[None, :] - phi[:, None] * rest[None, :]
-    return Signal(q.f.grid, q.f.values + corr)
+    return Signal(f.grid, f.values + corr)
 
 
-def ivp_solve(q: IvpProblem, *, check_certified: bool = True) -> tuple:
-    """Solve the initial-value problem; returns (u, initial_gap).
+def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
+              check_certified: bool = True) -> tuple:
+    """Solve the initial-value problem of :func:`ivp_assemble_rhs`, whose
+    checks run before the solve; returns (u, initial_gap).
 
     ``initial_gap`` is |M0 u(t+) - M0 u0| at the first grid point >= 0 and
-    shrinks linearly with dt.  The law is a ``DaeLaw``, so :func:`solve`
-    takes the QZ pencil path, which runs no thread pool;
-    ``check_certified`` is passed on to it.
+    shrinks linearly with dt.  The law is a DAE law, so :func:`solve` takes
+    the QZ pencil path, which runs no thread pool; ``check_certified`` is
+    passed on to it.
     """
-    g = ivp_assemble_rhs(q)
-    prob = EvolutionaryProblem(DaeLaw(q.M0, q.M1), q.A, q.rho, g)
-    v = solve(prob, check_certified=check_certified)
-    t = q.f.grid.times
-    phi = cutoff_phi(t, q.phi_scale)
-    u = Signal(q.f.grid, v.values + phi[:, None] * q.u0[None, :], meta=dict(v.meta))
-
-    plus = np.nonzero(t >= 0.0)[0]
-    if plus.size == 0:
-        raise ValueError("grid does not contain t >= 0")
-    k = plus[0]
-    gap = float(np.linalg.norm(q.M0 @ (u.values[k] - q.u0)))
+    g = ivp_assemble_rhs(problem, u0, phi_scale)
+    u0 = np.asarray(u0, dtype=complex).reshape(-1)
+    v = solve(replace(problem, f=g), check_certified=check_certified)
+    t = g.grid.times
+    phi = cutoff_phi(t, phi_scale)
+    u = Signal(g.grid, v.values + phi[:, None] * u0[None, :], meta=dict(v.meta))
+    k = int(np.argmax(t >= 0.0))
+    gap = float(np.linalg.norm(problem.symbol.M0 @ (u.values[k] - u0)))
     u.meta["initial_gap"] = gap
     u.meta["initial_time"] = float(t[k])
     return u, gap

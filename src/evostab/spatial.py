@@ -57,13 +57,7 @@ def build_grad_1d(p: int, dx: float):
         raise ValueError(f"need at least one interior node, got p = {p}")
     if not dx > 0:
         raise ValueError(f"dx must be positive, got {dx}")
-    g = np.zeros((p + 1, p))
-    for j in range(p + 1):
-        if j < p:
-            g[j, j] = 1.0
-        if j > 0:
-            g[j, j - 1] = -1.0
-    g /= dx
+    g = (np.eye(p + 1, p) - np.eye(p + 1, p, -1)) / dx
     return g, -g.T
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from evostab import (DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLaw,
-                     IvpProblem, Kernel, KernelMode, Signal, TimeGrid,
+                     Kernel, KernelMode, Signal, TimeGrid,
                      build_mixed_type_system, check_kernel_conditions,
                      convolve_time, fourier_laplace, gaussian_pulse,
                      indicators_from_intervals, inverse_fourier_laplace,
@@ -190,8 +190,8 @@ def test_c10_ivp_initial_gap_shrinks_linearly_in_dt():
     gaps = []
     for dt_inv in (64, 128, 256):
         g = TimeGrid(-4.0, 1 / dt_inv, 16 * dt_inv)
-        q = IvpProblem([[1.0]], [[2.0]], None, [1.0], Signal.zeros(g, 1), 0.5)
-        u, gap = ivp_solve(q)
+        q = EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 0.5, Signal.zeros(g, 1))
+        u, gap = ivp_solve(q, [1.0])
         tracked(u)
         assert gap <= 10.0 / dt_inv + 1e-12  # 10 * dt * |M0 u0|
         gaps.append(gap)

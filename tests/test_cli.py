@@ -206,6 +206,26 @@ def test_solve_rejects_csv_on_wrong_grid(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_solve_accepts_csv_on_non_dyadic_config_grid(tmp_path):
+    # the reader rebuilds dt = 0.01 as t[1] - t[0] = 0.010000000000000009
+    grid = {"t0": -1.0, "dt": 0.01, "n_steps": 512}
+    signal_to_csv(gaussian_pulse(TimeGrid(**grid), 0.5, 0.1), tmp_path / "force.csv")
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(
+        grid=grid, forcing={"kind": "csv", "path": "force.csv"}))
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    assert read_kv(os.path.join(out, "metadata.kv"))["dt"] == "0.01"
+
+
+def test_solve_rejects_csv_on_shifted_grid(tmp_path, capsys):
+    grid = {"t0": -1.0, "dt": 0.01, "n_steps": 512}
+    signal_to_csv(gaussian_pulse(TimeGrid(-0.995, 0.01, 512), 0.5, 0.1), tmp_path / "force.csv")
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(
+        grid=grid, forcing={"kind": "csv", "path": "force.csv"}))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "csv grid does not match" in capsys.readouterr().err
+
+
 def test_solve_threads_flag_is_bitwise_stable(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(
         forcing={"kind": "pulse", "center": 0.0, "width": 0.1}))
@@ -330,6 +350,25 @@ def test_ivp_honours_check_certified(tmp_path):
     with pytest.warns(EdgeMassWarning):
         assert main(["ivp", "--config", cfg, "--out", out]) == 0
     assert "solution edge mass" in read_kv(os.path.join(out, "metadata.kv"))["warnings"]
+
+
+@pytest.mark.parametrize("cfg", [
+    scalar_dae_cfg(u0=[[1.0, 0.0]], grid={"t0": -4.0, "dt": 0.0078125, "n_steps": 2048}),
+    dict(mixed_cfg(), u0=[[1.0, 0.0]] * 97, forcing={"kind": "zero"}),
+], ids=["dae", "mixed1d"])
+def test_ivp_builds_its_law_once(tmp_path, monkeypatch, cfg):
+    from evostab.material import _PencilLaw
+    built = []
+    post_init = _PencilLaw.__post_init__
+
+    def counted(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(_PencilLaw, "__post_init__", counted)
+    path = write_cfg(tmp_path, cfg)
+    assert main(["ivp", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert built == ["DaeLaw"]
 
 
 def test_ivp_rejects_delay_family(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from evostab import (CertificationError, CustomLaw, DaeLaw, DelayLaw, EdgeMassError,
                      EdgeMassWarning, EvolutionaryProblem, IntegroLaw,
-                     IvpProblem, Kernel, KernelAdmissibilityError, KernelMode,
+                     Kernel, KernelAdmissibilityError, KernelMode,
                      Signal, SingularFrequencyError, SpatialOperator, TimeGrid,
                      apply_forward, build_mixed_type_system, convolve_time,
                      cutoff_phi, fourier_laplace, gaussian_pulse,
@@ -423,18 +423,22 @@ class TestCutoffPhi:
             cutoff_phi(1.0, scale=0.0)
 
 
+def scalar_ivp(m0, m1, f, rho):
+    return EvolutionaryProblem(DaeLaw(m0, m1), None, rho, f)
+
+
 class TestIvp:
     def test_rhs_unchanged_without_initial_state(self):
         g = TimeGrid(-2.0, 1 / 64, 512)
         f = gaussian_pulse(g, center=1.0, width=0.2)
-        q = IvpProblem([[1.0]], [[2.0]], None, [0.0], f, 0.5)
-        assert np.array_equal(ivp_assemble_rhs(q).values, f.values)
+        q = scalar_ivp([[1.0]], [[2.0]], f, 0.5)
+        assert np.array_equal(ivp_assemble_rhs(q, [0.0]).values, f.values)
 
     def test_rhs_correction_terms(self):
         g = TimeGrid(-2.0, 1 / 64, 512)
         t = g.times
-        q = IvpProblem([[1.0]], [[2.0]], None, [1.0], Signal.zeros(g, 1), 0.5)
-        got = ivp_assemble_rhs(q).values[:, 0]
+        q = scalar_ivp([[1.0]], [[2.0]], Signal.zeros(g, 1), 0.5)
+        got = ivp_assemble_rhs(q, [1.0]).values[:, 0]
         chi = ((t > 1.0) & (t < 2.0)).astype(float)
         phi = cutoff_phi(t)
         assert np.abs(got - (chi - 2.0 * phi)).max() <= 1e-14
@@ -445,8 +449,8 @@ class TestIvp:
         # spikes the auxiliary rhs jumps leave at t = 0, s, 2s
         dt = 1 / 256
         g = TimeGrid(dt / 2 - 2.0, dt, 2048)
-        q = IvpProblem(np.eye(1), 2 * np.eye(1), None, [1.0], Signal.zeros(g, 1), 0.5)
-        u, gap = ivp_solve(q)
+        q = scalar_ivp(np.eye(1), 2 * np.eye(1), Signal.zeros(g, 1), 0.5)
+        u, gap = ivp_solve(q, [1.0])
         t = g.times
         keep = t >= 0
         for spot in (0.0, 1.0, 2.0):
@@ -458,7 +462,7 @@ class TestIvp:
     def test_zero_initial_state_equals_plain_solve(self):
         g = TimeGrid(-2.0, 1 / 128, 1024)
         f = gaussian_pulse(g, center=1.0, width=0.2)
-        u_ivp, gap = ivp_solve(IvpProblem([[1.0]], [[2.0]], None, [0.0], f, 0.5))
+        u_ivp, gap = ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, 0.5), [0.0])
         plain = solve(EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 0.5, f))
         assert np.array_equal(u_ivp.values, plain.values)
 
@@ -467,11 +471,11 @@ class TestIvp:
         # solution is e^{t/2} from u(0) = 1
         dt = 1 / 64
         g = TimeGrid(dt / 2 - 2.0, dt, 1024)
-        q = IvpProblem([[1.0]], [[-0.5]], None, [1.0], Signal.zeros(g, 1), 1.0)
+        q = scalar_ivp([[1.0]], [[-0.5]], Signal.zeros(g, 1), 1.0)
         with pytest.raises(CertificationError, match="check_certified=False"):
-            ivp_solve(q)
+            ivp_solve(q, [1.0])
         with pytest.warns(EdgeMassWarning):
-            u, gap = ivp_solve(q, check_certified=False)
+            u, gap = ivp_solve(q, [1.0], check_certified=False)
         t = g.times
         keep = (t >= 0) & (t <= 6.0)
         for spot in (0.0, 1.0, 2.0):
@@ -483,7 +487,7 @@ class TestIvp:
     def test_algebraic_part_has_no_gap(self):
         g = TimeGrid(-2.0, 1 / 128, 1024)
         f = gaussian_pulse(g, center=1.0, width=0.2)
-        u, gap = ivp_solve(IvpProblem([[0.0]], [[2.0]], None, [3.0], f, 0.5))
+        u, gap = ivp_solve(scalar_ivp([[0.0]], [[2.0]], f, 0.5), [3.0])
         assert gap == 0.0
 
     def test_validation(self):
@@ -491,10 +495,33 @@ class TestIvp:
         f = gaussian_pulse(g, center=1.0, width=0.2)
         early = gaussian_pulse(g, center=-1.0, width=0.1)
         with pytest.raises(ValueError):
-            IvpProblem([[1.0]], [[2.0]], None, [1.0], early, 0.5)  # f before 0
+            ivp_solve(scalar_ivp([[1.0]], [[2.0]], early, 0.5), [1.0])  # f before 0
         with pytest.raises(ValueError):
-            IvpProblem([[1.0]], [[2.0]], None, [1.0, 2.0], f, 0.5)
+            ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, 0.5), [1.0, 2.0])
         with pytest.raises(ValueError):
-            IvpProblem([[1.0]], [[2.0]], None, [1.0], f, -0.5)
+            ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, -0.5), [1.0])
         with pytest.raises(ValueError):
-            IvpProblem([[1.0]], [[2.0]], None, [1.0], f, 0.5, phi_scale=0.0)
+            ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, 0.5), [1.0], phi_scale=0.0)
+
+    @pytest.mark.parametrize("law", [
+        DelayLaw([[1.0]], [[2.0]], -0.5),
+        IntegroLaw(scalar_kernel(), 1.0),
+        CustomLaw(1, lambda z: (1 + 2 * z) * np.eye(1)),
+    ], ids=["delay", "integro", "custom"])
+    def test_refuses_laws_that_are_not_dae(self, law):
+        g = TimeGrid(-2.0, 1 / 64, 512)
+        q = EvolutionaryProblem(law, None, 0.5, Signal.zeros(g, 1))
+        with pytest.raises(ValueError, match="DAE law"):
+            ivp_solve(q, [1.0])
+        with pytest.raises(ValueError, match="DAE law"):
+            ivp_assemble_rhs(q, [1.0])
+
+    def test_grid_before_zero_is_refused_before_the_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran before the grid check")
+
+        monkeypatch.setattr("evostab.solver.solve", no_solve)
+        g = TimeGrid(-10.0, 1 / 64, 512)  # ends at t = -2
+        q = scalar_ivp([[1.0]], [[2.0]], Signal.zeros(g, 1), 0.5)
+        with pytest.raises(ValueError, match="t >= 0"):
+            ivp_solve(q, [1.0])
