@@ -152,6 +152,11 @@ class CertificationReport:
         return (self.analyticity.passed and self.shifted_bounded.passed
                 and self.positivity.passed)
 
+    @property
+    def capped_rate(self) -> float | None:
+        """The closed-form rate, at most ``RATE_CAP``; None without one."""
+        return None if self.closed_form_rate is None else min(self.closed_form_rate, RATE_CAP)
+
     def kv_pairs(self) -> list:
         def flag(r):
             return "pass" if r.passed else "fail"
@@ -167,8 +172,7 @@ class CertificationReport:
             ("certificate", self.certificate),
         ]
         if self.closed_form_rate is not None:
-            capped = min(self.closed_form_rate, RATE_CAP)
-            pairs.append(("closed_form_rate", capped))
+            pairs.append(("closed_form_rate", self.capped_rate))
             pairs.append(("rate_capped", not math.isfinite(self.closed_form_rate)))
         if self.shifted_bounded.value is not None:
             pairs.append(("shifted_max_norm", self.shifted_bounded.value))
@@ -185,9 +189,8 @@ class CertificationReport:
             lines.append(f"  {name}: {'pass' if res.passed else 'fail'} - {res.evidence}")
         lines.append(f"  c(nu) = {self.c_nu:.12g} (sampled min {self.c_nu_sampled:.12g})")
         if self.closed_form_rate is not None:
-            rate = min(self.closed_form_rate, RATE_CAP)
             suffix = " (capped)" if not math.isfinite(self.closed_form_rate) else ""
-            lines.append(f"  closed-form rate = {rate:.12g}{suffix}")
+            lines.append(f"  closed-form rate = {self.capped_rate:.12g}{suffix}")
         lines.append(f"  sampling: {self.sample_grid}")
         for w in self.warnings:
             lines.append(f"  warning: {w}")

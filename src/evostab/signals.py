@@ -17,16 +17,10 @@ Grid and transform conventions::
 Both sums are evaluated by FFT with phase corrections for ``t0`` and the
 centered frequency grid.
 
-Wrap-around policy: the grid is circular, so weighted mass at the first or
-last sample leaks across the ends under any transform-based operation.  Every
-such operation records the edge-mass ratio in the result's ``meta`` dict.
-The solvers gate the *forcing*: they escalate to
-:class:`~evostab.errors.EdgeMassError` above ``EDGE_FAIL`` and warn above
-``EDGE_WARN``.  When the forcing passes, they gate the *solution* too: it warns
-above ``EDGE_FAIL`` and is refused above ``SOLUTION_EDGE_FAIL``, so a solution
-that has not decayed inside the grid no longer passes silently.  When the
-forcing already warned, the solution's edge mass, which then carries the
-response to the forcing's, is only recorded (``meta['edge_mass_solution']``).
+The grid is circular, so weighted mass at the first or last sample leaks
+across the ends under any transform-based operation; :func:`edge_mass`
+measures it, and :mod:`evostab.solver` holds the wrap-around policy that
+gates on it.
 
 CSV I/O: :func:`signal_to_csv` writes the time column followed by
 interleaved re/im columns with 17 significant digits, the exact bytes of
@@ -44,15 +38,6 @@ import numpy as np
 from .errors import GridMismatchError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-# Edge-mass thresholds: warn / refuse-to-solve.
-EDGE_WARN = 1e-8
-EDGE_FAIL = 1e-3
-# A solution warns above EDGE_FAIL and is refused above this: its edges also
-# hold the ringing of a forcing that jumps next to the grid start (up to 0.26
-# on the short test grids), while a weighted solution that keeps half its
-# peak at the edges has not decayed inside the grid.
-SOLUTION_EDGE_FAIL = 0.5
 
 
 @dataclass(frozen=True)
@@ -105,8 +90,8 @@ def _as_values(values, n_steps: int) -> np.ndarray:
 class Signal:
     """Grid samples of a C^dim-valued function of time.
 
-    ``meta`` carries diagnostics (edge masses, residuals) attached by
-    operations; it never influences equality or arithmetic.
+    ``meta`` carries diagnostics (edge masses, residuals) attached by the
+    solvers; it never influences equality or arithmetic.
     """
 
     grid: TimeGrid
@@ -156,7 +141,6 @@ class SpectralSignal:
     grid: TimeGrid
     rho: float
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.values, self.grid.n_steps))
@@ -201,25 +185,22 @@ def fourier_laplace(f: Signal, rho: float) -> SpectralSignal:
     spec = np.fft.fftshift(np.fft.fft(g, axis=0), axes=0)
     phase = np.exp(-1j * grid.frequencies * grid.t0)
     vals = (grid.dt / SQRT_2PI) * phase[:, None] * spec
-    return SpectralSignal(grid, rho, vals, meta={"edge_mass": edge_mass(f, rho)})
+    return SpectralSignal(grid, rho, vals)
 
 
-def inverse_fourier_laplace(F: SpectralSignal, rho: float | None = None) -> Signal:
+def inverse_fourier_laplace(F: SpectralSignal) -> Signal:
     """Inverse of :func:`fourier_laplace`; uses the rho carried by ``F``."""
-    if rho is not None and rho != F.rho:
-        raise ValueError(f"rho mismatch: signal carries {F.rho}, got {rho}")
     grid = F.grid
     h = F.values * np.exp(1j * grid.frequencies * grid.t0)[:, None]
     g = np.fft.ifft(np.fft.ifftshift(h, axes=0), axis=0) * grid.n_steps
     vals = (grid.dxi / SQRT_2PI) * g * np.exp(F.rho * grid.times)[:, None]
-    return Signal(grid, vals, meta=dict(F.meta))
+    return Signal(grid, vals)
 
 
 def _multiply(f: Signal, rho: float, mult: np.ndarray) -> Signal:
-    """Inverse transform of mult(xi_j) * F(xi_j); keeps the forward
-    transform's ``meta`` (its ``edge_mass``)."""
+    """Inverse transform of mult(xi_j) * F(xi_j)."""
     F = fourier_laplace(f, rho)
-    return inverse_fourier_laplace(SpectralSignal(f.grid, rho, mult[:, None] * F.values, meta=F.meta))
+    return inverse_fourier_laplace(SpectralSignal(f.grid, rho, mult[:, None] * F.values))
 
 
 def derivative(f: Signal, rho: float) -> Signal:

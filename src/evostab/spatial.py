@@ -11,7 +11,7 @@ is exactly skew-adjoint, hence maximal monotone with margin zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class SpatialOperator:
     """Square matrix acting on the state space, validated to be monotone."""
 
     matrix: np.ndarray
-    monotone_margin: float = None  # filled in __post_init__
+    monotone_margin: float = field(init=False)  # min eigenvalue of the Hermitian part
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, "matrix"))
