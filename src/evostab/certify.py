@@ -45,7 +45,8 @@ import numpy as np
 from .material import (KernelConditionReport, MaterialLaw, _norm2, check_kernel_conditions,
                        kernel_weighted_l1, shifted_symbol)
 
-# Sentinel cap for unbounded rates (M0 = 0, purely algebraic problems).
+# Cap on reported rates: unbounded ones (M0 = 0, purely algebraic problems)
+# and finite ones above it are reported as RATE_CAP and flagged as capped.
 RATE_CAP = 1e6
 
 # Spot-check radii for the shifted-symbol boundedness check.
@@ -173,7 +174,7 @@ class CertificationReport:
         ]
         if self.closed_form_rate is not None:
             pairs.append(("closed_form_rate", self.capped_rate))
-            pairs.append(("rate_capped", not math.isfinite(self.closed_form_rate)))
+            pairs.append(("rate_capped", self.closed_form_rate > RATE_CAP))
         if self.shifted_bounded.value is not None:
             pairs.append(("shifted_max_norm", self.shifted_bounded.value))
         pairs.append(("sample_grid", self.sample_grid))
@@ -189,7 +190,7 @@ class CertificationReport:
             lines.append(f"  {name}: {'pass' if res.passed else 'fail'} - {res.evidence}")
         lines.append(f"  c(nu) = {self.c_nu:.12g} (sampled min {self.c_nu_sampled:.12g})")
         if self.closed_form_rate is not None:
-            suffix = " (capped)" if not math.isfinite(self.closed_form_rate) else ""
+            suffix = " (capped)" if self.closed_form_rate > RATE_CAP else ""
             lines.append(f"  closed-form rate = {self.capped_rate:.12g}{suffix}")
         lines.append(f"  sampling: {self.sample_grid}")
         for w in self.warnings:

@@ -160,8 +160,8 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
         _require("path" in resolved, "forcing: csv forcing needs a path")
         if not os.path.isabs(resolved["path"]):
             resolved["path"] = os.path.join(base_dir, resolved["path"])
-        _require(os.path.exists(resolved["path"]),
-                 f"forcing: csv file {resolved['path']} does not exist")
+        _require(os.path.isfile(resolved["path"]),
+                 f"forcing: csv file {resolved['path']} does not exist or is not a file")
     cfg["forcing"] = resolved
 
     cfg["u0"] = raw.get("u0")
@@ -238,7 +238,10 @@ class _BuiltProblem:
         if kind == "csv":
             # the file's dt is rebuilt as t[1] - t[0], so compare the times
             # themselves, within the reader's tolerance, not the grids
-            f = signal_from_csv(spec["path"])
+            try:
+                f = signal_from_csv(spec["path"])
+            except OSError as exc:
+                raise ConfigError(f"cannot read forcing csv {spec['path']}: {exc}") from exc
             _require(_times_close(f.grid.times, self.grid.times),
                      "forcing: csv grid does not match the config grid")
             _require(f.dim == self.dim, "forcing: csv dimension does not match the problem")

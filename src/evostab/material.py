@@ -444,12 +444,18 @@ def _nonfinite_line(sigma: float) -> NonFiniteSymbolError:
 
 def _last_nonnegative(bound, hi: float, tol: float) -> float:
     """Largest nu in [0, hi] with bound(nu) >= 0, for a bound that decreases
-    from bound(0) > 0: hi itself when bound(hi) >= 0, else bisection to tol."""
+    from bound(0) > 0: hi itself when bound(hi) >= 0, else bisection to tol.
+
+    The bracket keeps bound(lo) >= 0 > bound(hi).  Where tol is below the
+    float spacing near the root, it shrinks to two adjacent floats, and lo is
+    returned."""
     if bound(hi) >= 0:
         return hi
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no float lies strictly between them
+            return lo
         if bound(mid) >= 0:
             lo = mid
         else:

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                      check_kernel_conditions, closed_form_rate, indicators_from_intervals,
                      kernel_hat, solvability_constant, solvability_lower_bound)
 from evostab.certify import _check_shifted_bounded
+from evostab.material import _last_nonnegative
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -73,6 +75,53 @@ class TestRates:
     def test_closed_form_rate_dispatch(self):
         assert closed_form_rate(DaeLaw([[1.0]], [[2.0]])) == pytest.approx(2.0)
         assert closed_form_rate(CustomLaw(1, lambda z: np.eye(1))) is None
+
+    @pytest.mark.parametrize("law, expected", [
+        ("DelayLaw([[0.0]], [[2.0]], -5e-5)", math.log(2.0) / 5e-5),
+        ("IntegroLaw(Kernel((KernelMode([[0.1]], 2e6),), nu0=1e6), 1e6)", 999999.9),
+    ], ids=["delay", "integro"])
+    def test_rate_where_tol_is_below_float_spacing(self, package_env, law, expected):
+        # the bisection tolerance (1e-12 delay, 1e-10 integro) is below the
+        # float spacing at these roots (1.8e-12 at 13863, 1.2e-10 at 1e6); the
+        # bisection once looped forever there, so it runs in a child process
+        code = (f"from evostab import *\nlaw = {law}\nr = law.rate()\n"
+                "print(repr(r), law.lower_bound(r) >= 0)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        rate, nonnegative = proc.stdout.split()
+        assert float(rate) == pytest.approx(expected, rel=1e-12)
+        assert nonnegative == "True"
+
+
+_BOUND_SHAPES = {
+    # decreasing from bound(0) > 0 with bound(nu) >= 0 exactly for nu <= root
+    "linear": lambda root: lambda nu: root - nu,
+    "step": lambda root: lambda nu: 1.0 if nu <= root else -1.0,
+    "curved": lambda root: lambda nu: (root - nu) * (1.0 + nu * nu),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.floats(1e-6, 1e15), spread=st.floats(1.0, 8.0),
+       tol=st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8, 1e-4]),
+       shape=st.sampled_from(sorted(_BOUND_SHAPES)))
+def test_last_nonnegative_ends_next_to_the_root(root, spread, tol, shape):
+    calls = []
+
+    def bound(nu):
+        # a bisection over [0, 8e15] down to one ulp takes about 1100 steps
+        # at most; more calls mean the loop does not end
+        calls.append(nu)
+        assert len(calls) <= 1200, "the bisection does not end"
+        return _BOUND_SHAPES[shape](root)(nu)
+
+    got = _last_nonnegative(bound, root * spread, tol)
+    assert abs(got - root) <= max(tol, math.ulp(root))
+    if tol < math.ulp(root):
+        # no float within tol of the root but the root's neighbours: the last
+        # point known to have bound >= 0 is returned
+        assert bound(got) >= 0
 
 
 class TestSolvability:
@@ -457,6 +506,19 @@ class TestCertify:
         got = dict(rep.kv_pairs())
         assert got["closed_form_rate"] == pytest.approx(1e6)
         assert got["rate_capped"] is True
+
+    @pytest.mark.parametrize("m0, m1, rate, capped", [(1e-7, 1.0, 1e7, True),
+                                                      (1.0, 2.0, 2.0, False)],
+                             ids=["above-cap", "below-cap"])
+    def test_finite_rate_is_flagged_when_capped(self, m0, m1, rate, capped):
+        # the finite rate 1e7 is reported as the cap 1e6, and flagged
+        rep = certify(DaeLaw([[m0]], [[m1]]), 0.0)
+        assert rep.closed_form_rate == pytest.approx(rate)
+        assert rep.capped_rate == min(rate, 1e6)
+        got = dict(rep.kv_pairs())
+        assert got["closed_form_rate"] == rep.capped_rate
+        assert got["rate_capped"] is capped
+        assert ("(capped)" in rep.to_text()) is capped
 
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,8 @@ import pytest
 
 from evostab import EdgeMassWarning, TimeGrid, gaussian_pulse, signal_to_csv
 from evostab.analysis import auto_tail_window, fit_decay_rate
-from evostab.cli import main
+from evostab.cli import _BuiltProblem, main, resolve_config
+from evostab.errors import ConfigError
 
 
 def write_cfg(tmp_path, cfg: dict, name: str = "cfg.json") -> str:
@@ -151,6 +152,18 @@ def test_certify_delay_past_exp_overflow_fails_cleanly(tmp_path, package_env):
     assert kv["c_nu"] == "-inf"
 
 
+def test_certify_delay_rate_above_float_spacing_returns(tmp_path, package_env):
+    # the rate ln 2 / 5e-5 = 13863 lies where the float spacing exceeds the
+    # bisection tolerance 1e-12; certify once never returned on it
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(family="delay", m0=[[[0.0, 0.0]]], h=-5e-5))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "evostab", "certify",
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=package_env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert float(read_kv(out / "report.kv")["closed_form_rate"]) == pytest.approx(13862.94, rel=1e-6)
+
+
 # --- solve -----------------------------------------------------------------
 
 def test_solve_matches_scalar_closed_form(tmp_path):
@@ -204,6 +217,23 @@ def test_solve_rejects_csv_on_wrong_grid(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(
         forcing={"kind": "csv", "path": "force.csv"}))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_solve_rejects_directory_as_csv_path(tmp_path, capsys):
+    (tmp_path / "force").mkdir()
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(forcing={"kind": "csv", "path": "force"}))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: forcing: csv file")
+
+
+def test_unreadable_csv_forcing_is_config_error(tmp_path):
+    # the file passed resolve_config and is gone by the time it is read
+    signal_to_csv(gaussian_pulse(TimeGrid(-1.0, 0.015625, 256), 0.5, 0.1), tmp_path / "force.csv")
+    cfg = resolve_config(scalar_dae_cfg(forcing={"kind": "csv", "path": "force.csv"}),
+                         base_dir=str(tmp_path))
+    os.remove(tmp_path / "force.csv")
+    with pytest.raises(ConfigError, match="cannot read forcing csv"):
+        _BuiltProblem(cfg).forcing()
 
 
 def test_solve_accepts_csv_on_non_dyadic_config_grid(tmp_path):
@@ -375,6 +405,12 @@ def test_ivp_rejects_delay_family(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(family="delay", h=-1.0,
                                              u0=[[1.0, 0.0]]))
     assert main(["ivp", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_ivp_rejects_u0_of_wrong_length(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(u0=[[1.0, 0.0], [2.0, 0.0]]))
+    assert main(["ivp", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "u0 must have length 1" in capsys.readouterr().err
 
 
 # --- verify ----------------------------------------------------------------
@@ -720,6 +756,11 @@ def test_unknown_family_exits_two(tmp_path):
 def test_unknown_top_level_key_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(surprise=1))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_resolve_config_refuses_unknown_top_level_key():
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['surprise'\]"):
+        resolve_config(scalar_dae_cfg(surprise=1))
 
 
 def test_positive_delay_offset_exits_two(tmp_path):

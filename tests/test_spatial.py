@@ -51,6 +51,10 @@ class TestMonotone:
         assert op.monotone_margin == pytest.approx(1.0)
         assert SpatialOperator.zeros(4).dim == 4
 
+    def test_margin_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SpatialOperator(np.eye(2), 5.0)
+
     def test_operator_rejects_negative(self):
         with pytest.raises(ValueError):
             SpatialOperator(-np.eye(2))

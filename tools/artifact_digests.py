@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for fifteen fixed configs.
+"""Print the sha256 of every CLI artifact for sixteen fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -24,7 +24,10 @@ value, not -1.  ``dae-dense`` is a DAE law with a non-diagonal Hermitian
 ``M0`` and a non-normal ``M1`` at nu = 0.5, through ``certify`` and
 ``verify``: every other DAE and delay law is diagonal, and this one has no
 structured shifted-symbol norms, so its check takes the dense 2-norm at
-every point.  The output is one sorted
+every point.  ``dae-fast`` is the scalar DAE law ``M0 = 1e-7``, ``M1 = 1``,
+through ``certify`` only: its closed-form rate 1e7 is finite and above the
+report's cap 1e6, so the capped rate and its ``rate_capped`` flag are
+byte-checked on a finite rate.  The output is one sorted
 ``<case>-<command>/<file> <sha256>`` line per artifact, then one
 ``<case>-<command> exit=<code>`` line per command.
 
@@ -139,11 +142,16 @@ CASES["dae-dense"] = {
     "m1": [[[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]], "a": SKEW,
     "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE, "nu": 0.5,
 }
+CASES["dae-fast"] = {
+    "family": "dae", "m0": _diag(1e-7), "m1": _diag(1.0),
+    "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE,
+}
 
 # Commands per case: certify, solve and verify unless named here.  solve and
 # ivp do not depend on nu.
 COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certify", "verify"],
-            "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"]}
+            "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
+            "dae-fast": ["certify"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
