@@ -44,12 +44,25 @@ from .spatial import SpatialOperator, build_mixed_type_system, indicators_from_i
 
 RESIDUAL_LIMIT = 1e-8
 
+# The config schema.  Every family may carry the common keys; of the rest, a
+# family requires the first keys of its entry, may carry the second, and is
+# refused any other.
+_COMMON_KEYS = ("family", "grid", "rho", "nu", "forcing", "u0", "phi_scale", "sampling")
+_FAMILY_KEYS = {
+    "dae": (("m0", "m1"), ("a", "check_certified")),
+    "delay": (("m0", "m1", "h"), ("a", "check_certified")),
+    "integro": (("kernel", "c"), ("a",)),
+    "mixed1d": (("mixed",), ("check_certified",)),
+    "custom": (("custom",), ("check_certified",)),
+}
+_CONFIG_KEYS = set(_COMMON_KEYS).union(*(req + opt for req, opt in _FAMILY_KEYS.values()))
 _FORCING_DEFAULTS = {
     "pulse": {"center": 0.5, "width": 0.1, "amplitude": 1.0},
     "step_exp": {"start": 0.0, "rate": 1.0},
     "csv": {},
     "zero": {},
 }
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -87,6 +100,17 @@ def _number(node, name: str, integral: bool = False):
     return int(node) if integral else float(node)
 
 
+def _object(node, name: str, required=(), optional=()) -> dict:
+    """``node`` when it is a JSON object that holds every key of ``required``
+    and no key outside ``required`` and ``optional``; ConfigError otherwise."""
+    _require(isinstance(node, dict), f"{name} must be a JSON object, got {node!r}")
+    missing = [key for key in required if key not in node]
+    _require(not missing, f"{name}: missing keys {missing}")
+    unknown = sorted(set(node) - set(required) - set(optional))
+    _require(not unknown, f"unknown {name} keys: {unknown}")
+    return node
+
+
 def _as_complex_matrix(node, name: str) -> np.ndarray:
     """Parse a nested list of [re, im] pairs into a complex vector or matrix."""
     # an object array keeps every leaf as parsed (a ragged list stays a list
@@ -111,75 +135,62 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(raw: dict, base_dir: str = ".") -> dict:
-    """Validate a raw config dict and fill in every default explicitly; a
-    top-level key that is not resolved here is refused."""
-    _require(isinstance(raw, dict), "top-level config must be a JSON object")
-    cfg: dict = {}
-    family = raw.get("family")
-    _require(family in ("dae", "delay", "integro", "mixed1d", "custom"),
-             f"family must be one of dae|delay|integro|mixed1d|custom, got {family!r}")
-    cfg["family"] = family
+    """Validate a raw config dict and fill in every default explicitly.
 
-    grid = raw.get("grid")
-    _require(isinstance(grid, dict), "grid: expected an object with t0, dt, n_steps")
-    for key in ("t0", "dt", "n_steps"):
-        _require(key in grid, f"grid.{key} is required")
-    _require(set(grid) <= {"t0", "dt", "n_steps"}, "grid: unknown keys")
+    Every leaf that is present is checked, whichever command runs; the keys
+    are checked last, against the family's entry of ``_FAMILY_KEYS``, so
+    that a leaf's own type error is the one reported."""
+    _object(raw, "config", ("family", "grid", "rho"), _CONFIG_KEYS)
+    family = raw["family"]
+    _require(isinstance(family, str) and family in _FAMILY_KEYS,
+             f"family must be one of dae|delay|integro|mixed1d|custom, got {family!r}")
+    cfg = {key: raw.get(key) for key in _CONFIG_KEYS}
+
+    grid = _object(raw["grid"], "grid", ("t0", "dt", "n_steps"))
     cfg["grid"] = {"t0": _number(grid["t0"], "grid.t0"), "dt": _number(grid["dt"], "grid.dt"),
                    "n_steps": _number(grid["n_steps"], "grid.n_steps", integral=True)}
 
-    cfg["rho"] = _number(raw.get("rho"), "rho")
+    cfg["rho"] = _number(raw["rho"], "rho")
     _require(cfg["rho"] > 0, "rho must be a positive number")
-    for key in ("nu", "h", "c"):
-        cfg[key] = None if raw.get(key) is None else _number(raw[key], key)
-
-    for key in ("m0", "m1", "a"):
-        cfg[key] = raw.get(key)
-    cfg["kernel"] = raw.get("kernel")
-    cfg["mixed"] = raw.get("mixed")
-    cfg["custom"] = raw.get("custom")
+    cfg["nu"] = None if raw.get("nu") is None else _number(raw["nu"], "nu")
+    for key in ("h", "c"):  # each is required by the family that reads it
+        if key in raw:
+            cfg[key] = _number(raw[key], key)
 
     forcing = raw.get("forcing", {"kind": "zero"})
-    _require(isinstance(forcing, dict) and "kind" in forcing, "forcing: expected {kind: ...}")
-    kind = forcing["kind"]
+    kind = forcing.get("kind") if isinstance(forcing, dict) else None
     _require(isinstance(kind, str) and kind in _FORCING_DEFAULTS,
              f"forcing.kind must be pulse|step_exp|csv|zero, got {kind!r}")
-    resolved = {"kind": kind}
-    resolved.update(_FORCING_DEFAULTS[kind])
-    for key, value in forcing.items():
-        if key == "kind":
-            continue
-        _require(key in _FORCING_DEFAULTS[kind] or (kind == "csv" and key == "path"),
-                 f"forcing: unknown key {key!r} for kind {kind!r}")
-        if key == "path":
-            _require(isinstance(value, str), f"forcing.path must be a string, got {value!r}")
-        else:
-            _number(value, f"forcing.{key}")  # checked only: the echo keeps the raw value
-        resolved[key] = value
+    defaults = _FORCING_DEFAULTS[kind]
+    _object(forcing, "forcing", ("kind", "path") if kind == "csv" else ("kind",), defaults)
+    for key in defaults:  # checked only: the echo keeps the raw value
+        _number(forcing.get(key, defaults[key]), f"forcing.{key}")
+    cfg["forcing"] = {**defaults, **forcing}
     if kind == "csv":
-        _require("path" in resolved, "forcing: csv forcing needs a path")
-        if not os.path.isabs(resolved["path"]):
-            resolved["path"] = os.path.join(base_dir, resolved["path"])
-        _require(os.path.isfile(resolved["path"]),
-                 f"forcing: csv file {resolved['path']} does not exist or is not a file")
-    cfg["forcing"] = resolved
+        path = forcing["path"]
+        _require(isinstance(path, str), f"forcing.path must be a string, got {path!r}")
+        path = cfg["forcing"]["path"] = os.path.join(base_dir, path)
+        _require(os.path.isfile(path), f"forcing: csv file {path} does not exist or is not a file")
 
-    cfg["u0"] = raw.get("u0")
+    if cfg["u0"] is not None:
+        _require(_as_complex_matrix(cfg["u0"], "u0").ndim == 1,
+                 "u0 must be a list of [re, im] pairs")
     cfg["phi_scale"] = _number(raw.get("phi_scale", 1.0), "phi_scale")
 
-    sampling = raw.get("sampling", {})
-    _require(isinstance(sampling, dict), "sampling: expected an object")
-    defaults = dataclasses.asdict(SamplingConfig())
-    _require(set(sampling) <= set(defaults), "sampling: unknown keys")
-    defaults.update(sampling)
-    SamplingConfig(**defaults)  # every command, not only those that certify, checks it
-    cfg["sampling"] = defaults
+    cfg["sampling"] = dataclasses.asdict(SamplingConfig())
+    cfg["sampling"].update(_object(raw.get("sampling", {}), "sampling", (), cfg["sampling"]))
+    SamplingConfig(**cfg["sampling"])
 
-    check = raw.get("check_certified", True)
-    _require(isinstance(check, bool), f"check_certified must be true or false, got {check!r}")
-    cfg["check_certified"] = check
-    unknown = set(raw) - set(cfg)
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    cfg["check_certified"] = raw.get("check_certified", True)
+    _require(isinstance(cfg["check_certified"], bool),
+             f"check_certified must be true or false, got {cfg['check_certified']!r}")
+    if "custom" in raw:
+        spec = _object(raw["custom"], "custom", ("import",))["import"]
+        _require(isinstance(spec, str) and ":" in spec,
+                 f"custom.import must be a string package.module:callable, got {spec!r}")
+
+    required, optional = _FAMILY_KEYS[family]
+    _object(raw, f"{family} config", required, _COMMON_KEYS + optional)
     return cfg
 
 
@@ -196,34 +207,21 @@ class _BuiltProblem:
 
         family = self.family
         if family in ("dae", "delay"):
-            _require(cfg["m0"] is not None and cfg["m1"] is not None,
-                     f"{family}: m0 and m1 are required")
             m0 = _as_complex_matrix(cfg["m0"], "m0")
             m1 = _as_complex_matrix(cfg["m1"], "m1")
-            if family == "dae":
-                self.law = DaeLaw(m0, m1)
-            else:
-                _require(cfg["h"] is not None, "delay: h is required")
-                self.law = DelayLaw(m0, m1, cfg["h"])
+            self.law = DaeLaw(m0, m1) if family == "dae" else DelayLaw(m0, m1, cfg["h"])
         elif family == "integro":
-            _require(cfg["kernel"] is not None, "integro: kernel is required")
-            _require(cfg["c"] is not None, "integro: c is required")
             self.kernel = _parse_kernel(cfg["kernel"])
             self.c = cfg["c"]
             self.law = IntegroLaw(self.kernel, self.c)
         elif family == "mixed1d":
-            _require(cfg["mixed"] is not None, "mixed1d: mixed parameters are required")
             system = _parse_mixed(cfg["mixed"])
             self.law = system.law()
             self.A = system.A
         else:  # custom
-            _require(isinstance(cfg["custom"], dict) and "import" in cfg["custom"],
-                     "custom: an import path module:callable is required")
             self.law, self.A = _load_custom(cfg["custom"]["import"])
 
         if cfg["a"] is not None:
-            _require(family in ("dae", "delay", "integro"),
-                     f"{family}: explicit a matrix not supported")
             self.A = SpatialOperator(_as_complex_matrix(cfg["a"], "a"))
         self.dim = self.law.dim
 
@@ -256,25 +254,19 @@ class _BuiltProblem:
 
 
 def _parse_kernel(node: dict) -> Kernel:
-    _require(isinstance(node, dict) and "modes" in node and "nu0" in node,
-             "kernel: expected {modes: [...], nu0: ...}")
-    _require(set(node) <= {"modes", "nu0"}, "kernel: unknown keys")
+    _object(node, "kernel", ("modes", "nu0"))
     _require(isinstance(node["modes"], list) and node["modes"],
              "kernel.modes: expected a non-empty list of {gamma, beta}")
     modes = []
     for k, mode in enumerate(node["modes"]):
-        _require(isinstance(mode, dict) and "gamma" in mode and "beta" in mode,
-                 f"kernel.modes[{k}]: expected {{gamma, beta}}")
+        _object(mode, f"kernel.modes[{k}]", ("gamma", "beta"))
         modes.append(KernelMode(_as_complex_matrix(mode["gamma"], f"kernel.modes[{k}].gamma"),
                                 _number(mode["beta"], f"kernel.modes[{k}].beta")))
     return Kernel(tuple(modes), _number(node["nu0"], "kernel.nu0"))
 
 
 def _parse_mixed(node: dict):
-    _require(isinstance(node, dict), "mixed: expected an object")
-    _require(set(node) <= {"p", "c", "omega0", "omega1"}, "mixed: unknown keys")
-    for key in ("p", "c", "omega0", "omega1"):
-        _require(key in node, f"mixed.{key} is required")
+    _object(node, "mixed", ("p", "c", "omega0", "omega1"))
     p = _number(node["p"], "mixed.p", integral=True)
     for key in ("omega0", "omega1"):
         pair = node[key]
@@ -285,8 +277,6 @@ def _parse_mixed(node: dict):
 
 
 def _load_custom(spec: str):
-    _require(isinstance(spec, str) and ":" in spec,
-             f"custom.import must be a string package.module:callable, got {spec!r}")
     mod_name, attr = spec.split(":", 1)
     try:
         factory = getattr(importlib.import_module(mod_name), attr)
@@ -358,7 +348,6 @@ def cmd_ivp(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
     cfg = built.cfg
     _require(cfg["u0"] is not None, "ivp: u0 is required")
     u0 = _as_complex_matrix(cfg["u0"], "u0")
-    _require(u0.ndim == 1, "ivp: u0 must be a list of [re, im] pairs")
     problem = EvolutionaryProblem(built.law, built.A, cfg["rho"], built.forcing())
     u, gap = ivp_solve(problem, u0, phi_scale=cfg["phi_scale"],
                        check_certified=cfg["check_certified"])

@@ -763,6 +763,86 @@ def test_resolve_config_refuses_unknown_top_level_key():
         resolve_config(scalar_dae_cfg(surprise=1))
 
 
+# The family-specific keys each family requires, then those it may also carry.
+FAMILY_SCHEMA = {
+    "dae": (["m0", "m1"], ["a", "check_certified"]),
+    "delay": (["m0", "m1", "h"], ["a", "check_certified"]),
+    "integro": (["kernel", "c"], ["a"]),
+    "mixed1d": (["mixed"], ["check_certified"]),
+    "custom": (["custom"], ["check_certified"]),
+}
+FAMILY_CFGS = {**BASE_CFGS, "custom": lambda: {
+    "family": "custom", "custom": {"import": "cli_custom_laws:plain"},
+    "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256}, "rho": 0.5}}
+# a value of each family-specific key that passes the key's own checks
+KEY_VALUES = {**BASE_CFGS["delay"](), **integro_cfg(), **mixed_cfg(),
+              **FAMILY_CFGS["custom"](), "a": [[[0.0, 0.0]]], "check_certified": False}
+
+
+FAMILY_SPECIFIC = sorted({key for required, optional in FAMILY_SCHEMA.values()
+                          for key in required + optional})
+
+
+@pytest.mark.parametrize("family, key", [
+    (family, key) for family, (required, optional) in FAMILY_SCHEMA.items()
+    for key in FAMILY_SPECIFIC if key not in required + optional])
+def test_family_refuses_keys_it_does_not_read(family, key):
+    # a key the family never reads is refused by name, not silently echoed
+    with pytest.raises(ConfigError, match=rf"unknown {family} config keys: \['{key}'\]"):
+        resolve_config({**FAMILY_CFGS[family](), key: KEY_VALUES[key]})
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SCHEMA))
+def test_family_requires_its_keys_and_takes_its_optional_ones(family):
+    required, optional = FAMILY_SCHEMA[family]
+    resolve_config({**FAMILY_CFGS[family](), **{key: KEY_VALUES[key] for key in optional}})
+    for key in required:
+        cfg = FAMILY_CFGS[family]()
+        del cfg[key]
+        with pytest.raises(ConfigError, match=rf"{family} config: missing keys \['{key}'\]"):
+            resolve_config(cfg)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (scalar_dae_cfg(kernel="garbage"), "unknown dae config keys: ['kernel']"),
+    (scalar_dae_cfg(h=-1.0), "unknown dae config keys: ['h']"),
+    (scalar_dae_cfg(mixed={"p": 24}), "unknown dae config keys: ['mixed']"),
+    (scalar_dae_cfg(custom="garbage"), "custom must be a JSON object, got 'garbage'"),
+    (integro_cfg(check_certified=True), "unknown integro config keys: ['check_certified']"),
+], ids=["dae-kernel", "dae-h", "dae-mixed", "dae-custom", "integro-check_certified"])
+def test_keys_the_family_does_not_read_exit_two(tmp_path, capsys, cfg, message):
+    # each of these configs used to run and echo the key it never read
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_custom_refuses_unknown_keys():
+    cfg = FAMILY_CFGS["custom"]()
+    cfg["custom"]["args"] = [1]
+    with pytest.raises(ConfigError, match=r"unknown custom keys: \['args'\]"):
+        resolve_config(cfg)
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_kernel_mode_refuses_unknown_keys(tmp_path, capsys, command):
+    cfg = integro_cfg()
+    cfg["kernel"]["modes"][0]["scale"] = 2.0
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown kernel.modes[0] keys: ['scale']")
+
+
+@pytest.mark.parametrize("u0, message", [
+    ("garbage", "u0 must be a finite [re, im] number array, got the entry 'garbage'"),
+    ([[[1.0, 0.0]]], "u0 must be a list of [re, im] pairs"),
+], ids=["string", "matrix"])
+def test_solve_refuses_malformed_u0(tmp_path, capsys, u0, message):
+    # solve never reads u0, but checks it as every command checks every leaf
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(u0=u0))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 def test_positive_delay_offset_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(family="delay", h=1.0))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
