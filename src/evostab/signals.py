@@ -288,7 +288,9 @@ def _along(grid: TimeGrid, env: np.ndarray, dim: int, direction) -> Signal:
 def gaussian_pulse(grid: TimeGrid, center: float, width: float, dim: int = 1,
                    amplitude: float = 1.0, direction=None) -> Signal:
     """Smooth bump amplitude*exp(-((t-center)/width)^2) along ``direction``
-    (all-ones by default)."""
+    (all-ones by default); ``width`` must be positive and finite."""
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"pulse width must be positive and finite, got {width!r}")
     return _along(grid, amplitude * np.exp(-(((grid.times - center) / width) ** 2)), dim, direction)
 
 

@@ -88,7 +88,8 @@ def _as_operator(a, dim: int) -> SpatialOperator:
 
 @dataclass(frozen=True)
 class EvolutionaryProblem:
-    """Symbol, monotone spatial operator, weight rho > 0 and forcing."""
+    """Symbol, monotone spatial operator, weight rho > 0 and forcing; the
+    weights exp(-rho t) and exp(rho t) must be finite on the forcing's grid."""
 
     symbol: MaterialLaw
     A: SpatialOperator
@@ -99,6 +100,15 @@ class EvolutionaryProblem:
         object.__setattr__(self, "A", _as_operator(self.A, self.symbol.dim))
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
+        # exp(-rho t) peaks at the first sample and exp(rho t) at the last:
+        # both are finite exactly when exp(rho |t|) is at the grid end
+        # farthest from 0, else the transforms see inf and nan
+        end = max(self.f.grid.times[[0, -1]], key=abs)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.exp(self.rho * abs(end))):
+                raise ValueError(f"the weight exp(-rho t) or exp(rho t) is not finite at "
+                                 f"rho = {self.rho} and the grid end t = {end}; "
+                                 "lower rho or move the grid closer to t = 0")
         n = self.symbol.dim
         if self.A.dim != n or self.f.dim != n:
             raise ValueError(

@@ -24,6 +24,8 @@ from evostab.certify import SHIFT_RADII, HypothesisResult, SamplingConfig, _sigm
 from evostab.material import _SIGN_LINES, _SIGN_TS, _norm2, shifted_symbol
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+# Break points around an avoided crossing t_c: t_c itself and t_c +- these
+_CROSSING_OFFSETS = np.array([-1e-2, -1e-4, -1e-6, 0.0, 1e-6, 1e-4, 1e-2])
 
 
 def dense_positivity_scan(law, nu: float, **grid) -> float:
@@ -57,8 +59,9 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
     points where the argmax changes and handed to ``quad`` as break points.
     Sorted eigenvalues that cross swap places instead, so without ``joint``
     the strict local minima of the gap between the two largest |c_i| on the
-    fine grid, located by bounded minimisation, are break points too, unless
-    the gap next to them is rounding (below 1e-12 of the largest |c_i|).
+    fine grid, located by bounded minimisation, are break points too, with
+    more at 1e-6, 1e-4 and 1e-2 on either side, unless the gap next to them
+    is rounding (below 1e-12 of the largest |c_i|).
     Each piece between break points is integrated by its own ``quad`` call.
     [0, T] leaves out less than 1e-17, which is bounded analytically.
     """
@@ -93,8 +96,13 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
         g, floor = top_gap(grid), 1e-12 * np.abs(curves(grid)).max()
         lo, mid, hi = g[:-2], g[1:-1], g[2:]
         for j in np.nonzero((mid < lo) & (mid < hi) & (np.maximum(lo, hi) > floor))[0] + 1:
-            kinks.append(minimize_scalar(lambda t: top_gap(t)[0], method="bounded",
-                                         bounds=(grid[j - 1], grid[j + 1])).x)
+            t_c = minimize_scalar(lambda t: top_gap(t)[0], method="bounded",
+                                  bounds=(grid[j - 1], grid[j + 1])).x
+            # the bounded search places t_c only to ~sqrt(eps) t, and a piece
+            # that ends that close to a narrow avoided crossing can pass
+            # quad's error estimate while 1.7e-12 off: pieces that shrink
+            # towards t_c keep each one smooth on its own scale
+            kinks += [t for t in t_c + _CROSSING_OFFSETS if 0.0 < t < t_end]
 
     def integrand(t):
         return float(np.abs(curves(t)).max())

@@ -843,6 +843,27 @@ def test_solve_refuses_malformed_u0(tmp_path, capsys, u0, message):
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+@pytest.mark.parametrize("center, width", [(0.5, 0.0), (0.51, 0.0), (0.5, -0.1)])
+def test_pulse_width_not_positive_exits_two(tmp_path, capsys, center, width):
+    # width 0 on a grid point was 0/0, off it a zero forcing that solve took
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(
+        forcing={"kind": "pulse", "center": center, "width": width}))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: pulse width must be positive and finite, got {float(width)!r}")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_overflowing_weight_exits_two_naming_rho(tmp_path, capsys, command):
+    # exp(-rho t) overflows at t0 = -100 and rho = 8: the message names rho
+    # and the grid end, not the transform's non-finite values
+    cfg = write_cfg(tmp_path, scalar_dae_cfg(
+        grid={"t0": -100.0, "dt": 0.25, "n_steps": 1024}, rho=8.0,
+        forcing={"kind": "pulse", "center": 0.5, "width": 0.1}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "rho = 8.0 and the grid end t = 155.75" in capsys.readouterr().err
+
+
 def test_positive_delay_offset_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(family="delay", h=1.0))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -198,6 +198,21 @@ class TestKernelL1:
         assert kernel.joint_eigenvalues is None
         assert abs(kernel_weighted_l1(kernel, 0.0) - kernel_l1_oracle(kernel, 0.0)) <= 1e-12
 
+    def test_avoided_crossing_at_an_oracle_piece_end(self):
+        # sorted eigenvalues avoid each other by 1.1e-8 at t ~ 4.1588831, the
+        # end of the oracle's first piece; a 40-digit mpmath integral gives
+        # 0.12503051777170696 (the oracle without the extra break points
+        # around the crossing was 1.7e-12 off)
+        r0 = np.full((4, 4), 1e-5)
+        r0[0, 0] = 1.0
+        r1 = np.full((4, 4), 1e-5)
+        r1[1, 0] = 0.125
+        kernel = Kernel((KernelMode(r0 @ r0.T / 4, 2.0), KernelMode(r1 @ r1.T / 4, 1.0)), nu0=0.5)
+        assert kernel.joint_eigenvalues is None
+        expected = kernel_l1_oracle(kernel, 0.0)
+        assert abs(expected - 0.12503051777170696) <= 1e-12
+        assert abs(kernel_weighted_l1(kernel, 0.0) - expected) <= 1e-12
+
     def test_normal_non_hermitian_modes_keep_their_phase(self):
         # |0.2i e^{-t} + 0.1 e^{-2t}|: the imaginary mode is not rounded away
         kernel = Kernel((KernelMode([[0.2j]], 1.0), KernelMode([[0.1]], 2.0)), nu0=0.5)

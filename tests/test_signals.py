@@ -312,6 +312,13 @@ class TestSignalBasics:
         expected = np.where(t >= 0, np.exp(-2.0 * t), 0.0)[:, None]
         assert np.allclose(f.values, expected)
 
+    @pytest.mark.parametrize("width", [0.0, -0.1, np.inf, np.nan])
+    def test_gaussian_pulse_refuses_width_not_positive_and_finite(self, width):
+        # width 0 gave 0/0 on a grid point and a zero pulse off it, and a
+        # negative width was silently used as |width|
+        with pytest.raises(ValueError, match="pulse width must be positive and finite"):
+            gaussian_pulse(TimeGrid(-1.0, 0.125, 16), 0.51, width)
+
 
 # --- the %.17g CSV writer --------------------------------------------------
 

@@ -199,6 +199,16 @@ class TestSolve:
             EvolutionaryProblem(DaeLaw(np.eye(2), np.eye(2)),
                                 SpatialOperator(np.eye(3)), 0.5, f)
 
+    @pytest.mark.parametrize("t0, end", [(0.0, 255.75), (-255.75, -255.75), (-100.0, 155.75)],
+                             ids=["last", "first", "both"])
+    def test_problem_refuses_overflowing_weights(self, t0, end):
+        # at rho = 8, exp(rho t) overflows at the last sample, exp(-rho t) at
+        # the first, or both; edge_mass was nan there, so the forcing gate
+        # passed and the transform failed on inf
+        g = TimeGrid(t0, 0.25, 1024)
+        with pytest.raises(ValueError, match=rf"rho = 8.0 and the grid end t = {end}"):
+            EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 8.0, Signal.zeros(g, 1))
+
 
 class TestPencilPath:
     """DAE laws are solved through one QZ factorisation; the dense

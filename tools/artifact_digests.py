@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for sixteen fixed configs.
+"""Print the sha256 of every CLI artifact for eighteen fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -27,9 +27,16 @@ structured shifted-symbol norms, so its check takes the dense 2-norm at
 every point.  ``dae-fast`` is the scalar DAE law ``M0 = 1e-7``, ``M1 = 1``,
 through ``certify`` only: its closed-form rate 1e7 is finite and above the
 report's cap 1e6, so the capped rate and its ``rate_capped`` flag are
-byte-checked on a finite rate.  The output is one sorted
-``<case>-<command>/<file> <sha256>`` line per artifact, then one
-``<case>-<command> exit=<code>`` line per command.
+byte-checked on a finite rate.  ``dae-step`` and ``dae-csv`` are the
+``dae`` config with the two forcing kinds that no other case uses, through
+``solve`` only: a ``step_exp`` forcing with start 0 and rate 4 (at rate 1
+the step's weighted edge mass is still above the warning threshold), and a
+``csv`` forcing that reads ``dae-solve/solution.csv`` written earlier in the
+same run, given relative to the config file.  The echo of that case holds
+the absolute path, so every artifact is digested with the run directory's
+path written as ``$TMP``, and the digest does not change from run to run.
+The output is one sorted ``<case>-<command>/<file> <sha256>`` line per
+artifact, then one ``<case>-<command> exit=<code>`` line per command.
 
 Diff the output for two source trees to check that they write byte-identical
 artifacts::
@@ -146,18 +153,23 @@ CASES["dae-fast"] = {
     "family": "dae", "m0": _diag(1e-7), "m1": _diag(1.0),
     "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE,
 }
+# The other two forcing kinds.  dae-csv reads the solution that dae-solve
+# writes, so it must come after dae here.
+CASES["dae-step"] = {**CASES["dae"], "forcing": {"kind": "step_exp", "start": 0.0, "rate": 4.0}}
+CASES["dae-csv"] = {**CASES["dae"], "forcing": {"kind": "csv", "path": "dae-solve/solution.csv"}}
 
 # Commands per case: certify, solve and verify unless named here.  solve and
 # ivp do not depend on nu.
 COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certify", "verify"],
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
-            "dae-fast": ["certify"]}
+            "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str, tmp: str) -> str:
+    """Digest of the file with the run directory's path written as ``$TMP``."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return hashlib.sha256(fh.read().replace(os.fsencode(tmp), b"$TMP")).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -195,7 +207,7 @@ def main(argv=None) -> int:
                     cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
                 exits.append(f"{run} exit={proc.returncode}")
                 if os.path.isdir(out):
-                    digests += [f"{run}/{name} {_sha256(os.path.join(out, name))}"
+                    digests += [f"{run}/{name} {_sha256(os.path.join(out, name), tmp)}"
                                 for name in os.listdir(out)]
     print("\n".join(sorted(digests) + sorted(exits)))
     return 0
