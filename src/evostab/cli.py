@@ -1,9 +1,10 @@
 """Command-line interface: certify / solve / ivp / verify with file artifacts.
 
 Configs are JSON; complex matrices are nested arrays of [re, im] pairs.
-Every run echoes the fully resolved config (all defaults made explicit) to
-``config_echo.json`` in the output directory.  Report files are ``key=value``
-lines in a fixed key order so that repeated runs diff clean.
+Every run echoes the fully resolved config (all defaults made explicit, the
+keys its family does not read left out) to ``config_echo.json`` in the output
+directory, and the echo loads back as the same config.  Report files are
+``key=value`` lines in a fixed key order so that repeated runs diff clean.
 
 Every command builds the problem once and runs up to three steps: the
 certify step (``report.txt``, ``report.kv``), the solution step
@@ -287,8 +288,12 @@ def _load_custom(spec: str):
 
 
 def _echo_config(cfg: dict, out_dir: str) -> None:
+    """Write the resolved config as a config that loads back: the common keys
+    and the family's own keys of ``_FAMILY_KEYS``, without null values."""
+    required, optional = _FAMILY_KEYS[cfg["family"]]
+    echo = {key: cfg[key] for key in _COMMON_KEYS + required + optional if cfg[key] is not None}
     with open(os.path.join(out_dir, "config_echo.json"), "w", encoding="ascii") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump(echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -916,6 +916,36 @@ def test_config_echo_is_resolved_and_sorted(tmp_path):
     assert raw == json.dumps(echoed, indent=2, sort_keys=True) + "\n"
 
 
+PULSE = {"kind": "pulse", "center": 0.5, "width": 0.1}
+ECHO_CASES = {
+    "dae": scalar_dae_cfg(nu=1.5, m0=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+                          m1=[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+                          a=[[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]],
+                          u0=[[1.0, 0.0], [0.5, 0.0]], forcing=PULSE),
+    "delay": scalar_dae_cfg(family="delay", m1=[[[3.0, 0.0]]], h=-1.0, forcing=PULSE),
+    "integro": crossing_integro_cfg(),
+    "mixed1d": {**mixed_cfg(), "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 512}},
+    "custom": {"family": "custom", "custom": {"import": "cli_custom_laws:shifted"},
+               "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256}, "rho": 0.5, "nu": 0.5,
+               "forcing": PULSE},
+}
+
+
+@pytest.mark.filterwarnings("ignore::evostab.EdgeMassWarning")
+@pytest.mark.parametrize("family", sorted(ECHO_CASES))
+def test_config_echo_loads_back(tmp_path, monkeypatch, family):
+    # the echo holds only keys its family reads and no nulls, so it runs as a
+    # config, echoes itself byte for byte and gives the same artifacts
+    install_custom_module(tmp_path, monkeypatch)
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = main(["verify", "--config", write_cfg(tmp_path, ECHO_CASES[family]),
+                 "--out", str(first)])
+    echo = str(first / "config_echo.json")
+    assert main(["verify", "--config", echo, "--out", str(second)]) == code
+    for name in ("config_echo.json", "solution.csv", "metadata.kv", "report.kv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def test_python_dash_m_runs_without_install(tmp_path, package_env):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(nu=1.5))
     out = tmp_path / "out"
