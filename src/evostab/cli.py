@@ -399,9 +399,9 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="path to a JSON run config")
         cmd.add_argument("--out", required=True, help="output directory (created if missing)")
         cmd.add_argument("--threads", type=_thread_count, default=1,
-                         help="thread count (>= 1) of the dense solve path used by "
-                              "delay and custom laws; DAE, mixed1d and integro "
-                              "solves take the QZ pencil path, which has no pool")
+                         help="thread count (>= 1) of the dense solve core used by "
+                              "custom laws and delay laws with non-diagonal M0; "
+                              "the banded and QZ pencil cores have no pool")
 
     try:
         args = parser.parse_args(argv)

@@ -24,8 +24,8 @@ C(t) = sum_j gamma_j exp(-beta_j t) for t >= 0: for Im z <= nu0,
 so that W(lambda) = I - sqrt(2 pi) Chat(-i lambda) = I - sum_j gamma_j /
 (beta_j + lambda).  :func:`_kernel_w` is the one place that forms this sum,
 for the integro law's stack, symbol and shifted symbol, its positivity scan
-in the modes' joint eigenbasis, the transform sign condition and
-:func:`kernel_hat`.
+in the modes' joint eigenbasis, the diagonal of its frequency form, the
+transform sign condition and :func:`kernel_hat`.
 
 Kernel admissibility is one :class:`KernelConditionReport` per kernel,
 :attr:`Kernel.conditions` (also returned by :func:`check_kernel_conditions`):
@@ -89,6 +89,11 @@ def hermitian_part_min_eig(a) -> float:
 
 def _norm2(a) -> float:
     return float(np.linalg.norm(np.atleast_2d(a), 2))
+
+
+def _is_diagonal(a: np.ndarray) -> bool:
+    """True when the square matrix ``a`` has no nonzero off-diagonal entry."""
+    return not np.count_nonzero(a[~np.eye(len(a), dtype=bool)])
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -264,7 +269,8 @@ def _kernel_w(kernel: Kernel, lam, one, gammas=None):
     ``one``.  With one = I and the modes' gamma_j (the default) this is
     W(lambda); with one = 0 it is -sqrt(2 pi) Chat(-i lambda); with one = 1
     and the joint eigenvalues g[j] of :attr:`Kernel.joint_eigenvalues` it is
-    the diagonal of U* W(lambda) U.
+    the diagonal of U* W(lambda) U, and with one = 1 and the modes' own
+    diagonals it is the diagonal of a diagonal W(lambda).
     """
     gammas = [m.gamma for m in kernel.modes] if gammas is None else gammas
     w = one
@@ -477,8 +483,8 @@ class MaterialLaw:
       closed ball of radius 1/(2 nu) centred at -1/(2 nu).
 
     The defaults below serve laws without structure: the dense positivity
-    scan, no closed-form bound or rate, no constant linearisation
-    (``linearization``), so the solver builds the dense operator stack, and
+    scan, no closed-form bound or rate, no structured frequency form
+    (``frequency_form``), so the solver builds the dense operator stack, and
     no structured shifted-symbol norms (``shifted_norms``), so the
     boundedness check takes a dense 2-norm at every point.
     """
@@ -490,11 +496,18 @@ class MaterialLaw:
     # report's sample grid; None when it samples the grid alone.
     extra_samples = None
 
-    def linearization(self, a: np.ndarray) -> tuple | None:
-        """Constant matrices (E, F, L) with B(lambda) x = f equivalent to
-        (lambda E + F) X = L f, where B(lambda) = lambda M(1/lambda) + a and
-        x is the first ``dim`` entries of X; None when there are none."""
-        return None
+    def frequency_form(self, a: np.ndarray) -> tuple:
+        """(pencil, diagonal): the structured forms of the frequency operator
+        B(lambda) = lambda M(1/lambda) + a that the solver can use, each None
+        when the law does not have it.
+
+        ``pencil`` is constant matrices (E, F, L) with B(lambda) x = f
+        equivalent to (lambda E + F) X = L f, x the first ``dim`` entries of
+        X.  ``diagonal`` is (d, C) with B(lambda) = diag d(lambda) + C
+        exactly: ``d`` maps a 1-D array of lambda to an array of shape
+        (len(lam), dim), and C is a constant dim x dim matrix.
+        """
+        return None, None
 
     def shifted(self, nu: float, z: complex) -> np.ndarray:
         """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)), through a
@@ -586,13 +599,17 @@ class _PencilLaw(MaterialLaw):
         return hermitian_part_min_eig(self.M1), _norm2(self.M0)
 
     @cached_property
+    def _m0_diagonal(self) -> np.ndarray | None:
+        """diag M0 when M0 has no nonzero off-diagonal entry, else None."""
+        return np.diagonal(self.M0) if _is_diagonal(self.M0) else None
+
+    @cached_property
     def _diagonals(self) -> tuple | None:
         """(diag M0, diag M1) when neither matrix has a nonzero off-diagonal
         entry, else None."""
-        off = ~np.eye(self.dim, dtype=bool)
-        if np.count_nonzero(self.M0[off]) or np.count_nonzero(self.M1[off]):
+        if self._m0_diagonal is None or not _is_diagonal(self.M1):
             return None
-        return np.diagonal(self.M0), np.diagonal(self.M1)
+        return self._m0_diagonal, np.diagonal(self.M1)
 
     def shifted_norms(self, nu: float, z: np.ndarray) -> tuple | None:
         """With M0 and M1 exactly diagonal the shifted symbol is diagonal,
@@ -642,8 +659,12 @@ class DaeLaw(_PencilLaw):
     def symbol(self, z: complex) -> np.ndarray:
         return self.M0 + z * self.M1
 
-    def linearization(self, a: np.ndarray) -> tuple:
-        return self.M0, self.M1 + a, np.eye(self.dim)
+    def frequency_form(self, a: np.ndarray) -> tuple:
+        """The pencil (M0, M1 + a, I); with diagonal M0 also
+        d(lambda) = lambda diag M0 and C = M1 + a."""
+        d0, c = self._m0_diagonal, self.M1 + a
+        diagonal = None if d0 is None else (lambda lam: lam[:, None] * d0, c)
+        return (self.M0, c, np.eye(self.dim)), diagonal
 
     def shifted(self, nu: float, z: complex) -> np.ndarray:
         return (1.0 - nu * z) * self.M0 + z * self.M1
@@ -688,6 +709,14 @@ class DelayLaw(_PencilLaw):
     def stack(self, lam: np.ndarray) -> np.ndarray:
         return (lam[:, None, None] * self.M0 + self.M1
                 + np.exp(lam * self.h)[:, None, None] * np.eye(self.dim))
+
+    def frequency_form(self, a: np.ndarray) -> tuple:
+        """No pencil; with diagonal M0 the diagonal form
+        d(lambda) = lambda diag M0 + exp(lambda h) and C = M1 + a."""
+        d0 = self._m0_diagonal
+        if d0 is None:
+            return None, None
+        return None, (lambda lam: lam[:, None] * d0 + np.exp(lam * self.h)[:, None], self.M1 + a)
 
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:
@@ -746,10 +775,14 @@ class IntegroLaw(MaterialLaw):
     With W(lambda) = I - sum_j gamma_j / (beta_j + lambda),
     lambda * M(1/lambda) = lambda W(lambda)^-1 + c I; ``stack`` inverts
     W(lambda) at each lambda and is the dense oracle of the solver.  The
-    solver instead uses ``linearization``: with K = c I + a and memory states
-    y_j = (K x - f) / (beta_j + lambda), B(lambda) x = f is the constant
-    pencil (lambda I + F) X = L f of size dim * (modes + 1), which encodes
-    lambda x + W(lambda) (K x - f) = 0 without inverting W.  The modes are
+    solver instead uses ``frequency_form``: with K = c I + a and memory
+    states y_j = (K x - f) / (beta_j + lambda), B(lambda) x = f is the
+    constant pencil (lambda I + F) X = L f of size dim * (modes + 1), which
+    encodes lambda x + W(lambda) (K x - f) = 0 without inverting W.  When
+    no mode has a nonzero off-diagonal entry, W(lambda) is diagonal
+    (:meth:`w_diagonal`) and B(lambda) = diag(lambda / w(lambda)) + K is
+    the diagonal form too; rotated modes have the pencil only, because
+    their joint eigenbasis is exact only to STRUCT_TOL.  The modes are
     Hermitian and commute, so one unitary U diagonalises every W(lambda),
     with diagonal w_i(lambda), and the positivity minimum is
     c + min_i Re(lambda / w_i(lambda)): one n x n eigendecomposition plus
@@ -785,16 +818,32 @@ class IntegroLaw(MaterialLaw):
         w = _kernel_w(self.kernel, lam[:, None, None], np.eye(self.dim))
         return lam[:, None, None] * np.linalg.inv(w) + self.c * np.eye(self.dim)
 
-    def linearization(self, a: np.ndarray) -> tuple:
-        """E = I, F = [[K, -gamma_1, ...], [-K, beta_1 I, 0, ...], ...] and
-        L = [I; -I; ...; -I], with K = c I + a."""
+    @cached_property
+    def _mode_diagonals(self) -> list | None:
+        """diag gamma_j of every mode when no mode has a nonzero off-diagonal
+        entry, else None."""
+        gammas = [m.gamma for m in self.kernel.modes]
+        return [np.diagonal(g) for g in gammas] if all(map(_is_diagonal, gammas)) else None
+
+    def w_diagonal(self, lam: np.ndarray) -> np.ndarray:
+        """The diagonal of W(lambda) for a 1-D array of lambda, shape
+        (len(lam), dim); only for modes without off-diagonal entries."""
+        return _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), self._mode_diagonals)
+
+    def frequency_form(self, a: np.ndarray) -> tuple:
+        """The lifted pencil E = I, F = [[K, -gamma_1, ...], [-K, beta_1 I,
+        0, ...], ...], L = [I; -I; ...; -I], with K = c I + a; with diagonal
+        modes also d(lambda) = lambda / w(lambda) and C = K."""
         n, modes = self.dim, self.kernel.modes
         eye = np.eye(n)
         k = self.c * eye + a
         f = np.kron(np.diag([0.0] + [m.beta for m in modes]), eye).astype(complex)
         f[:n] = np.hstack([k] + [-m.gamma for m in modes])
         f[n:, :n] = np.tile(-k, (len(modes), 1))
-        return np.eye(len(f)), f, np.kron(np.r_[1.0, -np.ones(len(modes))][:, None], eye)
+        pencil = np.eye(len(f)), f, np.kron(np.r_[1.0, -np.ones(len(modes))][:, None], eye)
+        if self._mode_diagonals is None:
+            return pencil, None
+        return pencil, (lambda lam: lam[:, None] / self.w_diagonal(lam), k)
 
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:

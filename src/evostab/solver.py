@@ -13,23 +13,44 @@ limited only by the conditioning of the per-frequency solves.
 :func:`solve` and :func:`solve_integro` are thin entry points over one
 spectral core that gates the edge mass of the forcing and of the solution,
 applies the two transforms, refuses a non-finite solution transform and
-assembles ``meta``; only the per-frequency solve differs:
+assembles ``meta``; only the per-frequency solve of B(xi) x = rhs,
+lambda = i*xi + rho, differs.  It is one of three cores, chosen from the
+law's ``MaterialLaw.frequency_form`` with no family branch, in this order:
 
-* Laws with a constant linearisation (``MaterialLaw.linearization``) turn
-  B(xi) x = f_hat, lambda = i*xi + rho, into one fixed matrix pencil
-  (lambda*E + F) X = L f_hat.  One complex QZ factorisation of (E, F)
-  reduces every frequency to a triangular back-substitution, vectorised
-  over all frequencies: O(n^3 + N n^2), with no (N, n, n) operator stack.
-  ``scipy.linalg.qz`` is the package's only SciPy call, imported on the
-  first pencil solve, so importing the package and certifying never load
-  SciPy.
-  DAE laws (and with them the mixed-type example and :func:`ivp_solve`)
-  are the pencil (M0, M1 + A) itself; integro laws lift to a pencil of size
-  n(m+1) whose extra entries are the m kernel modes' memory states.
-* Delay and custom laws build the operator stack chunk by chunk and solve
-  it by batched dense LU, optionally on a thread pool.  :func:`apply_forward`
-  walks the same frequency chunks with the dense stack for every family, so
-  it stays an independent check of both solve paths.
+* **banded**, when the law has a diagonal form B(lambda) = diag d(lambda) + C
+  (DAE and delay laws with diagonal M0, and so the mixed-type example and
+  :func:`ivp_solve`; integro laws whose modes are diagonal), C has
+  bandwidth b with b^2 <= n in a reverse Cuthill-McKee order of its
+  sparsity, and the coercivity floor
+  s(xi) = min_i Re d_i(lambda) + lambda_min((C + C*)/2) is positive at
+  every sampled frequency.  The floor bounds the Hermitian part of B(lambda)
+  below by s(xi) > 0, so Gaussian elimination without pivoting exists and
+  is stable, with growth bounded by the skew part (Golub and Van Loan,
+  "Unsymmetric positive definite linear systems", 1979), and
+  ||B(lambda)^-1|| <= 1/s(xi).  One elimination and back-substitution over
+  the band, vectorised over a chunk of frequencies, costs O(N n b^2) and
+  needs no SciPy.  The floor is tested on the frequencies themselves, not
+  taken from the positivity gate, so it holds for :func:`solve_integro`
+  and under ``check_certified=False`` too.
+* **pencil**, otherwise, when the law has a constant pencil: B(xi) x = f_hat
+  becomes (lambda*E + F) X = L f_hat.  One complex QZ factorisation of
+  (E, F) reduces every frequency to a triangular back-substitution,
+  vectorised over all frequencies: O(n^3 + N n^2), with no (N, n, n)
+  operator stack.  DAE laws are the pencil (M0, M1 + A) itself; integro
+  laws lift to a pencil of size n(m+1) whose extra entries are the m kernel
+  modes' memory states.  ``scipy.linalg.qz`` is the package's only SciPy
+  call, imported on the first pencil solve, so importing the package,
+  certifying and banded solves never load SciPy.
+* **dense**, for every other law (delay laws with non-diagonal M0, custom
+  laws): the operator stack is built chunk by chunk and solved by batched
+  dense LU, optionally on a thread pool.  :func:`apply_forward` walks the
+  same frequency chunks with the dense stack for every family, so it stays
+  an independent check of all three cores.
+
+``meta['core']`` names the core that ran.  The banded core also records
+``meta['coercivity_ratio']``, the largest ||x(xi)|| s(xi) / ||rhs(xi)||:
+coercivity bounds it by 1, so a value above 1 plus rounding is a solver
+fault.
 
 Wrap-around policy: the time grid is circular, so weighted mass at its first
 or last sample leaks across the ends (:func:`~evostab.signals.edge_mass`).
@@ -62,7 +83,8 @@ import numpy as np
 
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
-from .material import IntegroLaw, Kernel, MaterialLaw, frequency_operator_stack
+from .material import (IntegroLaw, Kernel, MaterialLaw, frequency_operator_stack,
+                       hermitian_part_min_eig)
 from .certify import solvability_constant, solvability_lower_bound
 from .signals import (Signal, SpectralSignal, edge_mass, fourier_laplace,
                       inverse_fourier_laplace, support_lower_bound)
@@ -171,7 +193,8 @@ def _dense_solve(law: MaterialLaw, a: np.ndarray, rho: float, threads: int, xi, 
     else:
         for idx in range(len(slices)):
             work(idx)
-    return x, _relative(float(res_parts.sum()), float(rhs_parts.sum()))
+    return x, {"residual": _relative(float(res_parts.sum()), float(rhs_parts.sum())),
+               "core": "dense"}
 
 
 def _pencil_solve(e: np.ndarray, f: np.ndarray, lift: np.ndarray, rho: float, xi, f_hat) -> tuple:
@@ -203,14 +226,129 @@ def _pencil_solve(e: np.ndarray, f: np.ndarray, lift: np.ndarray, rho: float, xi
         err = lam[sl, None] * (lifted @ e.T) + lifted @ f.T - rhs
         res_sq += np.sum(np.abs(err) ** 2)
         rhs_sq += np.sum(np.abs(rhs) ** 2)
-    return x, _relative(res_sq, rhs_sq)
+    return x, {"residual": _relative(res_sq, rhs_sq), "core": "pencil"}
+
+
+def _band_order(c: np.ndarray) -> tuple:
+    """(order, b): a reverse Cuthill-McKee order of the sparsity graph of
+    ``c`` and the bandwidth of ``c`` in that order.
+
+    Each connected component is walked breadth first from a vertex of least
+    degree, neighbours by increasing degree, and the whole order is
+    reversed (Cuthill and McKee 1969, George 1971).
+    """
+    adj = (c != 0) | (c != 0).T
+    np.fill_diagonal(adj, False)
+    degree = adj.sum(axis=1)
+    seen = np.zeros(len(c), dtype=bool)
+    order = []
+    for start in np.argsort(degree, kind="stable"):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            nbrs = np.flatnonzero(adj[order[head]] & ~seen)
+            nbrs = nbrs[np.argsort(degree[nbrs], kind="stable")]
+            seen[nbrs] = True
+            order.extend(nbrs)
+            head += 1
+    order = np.array(order[::-1], dtype=int)
+    position = np.argsort(order)
+    rows, cols = np.nonzero(adj)
+    return order, int(np.abs(position[rows] - position[cols]).max(initial=0))
+
+
+def _banded_core(d, c: np.ndarray, rho: float, xi, rhs_scale=None):
+    """The banded solve of (diag d(lambda) + C) x = rhs, or None when C has
+    bandwidth b with b^2 > n in :func:`_band_order`, or when the coercivity
+    floor s(xi) = min_i Re d_i(lambda) + lambda_min((C + C*)/2) is not
+    positive and finite at every frequency."""
+    order, b = _band_order(c)
+    if b * b > len(c):
+        return None
+    lam = 1j * xi + rho
+    with np.errstate(all="ignore"):
+        floor = np.concatenate([d(lam[sl]).real.min(axis=1) for sl in _chunks(len(xi), len(c))])
+    floor += hermitian_part_min_eig(c)
+    if not (np.isfinite(floor).all() and floor.min() > 0):
+        return None
+    return partial(_banded_solve, d, c[np.ix_(order, order)], order, b, floor, rho, rhs_scale)
+
+
+def _banded_solve(d, c: np.ndarray, order, b: int, floor, rho: float, rhs_scale,
+                  xi, f_hat) -> tuple:
+    """Solve (diag d(lambda) + C) x = rhs at every lambda = i*xi + rho by
+    Gaussian elimination without pivoting over the band; ``c`` is C in the
+    band order ``order``, and rhs is f_hat, or f_hat / rhs_scale(lambda).
+
+    One chunk of frequencies at a time, row i of the chunk's operators sits
+    in ``band[i, t] = B[i, i - b + t]`` with the frequency axis last, so the
+    scratch is O(chunk * n * b).  The residual is measured against
+    diag d + C itself as a banded product, not against the factors, so
+    growth in the elimination shows in it.
+    """
+    n, lam = len(c), 1j * xi + rho
+    offsets = range(-b, b + 1)
+    c_band = np.zeros((n, 2 * b + 1), dtype=complex)
+    for t, o in enumerate(offsets):
+        c_band[max(0, -o):n - max(0, o), t] = np.diagonal(c, o)
+    inverse = np.argsort(order)
+    x = np.empty_like(f_hat)
+    res_sq = rhs_sq = ratio = 0.0
+    for sl in _chunks(len(xi), n):
+        rhs = f_hat[sl] if rhs_scale is None else f_hat[sl] / rhs_scale(lam[sl])
+        rhs = rhs.T[order]  # (n, chunk)
+        diag = d(lam[sl]).T[order]
+        band = np.repeat(c_band[:, :, None], rhs.shape[1], axis=2)
+        band[:, b] += diag
+        inv = np.empty_like(rhs)  # reciprocal pivots
+        y = rhs.copy()
+        for k in range(n):  # eliminate column k from the rows below
+            inv[k] = 1.0 / band[k, b]
+            m = min(b, n - 1 - k)
+            for r in range(1, m + 1):
+                mult = band[k + r, b - r] * inv[k]
+                band[k + r, b - r + 1:b - r + 1 + m] -= mult * band[k, b + 1:b + 1 + m]
+                y[k + r] -= mult * y[k]
+        for k in reversed(range(n)):  # back-substitute column k into the rows above
+            y[k] *= inv[k]
+            for j in range(1, min(b, k) + 1):
+                y[k - j] -= band[k - j, b + j] * y[k]
+        err = diag * y - rhs
+        for t, o in enumerate(offsets):
+            lo, hi = max(0, -o), n - max(0, o)
+            err[lo:hi] += c_band[lo:hi, t, None] * y[lo + o:hi + o]
+        rhs_norm = np.linalg.norm(rhs, axis=0)
+        res_sq += float(np.sum(np.linalg.norm(err, axis=0) ** 2))
+        rhs_sq += float(np.sum(rhs_norm ** 2))
+        # ||y|| s / ||rhs|| per frequency, 0 where rhs = 0 (then y = 0)
+        scaled = np.linalg.norm(y, axis=0) * floor[sl] / np.where(rhs_norm > 0, rhs_norm, np.inf)
+        ratio = max(ratio, float(scaled.max()))
+        x[sl] = y[inverse].T
+    return x, {"residual": _relative(res_sq, rhs_sq), "core": "banded",
+               "coercivity_ratio": ratio}
+
+
+def _frequency_core(form: tuple, rho: float, xi, dense=None, rhs_scale=None):
+    """The per-frequency solve for a law's ``frequency_form`` (pencil,
+    diagonal): the banded core when :func:`_banded_core` takes the diagonal
+    form, else the QZ pencil when there is one, else ``dense``."""
+    pencil, diagonal = form
+    if diagonal is not None:
+        core = _banded_core(*diagonal, rho, xi, rhs_scale)
+        if core is not None:
+            return core
+    return dense if pencil is None else partial(_pencil_solve, *pencil, rho)
 
 
 def _spectral_solve(f: Signal, rho: float, solve_hat, family: str) -> Signal:
     """Transform ``f``, solve B(xi) x = rhs at every frequency, transform back.
 
     ``solve_hat(xi, f_hat)`` gets all frequencies and the forcing transform
-    and returns the solution transform and its relative residual.  A
+    and returns the solution transform and a dict of its ``meta`` entries:
+    the relative ``residual``, the ``core`` and any core diagnostics.  A
     non-finite solution transform raises :class:`SingularFrequencyError` at
     its first bad sample.
     """
@@ -218,7 +356,7 @@ def _spectral_solve(f: Signal, rho: float, solve_hat, family: str) -> Signal:
     em_rhs = _check_edges(f, rho, "forcing", EDGE_WARN, EDGE_FAIL, meta_warnings)
     f_hat = fourier_laplace(f, rho).values
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x, residual = solve_hat(f.grid.frequencies, f_hat)
+        x, core_meta = solve_hat(f.grid.frequencies, f_hat)
     bad = np.nonzero(~np.isfinite(x).all(axis=1))[0]
     if bad.size:
         j = int(bad[0])
@@ -231,7 +369,7 @@ def _spectral_solve(f: Signal, rho: float, solve_hat, family: str) -> Signal:
     else:
         em_u = _check_edges(u, rho, "solution", EDGE_FAIL, SOLUTION_EDGE_FAIL, meta_warnings)
     u.meta.update({
-        "residual": residual,
+        **core_meta,
         "edge_mass_rhs": em_rhs,
         "edge_mass_solution": em_u,
         "rho": rho,
@@ -257,23 +395,26 @@ def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
     """Solve the evolutionary equation for the given forcing.
 
     The result carries ``meta['residual']`` (relative, measured in the
-    rho-weighted norm against B(xi) itself; identical to the time-domain
-    residual of :func:`apply_forward` by unitarity), the edge masses of
-    forcing and solution, and any wrap-around warnings.
+    rho-weighted norm against the core's own form of B(xi); identical to
+    the time-domain residual of :func:`apply_forward` by unitarity), the
+    edge masses of forcing and solution, any wrap-around warnings and
+    ``meta['core']``.
 
-    A law with a constant linearisation (DAE and integro laws) is solved
-    through the QZ pencil, other laws through the dense operator stack.
-    For integro laws the residual is measured against the lifted pencil of
-    size n(m+1).  ``threads`` sets the thread pool of the dense path only,
-    so it affects delay and custom laws.
+    The core follows the module's rule: banded when the law's diagonal
+    form is banded and its coercivity floor is positive at every frequency
+    (then also ``meta['coercivity_ratio']``), else the QZ pencil when the
+    law has one (DAE laws with non-diagonal M0, rotated integro laws, and
+    the laws that fail the floor test, whose residual is measured against
+    the lifted pencil of size n(m+1) for integro laws), else the dense
+    operator stack.  ``threads`` sets the thread pool of the dense core
+    only, so it affects delay laws with non-diagonal M0 and custom laws.
     """
     symbol, rho = problem.symbol, problem.rho
     if check_certified:
         _well_posed_gate(symbol)
     a = problem.A.matrix
-    pencil = symbol.linearization(a)
-    solve_hat = (partial(_dense_solve, symbol, a, rho, threads) if pencil is None
-                 else partial(_pencil_solve, *pencil, rho))
+    solve_hat = _frequency_core(symbol.frequency_form(a), rho, problem.f.grid.frequencies,
+                                partial(_dense_solve, symbol, a, rho, threads))
     return _spectral_solve(problem.f, rho, solve_hat, symbol.family)
 
 
@@ -297,17 +438,25 @@ def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float) -> Signal:
     B = c*I + A.
 
     In the frequency domain this is lambda x + W(lambda) B x = f_hat with
-    W(lambda) = I - sqrt(2 pi) Chat(-i lambda): the integro law's pencil
-    (``IntegroLaw.linearization``) with the forcing lifted into the first
-    block only, L = [I; 0; ...; 0].  The residual is measured against that
+    W(lambda) = I - sqrt(2 pi) Chat(-i lambda), that is
+    (lambda W(lambda)^-1 + B) x = W(lambda)^-1 f_hat.  The core follows the
+    rule of :func:`solve` on the integro law's ``frequency_form``: with
+    diagonal modes, W(lambda) = diag w(lambda) and the banded core solves
+    (diag(lambda / w) + B) x = f_hat / w, its residual measured against that
+    system; otherwise the law's pencil with the forcing lifted into the
+    first block only, L = [I; 0; ...; 0], its residual measured against the
     lifted pencil.  The arguments are validated as
     ``EvolutionaryProblem(IntegroLaw(kernel, c), A, rho, f)``, so a bad c,
-    kernel, rho or dimension raises ``ValueError``; no positivity gate runs.
+    kernel, rho or dimension raises ``ValueError``; no positivity gate runs,
+    and the banded core's floor test does not need one.
     """
     problem = EvolutionaryProblem(IntegroLaw(kernel, c), A, rho, f)
-    e, f_mat, _ = problem.symbol.linearization(problem.A.matrix)
-    lift = np.eye(len(e), problem.symbol.dim)
-    return _spectral_solve(f, rho, partial(_pencil_solve, e, f_mat, lift, rho), "integro")
+    law = problem.symbol
+    (e, f_mat, _), diagonal = law.frequency_form(problem.A.matrix)
+    pencil = e, f_mat, np.eye(len(e), law.dim)
+    solve_hat = _frequency_core((pencil, diagonal), rho, f.grid.frequencies,
+                                rhs_scale=law.w_diagonal)
+    return _spectral_solve(f, rho, solve_hat, "integro")
 
 
 def convolve_time(kernel: Kernel, u: Signal) -> Signal:
@@ -390,7 +539,8 @@ def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
 
     ``initial_gap`` is |M0 u(t+) - M0 u0| at the first grid point >= 0 and
     shrinks linearly with dt.  The law is a DAE law, so :func:`solve` takes
-    the QZ pencil path, which runs no thread pool; ``check_certified`` is
+    the banded core (diagonal M0, banded M1 + A, positive floor) or the QZ
+    pencil, neither of which runs a thread pool; ``check_certified`` is
     passed on to it.
     """
     g = ivp_assemble_rhs(problem, u0, phi_scale)

@@ -568,8 +568,8 @@ import evostab
 import evostab.cli
 
 sys.path.insert(0, sys.argv[1])
-codes = [evostab.cli.main(["certify", "--config", cfg, "--out", cfg + ".out"])
-         for cfg in sys.argv[2:]]
+codes = [evostab.cli.main([sys.argv[2], "--config", cfg, "--out", cfg + ".out"])
+         for cfg in sys.argv[3:]]
 print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -584,10 +584,24 @@ def test_certify_imports_no_scipy(tmp_path, package_env):
                                  "custom": {"import": "cli_custom_laws:shifted"},
                                  "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256},
                                  "rho": 0.5, "nu": 0.5}, name="custom.json")]
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), *cfgs],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), "certify", *cfgs],
                           capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
+def test_banded_verify_imports_no_scipy(tmp_path, package_env):
+    # mixed1d and an integro law with diagonal modes and a tridiagonal a take
+    # the banded core, which needs no QZ: verify never imports SciPy
+    skew = [[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]
+    integro = {**crossing_integro_cfg(), "a": skew,
+               "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 1024}}
+    cfgs = [write_cfg(tmp_path, mixed_cfg(), name="mixed1d.json"),
+            write_cfg(tmp_path, integro, name="integro.json")]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), "verify", *cfgs],
+                          capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
 
 
 # --- gates shared by the commands ------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from _oracles import delay_stepper, volterra_integro_stepper
@@ -16,6 +18,7 @@ from evostab import (CertificationError, CustomLaw, DaeLaw, DelayLaw, EdgeMassEr
                      solve_integro, step_exp, support_lower_bound)
 from evostab.material import frequency_operator_stack
 from evostab.signals import SpectralSignal
+from evostab.solver import _band_order, _pencil_solve
 
 
 def scalar_kernel(gamma=0.25, beta=1.0, nu0=0.5):
@@ -93,13 +96,15 @@ class TestSolve:
         u2 = solve(dae_problem(f), threads=2)
         assert np.array_equal(u1.values, u2.values)
         assert u1.meta["residual"] == u2.meta["residual"]
-        # delay: the dense path (and its pool) over four chunks; DAE laws
-        # take the QZ pencil path, which has no pool
+        # a delay law with non-diagonal M0: the dense path (and its pool) over
+        # four chunks; the banded and QZ pencil cores have no pool
         gi = TimeGrid(-2.0, 1 / 64, 4096)
         fd = gaussian_pulse(gi, center=1.0, width=0.2, dim=2)
-        prob = EvolutionaryProblem(DelayLaw(np.eye(2), 3.0 * np.eye(2), -0.5), None, 0.5, fd)
+        m0 = np.array([[1.0, 0.5], [0.5, 1.0]])
+        prob = EvolutionaryProblem(DelayLaw(m0, 3.0 * np.eye(2), -0.5), None, 0.5, fd)
         w1 = solve(prob, threads=1)
         w2 = solve(prob, threads=2)
+        assert w1.meta["core"] == "dense"
         assert np.array_equal(w1.values, w2.values)
         assert w1.meta["residual"] == w2.meta["residual"]
 
@@ -210,9 +215,14 @@ class TestSolve:
             EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 8.0, Signal.zeros(g, 1))
 
 
+def off_diagonal(m) -> bool:
+    return bool(np.count_nonzero(m - np.diag(np.diagonal(m))))
+
+
 class TestPencilPath:
-    """DAE laws are solved through one QZ factorisation; the dense
-    operator stack and apply_forward are its oracles."""
+    """DAE laws with non-diagonal M0 and integro laws with rotated modes are
+    solved through one QZ factorisation; the dense operator stack and
+    apply_forward are its oracles."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 6), rho=st.floats(0.05, 1.0))
@@ -231,6 +241,8 @@ class TestPencilPath:
         f = gaussian_pulse(grid, center=1.0, width=0.3, dim=dim, direction=d[0] + 0.1)
         law = DaeLaw(m0, m1)
         u = solve(EvolutionaryProblem(law, a, rho, f), check_certified=False)
+        if off_diagonal(m0):  # a diagonal M0 may take the banded core
+            assert u.meta["core"] == "pencil"
 
         xi = grid.frequencies
         stack = frequency_operator_stack(law, xi, rho) + a
@@ -282,6 +294,8 @@ class TestPencilPath:
         ]:
             assert np.abs(weight * u.values - ref).max() <= 1e-10 * np.abs(ref).max()
             assert u.meta["residual"] <= 1e-12
+            if any(off_diagonal(m.gamma) for m in modes):  # diagonal modes may be banded
+                assert u.meta["core"] == "pencil"
 
     def test_apply_forward_inverts_integro_solve(self):
         kernel = Kernel(modes=(KernelMode(np.diag([0.2, 0.1]), 1.0),
@@ -302,6 +316,149 @@ class TestPencilPath:
         prob = EvolutionaryProblem(sys_.law(), sys_.A, 0.05, f)
         back = apply_forward(prob, solve(prob))
         assert np.abs(back.values - f.values).max() <= 1e-10 * np.abs(f.values).max()
+
+
+def full_band(data, n, b, phase=np.pi):
+    """An n x n complex matrix whose entries with |i - j| <= b all have
+    modulus in [0.1, 1] and argument in [-phase, phase]; the rest are zero."""
+    mod = data.draw(hnp.arrays(float, (n, n), elements=st.floats(0.1, 1.0)))
+    arg = data.draw(hnp.arrays(float, (n, n), elements=st.floats(-phase, phase)))
+    i, j = np.indices((n, n))
+    return np.where(np.abs(i - j) <= b, mod * np.exp(1j * arg), 0.0)
+
+
+def coercive_band(data, n, margin):
+    """(H, S): H Hermitian with lambda_min(H) >= margin by diagonal dominance
+    and S skew, both with the full band of a random bandwidth b, b^2 <= n,
+    and both turned by one random permutation that hides the band."""
+    b = data.draw(st.integers(0, min(n - 1, math.isqrt(n))))
+    g = full_band(data, n, b, phase=1.0)  # Re g > 0, so no entry of H cancels
+    h = 0.5 * (g + g.conj().T)
+    np.fill_diagonal(h, np.abs(h).sum(axis=1) - np.abs(np.diagonal(h)) + margin)
+    k = full_band(data, n, b)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    return h[np.ix_(perm, perm)], (k - k.conj().T)[np.ix_(perm, perm)]
+
+
+def diagonal_psd(data, n):
+    """A diagonal M0 >= 0 of any rank."""
+    entries = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+    return np.diag(data.draw(hnp.arrays(float, n, elements=entries)))
+
+
+class TestBandedCore:
+    """Laws whose frequency operator is diag d(lambda) + C with C banded and
+    a positive coercivity floor take the pivot-free banded core; the QZ
+    pencil and dense LU on the operator stack are its oracles, at the
+    bounds of TestPencilPath.  Compared in the rho-weighted norm the solver
+    works in."""
+
+    @staticmethod
+    def check(u, law, a, rho, f, pencil=None, rhs=None):
+        grid, xi = f.grid, f.grid.frequencies
+        f_hat = fourier_laplace(f, rho).values
+        rhs = f_hat if rhs is None else rhs
+        stack = frequency_operator_stack(law, xi, rho) + a
+        refs = [np.linalg.solve(stack, rhs[:, :, None])[:, :, 0]]
+        if pencil is not None:
+            refs.append(_pencil_solve(*pencil, rho, xi, f_hat)[0])
+        weight = np.exp(-rho * grid.times)[:, None]
+        for x in refs:
+            ref = weight * inverse_fourier_laplace(SpectralSignal(grid, rho, x)).values
+            assert np.abs(weight * u.values - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert u.meta["core"] == "banded"
+        assert u.meta["residual"] <= 1e-12
+        assert u.meta["coercivity_ratio"] <= 1.0 + 1e-12
+
+    @staticmethod
+    def pulse(data, n):
+        direction = data.draw(hnp.arrays(float, n, elements=st.floats(0.1, 1.0)))
+        return gaussian_pulse(TimeGrid(-2.0, 1 / 16, 128), center=1.0, width=0.3, dim=n,
+                              direction=direction)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), rho=st.floats(0.05, 1.0))
+    def test_dae_matches_pencil_and_dense_lu(self, data, n, rho):
+        # C = M1 + a: positive definite Hermitian part plus a skew part
+        h, s = coercive_band(data, n, 0.5)
+        law, a = DaeLaw(diagonal_psd(data, n), h + 0.5 * s), 0.5 * s
+        f = self.pulse(data, n)
+        u = solve(EvolutionaryProblem(law, a, rho, f), check_certified=False)
+        self.check(u, law, a, rho, f, pencil=law.frequency_form(a)[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), n_modes=st.integers(1, 3),
+           c=st.floats(0.5, 3.0), rho=st.floats(0.05, 1.0))
+    def test_integro_matches_pencil_and_dense_lu(self, data, n, n_modes, c, rho):
+        # diagonal modes gamma_j >= 0 with beta_j > nu0 and weighted L1 norm
+        # at nu0 at most 0.9, so Re(lambda / w_i) > 0; a PSD plus skew, banded
+        nu0 = 0.5
+        diags = data.draw(hnp.arrays(float, (n_modes, n), elements=st.floats(0.0, 1.0)))
+        gaps = data.draw(hnp.arrays(float, n_modes, elements=st.floats(0.1, 3.0)))
+        l1 = np.sum(diags.max(axis=1) / gaps)
+        diags = diags * (0.9 / l1 if l1 > 0.9 else 1.0)
+        modes = [KernelMode(np.diag(d_j), nu0 + gap) for d_j, gap in zip(diags, gaps)]
+        kernel = Kernel(tuple(modes), nu0)
+        h, s = coercive_band(data, n, 0.0)
+        law, a = IntegroLaw(kernel, c), h + s
+        f = self.pulse(data, n)
+        self.check(solve(EvolutionaryProblem(law, a, rho, f), check_certified=False),
+                   law, a, rho, f, pencil=law.frequency_form(a)[0])
+        # solve_integro: (lambda W^-1 + c I + a) x = W^-1 f_hat
+        lam = 1j * f.grid.frequencies + rho
+        w_lam = np.eye(n) - sum(m.gamma / (m.beta + lam)[:, None, None] for m in modes)
+        f_hat = fourier_laplace(f, rho).values
+        e, f_mat, _ = law.frequency_form(a)[0]
+        self.check(solve_integro(kernel, c, a, f, rho), law, a, rho, f,
+                   pencil=(e, f_mat, np.eye(len(e), n)),
+                   rhs=np.linalg.solve(w_lam, f_hat[:, :, None])[:, :, 0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), rho=st.floats(0.05, 1.0),
+           h=st.floats(-2.0, -0.1))
+    def test_delay_matches_dense_lu(self, data, n, rho, h):
+        # |exp(lambda h)| < 1, so a Hermitian part of C above 1.5 keeps the
+        # floor above 0.5; delay laws have no pencil
+        hm, s = coercive_band(data, n, 1.5)
+        law, a = DelayLaw(diagonal_psd(data, n), hm + 0.5 * s, h), 0.5 * s
+        f = self.pulse(data, n)
+        self.check(solve(EvolutionaryProblem(law, a, rho, f), check_certified=False),
+                   law, a, rho, f)
+
+    def test_band_order_interleaves_the_mixed_system(self):
+        # nodes then fluxes: in the interleaved order M1 + A is tridiagonal
+        p = 24
+        ind0, ind1 = indicators_from_intervals(p, (0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0))
+        sys_ = build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, 1.0)
+        order, b = _band_order(sys_.M1 + sys_.A.matrix)
+        assert b == 1
+        assert sorted(order) == list(range(2 * p + 1))
+
+    # U diag(d) U* with U = [[0.6, 0.8i], [0.8i, 0.6]]: Hermitian commuting
+    # modes that are not diagonal
+    ROTATED = Kernel((KernelMode([[0.136, -0.048j], [0.048j, 0.164]], 1.0),
+                      KernelMode([[0.082, 0.024j], [-0.024j, 0.068]], 2.0)), nu0=0.5)
+
+    @pytest.mark.filterwarnings("ignore::evostab.EdgeMassWarning")
+    @pytest.mark.parametrize("law, core", [
+        (DaeLaw([[1.0]], [[-1.0]]), "pencil"),
+        (DaeLaw(np.eye(3), 2.0 * np.eye(3) + np.triu(np.ones((3, 3)), 1)), "pencil"),
+        (DaeLaw([[1.0, 0.5], [0.5, 1.0]], 2.0 * np.eye(2)), "pencil"),
+        (IntegroLaw(ROTATED, 1.0), "pencil"),
+        (CustomLaw(1, lambda z: (1 + 2 * z) * np.eye(1)), "dense"),
+        (DelayLaw([[1.0, 0.5], [0.5, 1.0]], 3.0 * np.eye(2), -0.5), "dense"),
+    ], ids=["negative-floor", "wide-band", "dense-m0", "rotated-modes", "custom", "dense-delay"])
+    def test_other_laws_keep_their_core(self, law, core):
+        # floor 0.5 - 1 < 0 at rho = 0.5; bandwidth 2 with 2^2 > 3; M0 or
+        # the modes not diagonal; no diagonal form and no pencil
+        g = TimeGrid(-2.0, 1 / 64, 256)
+        f = gaussian_pulse(g, center=1.0, width=0.2, dim=law.dim)
+        u = solve(EvolutionaryProblem(law, None, 0.5, f), check_certified=False)
+        assert u.meta["core"] == core
+        assert "coercivity_ratio" not in u.meta
+        assert u.meta["residual"] <= 1e-10
+        if law.family == "integro":
+            assert solve_integro(law.kernel, law.c, None, f, 0.5).meta["core"] == core
 
 
 class TestApplyForward:

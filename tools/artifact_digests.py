@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for eighteen fixed configs.
+"""Print the sha256 of every CLI artifact for nineteen fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -22,9 +22,12 @@ is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``certify`` only: the delay scan's smallest cos(tau h) is then a sampled
 value, not -1.  ``dae-dense`` is a DAE law with a non-diagonal Hermitian
 ``M0`` and a non-normal ``M1`` at nu = 0.5, through ``certify`` and
-``verify``: every other DAE and delay law is diagonal, and this one has no
+``verify``: every other DAE law is diagonal, and this one has no
 structured shifted-symbol norms, so its check takes the dense 2-norm at
-every point.  ``dae-fast`` is the scalar DAE law ``M0 = 1e-7``, ``M1 = 1``,
+every point, and its solve takes the QZ pencil core.  ``delay-dense`` is the
+``delay`` config with the same non-diagonal Hermitian ``M0``, through
+``solve`` and ``verify``: every other delay law has a diagonal ``M0`` and
+takes the banded core, so this one keeps the dense-LU core byte-checked.  ``dae-fast`` is the scalar DAE law ``M0 = 1e-7``, ``M1 = 1``,
 through ``certify`` only: its closed-form rate 1e7 is finite and above the
 report's cap 1e6, so the capped rate and its ``rate_capped`` flag are
 byte-checked on a finite rate.  ``dae-step`` and ``dae-csv`` are the
@@ -149,6 +152,7 @@ CASES["dae-dense"] = {
     "m1": [[[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]], "a": SKEW,
     "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE, "nu": 0.5,
 }
+CASES["delay-dense"] = {**CASES["delay"], "m0": CASES["dae-dense"]["m0"]}
 CASES["dae-fast"] = {
     "family": "dae", "m0": _diag(1e-7), "m1": _diag(1.0),
     "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE,
@@ -162,7 +166,8 @@ CASES["dae-csv"] = {**CASES["dae"], "forcing": {"kind": "csv", "path": "dae-solv
 # ivp do not depend on nu.
 COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certify", "verify"],
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
-            "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"]}
+            "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
+            "delay-dense": ["solve", "verify"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
