@@ -780,7 +780,7 @@ class IntegroLaw(MaterialLaw):
     constant pencil (lambda I + F) X = L f of size dim * (modes + 1), which
     encodes lambda x + W(lambda) (K x - f) = 0 without inverting W.  When
     no mode has a nonzero off-diagonal entry, W(lambda) is diagonal
-    (:meth:`w_diagonal`) and B(lambda) = diag(lambda / w(lambda)) + K is
+    (``_w_diagonal``) and B(lambda) = diag(lambda / w(lambda)) + K is
     the diagonal form too; rotated modes have the pencil only, because
     their joint eigenbasis is exact only to STRUCT_TOL.  The modes are
     Hermitian and commute, so one unitary U diagonalises every W(lambda),
@@ -825,7 +825,7 @@ class IntegroLaw(MaterialLaw):
         gammas = [m.gamma for m in self.kernel.modes]
         return [np.diagonal(g) for g in gammas] if all(map(_is_diagonal, gammas)) else None
 
-    def w_diagonal(self, lam: np.ndarray) -> np.ndarray:
+    def _w_diagonal(self, lam: np.ndarray) -> np.ndarray:
         """The diagonal of W(lambda) for a 1-D array of lambda, shape
         (len(lam), dim); only for modes without off-diagonal entries."""
         return _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), self._mode_diagonals)
@@ -843,7 +843,7 @@ class IntegroLaw(MaterialLaw):
         pencil = np.eye(len(f)), f, np.kron(np.r_[1.0, -np.ones(len(modes))][:, None], eye)
         if self._mode_diagonals is None:
             return pencil, None
-        return pencil, (lambda lam: lam[:, None] / self.w_diagonal(lam), k)
+        return pencil, (lambda lam: lam[:, None] / self._w_diagonal(lam), k)
 
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:

@@ -19,9 +19,11 @@ law's ``MaterialLaw.frequency_form`` with no family branch, in this order:
 
 * **banded**, when the law has a diagonal form B(lambda) = diag d(lambda) + C
   (DAE and delay laws with diagonal M0, and so the mixed-type example and
-  :func:`ivp_solve`; integro laws whose modes are diagonal), C has
-  bandwidth b with b^2 <= n in a reverse Cuthill-McKee order of its
-  sparsity, and the coercivity floor
+  :func:`ivp_solve`; integro laws whose modes are diagonal), C has a
+  bandwidth b in a reverse Cuthill-McKee order of its sparsity at which
+  the band beats the fallback core as timed (:func:`_band_pays`: b <= 1
+  or b <= n/25 against the pencil, b^2 <= 4n against dense LU), and the
+  coercivity floor
   s(xi) = min_i Re d_i(lambda) + lambda_min((C + C*)/2) is positive at
   every sampled frequency.  The floor bounds the Hermitian part of B(lambda)
   below by s(xi) > 0, so Gaussian elimination without pivoting exists and
@@ -29,9 +31,10 @@ law's ``MaterialLaw.frequency_form`` with no family branch, in this order:
   "Unsymmetric positive definite linear systems", 1979), and
   ||B(lambda)^-1|| <= 1/s(xi).  One elimination and back-substitution over
   the band, vectorised over a chunk of frequencies, costs O(N n b^2) and
-  needs no SciPy.  The floor is tested on the frequencies themselves, not
-  taken from the positivity gate, so it holds for :func:`solve_integro`
-  and under ``check_certified=False`` too.
+  needs no SciPy.  The floor is tested on the frequencies themselves, one
+  chunk ahead of its elimination, not taken from the positivity gate, so
+  it holds for :func:`solve_integro` and under ``check_certified=False``
+  too; where it fails, the whole solve goes to the next core.
 * **pencil**, otherwise, when the law has a constant pencil: B(xi) x = f_hat
   becomes (lambda*E + F) X = L f_hat.  One complex QZ factorisation of
   (E, F) reduces every frequency to a triangular back-substitution,
@@ -80,6 +83,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (CertificationError, EdgeMassError, EdgeMassWarning,
                      SingularFrequencyError)
@@ -151,9 +155,10 @@ def _check_edges(signal: Signal, rho: float, what: str, warn: float, fail: float
     return em
 
 
-def _chunks(n_samples: int, dim: int) -> list:
-    """Frequency-index slices; keeps per-chunk scratch near 256 MB."""
-    step = max(16, min(1024, (1 << 24) // max(dim * dim, 1)))
+def _chunks(n_samples: int, entries: int) -> list:
+    """Frequency-index slices for ``entries`` complex scratch entries per
+    frequency (n^2 for an n x n stack); keeps per-chunk scratch near 256 MB."""
+    step = max(16, min(1024, (1 << 24) // max(entries, 1)))
     return [slice(k, min(k + step, n_samples)) for k in range(0, n_samples, step)]
 
 
@@ -165,7 +170,7 @@ def _dense_solve(law: MaterialLaw, a: np.ndarray, rho: float, threads: int, xi, 
     """One batched LU solve of the operator stack B(xi) = lambda M(1/lambda) + a
     per chunk of frequencies, optionally on a thread pool."""
     x = np.empty_like(f_hat)
-    slices = _chunks(*f_hat.shape)
+    slices = _chunks(len(f_hat), f_hat.shape[1] ** 2)
     res_parts = np.zeros(len(slices))
     rhs_parts = np.zeros(len(slices))
 
@@ -219,7 +224,7 @@ def _pencil_solve(e: np.ndarray, f: np.ndarray, lift: np.ndarray, rho: float, xi
         y[i] = (y[i] - lam * sy - ty) / (lam * s[i, i] + t[i, i])
     x = np.empty_like(f_hat)
     res_sq = rhs_sq = 0.0
-    for sl in _chunks(len(xi), len(e)):
+    for sl in _chunks(len(xi), len(e) ** 2):
         lifted = y[:, sl].T @ z.T
         x[sl] = lifted[:, :x.shape[1]]
         rhs = f_hat[sl] @ lift.T
@@ -260,62 +265,64 @@ def _band_order(c: np.ndarray) -> tuple:
     return order, int(np.abs(position[rows] - position[cols]).max(initial=0))
 
 
-def _banded_core(d, c: np.ndarray, rho: float, xi, rhs_scale=None):
-    """The banded solve of (diag d(lambda) + C) x = rhs, or None when C has
-    bandwidth b with b^2 > n in :func:`_band_order`, or when the coercivity
-    floor s(xi) = min_i Re d_i(lambda) + lambda_min((C + C*)/2) is not
-    positive and finite at every frequency."""
-    order, b = _band_order(c)
-    if b * b > len(c):
-        return None
-    lam = 1j * xi + rho
-    with np.errstate(all="ignore"):
-        floor = np.concatenate([d(lam[sl]).real.min(axis=1) for sl in _chunks(len(xi), len(c))])
-    floor += hermitian_part_min_eig(c)
-    if not (np.isfinite(floor).all() and floor.min() > 0):
-        return None
-    return partial(_banded_solve, d, c[np.ix_(order, order)], order, b, floor, rho, rhs_scale)
-
-
-def _banded_solve(d, c: np.ndarray, order, b: int, floor, rho: float, rhs_scale,
+def _banded_solve(d, c: np.ndarray, order, b: int, rho: float, w, fallback,
                   xi, f_hat) -> tuple:
     """Solve (diag d(lambda) + C) x = rhs at every lambda = i*xi + rho by
     Gaussian elimination without pivoting over the band; ``c`` is C in the
-    band order ``order``, and rhs is f_hat, or f_hat / rhs_scale(lambda).
+    band order ``order``, and rhs is f_hat, or f_hat / w(lambda) when ``w``
+    is given.
 
-    One chunk of frequencies at a time, row i of the chunk's operators sits
-    in ``band[i, t] = B[i, i - b + t]`` with the frequency axis last, so the
-    scratch is O(chunk * n * b).  The residual is measured against
-    diag d + C itself as a banded product, not against the factors, so
-    growth in the elimination shows in it.
+    One chunk of frequencies at a time, the chunk's coercivity floor
+    s(xi) = min_i Re d_i(lambda) + lambda_min((C + C*)/2) is tested first;
+    where it is not positive and finite, the whole solve goes to
+    ``fallback``.  Row i of the chunk's operators sits in
+    ``band[i, t] = B[i, i - b + t]`` with the frequency axis last, so the
+    scratch is O(chunk * n * b) and entry (i, j) is row 2b*i + j + b of the
+    band flattened over its first two axes: each elimination step updates
+    its (m, m) block through one strided view, O(n) numpy calls per chunk.
+    The residual is measured against diag d + C itself as a banded
+    product, not against the factors, so growth in the elimination shows
+    in it.
     """
     n, lam = len(c), 1j * xi + rho
+    width, step = 2 * b + 1, 2 * b
     offsets = range(-b, b + 1)
-    c_band = np.zeros((n, 2 * b + 1), dtype=complex)
+    c_band = np.zeros((n, width), dtype=complex)
     for t, o in enumerate(offsets):
         c_band[max(0, -o):n - max(0, o), t] = np.diagonal(c, o)
+    c_floor = hermitian_part_min_eig(c)
     inverse = np.argsort(order)
     x = np.empty_like(f_hat)
     res_sq = rhs_sq = ratio = 0.0
-    for sl in _chunks(len(xi), n):
-        rhs = f_hat[sl] if rhs_scale is None else f_hat[sl] / rhs_scale(lam[sl])
+    for sl in _chunks(len(xi), n * width):
+        d_sl = d(lam[sl])
+        floor = d_sl.real.min(axis=1) + c_floor
+        if not (np.isfinite(floor).all() and floor.min() > 0):
+            return fallback(xi, f_hat)
+        rhs = f_hat[sl] if w is None else f_hat[sl] / w(lam[sl])
         rhs = rhs.T[order]  # (n, chunk)
-        diag = d(lam[sl]).T[order]
+        diag = d_sl.T[order]
         band = np.repeat(c_band[:, :, None], rhs.shape[1], axis=2)
         band[:, b] += diag
+        flat = band.reshape(n * width, -1)
+        # win[q, :, j] is flat[q + j]
+        win = sliding_window_view(flat, max(b, 1), axis=0, writeable=True)
         inv = np.empty_like(rhs)  # reciprocal pivots
         y = rhs.copy()
         for k in range(n):  # eliminate column k from the rows below
             inv[k] = 1.0 / band[k, b]
-            m = min(b, n - 1 - k)
-            for r in range(1, m + 1):
-                mult = band[k + r, b - r] * inv[k]
-                band[k + r, b - r + 1:b - r + 1 + m] -= mult * band[k, b + 1:b + 1 + m]
-                y[k + r] -= mult * y[k]
+            m, p = min(b, n - 1 - k), width * k + b  # flat[p] is entry (k, k)
+            if m:
+                mult = flat[p + step:p + step * m + 1:step] * inv[k]  # (k + r, k)
+                # entries (k + r, k + 1 + j) for r, j < m
+                win[p + step + 1:p + step * m + 2:step, :, :m] -= (
+                    mult[:, :, None] * flat[p + 1:p + 1 + m].T)
+                y[k + 1:k + 1 + m] -= mult * y[k]
         for k in reversed(range(n)):  # back-substitute column k into the rows above
             y[k] *= inv[k]
-            for j in range(1, min(b, k) + 1):
-                y[k - j] -= band[k - j, b + j] * y[k]
+            m, p = min(b, k), width * k + b
+            if m:
+                y[k - m:k] -= flat[p - step * m:p:step] * y[k]  # (k - j, k)
         err = diag * y - rhs
         for t, o in enumerate(offsets):
             lo, hi = max(0, -o), n - max(0, o)
@@ -324,23 +331,43 @@ def _banded_solve(d, c: np.ndarray, order, b: int, floor, rho: float, rhs_scale,
         res_sq += float(np.sum(np.linalg.norm(err, axis=0) ** 2))
         rhs_sq += float(np.sum(rhs_norm ** 2))
         # ||y|| s / ||rhs|| per frequency, 0 where rhs = 0 (then y = 0)
-        scaled = np.linalg.norm(y, axis=0) * floor[sl] / np.where(rhs_norm > 0, rhs_norm, np.inf)
+        scaled = np.linalg.norm(y, axis=0) * floor / np.where(rhs_norm > 0, rhs_norm, np.inf)
         ratio = max(ratio, float(scaled.max()))
         x[sl] = y[inverse].T
     return x, {"residual": _relative(res_sq, rhs_sq), "core": "banded",
                "coercivity_ratio": ratio}
 
 
-def _frequency_core(form: tuple, rho: float, xi, dense=None, rhs_scale=None):
-    """The per-frequency solve for a law's ``frequency_form`` (pencil,
-    diagonal): the banded core when :func:`_banded_core` takes the diagonal
-    form, else the QZ pencil when there is one, else ``dense``."""
+def _band_pays(n: int, b: int, has_pencil: bool) -> bool:
+    """Whether the banded core beats the fallback at bandwidth b and size n.
+
+    Timed in process at N = 4096 frequencies on a 2-core host with OpenBLAS
+    on 2 threads, for n from 2 to 400: against the QZ pencil the banded core
+    breaks even between b = n/16 and n/25 (b = 2 at n = 49, 12 at n = 256,
+    about 21 at n = 400), and at b <= 1 it is within a few milliseconds
+    below n = 32 and faster above, while a pencil solve also imports SciPy
+    once; against dense LU on 2 threads it breaks even between b^2 = 3n and
+    8n.  Both limits sit at or below the measured break-even.
+    """
+    return b <= 1 or 25 * b <= n if has_pencil else b * b <= 4 * n
+
+
+def _frequency_core(form: tuple, rho: float, dense=None):
+    """The per-frequency solve for (pencil, diagonal) from a law's
+    ``frequency_form``: the banded core when :func:`_band_pays` at the
+    bandwidth b of C in :func:`_band_order` and the coercivity floor holds
+    at every frequency, else the QZ pencil when there is one, else
+    ``dense``.  ``diagonal`` is (d, C), or (d, C, w) for the right-hand
+    side f_hat / w(lambda)."""
     pencil, diagonal = form
-    if diagonal is not None:
-        core = _banded_core(*diagonal, rho, xi, rhs_scale)
-        if core is not None:
-            return core
-    return dense if pencil is None else partial(_pencil_solve, *pencil, rho)
+    fallback = dense if pencil is None else partial(_pencil_solve, *pencil, rho)
+    if diagonal is None:
+        return fallback
+    d, c, w = (*diagonal, None)[:3]
+    order, b = _band_order(c)
+    if not _band_pays(len(c), b, pencil is not None):
+        return fallback
+    return partial(_banded_solve, d, c[np.ix_(order, order)], order, b, rho, w, fallback)
 
 
 def _spectral_solve(f: Signal, rho: float, solve_hat, family: str) -> Signal:
@@ -401,19 +428,21 @@ def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
     ``meta['core']``.
 
     The core follows the module's rule: banded when the law's diagonal
-    form is banded and its coercivity floor is positive at every frequency
-    (then also ``meta['coercivity_ratio']``), else the QZ pencil when the
-    law has one (DAE laws with non-diagonal M0, rotated integro laws, and
-    the laws that fail the floor test, whose residual is measured against
-    the lifted pencil of size n(m+1) for integro laws), else the dense
-    operator stack.  ``threads`` sets the thread pool of the dense core
-    only, so it affects delay laws with non-diagonal M0 and custom laws.
+    form has a band narrow enough for :func:`_band_pays` and its
+    coercivity floor is positive at every frequency (then also
+    ``meta['coercivity_ratio']``), else the QZ pencil when the law has one
+    (DAE laws with non-diagonal M0, rotated integro laws, and the laws
+    whose band is too wide or whose floor fails, with the residual measured
+    against the lifted pencil of size n(m+1) for integro laws), else the
+    dense operator stack.  ``threads`` sets the thread pool of the dense
+    core only, so it affects delay laws with non-diagonal M0 or a wide
+    band, and custom laws.
     """
     symbol, rho = problem.symbol, problem.rho
     if check_certified:
         _well_posed_gate(symbol)
     a = problem.A.matrix
-    solve_hat = _frequency_core(symbol.frequency_form(a), rho, problem.f.grid.frequencies,
+    solve_hat = _frequency_core(symbol.frequency_form(a), rho,
                                 partial(_dense_solve, symbol, a, rho, threads))
     return _spectral_solve(problem.f, rho, solve_hat, symbol.family)
 
@@ -427,7 +456,7 @@ def apply_forward(problem: EvolutionaryProblem, u: Signal) -> Signal:
     xi = u.grid.frequencies
     a = problem.A.matrix
     out = np.empty_like(u_hat.values)
-    for sl in _chunks(u.grid.n_steps, u.dim):
+    for sl in _chunks(u.grid.n_steps, u.dim ** 2):
         stack = frequency_operator_stack(problem.symbol, xi[sl], rho) + a
         out[sl] = np.einsum("kij,kj->ki", stack, u_hat.values[sl])
     return inverse_fourier_laplace(SpectralSignal(u.grid, rho, out))
@@ -454,8 +483,9 @@ def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float) -> Signal:
     law = problem.symbol
     (e, f_mat, _), diagonal = law.frequency_form(problem.A.matrix)
     pencil = e, f_mat, np.eye(len(e), law.dim)
-    solve_hat = _frequency_core((pencil, diagonal), rho, f.grid.frequencies,
-                                rhs_scale=law.w_diagonal)
+    if diagonal is not None:
+        diagonal = (*diagonal, law._w_diagonal)
+    solve_hat = _frequency_core((pencil, diagonal), rho)
     return _spectral_solve(f, rho, solve_hat, "integro")
 
 
@@ -539,7 +569,7 @@ def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
 
     ``initial_gap`` is |M0 u(t+) - M0 u0| at the first grid point >= 0 and
     shrinks linearly with dt.  The law is a DAE law, so :func:`solve` takes
-    the banded core (diagonal M0, banded M1 + A, positive floor) or the QZ
+    the banded core (diagonal M0, narrow band of M1 + A, positive floor) or the QZ
     pencil, neither of which runs a thread pool; ``check_certified`` is
     passed on to it.
     """

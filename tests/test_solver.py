@@ -18,7 +18,7 @@ from evostab import (CertificationError, CustomLaw, DaeLaw, DelayLaw, EdgeMassEr
                      solve_integro, step_exp, support_lower_bound)
 from evostab.material import frequency_operator_stack
 from evostab.signals import SpectralSignal
-from evostab.solver import _band_order, _pencil_solve
+from evostab.solver import _band_order, _banded_solve, _pencil_solve
 
 
 def scalar_kernel(gamma=0.25, beta=1.0, nu0=0.5):
@@ -327,11 +327,11 @@ def full_band(data, n, b, phase=np.pi):
     return np.where(np.abs(i - j) <= b, mod * np.exp(1j * arg), 0.0)
 
 
-def coercive_band(data, n, margin):
+def coercive_band(data, n, margin, max_b):
     """(H, S): H Hermitian with lambda_min(H) >= margin by diagonal dominance
-    and S skew, both with the full band of a random bandwidth b, b^2 <= n,
+    and S skew, both with the full band of a random bandwidth b <= max_b,
     and both turned by one random permutation that hides the band."""
-    b = data.draw(st.integers(0, min(n - 1, math.isqrt(n))))
+    b = data.draw(st.integers(0, min(n - 1, max_b)))
     g = full_band(data, n, b, phase=1.0)  # Re g > 0, so no entry of H cancels
     h = 0.5 * (g + g.conj().T)
     np.fill_diagonal(h, np.abs(h).sum(axis=1) - np.abs(np.diagonal(h)) + margin)
@@ -379,8 +379,9 @@ class TestBandedCore:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), rho=st.floats(0.05, 1.0))
     def test_dae_matches_pencil_and_dense_lu(self, data, n, rho):
-        # C = M1 + a: positive definite Hermitian part plus a skew part
-        h, s = coercive_band(data, n, 0.5)
+        # C = M1 + a: positive definite Hermitian part plus a skew part; with
+        # a pencil to fall back on, the banded core takes b <= 1 at n <= 8
+        h, s = coercive_band(data, n, 0.5, 1)
         law, a = DaeLaw(diagonal_psd(data, n), h + 0.5 * s), 0.5 * s
         f = self.pulse(data, n)
         u = solve(EvolutionaryProblem(law, a, rho, f), check_certified=False)
@@ -399,7 +400,7 @@ class TestBandedCore:
         diags = diags * (0.9 / l1 if l1 > 0.9 else 1.0)
         modes = [KernelMode(np.diag(d_j), nu0 + gap) for d_j, gap in zip(diags, gaps)]
         kernel = Kernel(tuple(modes), nu0)
-        h, s = coercive_band(data, n, 0.0)
+        h, s = coercive_band(data, n, 0.0, 1)
         law, a = IntegroLaw(kernel, c), h + s
         f = self.pulse(data, n)
         self.check(solve(EvolutionaryProblem(law, a, rho, f), check_certified=False),
@@ -414,12 +415,13 @@ class TestBandedCore:
                    rhs=np.linalg.solve(w_lam, f_hat[:, :, None])[:, :, 0])
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 8), rho=st.floats(0.05, 1.0),
+    @given(data=st.data(), n=st.integers(1, 12), rho=st.floats(0.05, 1.0),
            h=st.floats(-2.0, -0.1))
     def test_delay_matches_dense_lu(self, data, n, rho, h):
         # |exp(lambda h)| < 1, so a Hermitian part of C above 1.5 keeps the
-        # floor above 0.5; delay laws have no pencil
-        hm, s = coercive_band(data, n, 1.5)
+        # floor above 0.5; delay laws have no pencil, and the banded core
+        # takes their wider bands, here up to b = 3
+        hm, s = coercive_band(data, n, 1.5, math.isqrt(n))
         law, a = DelayLaw(diagonal_psd(data, n), hm + 0.5 * s, h), 0.5 * s
         f = self.pulse(data, n)
         self.check(solve(EvolutionaryProblem(law, a, rho, f), check_certified=False),
@@ -434,6 +436,27 @@ class TestBandedCore:
         assert b == 1
         assert sorted(order) == list(range(2 * p + 1))
 
+    def test_floor_failing_in_a_later_chunk_falls_back(self):
+        # 2048 frequencies are two chunks; the floor fails only at the last
+        # one, so the first chunk is solved and then the whole solve is
+        # handed to the fallback
+        xi = np.arange(2048.0)
+        f_hat = np.ones((2048, 2), dtype=complex)
+
+        def d(lam):
+            return np.where(lam.imag == xi[-1], -10.0, 1.0)[:, None] * np.ones(2)
+
+        calls = []
+
+        def fallback(xi_, f_hat_):
+            calls.append((xi_, f_hat_))
+            return "fallback", {}
+
+        c = np.array([[2.0, 1.0], [-1.0, 2.0]])
+        x, _ = _banded_solve(d, c, np.arange(2), 1, 0.5, None, fallback, xi, f_hat)
+        assert x == "fallback"
+        assert len(calls) == 1 and calls[0][0] is xi and calls[0][1] is f_hat
+
     # U diag(d) U* with U = [[0.6, 0.8i], [0.8i, 0.6]]: Hermitian commuting
     # modes that are not diagonal
     ROTATED = Kernel((KernelMode([[0.136, -0.048j], [0.048j, 0.164]], 1.0),
@@ -447,10 +470,13 @@ class TestBandedCore:
         (IntegroLaw(ROTATED, 1.0), "pencil"),
         (CustomLaw(1, lambda z: (1 + 2 * z) * np.eye(1)), "dense"),
         (DelayLaw([[1.0, 0.5], [0.5, 1.0]], 3.0 * np.eye(2), -0.5), "dense"),
-    ], ids=["negative-floor", "wide-band", "dense-m0", "rotated-modes", "custom", "dense-delay"])
+        (DelayLaw(np.eye(6), 3.0 * np.eye(6) + np.triu(np.ones((6, 6)), 1), -0.5), "dense"),
+    ], ids=["negative-floor", "wide-band", "dense-m0", "rotated-modes", "custom", "dense-delay",
+            "wide-delay"])
     def test_other_laws_keep_their_core(self, law, core):
-        # floor 0.5 - 1 < 0 at rho = 0.5; bandwidth 2 with 2^2 > 3; M0 or
-        # the modes not diagonal; no diagonal form and no pencil
+        # floor 0.5 - 1 < 0 at rho = 0.5; bandwidth 2 at n = 3, above 1 and
+        # n/25; M0 or the modes not diagonal; no diagonal form and no pencil;
+        # bandwidth 5 at n = 6, with 5^2 > 4n
         g = TimeGrid(-2.0, 1 / 64, 256)
         f = gaussian_pulse(g, center=1.0, width=0.2, dim=law.dim)
         u = solve(EvolutionaryProblem(law, None, 0.5, f), check_certified=False)
