@@ -400,8 +400,10 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", required=True, help="output directory (created if missing)")
         cmd.add_argument("--threads", type=_thread_count, default=1,
                          help="thread count (>= 1) of the dense solve core used by "
-                              "custom laws and delay laws with non-diagonal M0; "
-                              "the banded and QZ pencil cores have no pool")
+                              "custom laws, delay laws with non-diagonal M0 and "
+                              "delay laws that fail the banded core's tests (a band "
+                              "with b^2 > 4n, or the coercivity floor); the banded "
+                              "and QZ pencil cores have no pool")
 
     try:
         args = parser.parse_args(argv)

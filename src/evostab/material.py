@@ -32,6 +32,15 @@ Kernel admissibility is one :class:`KernelConditionReport` per kernel,
 Hermitian commuting modes, beta_min > nu0, the weighted L1 norm at nu0
 below one (:func:`kernel_weighted_l1`, an adaptive composite Gauss-Legendre
 rule in numpy) and the transform sign condition, evaluated once per kernel.
+
+Hermitian spectra go through :func:`_eigvalsh`, which returns
+``np.linalg.eigvalsh`` bit for bit.  A matrix or stack with no nonzero
+off-diagonal entry, a finite diagonal without -0.0 and each matrix's largest
+|entry| 0 or inside LAPACK's unscaled range (about [1.4e-146, 7.1e145]) gets
+its sorted real diagonal, with no LAPACK call.  The mixed-type example makes
+every such matrix diagonal (M0, H(M1), sigma*M0 + H(M1), H(M1 + A)), and a
+LAPACK call there leaves a threaded BLAS spinning idle workers for nothing.
+The dense positivity scan and every 2-norm still call LAPACK.
 """
 
 from __future__ import annotations
@@ -51,6 +60,13 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # Absolute tolerance for Hermiticity / commutation checks (matrix 2-norm).
 STRUCT_TOL = 1e-12
+
+# ?heevd rescales a matrix whose largest |entry| lies outside [sqrt(s), 1/sqrt(s)],
+# s = safe minimum / eps, and its eigenvalues then need not be the diagonal's
+# bits.  LAPACK builds take eps = 2**-52 or 2**-53; 2**-53 gives the narrower
+# range, about [1.4e-146, 7.1e145], inside both.
+_SMLNUM = np.finfo(float).tiny / 2.0 ** -53
+_UNSCALED = (math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM))
 
 # Tolerance for the sign condition t * Im Chat(t + i nu0) <= 0, and its
 # samples: 63 log-spaced t on each of 7 lines Im z = -rho, rho in [-nu0, 5].
@@ -84,7 +100,30 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def hermitian_part_min_eig(a) -> float:
     """Smallest eigenvalue of the Hermitian part (A + A*)/2."""
-    return float(np.linalg.eigvalsh(hermitian_part(a))[0])
+    return float(_eigvalsh(hermitian_part(a))[0])
+
+
+def _eigvalsh(h) -> np.ndarray:
+    """``np.linalg.eigvalsh(h)`` of a Hermitian matrix or stack, bit for bit.
+
+    A diagonal matrix's eigenvalues are its sorted real diagonal, and LAPACK
+    returns exactly that (?hetrd leaves the matrix as it is, dsterf splits
+    it into 1x1 blocks, dlasrt sorts them) when the diagonal is finite,
+    holds no -0.0 (a blocked ?hetrd update may turn it into +0.0) and each
+    matrix's largest |entry| is 0 or inside ``_UNSCALED``, where ?heevd does
+    not rescale.  Such stacks are sorted here, with no LAPACK call; every
+    other input goes to LAPACK.
+    """
+    h = np.asarray(h)
+    if (h.dtype in (np.float64, np.complex128) and h.ndim >= 2
+            and h.shape[-1] == h.shape[-2] and _is_diagonal(h)):
+        diag = np.diagonal(h, axis1=-2, axis2=-1)
+        d = diag.real
+        if np.isfinite(diag).all() and not np.signbit(d[d == 0]).any():
+            top = np.abs(d).max(axis=-1, initial=0.0)
+            if ((top == 0) | ((top >= _UNSCALED[0]) & (top <= _UNSCALED[1]))).all():
+                return np.sort(d, axis=-1)
+    return np.linalg.eigvalsh(h)
 
 
 def _norm2(a) -> float:
@@ -92,8 +131,9 @@ def _norm2(a) -> float:
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
-    """True when the square matrix ``a`` has no nonzero off-diagonal entry."""
-    return not np.count_nonzero(a[~np.eye(len(a), dtype=bool)])
+    """True when the square matrix ``a``, or every matrix of a stack, has no
+    nonzero off-diagonal entry."""
+    return not np.count_nonzero(a[..., ~np.eye(a.shape[-1], dtype=bool)])
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -581,7 +621,7 @@ class _PencilLaw(MaterialLaw):
             raise ValueError("M0 and M1 must have matching shapes")
         if _norm2(self.M0 - self.M0.conj().T) > STRUCT_TOL:
             raise ValueError("M0 must be Hermitian")
-        if np.linalg.eigvalsh(self.M0)[0] < -STRUCT_TOL:
+        if self._m0_min_eig < -STRUCT_TOL:
             raise ValueError("M0 must have nonnegative spectrum")
 
     @property
@@ -597,6 +637,12 @@ class _PencilLaw(MaterialLaw):
         M0 and M1 are read-only, so the cache cannot go stale.
         """
         return hermitian_part_min_eig(self.M1), _norm2(self.M0)
+
+    @cached_property
+    def _m0_min_eig(self) -> float:
+        """Smallest eigenvalue of M0, shared by the spectrum check and the
+        sigma sweep."""
+        return float(_eigvalsh(self.M0)[0])
 
     @cached_property
     def _m0_diagonal(self) -> np.ndarray | None:
@@ -632,10 +678,10 @@ class _PencilLaw(MaterialLaw):
         extra term is nondecreasing too (``monotone``), only the first sigma
         is kept.  An M0 with an eigenvalue in [-STRUCT_TOL, 0) sweeps them all.
         """
-        if monotone and np.linalg.eigvalsh(self.M0)[0] >= 0:
+        if monotone and self._m0_min_eig >= 0:
             sigmas = sigmas[:1]
         stack = sigmas[:, None, None] * self.M0 + hermitian_part(self.M1)
-        return sigmas, np.linalg.eigvalsh(stack)[:, 0]
+        return sigmas, _eigvalsh(stack)[:, 0]
 
     def lower_bound(self, nu: float) -> float:
         c, n0 = self._bound_terms

@@ -1,18 +1,20 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from _oracles import custom_stack_oracle, kernel_l1_oracle
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
-                     KernelAdmissibilityError, KernelMode, QuadratureError,
-                     check_kernel_conditions, hermitian_part_min_eig, kernel_eval,
-                     kernel_hat, kernel_weighted_l1, shifted_symbol)
-from evostab.material import frequency_operator_stack
+from evostab import (CustomLaw, DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLaw, Kernel,
+                     KernelAdmissibilityError, KernelMode, QuadratureError, TimeGrid,
+                     build_mixed_type_system, certify, check_kernel_conditions,
+                     gaussian_pulse, hermitian_part_min_eig, indicators_from_intervals,
+                     kernel_eval, kernel_hat, kernel_weighted_l1, shifted_symbol, solve)
+from evostab.material import _eigvalsh, frequency_operator_stack
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -26,6 +28,145 @@ class TestHermitianPart:
         assert hermitian_part_min_eig(2 * np.eye(3)) == pytest.approx(2.0)
         assert hermitian_part_min_eig(np.array([[0, 1], [-1, 0]])) == pytest.approx(0.0, abs=1e-14)
         assert hermitian_part_min_eig(np.array([[1, 1], [-1, 3]])) == pytest.approx(1.0)
+
+
+# Every double, subnormals and both zeros included, and a moderate range
+# whose draws mostly sit where the diagonal rule sorts.
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+_MODERATE = st.floats(-1e3, 1e3)
+_DIMS = st.just(2) | st.integers(1, 101)
+_STACKS = st.none() | st.integers(0, 3)
+
+
+def diagonal_stack(d: np.ndarray, complex_dtype: bool) -> np.ndarray:
+    """The matrices diag(d[..., :]) in float64 or complex128."""
+    n = d.shape[-1]
+    h = np.zeros(d.shape + (n,), dtype=complex if complex_dtype else float)
+    h[..., np.arange(n), np.arange(n)] = d
+    return h
+
+
+def eigvalsh_outcome(h) -> tuple:
+    """(outcome of _eigvalsh(h), numpy.linalg.eigvalsh calls it made).
+
+    The outcome is the shape, dtype and float.hex of every eigenvalue, so
+    the sign of zero counts, or the name of the error raised.
+    """
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        return lapack_outcome(lambda: _eigvalsh(h)), len(calls)
+
+
+def lapack_outcome(run) -> tuple:
+    try:
+        with np.errstate(all="ignore"):
+            w = run()
+    except np.linalg.LinAlgError as exc:
+        return type(exc).__name__
+    return w.shape, w.dtype.str, [x.hex() for x in w.ravel().tolist()]
+
+
+class TestEigvalsh:
+    """_eigvalsh is np.linalg.eigvalsh bit for bit; it sorts the diagonal
+    of finite diagonal matrices without -0.0 inside LAPACK's unscaled
+    range, and hands everything else to LAPACK."""
+
+    @staticmethod
+    def sorts(d: np.ndarray) -> bool:
+        """Inside the rule with the range rounded inward to [1.5e-146, 7e145]."""
+        top = np.abs(d).max(axis=-1, initial=0.0)
+        return (not np.signbit(d[d == 0]).any()
+                and ((top == 0) | ((top >= 1.5e-146) & (top <= 7e145))).all())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=_DIMS, stack=_STACKS, complex_dtype=st.booleans(),
+           wide=st.booleans())
+    def test_diagonal_matches_lapack(self, data, n, stack, complex_dtype, wide):
+        shape = (n,) if stack is None else (stack, n)
+        d = data.draw(hnp.arrays(np.float64, shape, elements=_DOUBLES if wide else _MODERATE))
+        h = diagonal_stack(d, complex_dtype)
+        got, calls = eigvalsh_outcome(h)
+        event("LAPACK" if calls else "sorted")
+        assert got == lapack_outcome(lambda: np.linalg.eigvalsh(h))
+        if self.sorts(d):
+            assert calls == 0
+
+    @pytest.mark.parametrize("d", [
+        # ?heevd rescales these, and its result need not be the sorted diagonal
+        *(top * np.linspace(-1.0, 0.9, 101) for top in (1e-147, 1e-146, 1e146, 1e200, 5e-324)),
+        # the blocked ?hetrd (n > 32) turns -0.0 into +0.0
+        np.where(np.arange(40) % 2, -0.0, np.linspace(-1.0, 1.0, 40)),
+    ])
+    @pytest.mark.parametrize("complex_dtype", [False, True])
+    def test_rescaled_or_signed_zero_takes_lapack(self, d, complex_dtype):
+        h = diagonal_stack(d, complex_dtype)
+        got, calls = eigvalsh_outcome(h)
+        assert calls == 1 and got == lapack_outcome(lambda: np.linalg.eigvalsh(h))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=_DIMS, stack=_STACKS, complex_dtype=st.booleans(),
+           kind=st.sampled_from(["off-diagonal", "non-finite", "non-finite-imaginary"]))
+    def test_other_input_takes_lapack(self, data, n, stack, complex_dtype, kind):
+        assume(stack != 0 and (n >= 2 or kind == "non-finite"))
+        complex_dtype = complex_dtype or kind == "non-finite-imaginary"
+        shape = (n,) if stack is None else (stack, n)
+        h = diagonal_stack(data.draw(hnp.arrays(np.float64, shape, elements=_MODERATE)),
+                           complex_dtype)
+        i = data.draw(st.integers(0, n - 1))
+        if kind == "off-diagonal":
+            j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+            h[..., i, j] = h[..., j, i] = data.draw(_DOUBLES.filter(bool))
+        else:
+            bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            h[..., i, i] += bad if kind == "non-finite" else 1j * bad
+        got, calls = eigvalsh_outcome(h)
+        assert calls == 1 and got == lapack_outcome(lambda: np.linalg.eigvalsh(h))
+
+    @staticmethod
+    def certify_and_solve(build) -> tuple:
+        """(eigvalsh calls, calls on M0, core) of ``build()``, which returns
+        a law and its operator A, certifying the law at nu = 0.5 and solving
+        one pulse.
+
+        Patching numpy.linalg sees every call while no evostab module binds
+        eigvalsh by name, which is checked first.  The package attribute
+        evostab.certify is the function, which shadows the submodule, so the
+        modules are read from sys.modules.
+        """
+        for name, module in list(sys.modules.items()):
+            if name.startswith("evostab"):
+                assert not hasattr(module, "eigvalsh"), name
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        grid = TimeGrid(t0=-1.0, dt=1.0 / 32.0, n_steps=512)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+            warnings.simplefilter("ignore")  # edge-mass warnings are not under test
+            law, a = build()
+            assert certify(law, 0.5).passed
+            f = gaussian_pulse(grid, center=0.5, width=0.1, dim=law.dim)
+            u = solve(EvolutionaryProblem(law, a, 0.5, f))
+        on_m0 = sum(np.array_equal(h, law.M0) for h in calls)
+        return len(calls), on_m0, u.meta["core"]
+
+    def test_mixed_type_law_makes_no_lapack_eigenvalue_call(self):
+        ind0, ind1 = indicators_from_intervals(50, (0.0, 0.3), (0.3, 0.7))
+
+        def build():
+            mixed = build_mixed_type_system(50, 1.0 / 51, ind0, ind1, 1.0)
+            return mixed.law(), mixed.A
+
+        assert self.certify_and_solve(build) == (0, 0, "banded")
+
+    def test_non_diagonal_m0_keeps_lapack_and_solves_m0_once(self):
+        q = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0]
+        m0 = q @ np.diag([0.0, 1.0, 2.0]) @ q.T
+        m0 = 0.5 * (m0 + m0.T)  # exactly symmetric
+        m1 = 2.0 * np.eye(3) + np.triu(np.ones((3, 3)), 1)
+        calls, on_m0, core = self.certify_and_solve(lambda: (DaeLaw(m0, m1), None))
+        assert calls > on_m0 == 1 and core == "pencil"
 
 
 class TestKernel:
