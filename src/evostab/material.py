@@ -33,14 +33,15 @@ Hermitian commuting modes, beta_min > nu0, the weighted L1 norm at nu0
 below one (:func:`kernel_weighted_l1`, an adaptive composite Gauss-Legendre
 rule in numpy) and the transform sign condition, evaluated once per kernel.
 
-Hermitian spectra go through :func:`_eigvalsh`, which returns
-``np.linalg.eigvalsh`` bit for bit.  A matrix or stack with no nonzero
-off-diagonal entry, a finite diagonal without -0.0 and each matrix's largest
-|entry| 0 or inside LAPACK's unscaled range (about [1.4e-146, 7.1e145]) gets
-its sorted real diagonal, with no LAPACK call.  The mixed-type example makes
-every such matrix diagonal (M0, H(M1), sigma*M0 + H(M1), H(M1 + A)), and a
-LAPACK call there leaves a threaded BLAS spinning idle workers for nothing.
-The dense positivity scan and every 2-norm still call LAPACK.
+Hermitian spectra go through :func:`_eigvalsh`, ``np.linalg.eigvalsh`` bit
+for bit, which sorts the real diagonal of a diagonal matrix or stack instead
+of calling LAPACK when the diagonal is finite, holds no -0.0 and each
+matrix's largest |entry| is 0 or inside LAPACK's unscaled range (about
+[1.4e-146, 7.1e145]).  The mixed-type example makes every Hermitian matrix
+whose spectrum is asked for diagonal (M0, H(A), H(M1), sigma*M0 + H(M1),
+H(M1 + A)), and each LAPACK call on them left the idle workers of a
+threaded BLAS spinning.  The dense positivity scan and every 2-norm still
+call LAPACK.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -46,20 +47,24 @@ def diagonal_stack(d: np.ndarray, complex_dtype: bool) -> np.ndarray:
     return h
 
 
-def eigvalsh_outcome(h) -> tuple:
-    """(outcome of _eigvalsh(h), numpy.linalg.eigvalsh calls it made).
-
-    The outcome is the shape, dtype and float.hex of every eigenvalue, so
-    the sign of zero counts, or the name of the error raised.
-    """
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+@contextmanager
+def eigvalsh_calls():
+    """The list of arrays numpy.linalg.eigvalsh is called with in the block."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        mp.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        yield calls
+
+
+def eigvalsh_outcome(h) -> tuple:
+    """(outcome of _eigvalsh(h), numpy.linalg.eigvalsh calls it made)."""
+    with eigvalsh_calls() as calls:
         return lapack_outcome(lambda: _eigvalsh(h)), len(calls)
 
 
 def lapack_outcome(run) -> tuple:
+    """The shape, dtype and float.hex of every eigenvalue ``run()`` returns,
+    so that the sign of zero counts, or the name of the error it raises."""
     try:
         with np.errstate(all="ignore"):
             w = run()
@@ -138,11 +143,8 @@ class TestEigvalsh:
         for name, module in list(sys.modules.items()):
             if name.startswith("evostab"):
                 assert not hasattr(module, "eigvalsh"), name
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
         grid = TimeGrid(t0=-1.0, dt=1.0 / 32.0, n_steps=512)
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            mp.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        with eigvalsh_calls() as calls, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # edge-mass warnings are not under test
             law, a = build()
             assert certify(law, 0.5).passed
