@@ -247,11 +247,12 @@ class _BuiltProblem:
             return Signal(self.grid, f.values)
         return Signal.zeros(self.grid, self.dim)
 
-    def run_solve(self, f: Signal, threads: int) -> Signal:
+    # ``threads`` is ignored: perfbench/workloads.py still passes threads=1.
+    def run_solve(self, f: Signal, threads: int = 1) -> Signal:
         if self.family == "integro":
             return solve_integro(self.kernel, self.c, self.A, f, self.cfg["rho"])
         problem = EvolutionaryProblem(self.law, self.A, self.cfg["rho"], f)
-        return solve(problem, check_certified=self.cfg["check_certified"], threads=threads)
+        return solve(problem, check_certified=self.cfg["check_certified"])
 
 
 def _parse_kernel(node: dict) -> Kernel:
@@ -341,15 +342,15 @@ def _decay_step(u: Signal, nu: float, out_dir: str) -> bool:
 
 # Each command runs its steps and returns whether every one of its gates passed.
 
-def cmd_certify(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
+def cmd_certify(built: _BuiltProblem, out_dir: str) -> bool:
     return _certify_step(built, out_dir).passed
 
 
-def cmd_solve(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
-    return _solution_step(built, built.run_solve(built.forcing(), threads), out_dir)
+def cmd_solve(built: _BuiltProblem, out_dir: str) -> bool:
+    return _solution_step(built, built.run_solve(built.forcing()), out_dir)
 
 
-def cmd_ivp(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
+def cmd_ivp(built: _BuiltProblem, out_dir: str) -> bool:
     cfg = built.cfg
     _require(cfg["u0"] is not None, "ivp: u0 is required")
     u0 = _as_complex_matrix(cfg["u0"], "u0")
@@ -362,13 +363,13 @@ def cmd_ivp(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
     return residual_ok and gap <= limit
 
 
-def cmd_verify(built: _BuiltProblem, out_dir: str, threads: int) -> bool:
+def cmd_verify(built: _BuiltProblem, out_dir: str) -> bool:
     report = _certify_step(built, out_dir)
     nu = built.cfg["nu"]
     if nu is None:
         nu = report.capped_rate
         _require(nu is not None, "verify: nu is required for families without a closed-form rate")
-    u = built.run_solve(built.forcing(), threads)
+    u = built.run_solve(built.forcing())
     residual_ok = _solution_step(built, u, out_dir)
     return _decay_step(u, nu, out_dir) and residual_ok and report.passed
 
@@ -381,13 +382,6 @@ _COMMANDS = {
 }
 
 
-def _thread_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {n}")
-    return n
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="evostab",
@@ -398,12 +392,6 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON run config")
         cmd.add_argument("--out", required=True, help="output directory (created if missing)")
-        cmd.add_argument("--threads", type=_thread_count, default=1,
-                         help="thread count (>= 1) of the dense solve core used by "
-                              "custom laws, delay laws with non-diagonal M0 and "
-                              "delay laws that fail the banded core's tests (a band "
-                              "with b^2 > 4n, or the coercivity floor); the banded "
-                              "and QZ pencil cores have no pool")
 
     try:
         args = parser.parse_args(argv)
@@ -417,7 +405,7 @@ def main(argv=None) -> int:
         except OSError as exc:  # a file in the way, or no permission
             raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
         built = _BuiltProblem(cfg)
-        passed = _COMMANDS[args.command](built, args.out, args.threads)
+        passed = _COMMANDS[args.command](built, args.out)
         _echo_config(cfg, args.out)
         return 0 if passed else 1
     except (CertificationError, EdgeMassError, DecayFitError) as exc:

@@ -46,9 +46,9 @@ law's ``MaterialLaw.frequency_form`` with no family branch, in this order:
   certifying and banded solves never load SciPy.
 * **dense**, for every other law (delay laws with non-diagonal M0, custom
   laws): the operator stack is built chunk by chunk and solved by batched
-  dense LU, optionally on a thread pool.  :func:`apply_forward` walks the
-  same frequency chunks with the dense stack for every family, so it stays
-  an independent check of all three cores.
+  dense LU.  :func:`apply_forward` walks the same frequency chunks with the
+  dense stack for every family, so it stays an independent check of all
+  three cores.
 
 ``meta['core']`` names the core that ran.  The banded core also records
 ``meta['coercivity_ratio']``, the largest ||x(xi)|| s(xi) / ||rhs(xi)||:
@@ -77,8 +77,9 @@ at or after zero.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -102,6 +103,8 @@ EDGE_FAIL = 1e-3
 # on the short test grids), while a weighted solution that keeps half its
 # peak at the edges has not decayed inside the grid.
 SOLUTION_EDGE_FAIL = 0.5
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 def _as_operator(a, dim: int) -> SpatialOperator:
@@ -151,7 +154,11 @@ def _check_edges(signal: Signal, rho: float, what: str, warn: float, fail: float
     if em > warn:
         msg = f"weighted {what} edge mass {em:.3g} above {warn:g}; wrap-around may pollute the solution"
         meta_warnings.append(msg)
-        _warnings.warn(msg, EdgeMassWarning, stacklevel=4)
+        # attribute the warning to the first frame outside the package
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
+        _warnings.warn(msg, EdgeMassWarning, stacklevel=level)
     return em
 
 
@@ -166,16 +173,12 @@ def _relative(res_sq: float, rhs_sq: float) -> float:
     return float(np.sqrt(res_sq / rhs_sq)) if rhs_sq > 0 else 0.0
 
 
-def _dense_solve(law: MaterialLaw, a: np.ndarray, rho: float, threads: int, xi, f_hat) -> tuple:
+def _dense_solve(law: MaterialLaw, a: np.ndarray, rho: float, xi, f_hat) -> tuple:
     """One batched LU solve of the operator stack B(xi) = lambda M(1/lambda) + a
-    per chunk of frequencies, optionally on a thread pool."""
+    per chunk of frequencies."""
     x = np.empty_like(f_hat)
-    slices = _chunks(len(f_hat), f_hat.shape[1] ** 2)
-    res_parts = np.zeros(len(slices))
-    rhs_parts = np.zeros(len(slices))
-
-    def work(idx):
-        sl = slices[idx]
+    res_sq = rhs_sq = 0.0
+    for sl in _chunks(len(f_hat), f_hat.shape[1] ** 2):
         stack, rhs = frequency_operator_stack(law, xi[sl], rho) + a, f_hat[sl]
         try:
             sol = np.linalg.solve(stack, rhs[:, :, None])[:, :, 0]
@@ -189,17 +192,10 @@ def _dense_solve(law: MaterialLaw, a: np.ndarray, rho: float, threads: int, xi, 
                     raise SingularFrequencyError(j, float(xi[j]), str(exc)) from exc
         x[sl] = sol
         err = np.einsum("kij,kj->ki", stack, sol) - rhs
-        res_parts[idx] = np.sum(np.abs(err) ** 2)
-        rhs_parts[idx] = np.sum(np.abs(rhs) ** 2)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(slices))))
-    else:
-        for idx in range(len(slices)):
-            work(idx)
-    return x, {"residual": _relative(float(res_parts.sum()), float(rhs_parts.sum())),
-               "core": "dense"}
+        res_sq += np.sum(np.abs(err) ** 2)
+        rhs_sq += np.sum(np.abs(rhs) ** 2)
+        del stack  # free it before the next chunk's stack is built
+    return x, {"residual": _relative(res_sq, rhs_sq), "core": "dense"}
 
 
 def _pencil_solve(e: np.ndarray, f: np.ndarray, lift: np.ndarray, rho: float, xi, f_hat) -> tuple:
@@ -417,8 +413,7 @@ def _well_posed_gate(symbol: MaterialLaw):
             "pass check_certified=False to override")
 
 
-def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
-          threads: int = 1) -> Signal:
+def solve(problem: EvolutionaryProblem, *, check_certified: bool = True) -> Signal:
     """Solve the evolutionary equation for the given forcing.
 
     The result carries ``meta['residual']`` (relative, measured in the
@@ -434,16 +429,15 @@ def solve(problem: EvolutionaryProblem, *, check_certified: bool = True,
     (DAE laws with non-diagonal M0, rotated integro laws, and the laws
     whose band is too wide or whose floor fails, with the residual measured
     against the lifted pencil of size n(m+1) for integro laws), else the
-    dense operator stack.  ``threads`` sets the thread pool of the dense
-    core only, so it affects delay laws with non-diagonal M0 or a wide
-    band, and custom laws.
+    dense operator stack (delay laws with non-diagonal M0 or a wide band,
+    and custom laws).
     """
     symbol, rho = problem.symbol, problem.rho
     if check_certified:
         _well_posed_gate(symbol)
     a = problem.A.matrix
     solve_hat = _frequency_core(symbol.frequency_form(a), rho,
-                                partial(_dense_solve, symbol, a, rho, threads))
+                                partial(_dense_solve, symbol, a, rho))
     return _spectral_solve(problem.f, rho, solve_hat, symbol.family)
 
 
@@ -569,9 +563,8 @@ def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
 
     ``initial_gap`` is |M0 u(t+) - M0 u0| at the first grid point >= 0 and
     shrinks linearly with dt.  The law is a DAE law, so :func:`solve` takes
-    the banded core (diagonal M0, narrow band of M1 + A, positive floor) or the QZ
-    pencil, neither of which runs a thread pool; ``check_certified`` is
-    passed on to it.
+    the banded core (diagonal M0, narrow band of M1 + A, positive floor) or
+    the QZ pencil; ``check_certified`` is passed on to it.
     """
     g = ivp_assemble_rhs(problem, u0, phi_scale)
     u0 = np.asarray(u0, dtype=complex).reshape(-1)

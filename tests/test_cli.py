@@ -256,19 +256,9 @@ def test_solve_rejects_csv_on_shifted_grid(tmp_path, capsys):
     assert "csv grid does not match" in capsys.readouterr().err
 
 
-def test_solve_threads_flag_is_bitwise_stable(tmp_path):
-    cfg = write_cfg(tmp_path, scalar_dae_cfg(
-        forcing={"kind": "pulse", "center": 0.0, "width": 0.1}))
-    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    assert main(["solve", "--config", cfg, "--out", out1]) == 0
-    assert main(["solve", "--config", cfg, "--out", out2, "--threads", "4"]) == 0
-    b1 = open(os.path.join(out1, "solution.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "solution.csv"), "rb").read()
-    assert b1 == b2
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+@pytest.mark.parametrize("threads", ["0", "1", "2"])
+def test_threads_flag_is_a_usage_error(tmp_path, capsys, threads):
+    # the solver has one serial dense core and no --threads option
     cfg = write_cfg(tmp_path, scalar_dae_cfg(
         forcing={"kind": "pulse", "center": 0.0, "width": 0.1}))
     out = tmp_path / "out"

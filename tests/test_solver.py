@@ -18,7 +18,7 @@ from evostab import (CertificationError, CustomLaw, DaeLaw, DelayLaw, EdgeMassEr
                      solve_integro, step_exp, support_lower_bound)
 from evostab.material import frequency_operator_stack
 from evostab.signals import SpectralSignal
-from evostab.solver import _band_order, _banded_solve, _pencil_solve
+from evostab.solver import _band_order, _banded_solve, _chunks, _pencil_solve
 
 
 def scalar_kernel(gamma=0.25, beta=1.0, nu0=0.5):
@@ -28,6 +28,15 @@ def scalar_kernel(gamma=0.25, beta=1.0, nu0=0.5):
 def dae_problem(f, rho=0.5):
     m1 = 2 * np.eye(2) + np.array([[0.0, 1.0], [-1.0, 0.0]])
     return EvolutionaryProblem(DaeLaw(np.eye(2), m1), None, rho, f)
+
+
+def defective_dae(n=12, seed=21):
+    """DaeLaw(I, U (3I + 1.9 N) U*) with U a seeded random unitary and N the
+    shift matrix: H(M1) >= 3 - 1.9 cos(pi/(n+1)) > 0 certifies it (1.155 at
+    n = 12), while K = (rho E + F)^-1 E is a single Jordan block."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return DaeLaw(np.eye(n), u @ (3.0 * np.eye(n) + 1.9 * np.eye(n, k=1)) @ u.conj().T)
 
 
 class TestSolve:
@@ -89,24 +98,20 @@ class TestSolve:
         assert err <= 1e-4
         assert u.meta["residual"] <= 1e-10
 
-    def test_threads_bitwise_identical(self):
-        g = TimeGrid(-2.0, 1 / 64, 512)
+    def test_dense_core_over_chunks_matches_direct_solve(self):
+        # a delay law with non-diagonal M0 takes the dense core, here over
+        # four chunks of frequencies; one LU solve of the whole stack agrees
+        g = TimeGrid(-2.0, 1 / 64, 4096)
         f = gaussian_pulse(g, center=1.0, width=0.2, dim=2)
-        u1 = solve(dae_problem(f), threads=1)
-        u2 = solve(dae_problem(f), threads=2)
-        assert np.array_equal(u1.values, u2.values)
-        assert u1.meta["residual"] == u2.meta["residual"]
-        # a delay law with non-diagonal M0: the dense path (and its pool) over
-        # four chunks; the banded and QZ pencil cores have no pool
-        gi = TimeGrid(-2.0, 1 / 64, 4096)
-        fd = gaussian_pulse(gi, center=1.0, width=0.2, dim=2)
-        m0 = np.array([[1.0, 0.5], [0.5, 1.0]])
-        prob = EvolutionaryProblem(DelayLaw(m0, 3.0 * np.eye(2), -0.5), None, 0.5, fd)
-        w1 = solve(prob, threads=1)
-        w2 = solve(prob, threads=2)
-        assert w1.meta["core"] == "dense"
-        assert np.array_equal(w1.values, w2.values)
-        assert w1.meta["residual"] == w2.meta["residual"]
+        law = DelayLaw([[1.0, 0.5], [0.5, 1.0]], 3.0 * np.eye(2), -0.5)
+        u = solve(EvolutionaryProblem(law, None, 0.5, f))
+        assert u.meta["core"] == "dense"
+        assert len(_chunks(g.n_steps, 4)) == 4
+        stack = frequency_operator_stack(law, g.frequencies, 0.5)
+        x = np.linalg.solve(stack, fourier_laplace(f, 0.5).values[:, :, None])[:, :, 0]
+        ref = inverse_fourier_laplace(SpectralSignal(g, 0.5, x)).values
+        assert np.abs(u.values - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert u.meta["residual"] <= 1e-14
 
     def test_certification_gate(self):
         g = TimeGrid(-2.0, 1 / 64, 256)
@@ -146,8 +151,8 @@ class TestSolve:
         assert exc.value.frequency == 0.0
 
     def test_edge_mass_warning_points_at_caller(self):
-        # the pencil path, the dense path and solve_integro all attribute
-        # the warning to the line that called them
+        # the pencil path, the dense path, solve_integro and ivp_solve all
+        # attribute the warning to the line that called them
         g = TimeGrid(0.0, 1 / 16, 64)
         vals = np.exp(-(((g.times - 2.0) / 0.3) ** 2))[:, None].astype(complex)
         vals[-1, 0] = 1e-5
@@ -156,6 +161,7 @@ class TestSolve:
             lambda: solve(EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 0.1, f)),
             lambda: solve(EvolutionaryProblem(DelayLaw([[1.0]], [[2.0]], -0.5), None, 0.1, f)),
             lambda: solve_integro(scalar_kernel(), 1.0, None, f, 0.1),
+            lambda: ivp_solve(EvolutionaryProblem(DaeLaw([[1.0]], [[2.0]]), None, 0.1, f), [0.0]),
         ]
         for call in calls:
             with pytest.warns(EdgeMassWarning) as rec:
@@ -471,12 +477,14 @@ class TestBandedCore:
         (CustomLaw(1, lambda z: (1 + 2 * z) * np.eye(1)), "dense"),
         (DelayLaw([[1.0, 0.5], [0.5, 1.0]], 3.0 * np.eye(2), -0.5), "dense"),
         (DelayLaw(np.eye(6), 3.0 * np.eye(6) + np.triu(np.ones((6, 6)), 1), -0.5), "dense"),
+        (defective_dae(), "pencil"),
     ], ids=["negative-floor", "wide-band", "dense-m0", "rotated-modes", "custom", "dense-delay",
-            "wide-delay"])
+            "wide-delay", "defective-pencil"])
     def test_other_laws_keep_their_core(self, law, core):
         # floor 0.5 - 1 < 0 at rho = 0.5; bandwidth 2 at n = 3, above 1 and
         # n/25; M0 or the modes not diagonal; no diagonal form and no pencil;
-        # bandwidth 5 at n = 6, with 5^2 > 4n
+        # bandwidth 5 at n = 6, with 5^2 > 4n; bandwidth 11 at n = 12, where
+        # the pencil's K is a Jordan block that QZ still solves to rounding
         g = TimeGrid(-2.0, 1 / 64, 256)
         f = gaussian_pulse(g, center=1.0, width=0.2, dim=law.dim)
         u = solve(EvolutionaryProblem(law, None, 0.5, f), check_certified=False)
