@@ -489,6 +489,39 @@ def _nonfinite_line(sigma: float) -> NonFiniteSymbolError:
     return NonFiniteSymbolError(f"z^-1 M(z) is not finite on the sampled line sigma = {sigma:.6g}")
 
 
+def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool):
+    """The points lambda = sigma + i*tau of a positivity scan, in batches of
+    (sigma, lam): ``lam`` a 1-D array of points and ``sigma`` the sigma of
+    each, in ascending sigma.
+
+    The full grid is one batch per sigma row.  Its boundary is the first and
+    last rows in full and, in one batch between them, the tau = +-tau_max
+    ends of every other row; with fewer than three rows or three taus that
+    is the whole grid, which is then scanned row by row.
+    """
+    if not boundary or len(sigmas) < 3 or len(taus) < 3:
+        for sigma in sigmas:
+            yield sigma, sigma + 1j * taus
+        return
+    inner = sigmas[1:-1]
+    yield sigmas[0], sigmas[0] + 1j * taus
+    yield np.repeat(inner, 2), (inner[:, None] + 1j * taus[[0, -1]]).ravel()
+    yield sigmas[-1], sigmas[-1] + 1j * taus
+
+
+def _scan_min(batches, evaluate) -> float:
+    """Smallest value over the batches of :func:`_scan_batches`, where
+    ``evaluate(lam)`` gives (finite, smallest) for each point of a batch:
+    the first point that is not finite raises, naming its sigma."""
+    best = np.inf
+    for sigma, lam in batches:
+        finite, smallest = evaluate(lam)
+        if not finite.all():
+            raise _nonfinite_line(float(np.broadcast_to(sigma, lam.shape)[np.argmin(finite)]))
+        best = min(best, float(smallest.min()))
+    return best
+
+
 def _last_nonnegative(bound, hi: float, tol: float) -> float:
     """Largest nu in [0, hi] with bound(nu) >= 0, for a bound that decreases
     from bound(0) > 0: hi itself when bound(hi) >= 0, else bisection to tol.
@@ -571,23 +604,24 @@ class MaterialLaw:
         """
         return None
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
         """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over
-        z^-1 = lambda = sigma + i*tau for every sampled pair.
+        z^-1 = lambda = sigma + i*tau for every sampled pair, or only for the
+        pairs on the boundary of the rectangle (:func:`_scan_batches`).
 
-        This is the dense scan: stack(lambda) one sigma row at a time, one
-        batched Hermitian eigenvalue call per row.  ``stack`` has no domain
-        guard, so a row past the family's domain (an integro nu above nu0)
-        is reported, not raised; :class:`NonFiniteSymbolError` when a row is
-        not finite.
+        This is the dense scan: stack(lambda) one batch of
+        :func:`_scan_batches` at a time, one batched Hermitian eigenvalue
+        call per batch.  ``stack`` has no domain guard, so a row past the
+        family's domain (an integro nu above nu0) is reported, not raised;
+        :class:`NonFiniteSymbolError`, naming the sigma of the first point
+        that is not finite, when a batch is not finite.
         """
-        best = np.inf
-        for sigma in sigmas:
-            herm = hermitian_part(self.stack(sigma + 1j * taus))
-            if not np.isfinite(herm).all():
-                raise _nonfinite_line(sigma)
-            best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
-        return best
+        def evaluate(lam):
+            herm = hermitian_part(self.stack(lam))
+            finite = np.isfinite(herm).all(axis=(1, 2))
+            return finite, (np.linalg.eigvalsh(herm)[:, 0] if finite.all() else None)
+
+        return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
 
     def lower_bound(self, nu: float) -> float | None:
         """Closed-form lower bound on Re z^-1 M(z) over Re z^-1 > -nu, or None."""
@@ -608,8 +642,9 @@ class _PencilLaw(MaterialLaw):
 
     Their Hermitian part of z^-1 M(z) at lambda = sigma + i*tau is
     sigma*M0 + H(M1) plus, for delays, a multiple of I: i*tau*M0 is skew.
-    The closed-form bound starts from c - nu*||M0||, with c the smallest
-    eigenvalue of H(M1).
+    Their ``positivity_min`` is the whole grid's from that structure, one
+    sigma sweep, and ignores ``boundary``.  The closed-form bound starts from
+    c - nu*||M0||, with c the smallest eigenvalue of H(M1).
     """
 
     M0: np.ndarray
@@ -722,7 +757,7 @@ class DaeLaw(_PencilLaw):
     def analyticity(self, nu: float) -> tuple:
         return True, "polynomial symbol, entire"
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
         return float(self._sigma_sweep(sigmas, True)[1].min())
 
     def rate(self) -> float:
@@ -792,7 +827,7 @@ class DelayLaw(_PencilLaw):
     def analyticity(self, nu: float) -> tuple:
         return True, "holomorphic away from 0, which lies in the excluded ball"
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
         if float(np.abs(taus).max()) / (math.pi / abs(self.h)) >= 1.0:
             cos_min = -1.0  # cos(tau*h) at tau = pi/|h|
         else:
@@ -833,8 +868,9 @@ class IntegroLaw(MaterialLaw):
     Hermitian and commute, so one unitary U diagonalises every W(lambda),
     with diagonal w_i(lambda), and the positivity minimum is
     c + min_i Re(lambda / w_i(lambda)): one n x n eigendecomposition plus
-    scalar arithmetic, one sigma row at a time.  Modes that U does not
-    diagonalise to STRUCT_TOL fall back to the dense scan.
+    scalar arithmetic over the sampled points, one batch of
+    :func:`_scan_batches` at a time.  Modes that U does not diagonalise to
+    STRUCT_TOL fall back to the dense scan.
 
     The bound c - nu (1 - L1(nu))^-1 holds for nu <= nu0 while the weighted
     L1 norm L1(nu) stays below one; the rate is nu0 when the bound is
@@ -947,19 +983,17 @@ class IntegroLaw(MaterialLaw):
             slack = np.abs(scale) * a * a * d / np.maximum(1.0 - a * d, 0.0)
         return norms, slack
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
         g = self.kernel.joint_eigenvalues
         if g is None:
-            return super().positivity_min(sigmas, taus)
-        best = np.inf
-        for sigma in sigmas:
-            lam = sigma + 1j * taus
+            return super().positivity_min(sigmas, taus, boundary)
+
+        def evaluate(lam):
             w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g.real)
-            row = (lam[:, None] / w).real + self.c
-            if not (np.isfinite(w).all() and np.isfinite(row).all()):
-                raise _nonfinite_line(sigma)
-            best = min(best, float(row.min()))
-        return best
+            values = (lam[:, None] / w).real + self.c
+            return np.isfinite(w).all(axis=1) & np.isfinite(values).all(axis=1), values
+
+        return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
 
     def lower_bound(self, nu: float) -> float | None:
         if nu > self.kernel.nu0:
@@ -984,7 +1018,10 @@ class CustomLaw(MaterialLaw):
     ``shifted_fn(nu, z)``, when given, evaluates the analytic extension of
     (1 - nu*z) * M(z/(1 - nu*z)); without it only nu = 0 is available.  The
     positivity minimum is the dense scan, and there is no closed-form bound
-    or rate.  ``stack`` is one row expression: 1/lambda for the whole row,
+    or rate.  The analyticity check trusts ``singularities``: where it
+    passes, the scan samples the boundary of its rectangle only, so a
+    singularity left undeclared can hide inside it.  ``stack`` is one
+    expression over a batch of points: 1/lambda for the whole batch,
     ``eval_fn`` once per point through the guards of ``symbol``, then one
     multiplication by lambda.  ``eval_fn`` takes one Python complex; there
     is no vectorised form.

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evostab import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
+from evostab import (CustomLaw, DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLaw, Kernel,
                      KernelAdmissibilityError, KernelMode, NonFiniteSymbolError,
-                     SamplingConfig, build_mixed_type_system, certify,
-                     check_kernel_conditions, closed_form_rate, indicators_from_intervals,
-                     kernel_hat, solvability_constant, solvability_lower_bound)
-from evostab.certify import _check_shifted_bounded
+                     SamplingConfig, TimeGrid, build_mixed_type_system, certify,
+                     check_kernel_conditions, closed_form_rate, gaussian_pulse,
+                     indicators_from_intervals, kernel_hat, solvability_constant,
+                     solvability_lower_bound, solve)
+from evostab.certify import _check_shifted_bounded, _sigma_grid
 from evostab.material import _last_nonnegative
 
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -300,6 +302,151 @@ class TestStructuredMinima:
             mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
             got = solvability_constant(law, nu, **kw)
         assert got == dense_positivity_scan(law, nu, **kw)
+
+
+def pole_law(m0, m1, g, a, singularities=None, tally=None):
+    """M(z) = M0 + z M1 + z/(1 + a z) G, its pole -1/a declared unless
+    ``singularities`` says otherwise; ``tally[0]`` counts eval_fn calls."""
+    def eval_fn(z):
+        if tally is not None:
+            tally[0] += 1
+        return m0 + z * m1 + (z / (1.0 + a * z)) * g
+
+    def shifted_fn(nu, z):
+        return (1.0 - nu * z) * m0 + z * m1 + (z * (1.0 - nu * z) / (1.0 + (a - nu) * z)) * g
+
+    poles = (-1.0 / a,) if singularities is None else singularities
+    return CustomLaw(len(m0), eval_fn, poles, shifted_fn)
+
+
+def scan_counts(monkeypatch, module, tally):
+    """The eval_fn calls of each ``solvability_constant`` call that
+    ``module`` makes, in order."""
+    module = sys.modules[module]  # evostab.certify is also a function's name
+    scan, counts = module.solvability_constant, []
+
+    def counted(*args, **kwargs):
+        start = tally[0]
+        value = scan(*args, **kwargs)
+        counts.append(tally[0] - start)
+        return value
+
+    monkeypatch.setattr(module, "solvability_constant", counted)
+    return counts
+
+
+class TestBoundaryScan:
+    """Where the law is analytic, the scan samples the rectangle's boundary
+    only: a subset of the full grid of the oracle, holding its minimum."""
+
+    @staticmethod
+    def analytic_pole_law(data, dim, nu):
+        # the pole lambda = -a lies left of the rectangle: a >= nu keeps -1/a
+        # inside the excluded ball, and nu = 0 needs a > 0 only
+        g, s, q_re, q_im, h_re, h_im = data.draw(
+            hnp.arrays(float, (6, dim, dim), elements=st.floats(-1.0, 1.0)))
+        m0 = g @ g.T
+        q = q_re + 1j * q_im
+        m1 = q @ q.conj().T + 0.1 * np.eye(dim) + (s - s.T)
+        h = h_re + 1j * h_im
+        a = max(nu, 0.1) * data.draw(st.floats(1.0, 10.0))
+        return pole_law(m0, m1, h + h.conj().T, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           nu=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    def test_custom_boundary_holds_the_grid_minimum(self, data, dim, nu):
+        law = self.analytic_pole_law(data, dim, nu)
+        assert law.analyticity(nu)[0]
+        kw = dict(sigma_max=10.0, tau_max=data.draw(st.sampled_from([5.0, 50.0])),
+                  n_sigma=20, n_tau=41)
+        got, oracle = solvability_constant(law, nu, **kw), dense_positivity_scan(law, nu, **kw)
+        assert got >= oracle
+        assert got == pytest.approx(oracle, **MATCH)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), nu=st.floats(0.0, 0.5),
+           joint=st.booleans())
+    def test_integro_boundary_holds_the_grid_minimum(self, data, dim, nu, joint):
+        law = TestStructuredMinima.rotated_integro_law(data, dim)
+        kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
+        cfg = SamplingConfig(**kw)
+        with pytest.MonkeyPatch.context() as mp:
+            if not joint:
+                mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
+            got = solvability_constant(law, nu, **kw)
+            # the same scan over every grid point; without the joint
+            # eigenbasis that is the oracle's arithmetic, bit for bit
+            full = law.positivity_min(_sigma_grid(nu, cfg), np.linspace(-100.0, 100.0, 41))
+        assert got >= full
+        assert got == pytest.approx(dense_positivity_scan(law, nu, **kw), **MATCH)
+
+    # n_tau = 40 keeps tau = 0 off the grid: one sigma row at nu > 0 is
+    # sigma = 0, where z = 1/lambda is not finite at tau = 0
+    @pytest.mark.parametrize("n_sigma, n_tau, tau_max", [
+        (1, 40, 20.0), (2, 40, 20.0), (3, 1, 20.0), (3, 2, 20.0), (1, 1, 20.0),
+        (2, 2, 20.0), (20, 1, 20.0), (20, 2, 20.0), (20, 41, 0.0), (3, 41, 0.0)])
+    def test_degenerate_grids_equal_the_oracle(self, n_sigma, n_tau, tau_max):
+        # every point is on the boundary, or every point of a row is one point
+        rng = np.random.default_rng(7)
+        g, s = rng.uniform(-1.0, 1.0, (2, 2, 2))
+        custom = pole_law(g @ g.T, np.eye(2) + (s - s.T),
+                          np.array([[0.5, 0.2j], [-0.2j, -0.4]]), 3.0)
+        kernel = Kernel((KernelMode(np.diag([0.2, -0.1]), 1.0),
+                         KernelMode(np.diag([0.05, 0.1]), 2.0)), nu0=0.5)
+        integro = IntegroLaw(kernel, 1.0)
+        kw = dict(sigma_max=10.0, tau_max=tau_max, n_sigma=n_sigma, n_tau=n_tau)
+        cfg = SamplingConfig(**kw)
+        sigmas, taus = _sigma_grid(0.3, cfg), np.linspace(-tau_max, tau_max, n_tau)
+        assert solvability_constant(custom, 0.3, **kw) == dense_positivity_scan(custom, 0.3, **kw)
+        # the joint-eigenbasis scan against itself over every grid point
+        assert solvability_constant(integro, 0.3, **kw) == integro.positivity_min(sigmas, taus)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
+            got = solvability_constant(integro, 0.3, **kw)
+        assert got == dense_positivity_scan(integro, 0.3, **kw)
+
+    @pytest.mark.parametrize("singularities", [(), (3.0,)], ids=["boundary", "full-grid"])
+    def test_nonfinite_edge_point_names_its_sigma(self, singularities):
+        # NaN at tau = tau_max of the fourth sigma row only; the batch of
+        # interior edges starts at the second row
+        kw = dict(sigma_max=5.0, tau_max=20.0, n_sigma=10, n_tau=21)
+        sigmas = _sigma_grid(0.5, SamplingConfig(**kw))
+        bad = 1.0 / complex(sigmas[3], 20.0)
+
+        def eval_fn(z):
+            return np.array([[np.nan if abs(z - bad) < 1e-9 * abs(bad) else 1.0 + 2.0 * z]])
+
+        law = CustomLaw(1, eval_fn, singularities)
+        assert law.analyticity(0.5)[0] == (not singularities)
+        with pytest.raises(NonFiniteSymbolError, match=re.escape(f"sigma = {sigmas[3]:.6g}")):
+            solvability_constant(law, 0.5, **kw)
+
+    def test_certify_scans_the_boundary_of_an_analytic_law(self, monkeypatch):
+        tally = [0]
+        counts = scan_counts(monkeypatch, "evostab.certify", tally)
+        law = pole_law(np.eye(2), 3.0 * np.eye(2), 0.2 * np.eye(2), 2.0, tally=tally)
+        report = certify(law, 0.8)
+        assert report.analyticity.passed
+        assert counts == [2 * 401 + 198 * 2]
+        assert report.sample_grid == SamplingConfig().describe(0.8)
+
+    def test_certify_scans_the_full_grid_where_analyticity_fails(self, monkeypatch):
+        # a pole at z = 0.5, outside the excluded ball at every nu
+        tally = [0]
+        counts = scan_counts(monkeypatch, "evostab.certify", tally)
+        law = pole_law(np.eye(2), 3.0 * np.eye(2), 0.2 * np.eye(2), 2.0, (0.5,), tally)
+        report = certify(law, 0.8)
+        assert not report.analyticity.passed
+        assert counts == [200 * 401]
+
+    def test_solve_gate_scans_the_boundary(self, monkeypatch):
+        tally = [0]
+        counts = scan_counts(monkeypatch, "evostab.solver", tally)
+        law = pole_law(np.eye(1), 3.0 * np.eye(1), 0.2 * np.eye(1), 2.0, tally=tally)
+        f = gaussian_pulse(TimeGrid(-2.0, 1 / 16, 64), center=1.0, width=0.2)
+        solve(EvolutionaryProblem(law, None, 0.5, f))
+        assert counts == [2 * 81 + 38 * 2]  # of the 40 x 81 grid at nu = 0
 
 
 def assert_same_result(got, expected):

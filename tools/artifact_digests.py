@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for nineteen fixed configs.
+"""Print the sha256 of every CLI artifact for twenty fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -15,7 +15,12 @@ as ``<case>-nu`` with an explicit ``nu`` below the family's closed-form rate
 byte-checked too.  ``custom-nu0`` is the ``custom`` config without ``nu``,
 through ``certify`` and ``verify``: the default 200 x 401 positivity scan on
 the nu = 0 sigma grid, and verify's exit 2 for a law that has no
-closed-form rate and no ``nu``.  ``mixed1d-ivp`` is the ``mixed1d`` config
+closed-form rate and no ``nu``.  ``custom-pole`` is a dim-2 custom law
+``M0 + z M1 + z/(1 + 2z) G`` with a non-diagonal Hermitian ``G`` and its
+pole -1/2 declared, through ``certify`` only at nu = 0.8, where the pole
+lies inside the excluded ball but off its centre: the positivity scan of an
+analytic law with a singularity, which samples the boundary of the
+rectangle only.  ``mixed1d-ivp`` is the ``mixed1d`` config
 with a 49-entry ``u0``, through ``ivp`` only, so that the initial-value path
 is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``tau_max = 2``, below the first critical value pi/|h| = pi, through
@@ -102,6 +107,22 @@ def law():
         return (1.0 - nu * z) * M0 + z * M1 + g * np.eye(2)
 
     return CustomLaw(2, eval_fn, (-1.0,), shifted_fn), None
+
+
+A = 2.0
+GP = np.array([[0.3, 0.1j], [-0.1j, 0.2]])
+
+
+def pole_law():
+    """M(z) = M0 + z M1 + z / (1 + A z) GP, singular at z = -1/A."""
+
+    def eval_fn(z):
+        return M0 + z * M1 + (z / (1.0 + A * z)) * GP
+
+    def shifted_fn(nu, z):
+        return (1.0 - nu * z) * M0 + z * M1 + (z * (1.0 - nu * z) / (1.0 + (A - nu) * z)) * GP
+
+    return CustomLaw(2, eval_fn, (-1.0 / A,), shifted_fn), None
 '''
 
 CASES = {
@@ -157,6 +178,10 @@ CASES["dae-fast"] = {
     "family": "dae", "m0": _diag(1e-7), "m1": _diag(1.0),
     "grid": {"t0": -0.5, **GRID}, "rho": 0.05, "forcing": PULSE,
 }
+# A matrix-valued pole at -1/A = -0.5, inside the excluded ball at nu = 0.8
+# (radius 0.625 about -0.625) but not at its centre, through certify only.
+CASES["custom-pole"] = {**CASES["custom"], "custom": {"import": "digest_custom_law:pole_law"},
+                        "nu": 0.8}
 # The other two forcing kinds.  dae-csv reads the solution that dae-solve
 # writes, so it must come after dae here.
 CASES["dae-step"] = {**CASES["dae"], "forcing": {"kind": "step_exp", "start": 0.0, "rate": 4.0}}
@@ -167,7 +192,7 @@ CASES["dae-csv"] = {**CASES["dae"], "forcing": {"kind": "csv", "path": "dae-solv
 COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certify", "verify"],
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
             "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
-            "delay-dense": ["solve", "verify"]}
+            "delay-dense": ["solve", "verify"], "custom-pole": ["certify"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
