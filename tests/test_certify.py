@@ -432,7 +432,7 @@ class TestBoundaryScan:
         assert report.sample_grid == SamplingConfig().describe(0.8)
 
     def test_certify_scans_the_full_grid_where_analyticity_fails(self, monkeypatch):
-        # a pole at z = 0.5, outside the excluded ball at every nu
+        # a declared singularity at z = 0.5 lies outside the excluded ball
         tally = [0]
         counts = scan_counts(monkeypatch, "evostab.certify", tally)
         law = pole_law(np.eye(2), 3.0 * np.eye(2), 0.2 * np.eye(2), 2.0, (0.5,), tally)
@@ -444,7 +444,7 @@ class TestBoundaryScan:
         tally = [0]
         counts = scan_counts(monkeypatch, "evostab.solver", tally)
         law = pole_law(np.eye(1), 3.0 * np.eye(1), 0.2 * np.eye(1), 2.0, tally=tally)
-        f = gaussian_pulse(TimeGrid(-2.0, 1 / 16, 64), center=1.0, width=0.2)
+        f = gaussian_pulse(TimeGrid(-2.0, 1 / 16, 256), center=1.0, width=0.2)
         solve(EvolutionaryProblem(law, None, 0.5, f))
         assert counts == [2 * 81 + 38 * 2]  # of the 40 x 81 grid at nu = 0
 
