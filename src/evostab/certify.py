@@ -12,9 +12,11 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     hold the maximum are evaluated densely;
 (c) positivity: Re z^-1 M(z) >= c(nu) > 0 outside the ball, parametrized
     by z^-1 = sigma + i tau with sigma > -nu.  Where (a) passes, the smallest
-    eigenvalue of that Hermitian part is superharmonic in z^-1 and takes its
-    minimum over the sampled rectangle on the rectangle's boundary, so only
-    the boundary's grid points are sampled; elsewhere every grid point is
+    eigenvalue of that Hermitian part is superharmonic in z^-1 away from
+    z^-1 = 0, which (a) does not cover, and takes its minimum over any
+    rectangle that avoids z^-1 = 0 on that rectangle's boundary.  So the
+    rows with sigma at most one grid step, and the boundary of the rest,
+    are sampled; where (a) fails every grid point is
     (:func:`solvability_constant`).
 
 For the three structured families (c) has closed-form lower bounds derived
@@ -105,14 +107,21 @@ def solvability_constant(law: MaterialLaw, nu: float, sigma_max: float = Samplin
 
     A function rather than ``law.positivity_min``: it checks the rectangle,
     builds the sigma and tau grids and decides which of their points to
-    sample.  Where ``law.analyticity(nu)`` passes, lambda M(1/lambda) is
-    holomorphic on Re lambda > -nu, which holds the rectangle, so
-    lambda -> min eig Re lambda M(1/lambda), an infimum of the harmonic
-    functions Re <lambda M(1/lambda) x, x>, is superharmonic and takes its
-    minimum over the rectangle on its boundary (the minimum principle).
-    Then only the grid points on the boundary are sampled: the first and
-    last sigma rows and the tau = +-tau_max ends of every other row, 1198
-    points of the default 200 x 401.  Elsewhere, as for an integro law at
+    sample.  Where ``law.analyticity(nu)`` passes, M is holomorphic outside
+    the excluded ball, so lambda M(1/lambda) is holomorphic on
+    Re lambda > -nu except perhaps at lambda = 0, z = infinity, which the
+    check does not cover (M(z) = z + z^2 passes it and has a pole there).
+    Away from lambda = 0 the map lambda -> min eig Re lambda M(1/lambda),
+    an infimum of the harmonic functions Re <lambda M(1/lambda) x, x>, is
+    superharmonic and takes its minimum over a rectangle that avoids
+    lambda = 0 on the rectangle's boundary (the minimum principle).  So the
+    rows with sigma at most one grid step (the larger of the sigma and tau
+    spacings) are sampled in full: they pass through or near lambda = 0 and
+    the singularities on Re lambda <= -nu, where the tau spacing need not
+    resolve the symbol.  Of the other rows only the first and last and the
+    tau = +-tau_max ends of the rows between are sampled: 5188 points of the
+    default 200 x 401 at nu = 0 and 8779 at nu = 0.5, where all 80,200 were
+    (``material._scan_batches``).  Elsewhere, as for an integro law at
     nu > nu0, whose kernel poles can lie inside the rectangle, every grid
     point is.  The value is that of the dense scan, one Hermitian eigenvalue
     problem per sampled point; the structured families compute it from

@@ -494,31 +494,49 @@ def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool):
     (sigma, lam): ``lam`` a 1-D array of points and ``sigma`` the sigma of
     each, in ascending sigma.
 
-    The full grid is one batch per sigma row.  Its boundary is the first and
-    last rows in full and, in one batch between them, the tau = +-tau_max
-    ends of every other row; with fewer than three rows or three taus that
-    is the whole grid, which is then scanned row by row.
+    The full grid is one batch per sigma row.  The boundary scan keeps in
+    full every row with sigma at most one grid step, the larger of the sigma
+    and tau spacings.  Those rows pass through or near lambda = 0, z =
+    infinity, where the analyticity check says nothing, and near the line
+    Re lambda = -nu, where the singularities it allows can lie; the tau
+    spacing need not resolve the symbol there.  Of the other rows, at least
+    a step from every possible singularity, it takes the boundary of their
+    rectangle: the first and last in full and, in one batch between them,
+    the tau = +-tau_max ends of every other row.  With fewer than three rows
+    or three taus in all, or fewer than three of those other rows, every row
+    is scanned in full.
     """
-    if not boundary or len(sigmas) < 3 or len(taus) < 3:
-        for sigma in sigmas:
-            yield sigma, sigma + 1j * taus
-        return
-    inner = sigmas[1:-1]
-    yield sigmas[0], sigmas[0] + 1j * taus
-    yield np.repeat(inner, 2), (inner[:, None] + 1j * taus[[0, -1]]).ravel()
-    yield sigmas[-1], sigmas[-1] + 1j * taus
+    full = len(sigmas)
+    if boundary and len(sigmas) >= 3 and len(taus) >= 3:
+        step = max(sigmas[1] - sigmas[0], taus[1] - taus[0])
+        full = int(np.searchsorted(sigmas, step, side="right"))
+        if len(sigmas) - full < 3:
+            full = len(sigmas)
+    for sigma in sigmas[:full]:
+        yield sigma, sigma + 1j * taus
+    upper = sigmas[full:]
+    if len(upper):
+        inner = upper[1:-1]
+        yield upper[0], upper[0] + 1j * taus
+        yield np.repeat(inner, 2), (inner[:, None] + 1j * taus[[0, -1]]).ravel()
+        yield upper[-1], upper[-1] + 1j * taus
 
 
 def _scan_min(batches, evaluate) -> float:
     """Smallest value over the batches of :func:`_scan_batches`, where
-    ``evaluate(lam)`` gives (finite, smallest) for each point of a batch:
-    the first point that is not finite raises, naming its sigma."""
+    ``evaluate(lam)`` gives (checked, smallest): arrays whose first axis
+    runs over the batch's points and that must be finite, and a function
+    that then gives the batch's values.  The first point that is not finite
+    raises, naming its sigma; only a batch that is not finite is checked
+    point by point."""
     best = np.inf
     for sigma, lam in batches:
-        finite, smallest = evaluate(lam)
-        if not finite.all():
+        checked, smallest = evaluate(lam)
+        if not all(np.isfinite(a).all() for a in checked):
+            finite = np.logical_and.reduce(
+                [np.isfinite(a).reshape(len(lam), -1).all(axis=1) for a in checked])
             raise _nonfinite_line(float(np.broadcast_to(sigma, lam.shape)[np.argmin(finite)]))
-        best = min(best, float(smallest.min()))
+        best = min(best, float(smallest().min()))
     return best
 
 
@@ -604,10 +622,12 @@ class MaterialLaw:
         """
         return None
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over
-        z^-1 = lambda = sigma + i*tau for every sampled pair, or only for the
-        pairs on the boundary of the rectangle (:func:`_scan_batches`).
+        z^-1 = lambda = sigma + i*tau for every sampled pair, or, with
+        ``boundary``, for the pairs of the boundary scan of
+        :func:`_scan_batches`.  ``certify.solvability_constant`` decides
+        ``boundary`` from the analyticity check, which the scan relies on.
 
         This is the dense scan: stack(lambda) one batch of
         :func:`_scan_batches` at a time, one batched Hermitian eigenvalue
@@ -618,8 +638,7 @@ class MaterialLaw:
         """
         def evaluate(lam):
             herm = hermitian_part(self.stack(lam))
-            finite = np.isfinite(herm).all(axis=(1, 2))
-            return finite, (np.linalg.eigvalsh(herm)[:, 0] if finite.all() else None)
+            return (herm,), lambda: np.linalg.eigvalsh(herm)[:, 0]
 
         return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
 
@@ -757,7 +776,7 @@ class DaeLaw(_PencilLaw):
     def analyticity(self, nu: float) -> tuple:
         return True, "polynomial symbol, entire"
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         return float(self._sigma_sweep(sigmas, True)[1].min())
 
     def rate(self) -> float:
@@ -827,7 +846,7 @@ class DelayLaw(_PencilLaw):
     def analyticity(self, nu: float) -> tuple:
         return True, "holomorphic away from 0, which lies in the excluded ball"
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         if float(np.abs(taus).max()) / (math.pi / abs(self.h)) >= 1.0:
             cos_min = -1.0  # cos(tau*h) at tau = pi/|h|
         else:
@@ -983,7 +1002,7 @@ class IntegroLaw(MaterialLaw):
             slack = np.abs(scale) * a * a * d / np.maximum(1.0 - a * d, 0.0)
         return norms, slack
 
-    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool = False) -> float:
+    def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         g = self.kernel.joint_eigenvalues
         if g is None:
             return super().positivity_min(sigmas, taus, boundary)
@@ -991,7 +1010,7 @@ class IntegroLaw(MaterialLaw):
         def evaluate(lam):
             w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g.real)
             values = (lam[:, None] / w).real + self.c
-            return np.isfinite(w).all(axis=1) & np.isfinite(values).all(axis=1), values
+            return (w, values), lambda: values
 
         return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
 
@@ -1019,8 +1038,12 @@ class CustomLaw(MaterialLaw):
     (1 - nu*z) * M(z/(1 - nu*z)); without it only nu = 0 is available.  The
     positivity minimum is the dense scan, and there is no closed-form bound
     or rate.  The analyticity check trusts ``singularities``: where it
-    passes, the scan samples the boundary of its rectangle only, so a
-    singularity left undeclared can hide inside it.  ``stack`` is one
+    passes, the scan skips most of the interior of its rectangle
+    (:func:`_scan_batches`), so a singularity left undeclared can hide
+    inside it.  The check says nothing about z = infinity, lambda = 0:
+    M(z) = z + z^2 passes it, and its Re z^-1 M(z) = 1 + sigma/|lambda|^2
+    is unbounded below there, so the rows near lambda = 0 are scanned in
+    full.  ``stack`` is one
     expression over a batch of points: 1/lambda for the whole batch,
     ``eval_fn`` once per point through the guards of ``symbol``, then one
     multiplication by lambda.  ``eval_fn`` takes one Python complex; there

@@ -304,16 +304,22 @@ class TestStructuredMinima:
         assert got == dense_positivity_scan(law, nu, **kw)
 
 
-def pole_law(m0, m1, g, a, singularities=None, tally=None):
-    """M(z) = M0 + z M1 + z/(1 + a z) G, its pole -1/a declared unless
-    ``singularities`` says otherwise; ``tally[0]`` counts eval_fn calls."""
+def pole_law(m0, m1, g, a, singularities=None, tally=None, k=None):
+    """M(z) = M0 + z M1 + z/(1 + a z) G + z^2 K, its pole -1/a declared
+    unless ``singularities`` says otherwise; ``tally[0]`` counts eval_fn
+    calls.  A nonzero K is a pole of z^-1 M(z) at z = infinity, lambda = 0,
+    that the analyticity check does not see."""
+    k = np.zeros_like(m0) if k is None else k
+
     def eval_fn(z):
         if tally is not None:
             tally[0] += 1
-        return m0 + z * m1 + (z / (1.0 + a * z)) * g
+        return m0 + z * m1 + (z / (1.0 + a * z)) * g + z * z * k
 
     def shifted_fn(nu, z):
-        return (1.0 - nu * z) * m0 + z * m1 + (z * (1.0 - nu * z) / (1.0 + (a - nu) * z)) * g
+        with np.errstate(divide="ignore", invalid="ignore"):  # z = 1/nu: inf unless K = 0
+            far = np.where(k == 0, 0.0, z * z * k / (1.0 - nu * z))
+        return (1.0 - nu * z) * m0 + z * m1 + (z * (1.0 - nu * z) / (1.0 + (a - nu) * z)) * g + far
 
     poles = (-1.0 / a,) if singularities is None else singularities
     return CustomLaw(len(m0), eval_fn, poles, shifted_fn)
@@ -336,21 +342,24 @@ def scan_counts(monkeypatch, module, tally):
 
 
 class TestBoundaryScan:
-    """Where the law is analytic, the scan samples the rectangle's boundary
-    only: a subset of the full grid of the oracle, holding its minimum."""
+    """Where the law is analytic, the scan samples the rows with sigma <= 0
+    and the boundary of the rest of the rectangle only: a subset of the full
+    grid of the oracle, holding its minimum."""
 
     @staticmethod
     def analytic_pole_law(data, dim, nu):
         # the pole lambda = -a lies left of the rectangle: a >= nu keeps -1/a
-        # inside the excluded ball, and nu = 0 needs a > 0 only
-        g, s, q_re, q_im, h_re, h_im = data.draw(
-            hnp.arrays(float, (6, dim, dim), elements=st.floats(-1.0, 1.0)))
+        # inside the excluded ball, and nu = 0 needs a > 0 only.  A z^2 K
+        # term, Hermitian K of either sign, puts a pole at lambda = 0
+        g, s, q_re, q_im, h_re, h_im, k_re, k_im = data.draw(
+            hnp.arrays(float, (8, dim, dim), elements=st.floats(-1.0, 1.0)))
         m0 = g @ g.T
         q = q_re + 1j * q_im
         m1 = q @ q.conj().T + 0.1 * np.eye(dim) + (s - s.T)
         h = h_re + 1j * h_im
+        k = (k_re + 1j * k_im) * data.draw(st.sampled_from([0.0, 0.01, 1.0]))
         a = max(nu, 0.1) * data.draw(st.floats(1.0, 10.0))
-        return pole_law(m0, m1, h + h.conj().T, a)
+        return pole_law(m0, m1, h + h.conj().T, a, k=k + k.conj().T)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3),
@@ -377,7 +386,8 @@ class TestBoundaryScan:
             got = solvability_constant(law, nu, **kw)
             # the same scan over every grid point; without the joint
             # eigenbasis that is the oracle's arithmetic, bit for bit
-            full = law.positivity_min(_sigma_grid(nu, cfg), np.linspace(-100.0, 100.0, 41))
+            full = law.positivity_min(_sigma_grid(nu, cfg), np.linspace(-100.0, 100.0, 41),
+                                      boundary=False)
         assert got >= full
         assert got == pytest.approx(dense_positivity_scan(law, nu, **kw), **MATCH)
 
@@ -400,7 +410,7 @@ class TestBoundaryScan:
         sigmas, taus = _sigma_grid(0.3, cfg), np.linspace(-tau_max, tau_max, n_tau)
         assert solvability_constant(custom, 0.3, **kw) == dense_positivity_scan(custom, 0.3, **kw)
         # the joint-eigenbasis scan against itself over every grid point
-        assert solvability_constant(integro, 0.3, **kw) == integro.positivity_min(sigmas, taus)
+        assert solvability_constant(integro, 0.3, **kw) == integro.positivity_min(sigmas, taus, False)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
             got = solvability_constant(integro, 0.3, **kw)
@@ -408,18 +418,19 @@ class TestBoundaryScan:
 
     @pytest.mark.parametrize("singularities", [(), (3.0,)], ids=["boundary", "full-grid"])
     def test_nonfinite_edge_point_names_its_sigma(self, singularities):
-        # NaN at tau = tau_max of the fourth sigma row only; the batch of
-        # interior edges starts at the second row
+        # NaN at tau = tau_max of the eighth sigma row only.  The rows up to
+        # one grid step, sigma <= 2, are the first five, scanned in full, and
+        # the batch of interior edges starts at the seventh row
         kw = dict(sigma_max=5.0, tau_max=20.0, n_sigma=10, n_tau=21)
         sigmas = _sigma_grid(0.5, SamplingConfig(**kw))
-        bad = 1.0 / complex(sigmas[3], 20.0)
+        bad = 1.0 / complex(sigmas[7], 20.0)
 
         def eval_fn(z):
             return np.array([[np.nan if abs(z - bad) < 1e-9 * abs(bad) else 1.0 + 2.0 * z]])
 
         law = CustomLaw(1, eval_fn, singularities)
         assert law.analyticity(0.5)[0] == (not singularities)
-        with pytest.raises(NonFiniteSymbolError, match=re.escape(f"sigma = {sigmas[3]:.6g}")):
+        with pytest.raises(NonFiniteSymbolError, match=re.escape(f"sigma = {sigmas[7]:.6g}")):
             solvability_constant(law, 0.5, **kw)
 
     def test_certify_scans_the_boundary_of_an_analytic_law(self, monkeypatch):
@@ -428,8 +439,33 @@ class TestBoundaryScan:
         law = pole_law(np.eye(2), 3.0 * np.eye(2), 0.2 * np.eye(2), 2.0, tally=tally)
         report = certify(law, 0.8)
         assert report.analyticity.passed
-        assert counts == [2 * 401 + 198 * 2]
+        # the 24 rows with sigma <= 0.5, one tau step, in full, then the
+        # boundary of the other 176
+        assert counts == [24 * 401 + 2 * 401 + 174 * 2]
         assert report.sample_grid == SamplingConfig().describe(0.8)
+
+    @pytest.mark.parametrize("m1, g, k, nu, sampling, shifted, c_sampled", [
+        (1.0, 0.0, 0.02, 0.04, SamplingConfig(sigma_max=1.0), True, -5.2),
+        (1.0, 0.0, 0.1, 0.5, SamplingConfig(), False, -3.40),
+        (-0.8, 1.0, 0.025, 0.0, SamplingConfig(), True, -0.05)])
+    def test_pole_at_infinity_fails_positivity(self, m1, g, k, nu, sampling, shifted, c_sampled):
+        # M(z) = m1 z + g z/(1 + z/10) + k z^2 passes analyticity, but
+        # z^-1 M(z) has the pole k/lambda at lambda = 0, z = infinity.  In
+        # the first two Re z^-1 M(z) = 1 + k sigma/|lambda|^2 is unbounded
+        # below on the rows with sigma <= 0.  In the third it dips below 0
+        # between the tau samples of the first row, sigma = 0.05, and only the
+        # grid's row sigma = 0.15 sees the dip.  The boundedness spot check
+        # misses z = 1/nu = 25 of the first.
+        law = pole_law(np.zeros((1, 1)), m1 * np.eye(1), g * np.eye(1), 0.1,
+                       None if g else (), k=k * np.eye(1))
+        report = certify(law, nu, sampling)
+        assert report.analyticity.passed
+        assert report.shifted_bounded.passed == shifted
+        assert not report.positivity.passed and not report.passed
+        grid = dict(sigma_max=sampling.sigma_max, tau_max=sampling.tau_max,
+                    n_sigma=sampling.n_sigma, n_tau=sampling.n_tau)
+        assert report.c_nu_sampled == dense_positivity_scan(law, nu, **grid)
+        assert report.c_nu_sampled == pytest.approx(c_sampled, abs=0.01)
 
     def test_certify_scans_the_full_grid_where_analyticity_fails(self, monkeypatch):
         # a declared singularity at z = 0.5 lies outside the excluded ball
@@ -446,7 +482,10 @@ class TestBoundaryScan:
         law = pole_law(np.eye(1), 3.0 * np.eye(1), 0.2 * np.eye(1), 2.0, tally=tally)
         f = gaussian_pulse(TimeGrid(-2.0, 1 / 16, 256), center=1.0, width=0.2)
         solve(EvolutionaryProblem(law, None, 0.5, f))
-        assert counts == [2 * 81 + 38 * 2]  # of the 40 x 81 grid at nu = 0
+        # of the 40 x 81 grid at nu = 0 with tau_max = 50: the 5 rows with
+        # sigma <= 1.25, one tau step, in full, then the boundary of the
+        # other 35
+        assert counts == [5 * 81 + 2 * 81 + 33 * 2]
 
 
 def assert_same_result(got, expected):

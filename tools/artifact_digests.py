@@ -19,8 +19,8 @@ closed-form rate and no ``nu``.  ``custom-pole`` is a dim-2 custom law
 ``M0 + z M1 + z/(1 + 2z) G`` with a non-diagonal Hermitian ``G`` and its
 pole -1/2 declared, through ``certify`` only at nu = 0.8, where the pole
 lies inside the excluded ball but off its centre: the positivity scan of an
-analytic law with a singularity, which samples the boundary of the
-rectangle only.  ``mixed1d-ivp`` is the ``mixed1d`` config
+analytic law with a singularity, which samples the rows near sigma = 0 in
+full and only the boundary of the rest of the rectangle.  ``mixed1d-ivp`` is the ``mixed1d`` config
 with a 49-entry ``u0``, through ``ivp`` only, so that the initial-value path
 is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``tau_max = 2``, below the first critical value pi/|h| = pi, through
