@@ -410,7 +410,8 @@ class TestBoundaryScan:
         sigmas, taus = _sigma_grid(0.3, cfg), np.linspace(-tau_max, tau_max, n_tau)
         assert solvability_constant(custom, 0.3, **kw) == dense_positivity_scan(custom, 0.3, **kw)
         # the joint-eigenbasis scan against itself over every grid point
-        assert solvability_constant(integro, 0.3, **kw) == integro.positivity_min(sigmas, taus, False)
+        full = integro.positivity_min(sigmas, taus, boundary=False)
+        assert solvability_constant(integro, 0.3, **kw) == full
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
             got = solvability_constant(integro, 0.3, **kw)
