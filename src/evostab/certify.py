@@ -7,9 +7,11 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
 (b) boundedness: the shifted symbol (1 - nu z) M(z (1 - nu z)^-1) stays
     bounded on balls B(r, r) (spot-checked at 480 points of the balls with
     r in {0.5, 1, 10}, plus 1/nu when a ball holds it).  The reported
-    maximum is a dense 2-norm; where the law computes every point's norm
-    from its structure (``law.shifted_norms``), only the points that can
-    hold the maximum are evaluated densely;
+    maximum is a dense 2-norm; where (a) passes and the law gives the
+    eigenvalues of lambda M(1/lambda) in one unitary basis
+    (``law.stack_eigenvalues``), the shifted symbol at z being z times that
+    operator at lambda = 1/z - nu, only the points that can hold the maximum
+    are evaluated densely;
 (c) positivity: Re z^-1 M(z) >= c(nu) > 0 outside the ball, parametrized
     by z^-1 = sigma + i tau with sigma > -nu.  Where (a) passes, the smallest
     eigenvalue of that Hermitian part is superharmonic in z^-1 away from
@@ -58,8 +60,8 @@ RATE_CAP = 1e6
 # Spot-check radii for the shifted-symbol boundedness check.
 SHIFT_RADII = (0.5, 1.0, 10.0)
 
-# Relative rounding window between a law's structured shifted-symbol norms and
-# the dense 2-norm; the dense errors are a few ulps of the largest norm.
+# Relative rounding window between the 2-norms that a law's stack eigenvalues
+# give and the dense 2-norm; the dense errors are a few ulps of the largest norm.
 SCREEN_RTOL = 1e-12
 
 
@@ -256,18 +258,26 @@ def _check_shifted_bounded(law: MaterialLaw, nu: float) -> HypothesisResult:
     """Check (b) at every point of :func:`_shift_points`, with the result of
     the dense check over all of them.
 
-    Where the law gives structured norms (``law.shifted_norms``), all finite,
-    only the points whose norm, widened by its slack and SCREEN_RTOL times
-    the largest norm, can reach the largest lower bound are evaluated
-    densely: the point of the dense maximum is among them.  Every other case,
-    and a screened check that does not pass, evaluates every point.
+    The shifted symbol at z is z * law.stack(lambda), lambda = 1/z - nu, so
+    where the law gives its eigenvalues (``law.stack_eigenvalues``) its
+    2-norm is |z| max_i |values_i| within |z| slack.  Where those norms are
+    all finite, only the points whose norm, widened by its slack and
+    SCREEN_RTOL times the largest norm, can reach the largest lower bound
+    are evaluated densely: the point of the dense maximum is among them.
+    The screen runs only where ``law.analyticity(nu)`` passes: every point
+    has Re z > 0, so Re lambda > -nu there, where ``shifted`` refuses no
+    point that ``stack_eigenvalues`` answers.  Every other case, and a
+    screened check that does not pass, evaluates every point.
     """
     pts = _shift_points(nu)
-    screen = law.shifted_norms(nu, np.array(pts))
-    if screen is not None and np.isfinite(screen[0]).all():
-        norms, slack = screen
+    z = np.array(pts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # not finite: dense
+        screen = law.stack_eigenvalues(1.0 / z - nu) if law.analyticity(nu)[0] else None
+        if screen is not None:
+            norms, slack = np.abs(z) * np.abs(screen[0]).max(axis=1), np.abs(z) * screen[1]
+    if screen is not None and np.isfinite(norms).all():
         keep = norms + slack >= (norms - slack).max() - SCREEN_RTOL * norms.max()
-        result = _dense_shifted_max(law, nu, [z for z, k in zip(pts, keep) if k])
+        result = _dense_shifted_max(law, nu, [p for p, k in zip(pts, keep) if k])
         if result.passed:
             return result
     return _dense_shifted_max(law, nu, pts)

@@ -3,11 +3,11 @@
 A material law is a holomorphic matrix-valued function of
 z = 1/(i*xi + rho).  Each family is one class deriving from
 :class:`MaterialLaw` and carries everything that differs between families:
-the operator lambda * M(1/lambda) for an array of lambda, the pointwise
-symbol and its nu-shifted form with, where the family's structure gives
-them, the 2-norms of that form at an array of points, the analyticity
-check, the sampled positivity minimum, the closed-form positivity bound and
-the decay rate derived from it.  Callers ask the law itself: ``law.family``,
+the operator lambda * M(1/lambda) for an array of lambda with, where the
+family's structure gives them, its eigenvalues in one unitary basis, the
+pointwise symbol and its nu-shifted form, the analyticity check, the
+sampled positivity minimum, the closed-form positivity bound and the decay
+rate derived from it.  Callers ask the law itself: ``law.family``,
 ``law.symbol(z)``, ``law.rate()``.  The two module functions over those
 methods, :func:`shifted_symbol` and :func:`frequency_operator_stack`, each
 add a guard of their own (nu >= 0, and rho above the law's floor).
@@ -266,7 +266,7 @@ class Kernel:
         g is complex: its imaginary part is roundoff for Hermitian modes, and the
         eigenvalues themselves for normal non-Hermitian ones.  Evaluated once
         per kernel, like :attr:`conditions`, for the positivity scan, the L1
-        norm's curves and the shifted-symbol norms of :class:`IntegroLaw`.
+        norm's curves and :meth:`IntegroLaw.stack_eigenvalues`.
         """
         n = self.dim
         gammas = np.array([m.gamma for m in self.modes], dtype=complex).reshape(-1, n, n)
@@ -527,16 +527,17 @@ def _scan_min(batches, evaluate) -> float:
     ``evaluate(lam)`` gives (checked, smallest): arrays whose first axis
     runs over the batch's points and that must be finite, and a function
     that then gives the batch's values.  The first point that is not finite
-    raises, naming its sigma; only a batch that is not finite is checked
-    point by point."""
+    raises, naming its sigma, with no numpy warning before it; only a batch
+    that is not finite is checked point by point."""
     best = np.inf
     for sigma, lam in batches:
-        checked, smallest = evaluate(lam)
-        if not all(np.isfinite(a).all() for a in checked):
-            finite = np.logical_and.reduce(
-                [np.isfinite(a).reshape(len(lam), -1).all(axis=1) for a in checked])
-            raise _nonfinite_line(float(np.broadcast_to(sigma, lam.shape)[np.argmin(finite)]))
-        best = min(best, float(smallest().min()))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            checked, smallest = evaluate(lam)
+            if not all(np.isfinite(a).all() for a in checked):
+                finite = np.logical_and.reduce(
+                    [np.isfinite(a).reshape(len(lam), -1).all(axis=1) for a in checked])
+                raise _nonfinite_line(float(np.broadcast_to(sigma, lam.shape)[np.argmin(finite)]))
+            best = min(best, float(smallest().min()))
     return best
 
 
@@ -575,10 +576,10 @@ class MaterialLaw:
       closed ball of radius 1/(2 nu) centred at -1/(2 nu).
 
     The defaults below serve laws without structure: the dense positivity
-    scan, no closed-form bound or rate, no structured frequency form
-    (``frequency_form``), so the solver builds the dense operator stack, and
-    no structured shifted-symbol norms (``shifted_norms``), so the
-    boundedness check takes a dense 2-norm at every point.
+    scan, no closed-form bound or rate and no structured frequency form
+    (``frequency_form``), so the solver builds the dense operator stack and
+    no eigenvalues of the stack (``stack_eigenvalues``), so the boundedness
+    check takes a dense 2-norm at every point.
     """
 
     # Weights rho at or below this put lambda = i*xi + rho outside the domain.
@@ -610,17 +611,25 @@ class MaterialLaw:
             raise ValueError(_OFF_DOMAIN)
         return self._shifted(nu, z)
 
-    def shifted_norms(self, nu: float, z: np.ndarray) -> tuple | None:
-        """(norms, slack) for a 1-D array of points z, or None.
+    def stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
+        """(values, slack) for a 1-D array of lambda, or None.
 
-        ``norms`` is the 2-norm of ``shifted(nu, z)`` at each point, computed
-        from the law's structure; ``slack`` (an array or a scalar, inf where
-        no bound holds) bounds its distance from the exact 2-norm, rounding
-        apart.  None when the law
-        has no such structure, or when ``shifted`` might refuse a point:
-        the caller then evaluates every point densely.
+        ``values[k]`` are the eigenvalues of ``stack(lam)[k]`` in one unitary
+        basis, and ``slack`` (an array or a scalar, inf where no bound holds)
+        bounds the 2-norm of what that basis leaves off the diagonal, so the
+        2-norm of ``stack(lam)[k]`` is max_i |values[k, i]| within ``slack``.  With lambda = 1/z - nu,
+        (1 - nu z) M(z / (1 - nu z)) = z * lambda M(1/lambda): the shifted
+        symbol is z times ``stack(lambda)``, and its 2-norm |z| times that.
+
+        This default reads the frequency form diag d(lambda) + C at a = 0:
+        with C diagonal the values are d(lambda) + diag C, exactly, else
+        None.  None means the caller takes dense 2-norms.
         """
-        return None
+        diagonal = self.frequency_form(np.zeros((self.dim, self.dim)))[1]
+        if diagonal is None or not _is_diagonal(diagonal[1]):
+            return None
+        d, c = diagonal
+        return d(lam) + np.diagonal(c), 0.0
 
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over
@@ -704,28 +713,6 @@ class _PencilLaw(MaterialLaw):
         """diag M0 when M0 has no nonzero off-diagonal entry, else None."""
         return np.diagonal(self.M0) if _is_diagonal(self.M0) else None
 
-    @cached_property
-    def _diagonals(self) -> tuple | None:
-        """(diag M0, diag M1) when neither matrix has a nonzero off-diagonal
-        entry, else None."""
-        if self._m0_diagonal is None or not _is_diagonal(self.M1):
-            return None
-        return self._m0_diagonal, np.diagonal(self.M1)
-
-    def shifted_norms(self, nu: float, z: np.ndarray) -> tuple | None:
-        """With M0 and M1 exactly diagonal the shifted symbol is diagonal,
-        (1 - nu z) d0_i + z d1_i plus the family's multiple of I
-        (``_shifted_identity``), and its 2-norm is the largest |entry|."""
-        if self._diagonals is None:
-            return None
-        d0, d1 = self._diagonals
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: the caller's dense check
-            identity = self._shifted_identity(nu, z)
-            if identity is None:
-                return None
-            entries = (1.0 - nu * z)[:, None] * d0 + z[:, None] * d1 + identity[:, None]
-            return np.abs(entries).max(axis=1), 0.0
-
     def _sigma_sweep(self, sigmas: np.ndarray, monotone: bool) -> tuple:
         """(sigmas, smallest eigenvalue of sigma*M0 + H(M1) at each sigma).
 
@@ -769,9 +756,6 @@ class DaeLaw(_PencilLaw):
 
     def shifted(self, nu: float, z: complex) -> np.ndarray:
         return (1.0 - nu * z) * self.M0 + z * self.M1
-
-    def _shifted_identity(self, nu: float, z: np.ndarray) -> np.ndarray:
-        return np.zeros_like(z)
 
     def analyticity(self, nu: float) -> tuple:
         return True, "polynomial symbol, entire"
@@ -833,15 +817,12 @@ class DelayLaw(_PencilLaw):
             raise ValueError(f"delay term overflows at z = {z}")
         return (1.0 - nu * z) * self.M0 + z * np.exp(w) * np.eye(self.dim) + z * self.M1
 
-    def _shifted_identity(self, nu: float, z: np.ndarray) -> np.ndarray | None:
-        """z exp((1/z - nu) h) at each point, or None where ``shifted`` raises
-        (z = 0) or might: w.real above 699, within rounding of its guard 700."""
-        if (z == 0).any():
+    def stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
+        """None where ``symbol`` or ``shifted`` may refuse: Re(lambda h)
+        above 699, within rounding of their guard 700."""
+        if ((lam * self.h).real > 699.0).any():
             return None
-        w = self.h / z if nu == 0.0 else (1.0 / z - nu) * self.h
-        if (w.real > 699.0).any():
-            return None
-        return z * np.exp(w)
+        return super().stack_eigenvalues(lam)
 
     def analyticity(self, nu: float) -> tuple:
         return True, "holomorphic away from 0, which lies in the excluded ball"
@@ -974,33 +955,22 @@ class IntegroLaw(MaterialLaw):
             return True, f"singular ball of kernel (nu0 = {nu0:.6g}) is contained in the excluded ball"
         return False, f"requested nu = {nu:.6g} exceeds kernel nu0 = {nu0:.6g}"
 
-    def shifted_norms(self, nu: float, z: np.ndarray) -> tuple | None:
-        """In the modes' joint eigenbasis U the shifted symbol is
-        U diag((1 - nu z) / w_i + c z) U* with w_i = w_i(1/z - nu), the
-        diagonal of U* W U.  U* gamma_j U is diagonal only up to its
-        off-diagonal part O_j, ||O_j|| <= STRUCT_TOL, so W = U (diag(w) - D) U*
-        with ||D|| <= d = STRUCT_TOL sum_j 1/|beta_j + lambda|; by the Neumann
-        series and Weyl's inequality the 2-norm moves by at most
-        |1 - nu z| a^2 d / (1 - a d), a = max_i 1/|w_i|: the slack.
-
-        None without a joint eigenbasis, for nu > nu0, and unless every point
-        has Re z > 0 and lies outside the singular ball of ``symbol``: then
-        Re(1/z) - nu >= -nu0 and ``shifted`` refuses no point.
+    def stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
+        """In the modes' joint eigenbasis U, lambda M(1/lambda) is
+        U diag(lambda / w_i + c) U* with w_i = w_i(lambda), the diagonal of
+        U* W U.  U* gamma_j U is diagonal only up to its off-diagonal part
+        O_j, ||O_j|| <= STRUCT_TOL, so W = U (diag(w) - D) U* with
+        ||D|| <= d = STRUCT_TOL sum_j 1/|beta_j + lambda|; by the Neumann
+        series lambda W^-1 moves by at most |lambda| a^2 d / (1 - a d),
+        a = max_i 1/|w_i|: the slack.  None without a joint eigenbasis.
         """
         g = self.kernel.joint_eigenvalues
-        nu0 = self.kernel.nu0
-        r = 1.0 / (2.0 * nu0)
-        if g is None or nu > nu0 or not (z.real > 0).all() or (np.abs(z + r) <= r + 1e-15).any():
+        if g is None:
             return None
-        lam = 1.0 / z - nu
-        scale = 1.0 - nu * z
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g)
-            norms = np.abs(scale[:, None] / w + (self.c * z)[:, None]).max(axis=1)
-            a = 1.0 / np.abs(w).min(axis=1)
-            d = STRUCT_TOL * sum(1.0 / np.abs(m.beta + lam) for m in self.kernel.modes)
-            slack = np.abs(scale) * a * a * d / np.maximum(1.0 - a * d, 0.0)
-        return norms, slack
+        w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g)
+        a = 1.0 / np.abs(w).min(axis=1)
+        d = STRUCT_TOL * sum(1.0 / np.abs(m.beta + lam) for m in self.kernel.modes)
+        return lam[:, None] / w + self.c, np.abs(lam) * a * a * d / np.maximum(1.0 - a * d, 0.0)
 
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         g = self.kernel.joint_eigenvalues

@@ -257,8 +257,7 @@ class TestStructuredMinima:
         assert solvability_constant(law, 0.0, **kw) == pytest.approx(
             dense_positivity_scan(law, 0.0, **kw), **MATCH)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the error, with no numpy warning before it
     def test_integro_pole_on_the_grid_is_an_error(self):
         # nu = 2 puts the sigma row -1 = -beta (tau = 0) on the grid
         law = IntegroLaw(scalar_kernel(), 1.0)
@@ -501,6 +500,10 @@ def assert_same_result(got, expected):
 SHIFT_NUS = st.one_of(st.just(0.0), st.floats(1e-3, 0.05), st.floats(0.0501, 2.0))
 
 
+INTEGRO_MODES = (([0.2, 0.1], 1.0), ([0.05, 0.1], 2.0))
+ROT = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+
+
 class TestShiftedBounded:
     """The screened shifted-symbol check against the dense loop."""
 
@@ -551,6 +554,20 @@ class TestShiftedBounded:
         mixed = build_mixed_type_system(50, 1.0 / 51, ind0, ind1, 1.0)
         law = DaeLaw(mixed.M0, mixed.M1)
         for nu in (0.0, 0.5):
+            report, calls = self.dense_norm_calls(law, nu)
+            assert calls <= 4
+            assert_same_result(report.shifted_bounded, shifted_bounded_oracle(law, nu))
+
+    # the digest configs' delay law and integro kernel, the latter also turned
+    # by a complex unitary into modes that are not diagonal
+    @pytest.mark.parametrize("law", [
+        DelayLaw(np.diag([1.0, 0.5]), np.diag([3.0, 2.5]), h=-1.0),
+        IntegroLaw(Kernel(tuple(KernelMode(np.diag(d), b) for d, b in INTEGRO_MODES), 0.5), 1.0),
+        IntegroLaw(Kernel(tuple(KernelMode(ROT @ np.diag(d) @ ROT.conj().T, b)
+                                for d, b in INTEGRO_MODES), 0.5), 1.0),
+    ], ids=["delay", "integro", "integro-rot"])
+    def test_structured_laws_take_a_handful_of_dense_norms(self, law):
+        for nu in (0.0, 0.3):
             report, calls = self.dense_norm_calls(law, nu)
             assert calls <= 4
             assert_same_result(report.shifted_bounded, shifted_bounded_oracle(law, nu))

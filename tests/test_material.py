@@ -567,37 +567,75 @@ class TestShiftedSymbol:
 
 
 class TestShiftedNorms:
-    """law.shifted_norms: the 2-norm of each shifted symbol from the law's
-    structure, or None where there is none or ``shifted`` may refuse a point."""
+    """law.stack_eigenvalues: the eigenvalues of lambda M(1/lambda) in one
+    unitary basis, which give the 2-norm of the shifted symbol at z as |z|
+    times their largest modulus at lambda = 1/z - nu; or None where the law
+    has no such basis or ``shifted`` may refuse a point."""
 
     Z = np.array([0.3 + 0.2j, 1.0, 2.0 - 1.5j, 19.99])
+    Q = np.array([[0.6, 0.8j], [0.8j, 0.6]])
 
     @pytest.mark.parametrize("nu", [0.0, 0.3])
     def test_structured_norms_match_dense(self, nu):
-        q = np.array([[0.6, 0.8j], [0.8j, 0.6]])
-        modes = tuple(KernelMode(q @ np.diag(d) @ q.conj().T, b)
+        modes = tuple(KernelMode(self.Q @ np.diag(d) @ self.Q.conj().T, b)
                       for d, b in (([0.2, 0.1], 1.0), ([0.05, 0.1], 2.0)))
         laws = [DaeLaw(np.diag([1.0, 0.0]), np.diag([2.0, 1.0 + 1.0j])),
                 DelayLaw(np.diag([1.0, 0.5]), np.diag([3.0, 2.5]), h=-1.0),
                 IntegroLaw(Kernel(modes, nu0=0.5), c=1.2)]
         for law in laws:
-            norms, slack = law.shifted_norms(nu, self.Z)
+            values, slack = law.stack_eigenvalues(1.0 / self.Z - nu)
+            # the shifted symbol at z is z * stack(1/z - nu)
+            norms, slack = np.abs(self.Z) * np.abs(values).max(axis=1), np.abs(self.Z) * slack
             dense = [np.linalg.norm(shifted_symbol(law, nu, z), 2) for z in self.Z]
             assert np.all(np.abs(norms - dense) <= slack + 1e-14 * np.max(dense))
 
     def test_none_without_structure_or_where_shifted_refuses(self):
-        assert DaeLaw([[1.0, 0.1], [0.1, 1.0]], np.eye(2)).shifted_norms(0.3, self.Z) is None
-        assert DaeLaw(np.eye(2), [[2.0, 1e-300], [0.0, 2.0]]).shifted_norms(0.3, self.Z) is None
-        assert CustomLaw(1, lambda z: np.array([[1.0 + z]])).shifted_norms(0.0, self.Z) is None
+        lam = 1.0 / self.Z - 0.3
+        for m0, m1 in (([[1.0, 0.1], [0.1, 1.0]], np.eye(2)),
+                       (np.eye(2), [[2.0, 1e-300], [0.0, 2.0]])):
+            assert DaeLaw(m0, m1).stack_eigenvalues(lam) is None
+            assert DelayLaw(m0, m1, h=-1.0).stack_eigenvalues(lam) is None
+        assert CustomLaw(1, lambda z: np.array([[1.0 + z]])).stack_eigenvalues(lam) is None
         delay = DelayLaw([[1.0]], [[2.0]], h=-1.0)
-        assert delay.shifted_norms(0.3, np.array([0.0j, 1.0])) is None
-        assert delay.shifted_norms(0.3, np.array([1e-3 + 0j, 1.0])) is not None
+        assert delay.stack_eigenvalues(1.0 / np.array([1e-3 + 0j, 1.0]) - 0.3) is not None
         with pytest.raises(ValueError, match="overflows"):
             shifted_symbol(delay, 0.3, -1.4e-3)  # w.real = 714.6
-        assert delay.shifted_norms(0.3, np.array([-1.4e-3 + 0j, 1.0])) is None
-        integro = IntegroLaw(scalar_kernel(), c=1.0)
-        assert integro.shifted_norms(0.6, self.Z) is None
-        assert integro.shifted_norms(0.3, np.array([-0.5 + 0j])) is None
+        assert delay.stack_eigenvalues(1.0 / np.array([-1.4e-3 + 0j, 1.0]) - 0.3) is None
         noncommuting = Kernel((KernelMode([[1.0, 0.0], [0.0, 2.0]], 2.0),
                                KernelMode([[2.0, 1.0], [1.0, 2.0]], 3.0)), nu0=0.5)
         assert noncommuting.joint_eigenvalues is None
+        # commuting to 1e-13, so admissible, but a 1e-11 split of the first
+        # mode's eigenvalues leaves it off-diagonal in the second's eigenbasis
+        nearly = Kernel((KernelMode(np.diag([0.1, 0.1 + 1e-11]), 1.0),
+                         KernelMode([[0.0, 0.01], [0.01, 0.0]], 2.0)), nu0=0.5)
+        assert nearly.joint_eigenvalues is None
+        assert IntegroLaw(nearly, c=1.0).stack_eigenvalues(lam) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4),
+           family=st.sampled_from(["dae", "delay", "integro", "integro-rot"]))
+    def test_values_are_the_stack_eigenvalues(self, data, dim, family):
+        if family in ("dae", "delay"):
+            d0, d1, e = data.draw(hnp.arrays(float, (3, dim), elements=st.floats(-2.0, 2.0)))
+            m0, m1 = np.diag(np.abs(d0)), np.diag(d1 + 1j * e)
+            law = (DaeLaw(m0, m1) if family == "dae"
+                   else DelayLaw(m0, m1, -data.draw(st.floats(0.1, 2.0))))
+        else:
+            q = np.eye(dim)
+            if family == "integro-rot":
+                re, im = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+                q = np.linalg.qr(re + 2.0 * np.eye(dim) + 1j * im)[0]
+            modes = []
+            for beta in data.draw(st.lists(st.floats(1.0, 3.0), min_size=1, max_size=3)):
+                d = data.draw(hnp.arrays(float, dim, elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
+                modes.append(KernelMode(q @ np.diag(0.1 * (beta - 0.5) * d) @ q.conj().T, beta))
+            law = IntegroLaw(Kernel(tuple(modes), nu0=0.5), data.draw(st.floats(0.2, 2.0)))
+        lam = (data.draw(hnp.arrays(float, 5, elements=st.floats(-0.45, 10.0)))
+               + 1j * data.draw(hnp.arrays(float, 5, elements=st.floats(-50.0, 50.0))))
+        values, slack = law.stack_eigenvalues(lam)
+        slack = np.broadcast_to(slack, lam.shape)
+        for k, stack in enumerate(law.stack(lam)):
+            eig = np.linalg.eigvals(stack)
+            tol = slack[k] + 1e-12 * max(1.0, np.abs(eig).max())
+            gaps = np.abs(eig[:, None] - values[k][None, :])
+            assert gaps.min(axis=1).max() <= tol and gaps.min(axis=0).max() <= tol

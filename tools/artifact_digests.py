@@ -27,8 +27,8 @@ is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``certify`` only: the delay scan's smallest cos(tau h) is then a sampled
 value, not -1.  ``dae-dense`` is a DAE law with a non-diagonal Hermitian
 ``M0`` and a non-normal ``M1`` at nu = 0.5, through ``certify`` and
-``verify``: every other DAE law is diagonal, and this one has no
-structured shifted-symbol norms, so its check takes the dense 2-norm at
+``verify``: every other DAE law is diagonal, and this one's
+``stack_eigenvalues`` is None, so its check takes the dense 2-norm at
 every point, and its solve takes the QZ pencil core.  ``delay-dense`` is the
 ``delay`` config with the same non-diagonal Hermitian ``M0``, through
 ``solve`` and ``verify``: every other delay law has a diagonal ``M0`` and
