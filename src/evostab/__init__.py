@@ -12,7 +12,7 @@ from .signals import (Signal, SpectralSignal, TimeGrid, antiderivative,
                       weighted_norm)
 from .material import (CustomLaw, DaeLaw, DelayLaw, IntegroLaw, Kernel,
                        KernelMode, hermitian_part_min_eig, kernel_eval,
-                       kernel_hat, kernel_weighted_l1, shifted_symbol)
+                       kernel_hat, kernel_weighted_l1)
 from .spatial import (MixedTypeSystem, SpatialOperator, build_grad_1d,
                       build_mixed_type_system, indicators_from_intervals)
 from .certify import (CertificationReport, KernelConditionReport,

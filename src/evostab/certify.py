@@ -6,12 +6,13 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     radius 1/(2 nu) centered at -1/(2 nu);
 (b) boundedness: the shifted symbol (1 - nu z) M(z (1 - nu z)^-1) stays
     bounded on balls B(r, r) (spot-checked at 480 points of the balls with
-    r in {0.5, 1, 10}, plus 1/nu when a ball holds it).  The reported
-    maximum is a dense 2-norm; where (a) passes and the law gives the
-    eigenvalues of lambda M(1/lambda) in one unitary basis
-    (``law.stack_eigenvalues``), the shifted symbol at z being z times that
-    operator at lambda = 1/z - nu, only the points that can hold the maximum
-    are evaluated densely;
+    r in {0.5, 1, 10}, plus 1/nu when a ball holds it).  It is
+    ``law.shifted(nu, z)``, z times the operator lambda M(1/lambda) of
+    ``law.stack`` at lambda = 1/z - nu, refused where Re lambda is at or
+    below the law's ``rho_floor``.  The reported maximum is a dense 2-norm;
+    where (a) passes and the law gives the eigenvalues of that operator in
+    one unitary basis (``law.stack_eigenvalues``), only the points that can
+    hold the maximum are evaluated densely;
 (c) positivity: Re z^-1 M(z) >= c(nu) > 0 outside the ball, parametrized
     by z^-1 = sigma + i tau with sigma > -nu.  Where (a) passes, the smallest
     eigenvalue of that Hermitian part is superharmonic in z^-1 away from
@@ -51,7 +52,7 @@ import numpy as np
 # KernelConditionReport, check_kernel_conditions and kernel_weighted_l1 are
 # re-exported: kernel admissibility is part of the certificate's public API.
 from .material import (KernelConditionReport, MaterialLaw, _norm2, check_kernel_conditions,
-                       kernel_weighted_l1, shifted_symbol)
+                       kernel_weighted_l1)
 
 # Cap on reported rates: unbounded ones (M0 = 0, purely algebraic problems)
 # and finite ones above it are reported as RATE_CAP and flagged as capped.
@@ -89,8 +90,10 @@ class SamplingConfig:
             raise ValueError(f"tau_max must be finite and >= 0, got {self.tau_max!r}")
 
     def describe(self, nu: float, extra: str | None = None) -> str:
-        """The grid at nu, plus ``extra``, what the scan samples besides it."""
-        grid = (f"sigma in [{_sigma_grid(nu, self)[0]:.6g}, {self.sigma_max:.6g}] x {self.n_sigma}, "
+        """The grid at nu, its first and last sigma as sampled, plus
+        ``extra``, what the scan samples besides it."""
+        sigmas = _sigma_grid(nu, self)
+        grid = (f"sigma in [{sigmas[0]:.6g}, {sigmas[-1]:.6g}] x {self.n_sigma}, "
                 f"tau in [{-self.tau_max:.6g}, {self.tau_max:.6g}] x {self.n_tau}")
         return grid if extra is None else f"{grid} plus {extra}"
 
@@ -245,7 +248,7 @@ def _dense_shifted_max(law: MaterialLaw, nu: float, pts: list) -> HypothesisResu
     worst = 0.0
     try:
         for z in pts:
-            norm = _norm2(shifted_symbol(law, nu, z))
+            norm = _norm2(law.shifted(nu, z))
             if not math.isfinite(norm):
                 return HypothesisResult(False, f"shifted symbol not finite at z = {z}")
             worst = max(worst, norm)
@@ -264,10 +267,11 @@ def _check_shifted_bounded(law: MaterialLaw, nu: float) -> HypothesisResult:
     all finite, only the points whose norm, widened by its slack and
     SCREEN_RTOL times the largest norm, can reach the largest lower bound
     are evaluated densely: the point of the dense maximum is among them.
-    The screen runs only where ``law.analyticity(nu)`` passes: every point
-    has Re z > 0, so Re lambda > -nu there, where ``shifted`` refuses no
-    point that ``stack_eigenvalues`` answers.  Every other case, and a
-    screened check that does not pass, evaluates every point.
+    ``stack_eigenvalues`` answers only clear of the law's ``rho_floor``,
+    where ``shifted`` refuses no point, and the screen runs only where
+    ``law.analyticity(nu)`` passes, so never at an integro nu above nu0,
+    which ``shifted`` refuses outright.  Every other case, and a screened
+    check that does not pass, evaluates every point.
     """
     pts = _shift_points(nu)
     z = np.array(pts)

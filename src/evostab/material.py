@@ -5,16 +5,26 @@ z = 1/(i*xi + rho).  Each family is one class deriving from
 :class:`MaterialLaw` and carries everything that differs between families:
 the operator lambda * M(1/lambda) for an array of lambda with, where the
 family's structure gives them, its eigenvalues in one unitary basis, the
-pointwise symbol and its nu-shifted form, the analyticity check, the
-sampled positivity minimum, the closed-form positivity bound and the decay
-rate derived from it.  Callers ask the law itself: ``law.family``,
-``law.symbol(z)``, ``law.rate()``.  The two module functions over those
-methods, :func:`shifted_symbol` and :func:`frequency_operator_stack`, each
-add a guard of their own (nu >= 0, and rho above the law's floor).
+pointwise symbol, the domain floor, the analyticity check, the sampled
+positivity minimum, the closed-form positivity bound and the decay rate
+derived from it.  Callers ask the law itself: ``law.family``,
+``law.symbol(z)``, ``law.shifted(nu, z)``, ``law.rate()``.  The module
+function :func:`frequency_operator_stack` maps frequencies to lambda and
+guards the floor.
 
-The solver evaluates lambda * M(1/lambda) at lambda = i*xi + rho and the
+The solver evaluates lambda * M(1/lambda) at lambda = i*xi + rho, the
 certificate's positivity scan at lambda = sigma + i*tau, where its
-Hermitian part is Re z^-1 M(z).
+Hermitian part is Re z^-1 M(z), and its boundedness check at
+lambda = 1/z - nu: with w = z / (1 - nu z), 1/w = lambda and
+
+    (1 - nu z) M(w) = z * lambda M(1/lambda),
+
+so the nu-shifted symbol is z times the same operator (``law.stack``),
+finite at the removable point z = 1/nu, lambda = 0.  A law is defined for
+Re lambda above its ``rho_floor`` (-inf for DAE and custom laws, where
+Re(lambda h) = 700 for a delay law, -nu0 for an integro law):
+:func:`frequency_operator_stack`, the symbol, the shifted symbol and the
+stack eigenvalues all stop there, and ``stack`` itself has no guard.
 
 ``Chat`` is the half-line Fourier transform of an exponential-sum kernel
 C(t) = sum_j gamma_j exp(-beta_j t) for t >= 0: for Im z <= nu0,
@@ -23,7 +33,7 @@ C(t) = sum_j gamma_j exp(-beta_j t) for t >= 0: for Im z <= nu0,
 
 so that W(lambda) = I - sqrt(2 pi) Chat(-i lambda) = I - sum_j gamma_j /
 (beta_j + lambda).  :func:`_kernel_w` is the one place that forms this sum,
-for the integro law's stack, symbol and shifted symbol, its positivity scan
+for the integro law's stack and symbol, its positivity scan
 in the modes' joint eigenbasis, the diagonal of its frequency form, the
 transform sign condition and :func:`kernel_hat`.
 
@@ -76,6 +86,11 @@ _SIGN_TS = np.concatenate([-np.geomspace(1e-3, 1e3, 31)[::-1], [0.0], np.geomspa
 _SIGN_LINES = 7
 
 _OFF_DOMAIN = "z = 0 is not in the domain of this family"
+
+# Stack eigenvalues are given only where Re lambda is above rho_floor by more
+# than this fraction of |rho_floor|: nearer, rounding may decide whether the
+# shifted symbol refuses (for a delay law, Re(lambda h) above 699).
+_FLOOR_CLEARANCE = 1.0 / 700.0
 
 # Composite Gauss-Legendre rule of the kernel L1 norm: nodes and weights on
 # [-1, 1], start panels on [0, T], and the most bisection rounds a panel may
@@ -568,21 +583,22 @@ class MaterialLaw:
 
     * ``stack(lam)``: lambda * M(1/lambda) for a 1-D array of complex lambda,
       shape (len(lam), dim, dim), from the hand-simplified family form.  No
-      domain guard: callers keep lambda inside the family's domain;
+      domain guard: callers keep Re lambda above ``rho_floor``;
     * ``symbol(z)``: the pointwise M(z);
-    * ``_shifted(nu, z)``: the shifted symbol for nu > 0 and z != 0 (see
-      :meth:`shifted`), unless the family overrides ``shifted`` itself;
     * ``analyticity(nu)``: (passed, evidence) for holomorphy of M outside the
       closed ball of radius 1/(2 nu) centred at -1/(2 nu).
 
-    The defaults below serve laws without structure: the dense positivity
-    scan, no closed-form bound or rate and no structured frequency form
-    (``frequency_form``), so the solver builds the dense operator stack and
-    no eigenvalues of the stack (``stack_eigenvalues``), so the boundedness
-    check takes a dense 2-norm at every point.
+    The shifted symbol defaults to z times ``stack`` (``_shifted``), which
+    only custom laws replace.  The other defaults below serve laws without
+    structure: no domain floor, the dense positivity scan, no closed-form
+    bound or rate and no structured frequency form (``frequency_form``), so
+    the solver builds the dense operator stack and no eigenvalues of the
+    stack (``stack_eigenvalues``), so the boundedness check takes a dense
+    2-norm at every point.
     """
 
-    # Weights rho at or below this put lambda = i*xi + rho outside the domain.
+    # The law is defined for Re lambda above this floor, which is negative
+    # or -inf: a weight rho at or below it puts lambda = i*xi + rho outside.
     rho_floor = -math.inf
 
     # What the positivity scan samples besides its sigma x tau grid, for the
@@ -603,13 +619,25 @@ class MaterialLaw:
         return None, None
 
     def shifted(self, nu: float, z: complex) -> np.ndarray:
-        """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)), through a
-        closed form that stays finite at the removable point z = 1/nu."""
+        """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)) for nu >= 0:
+        M(z) itself at nu = 0, else ``_shifted`` at z != 0."""
+        if nu < 0:
+            raise ValueError(f"nu must be nonnegative, got {nu}")
+        z = complex(z)
         if nu == 0.0:
             return self.symbol(z)
         if z == 0:
             raise ValueError(_OFF_DOMAIN)
         return self._shifted(nu, z)
+
+    def _shifted(self, nu: float, z: complex) -> np.ndarray:
+        """z * stack(lambda) at lambda = 1/z - nu, refused where Re lambda is
+        at or below ``rho_floor`` by more than 1e-12."""
+        lam = 1.0 / z - nu
+        if lam.real <= self.rho_floor - 1e-12:
+            raise ValueError(f"Re(1/z) - nu = {lam.real:.6g} at z = {z} is at or below "
+                             f"the law's rho_floor = {self.rho_floor:.6g}")
+        return z * self.stack(np.array([lam]))[0]
 
     def stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
         """(values, slack) for a 1-D array of lambda, or None.
@@ -617,14 +645,21 @@ class MaterialLaw:
         ``values[k]`` are the eigenvalues of ``stack(lam)[k]`` in one unitary
         basis, and ``slack`` (an array or a scalar, inf where no bound holds)
         bounds the 2-norm of what that basis leaves off the diagonal, so the
-        2-norm of ``stack(lam)[k]`` is max_i |values[k, i]| within ``slack``.  With lambda = 1/z - nu,
-        (1 - nu z) M(z / (1 - nu z)) = z * lambda M(1/lambda): the shifted
-        symbol is z times ``stack(lambda)``, and its 2-norm |z| times that.
+        2-norm of ``stack(lam)[k]`` is max_i |values[k, i]| within ``slack``,
+        and that of the shifted symbol at z, lambda = 1/z - nu, |z| times it.
 
-        This default reads the frequency form diag d(lambda) + C at a = 0:
-        with C diagonal the values are d(lambda) + diag C, exactly, else
-        None.  None means the caller takes dense 2-norms.
+        None where some Re lambda is within ``_FLOOR_CLEARANCE`` |rho_floor|
+        of the floor or below it, and where the law has no such basis
+        (``_stack_eigenvalues``).  None means the caller takes dense 2-norms.
         """
+        if (lam.real <= self.rho_floor * (1.0 - _FLOOR_CLEARANCE)).any():
+            return None
+        return self._stack_eigenvalues(lam)
+
+    def _stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
+        """This default reads the frequency form diag d(lambda) + C at a = 0:
+        with C diagonal the values are d(lambda) + diag C, exactly, else
+        None."""
         diagonal = self.frequency_form(np.zeros((self.dim, self.dim)))[1]
         if diagonal is None or not _is_diagonal(diagonal[1]):
             return None
@@ -754,9 +789,6 @@ class DaeLaw(_PencilLaw):
         diagonal = None if d0 is None else (lambda lam: lam[:, None] * d0, c)
         return (self.M0, c, np.eye(self.dim)), diagonal
 
-    def shifted(self, nu: float, z: complex) -> np.ndarray:
-        return (1.0 - nu * z) * self.M0 + z * self.M1
-
     def analyticity(self, nu: float) -> tuple:
         return True, "polynomial symbol, entire"
 
@@ -803,26 +835,17 @@ class DelayLaw(_PencilLaw):
             return None, None
         return None, (lambda lam: lam[:, None] * d0 + np.exp(lam * self.h)[:, None], self.M1 + a)
 
+    @property
+    def rho_floor(self) -> float:
+        """Re(lambda h) = 700, near where exp(lambda h) overflows."""
+        return 700.0 / self.h
+
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:
             raise ValueError(_OFF_DOMAIN)
-        w = self.h / z
-        if w.real > 700.0:
+        if (1.0 / z).real <= self.rho_floor:
             raise ValueError(f"delay term exp(h/z) overflows at z = {z}")
-        return self.M0 + z * np.exp(w) * np.eye(self.dim) + z * self.M1
-
-    def _shifted(self, nu: float, z: complex) -> np.ndarray:
-        w = (1.0 / z - nu) * self.h
-        if w.real > 700.0:
-            raise ValueError(f"delay term overflows at z = {z}")
-        return (1.0 - nu * z) * self.M0 + z * np.exp(w) * np.eye(self.dim) + z * self.M1
-
-    def stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
-        """None where ``symbol`` or ``shifted`` may refuse: Re(lambda h)
-        above 699, within rounding of their guard 700."""
-        if ((lam * self.h).real > 699.0).any():
-            return None
-        return super().stack_eigenvalues(lam)
+        return self.M0 + z * np.exp(self.h / z) * np.eye(self.dim) + z * self.M1
 
     def analyticity(self, nu: float) -> tuple:
         return True, "holomorphic away from 0, which lies in the excluded ball"
@@ -931,23 +954,20 @@ class IntegroLaw(MaterialLaw):
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:
             raise ValueError(_OFF_DOMAIN)
-        r = 1.0 / (2.0 * self.kernel.nu0)
-        if abs(z + r) <= r + 1e-15:
-            raise ValueError(
-                f"z = {z} lies in the singular ball of radius {r:.6g} centered at {-r:.6g}")
-        return self._shifted(0.0, z)  # 1 - 0*z = 1 exactly: M(z) itself
+        lam = 1.0 / z
+        if lam.real <= self.rho_floor:  # Re 1/z <= -nu0: |z + r| <= r, r = 1/(2 nu0)
+            raise ValueError(f"z = {z} lies in the singular ball of radius "
+                             f"{-0.5 / self.rho_floor:.6g} centered at {0.5 / self.rho_floor:.6g}")
+        # the paper's form I - sqrt(2 pi) Chat(-i lambda) of W(lambda)
+        eye = np.eye(self.dim)
+        chat = _kernel_w(self.kernel, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
+        return np.linalg.inv(eye - SQRT_2PI * chat) + (self.c * z) * eye
 
     def _shifted(self, nu: float, z: complex) -> np.ndarray:
         nu0 = self.kernel.nu0
         if nu > nu0 + 1e-12:
             raise ValueError(f"shifted symbol needs nu <= nu0 = {nu0}, got {nu}")
-        lam = 1.0 / z - nu
-        if lam.real < -(nu0 + 1e-12):
-            raise ValueError(f"Chat is defined for Re(1/z) - nu >= -nu0 = {-nu0}, got {lam.real}")
-        # the paper's form I - sqrt(2 pi) Chat(-i lambda) of W(lambda)
-        eye = np.eye(self.dim)
-        chat = _kernel_w(self.kernel, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
-        return (1.0 - nu * z) * np.linalg.inv(eye - SQRT_2PI * chat) + (self.c * z) * eye
+        return super()._shifted(nu, z)
 
     def analyticity(self, nu: float) -> tuple:
         nu0 = self.kernel.nu0
@@ -955,7 +975,7 @@ class IntegroLaw(MaterialLaw):
             return True, f"singular ball of kernel (nu0 = {nu0:.6g}) is contained in the excluded ball"
         return False, f"requested nu = {nu:.6g} exceeds kernel nu0 = {nu0:.6g}"
 
-    def stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
+    def _stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
         """In the modes' joint eigenbasis U, lambda M(1/lambda) is
         U diag(lambda / w_i + c) U* with w_i = w_i(lambda), the diagonal of
         U* W U.  U* gamma_j U is diagonal only up to its off-diagonal part
@@ -1064,21 +1084,10 @@ def frequency_operator_stack(law: MaterialLaw, xi, rho: float) -> np.ndarray:
     ``stack`` leaves to its callers, and maps frequencies to lambda.
     Returns an array of shape (len(xi), dim, dim).  rho must exceed the
     law's ``rho_floor``: -nu0 for the integro family, so that the line stays
-    clear of the kernel's poles.
+    clear of the kernel's poles, and 700/h for the delay family.
     """
     if rho <= law.rho_floor:
         raise ValueError(f"need rho > {law.rho_floor:.6g}, got {rho}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     return law.stack(1j * xi + rho)
 
-
-def shifted_symbol(law: MaterialLaw, nu: float, z: complex) -> np.ndarray:
-    """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)).
-
-    Evaluated through closed per-family forms that stay finite at the
-    removable point z = 1/nu.  For nu = 0 this is M(z) itself.  A function
-    rather than ``law.shifted``: it refuses nu < 0, which the method does not.
-    """
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    return law.shifted(nu, complex(z))

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from evostab.certify import SHIFT_RADII, HypothesisResult, SamplingConfig, _sigma_grid
-from evostab.material import _SIGN_LINES, _SIGN_TS, _norm2, shifted_symbol
+from evostab.material import _SIGN_LINES, _SIGN_TS, _norm2
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Break points around an avoided crossing t_c: t_c itself and t_c +- these
@@ -150,7 +150,7 @@ def shifted_bounded_oracle(law, nu: float) -> HypothesisResult:
             if nu > 0 and abs(1.0 / nu - r) < r:
                 pts.append(1.0 / nu)  # removable point of the substitution
             for z in pts:
-                norm = _norm2(shifted_symbol(law, nu, z))
+                norm = _norm2(law.shifted(nu, z))
                 if not math.isfinite(norm):
                     return HypothesisResult(False, f"shifted symbol not finite at z = {z}")
                 worst = max(worst, norm)

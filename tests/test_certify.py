@@ -512,8 +512,8 @@ class TestShiftedBounded:
     def test_diagonal_pencil_laws_match_dense_loop(self, data, dim, nu):
         d0, d1, e = data.draw(hnp.arrays(float, (3, dim), elements=st.floats(-2.0, 2.0)))
         m0, m1 = np.diag(np.abs(d0)), np.diag(d1 + 1j * e)
-        # |h| >= 5000 puts w.real = (Re 1/z - nu) |h| past the guard's 700 at
-        # the points near z = 20 once nu > 0.05 + 700/|h|
+        # |h| >= 5000 puts Re(lambda h) = (Re 1/z - nu) |h| past the floor's
+        # 700 at the points near z = 20 once nu > 0.05 + 700/|h|
         h = -data.draw(st.one_of(st.floats(0.1, 2.0), st.floats(5e3, 2e4)))
         for law in (DaeLaw(m0, m1), DelayLaw(m0, m1, h)):
             assert_same_result(_check_shifted_bounded(law, nu), shifted_bounded_oracle(law, nu))
@@ -527,9 +527,9 @@ class TestShiftedBounded:
         assert_same_result(_check_shifted_bounded(law, nu), shifted_bounded_oracle(law, nu))
 
     @pytest.mark.parametrize("law, nu, evidence", [
-        (DelayLaw([[1.0]], [[2.0]], -1e4), 0.5, "shifted symbol unavailable: delay term overflows"),
-        # largest w.real 705, past the guard but below exp's overflow at 709.78
-        (DelayLaw([[1.0]], [[2.0]], -1567.0), 0.5, "shifted symbol unavailable: delay term overflows"),
+        (DelayLaw([[1.0]], [[2.0]], -1e4), 0.5, "shifted symbol unavailable: Re(1/z) - nu = "),
+        # largest Re(lambda h) 705, past the floor but below exp's overflow at 709.78
+        (DelayLaw([[1.0]], [[2.0]], -1567.0), 0.5, "shifted symbol unavailable: Re(1/z) - nu = "),
         (IntegroLaw(scalar_kernel(), 1.0), 0.6, "shifted symbol unavailable: shifted symbol needs"),
     ])
     def test_refused_points_keep_the_dense_evidence(self, law, nu, evidence):
@@ -704,6 +704,13 @@ class TestCertify:
         assert certify(IntegroLaw(scalar_kernel(), 1.0), 0.0, kw).sample_grid == grid
         assert certify(DelayLaw([[1.0]], [[2.0]], -1.0), 0.0, kw).sample_grid == \
             grid + " plus critical values"
+
+    def test_single_sigma_grid_names_the_sampled_sigma(self):
+        # n_sigma = 1 at nu = 0.3 samples sigma = -nu + nu/1 = 0 alone
+        cfg = SamplingConfig(n_sigma=1, n_tau=5)
+        assert _sigma_grid(0.3, cfg).tolist() == [0.0]
+        grid = "sigma in [0, 0] x 1, tau in [-100, 100] x 5"
+        assert certify(DaeLaw([[1.0]], [[2.0]]), 0.3, cfg).sample_grid == grid
 
     def test_rate_cap_for_algebraic_law(self):
         rep = certify(DaeLaw([[0.0]], [[2.0]]), 1.0)

@@ -14,7 +14,8 @@ from evostab import (CustomLaw, DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLa
                      KernelAdmissibilityError, KernelMode, QuadratureError, TimeGrid,
                      build_mixed_type_system, certify, check_kernel_conditions,
                      gaussian_pulse, hermitian_part_min_eig, indicators_from_intervals,
-                     kernel_eval, kernel_hat, kernel_weighted_l1, shifted_symbol, solve)
+                     kernel_eval, kernel_hat, kernel_weighted_l1, solve)
+from evostab.certify import SHIFT_RADII
 from evostab.material import _eigvalsh, frequency_operator_stack
 
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -515,55 +516,109 @@ class TestCustomStack:
             law.stack(-1.0 + 1j * np.linspace(-1.0, 1.0, 5))  # tau = 0 gives z = -1
 
 
+LAW_FAMILIES = ["dae", "dae-dense", "delay", "delay-dense", "integro", "integro-rot"]
+
+
+def draw_law(data, dim, family):
+    """A structured law of one of ``LAW_FAMILIES``: DAE and delay laws with
+    diagonal M0 and M1, or with a Hermitian nonnegative M0 and an M1 that are
+    not diagonal (``-dense``); integro laws with nu0 = 0.5 and modes that are
+    diagonal, or turned by a random unitary (``-rot``)."""
+    if family.startswith(("dae", "delay")):
+        if family.endswith("-dense"):
+            re, im, m1r, m1i = data.draw(hnp.arrays(float, (4, dim, dim),
+                                                    elements=st.floats(-1.0, 1.0)))
+            a = re + 1j * im
+            m0, m1 = a @ a.conj().T, 2.0 * (m1r + 1j * m1i)
+            m0 = 0.5 * (m0 + m0.conj().T)
+        else:
+            d0, d1, e = data.draw(hnp.arrays(float, (3, dim), elements=st.floats(-2.0, 2.0)))
+            m0, m1 = np.diag(np.abs(d0)), np.diag(d1 + 1j * e)
+        return (DaeLaw(m0, m1) if family.startswith("dae")
+                else DelayLaw(m0, m1, -data.draw(st.floats(0.1, 2.0))))
+    q = np.eye(dim)
+    if family == "integro-rot":
+        re, im = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+        q = np.linalg.qr(re + 2.0 * np.eye(dim) + 1j * im)[0]
+    modes = []
+    for beta in data.draw(st.lists(st.floats(1.0, 3.0), min_size=1, max_size=3)):
+        d = data.draw(hnp.arrays(float, dim, elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
+        modes.append(KernelMode(q @ np.diag(0.1 * (beta - 0.5) * d) @ q.conj().T, beta))
+    return IntegroLaw(Kernel(tuple(modes), nu0=0.5), data.draw(st.floats(0.2, 2.0)))
+
+
 class TestShiftedSymbol:
     def test_nu_zero_is_plain_symbol(self):
         law = DelayLaw([[1.0]], [[2.0]], h=-1.0)
         z = 0.4 + 0.3j
-        assert np.abs(shifted_symbol(law, 0.0, z) - law.symbol(complex(z))).max() <= 1e-15
+        assert np.abs(law.shifted(0.0, z) - law.symbol(complex(z))).max() <= 1e-15
 
     def test_dae_removable_point(self):
         # at z = 1/nu the prefactor vanishes and only z*M1 survives
         law = DaeLaw([[1.0]], [[2.0]])
-        assert shifted_symbol(law, 1.0, 1.0)[0, 0] == pytest.approx(2.0)
+        assert law.shifted(1.0, 1.0)[0, 0] == pytest.approx(2.0)
 
-    def test_matches_unshifted_composition(self):
-        m0 = np.array([[2.0, 0.5], [0.5, 1.0]])
-        m1 = np.array([[1.0, 1.0], [-1.0, 3.0]])
-        laws = [
-            DaeLaw(m0, m1),
-            DelayLaw(m0, m1, h=-0.7),
-            IntegroLaw(Kernel(modes=(KernelMode(0.25 * np.eye(2), 1.0),), nu0=0.5), c=1.2),
-        ]
-        rng = np.random.default_rng(22)
-        for law in laws:
-            nu = 0.3
-            for _ in range(10):
-                z = complex(rng.uniform(0.05, 0.5), rng.uniform(-0.3, 0.3))
-                w = z / (1.0 - nu * z)
-                if law.family == "integro":
-                    r = 1.0 / (2 * law.kernel.nu0)
-                    if abs(w + r) <= r + 1e-6:
-                        continue
-                direct = (1.0 - nu * z) * law.symbol(complex(w))
-                got = shifted_symbol(law, nu, z)
-                assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), family=st.sampled_from(LAW_FAMILIES),
+           nu=st.floats(1e-3, 0.5), r=st.sampled_from(SHIFT_RADII),
+           s=st.sampled_from([0.25, 0.5, 0.8, 0.95, 0.999]), theta=st.floats(0.0, 2.0 * np.pi))
+    def test_matches_unshifted_composition(self, data, dim, family, nu, r, s, theta):
+        # z on a spot-check circle, nu in (0, nu0]; symbol is the independent
+        # definition of the z * stack(1/z - nu) that shifted evaluates
+        law = draw_law(data, dim, family)
+        z = complex(r + s * r * np.exp(1j * theta))
+        assume(1.0 - nu * z != 0)
+        direct = (1.0 - nu * z) * law.symbol(z / (1.0 - nu * z))
+        got = law.shifted(nu, z)
+        assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+        assert np.isfinite(law.shifted(nu, 1.0 / nu)).all()  # the removable point
 
     def test_integro_nu_guard(self):
         law = IntegroLaw(scalar_kernel(), c=1.0)
         with pytest.raises(ValueError):
-            shifted_symbol(law, 0.6, 0.5)
+            law.shifted(0.6, 0.5)
 
     def test_custom_needs_rule(self):
         law = CustomLaw(1, lambda z: np.array([[1.0 + z]]))
         with pytest.raises(ValueError):
-            shifted_symbol(law, 0.5, 1.0)
+            law.shifted(0.5, 1.0)
         with_rule = CustomLaw(1, lambda z: np.array([[1.0 + z]]),
                               shifted_fn=lambda nu, z: np.array([[1.0 - nu * z + z]]))
-        assert shifted_symbol(with_rule, 0.5, 1.0)[0, 0] == pytest.approx(1.5)
+        assert with_rule.shifted(0.5, 1.0)[0, 0] == pytest.approx(1.5)
 
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError):
-            shifted_symbol(DaeLaw([[1.0]], [[2.0]]), -0.1, 1.0)
+            DaeLaw([[1.0]], [[2.0]]).shifted(-0.1, 1.0)
+
+
+class TestDomainFloor:
+    """rho_floor is where each law stops: symbol, shifted and
+    frequency_operator_stack answer just above it and refuse just below it,
+    and stack_eigenvalues is None within |rho_floor| / 700 above it."""
+
+    @pytest.mark.parametrize("law", [
+        DelayLaw(np.diag([1.0, 0.5]), np.diag([3.0, 2.5]), h=-1.0),  # floor Re(lambda h) = 700
+        IntegroLaw(scalar_kernel(), c=1.0),  # floor -nu0 = -0.5
+    ], ids=["delay", "integro"])
+    def test_every_evaluation_stops_at_the_floor(self, law):
+        floor, nu, tau = law.rho_floor, 0.3, 2.0
+        for rho, inside in ((floor * (1.0 - 1e-9), True), (floor * (1.0 + 1e-9), False)):
+            lam = complex(rho, tau)
+            evaluations = (lambda: law.symbol(1.0 / lam),
+                           lambda: law.shifted(nu, 1.0 / (lam + nu)),
+                           lambda: frequency_operator_stack(law, [tau], rho))
+            for evaluate in evaluations:
+                if inside:
+                    assert np.isfinite(evaluate()).all()
+                else:
+                    with pytest.raises(ValueError):
+                        evaluate()
+            assert law.stack_eigenvalues(np.array([lam])) is None
+        lam = np.array([complex(floor * (1.0 - 2.0 / 700.0), tau)])
+        values, slack = law.stack_eigenvalues(lam)
+        eig = np.linalg.eigvals(law.stack(lam)[0])
+        gap = np.abs(np.sort_complex(values[0]) - np.sort_complex(eig)).max()
+        assert gap <= np.max(slack) + 1e-12 * np.abs(eig).max()
 
 
 class TestShiftedNorms:
@@ -586,7 +641,7 @@ class TestShiftedNorms:
             values, slack = law.stack_eigenvalues(1.0 / self.Z - nu)
             # the shifted symbol at z is z * stack(1/z - nu)
             norms, slack = np.abs(self.Z) * np.abs(values).max(axis=1), np.abs(self.Z) * slack
-            dense = [np.linalg.norm(shifted_symbol(law, nu, z), 2) for z in self.Z]
+            dense = [np.linalg.norm(law.shifted(nu, z), 2) for z in self.Z]
             assert np.all(np.abs(norms - dense) <= slack + 1e-14 * np.max(dense))
 
     def test_none_without_structure_or_where_shifted_refuses(self):
@@ -598,8 +653,8 @@ class TestShiftedNorms:
         assert CustomLaw(1, lambda z: np.array([[1.0 + z]])).stack_eigenvalues(lam) is None
         delay = DelayLaw([[1.0]], [[2.0]], h=-1.0)
         assert delay.stack_eigenvalues(1.0 / np.array([1e-3 + 0j, 1.0]) - 0.3) is not None
-        with pytest.raises(ValueError, match="overflows"):
-            shifted_symbol(delay, 0.3, -1.4e-3)  # w.real = 714.6
+        with pytest.raises(ValueError, match="rho_floor"):
+            delay.shifted(0.3, -1.4e-3)  # Re(lambda h) = 714.6
         assert delay.stack_eigenvalues(1.0 / np.array([-1.4e-3 + 0j, 1.0]) - 0.3) is None
         noncommuting = Kernel((KernelMode([[1.0, 0.0], [0.0, 2.0]], 2.0),
                                KernelMode([[2.0, 1.0], [1.0, 2.0]], 3.0)), nu0=0.5)
@@ -615,21 +670,7 @@ class TestShiftedNorms:
     @given(data=st.data(), dim=st.integers(1, 4),
            family=st.sampled_from(["dae", "delay", "integro", "integro-rot"]))
     def test_values_are_the_stack_eigenvalues(self, data, dim, family):
-        if family in ("dae", "delay"):
-            d0, d1, e = data.draw(hnp.arrays(float, (3, dim), elements=st.floats(-2.0, 2.0)))
-            m0, m1 = np.diag(np.abs(d0)), np.diag(d1 + 1j * e)
-            law = (DaeLaw(m0, m1) if family == "dae"
-                   else DelayLaw(m0, m1, -data.draw(st.floats(0.1, 2.0))))
-        else:
-            q = np.eye(dim)
-            if family == "integro-rot":
-                re, im = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
-                q = np.linalg.qr(re + 2.0 * np.eye(dim) + 1j * im)[0]
-            modes = []
-            for beta in data.draw(st.lists(st.floats(1.0, 3.0), min_size=1, max_size=3)):
-                d = data.draw(hnp.arrays(float, dim, elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
-                modes.append(KernelMode(q @ np.diag(0.1 * (beta - 0.5) * d) @ q.conj().T, beta))
-            law = IntegroLaw(Kernel(tuple(modes), nu0=0.5), data.draw(st.floats(0.2, 2.0)))
+        law = draw_law(data, dim, family)
         lam = (data.draw(hnp.arrays(float, 5, elements=st.floats(-0.45, 10.0)))
                + 1j * data.draw(hnp.arrays(float, 5, elements=st.floats(-50.0, 50.0))))
         values, slack = law.stack_eigenvalues(lam)

@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for twenty fixed configs.
+"""Print the sha256 of every CLI artifact for twenty-one fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -43,6 +43,10 @@ the step's weighted edge mass is still above the warning threshold), and a
 same run, given relative to the config file.  The echo of that case holds
 the absolute path, so every artifact is digested with the run directory's
 path written as ``$TMP``, and the digest does not change from run to run.
+``integro-far`` is the ``integro`` config at nu = 0.6, above the kernel's
+nu0 = 0.5, through ``certify`` only (exit 1): the analyticity check fails,
+so the positivity scan in the modes' joint eigenbasis takes every point of
+the grid, and the shifted-symbol check reports its refusal of nu > nu0.
 The output is one sorted ``<case>-<command>/<file> <sha256>`` line per
 artifact, then one ``<case>-<command> exit=<code>`` line per command.
 
@@ -186,13 +190,17 @@ CASES["custom-pole"] = {**CASES["custom"], "custom": {"import": "digest_custom_l
 # writes, so it must come after dae here.
 CASES["dae-step"] = {**CASES["dae"], "forcing": {"kind": "step_exp", "start": 0.0, "rate": 4.0}}
 CASES["dae-csv"] = {**CASES["dae"], "forcing": {"kind": "csv", "path": "dae-solve/solution.csv"}}
+# nu = 0.6 above the kernel's nu0 = 0.5: analyticity fails, so every point of
+# the positivity grid is scanned, and the shifted symbol is refused.
+CASES["integro-far"] = {**CASES["integro"], "nu": 0.6}
 
 # Commands per case: certify, solve and verify unless named here.  solve and
 # ivp do not depend on nu.
 COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certify", "verify"],
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
             "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
-            "delay-dense": ["solve", "verify"], "custom-pole": ["certify"]}
+            "delay-dense": ["solve", "verify"], "custom-pole": ["certify"],
+            "integro-far": ["certify"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
