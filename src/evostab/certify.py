@@ -36,7 +36,9 @@ assembly, and three names kept for ``perfbench/spans.py``, which times them
 here.  Kernel admissibility is one :class:`KernelConditionReport` per
 kernel, evaluated once and cached on the kernel next to which it lives in
 :mod:`evostab.material`; the integro law raises on its structural
-conditions when built and on its sign condition in the rate.
+conditions when built and on its sign condition in the rate, and without
+the sign condition it has no closed-form bound, so its certificate is the
+sampled one.
 :func:`check_kernel_conditions` returns that report and is re-exported
 here.
 """
@@ -137,9 +139,12 @@ def solvability_constant(law: MaterialLaw, nu: float, sigma_max: float = Samplin
     tau = k pi/|h| inside the rectangle, where cos(tau h) = +-1 (the "plus
     critical values" of the report).
 
-    Raises :class:`NonFiniteSymbolError`, naming the sigma of the first
-    point that is not finite, when z^-1 M(z) is not finite at a sampled
-    point.
+    The scans that sample point by point (the dense one and the integro
+    one) leave out lambda = 0, which is not in the domain and which a row
+    sigma = 0 holds when ``n_tau`` is odd (``n_sigma = 1`` at nu > 0, for
+    one); a grid of that point alone is a ValueError.  Raises
+    :class:`NonFiniteSymbolError`, naming the sigma of the first point that
+    is not finite, when z^-1 M(z) is not finite at a sampled point.
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")

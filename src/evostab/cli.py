@@ -6,6 +6,13 @@ keys its family does not read left out) to ``config_echo.json`` in the output
 directory, and the echo loads back as the same config.  Report files are
 ``key=value`` lines in a fixed key order so that repeated runs diff clean.
 
+The schema is two tables.  ``_FAMILY_KEYS`` has one row per family: the
+keys it requires, the keys it may carry, and the builder of its law and
+operator.  ``_FORCINGS`` has one row per forcing kind: its defaults and the
+builder of its signal.  Validation, the echo, the problem and the forcing
+all read those rows, and the errors for an unknown family or forcing kind
+list their keys, so a family or kind is added by adding its row.
+
 Every command builds the problem once and runs up to three steps: the
 certify step (``report.txt``, ``report.kv``), the solution step
 (``solution.csv``, ``metadata.kv``) and, for ``verify``, the decay step
@@ -47,21 +54,33 @@ RESIDUAL_LIMIT = 1e-8
 
 # The config schema.  Every family may carry the common keys; of the rest, a
 # family requires the first keys of its entry, may carry the second, and is
-# refused any other.
+# refused any other; the third builds its law and operator (or None) from a
+# resolved config.  A forcing kind's entry is its defaults and the builder of
+# its signal on a grid and dimension.  The builders look the spatial and
+# signal helpers up in this module when they run, so that a traced run can
+# replace them here.
 _COMMON_KEYS = ("family", "grid", "rho", "nu", "forcing", "u0", "phi_scale", "sampling")
 _FAMILY_KEYS = {
-    "dae": (("m0", "m1"), ("a", "check_certified")),
-    "delay": (("m0", "m1", "h"), ("a", "check_certified")),
-    "integro": (("kernel", "c"), ("a",)),
-    "mixed1d": (("mixed",), ("check_certified",)),
-    "custom": (("custom",), ("check_certified",)),
+    "dae": (("m0", "m1"), ("a", "check_certified"),
+            lambda cfg: (DaeLaw(*_m0_m1(cfg)), None)),
+    "delay": (("m0", "m1", "h"), ("a", "check_certified"),
+              lambda cfg: (DelayLaw(*_m0_m1(cfg), cfg["h"]), None)),
+    "integro": (("kernel", "c"), ("a",),
+                lambda cfg: (IntegroLaw(_parse_kernel(cfg["kernel"]), cfg["c"]), None)),
+    "mixed1d": (("mixed",), ("check_certified",), lambda cfg: _parse_mixed(cfg["mixed"])),
+    "custom": (("custom",), ("check_certified",),
+               lambda cfg: _load_custom(cfg["custom"]["import"])),
 }
-_CONFIG_KEYS = set(_COMMON_KEYS).union(*(req + opt for req, opt in _FAMILY_KEYS.values()))
-_FORCING_DEFAULTS = {
-    "pulse": {"center": 0.5, "width": 0.1, "amplitude": 1.0},
-    "step_exp": {"start": 0.0, "rate": 1.0},
-    "csv": {},
-    "zero": {},
+_CONFIG_KEYS = set(_COMMON_KEYS).union(*(req + opt for req, opt, _ in _FAMILY_KEYS.values()))
+_FORCINGS = {
+    "pulse": ({"center": 0.5, "width": 0.1, "amplitude": 1.0},
+              lambda spec, grid, dim: gaussian_pulse(grid, spec["center"], spec["width"],
+                                                     dim=dim, amplitude=spec["amplitude"])),
+    "step_exp": ({"start": 0.0, "rate": 1.0},
+                 lambda spec, grid, dim: step_exp(grid, start=spec["start"], rate=spec["rate"],
+                                                  dim=dim)),
+    "csv": ({}, lambda spec, grid, dim: _csv_forcing(spec, grid, dim)),
+    "zero": ({}, lambda spec, grid, dim: Signal.zeros(grid, dim)),
 }
 
 
@@ -144,7 +163,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     _object(raw, "config", ("family", "grid", "rho"), _CONFIG_KEYS)
     family = raw["family"]
     _require(isinstance(family, str) and family in _FAMILY_KEYS,
-             f"family must be one of dae|delay|integro|mixed1d|custom, got {family!r}")
+             f"family must be one of {'|'.join(_FAMILY_KEYS)}, got {family!r}")
     cfg = {key: raw.get(key) for key in _CONFIG_KEYS}
 
     grid = _object(raw["grid"], "grid", ("t0", "dt", "n_steps"))
@@ -160,9 +179,9 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
 
     forcing = raw.get("forcing", {"kind": "zero"})
     kind = forcing.get("kind") if isinstance(forcing, dict) else None
-    _require(isinstance(kind, str) and kind in _FORCING_DEFAULTS,
-             f"forcing.kind must be pulse|step_exp|csv|zero, got {kind!r}")
-    defaults = _FORCING_DEFAULTS[kind]
+    _require(isinstance(kind, str) and kind in _FORCINGS,
+             f"forcing.kind must be {'|'.join(_FORCINGS)}, got {kind!r}")
+    defaults = _FORCINGS[kind][0]
     _object(forcing, "forcing", ("kind", "path") if kind == "csv" else ("kind",), defaults)
     for key in defaults:  # checked only: the echo keeps the raw value
         _number(forcing.get(key, defaults[key]), f"forcing.{key}")
@@ -190,7 +209,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
         _require(isinstance(spec, str) and ":" in spec,
                  f"custom.import must be a string package.module:callable, got {spec!r}")
 
-    required, optional = _FAMILY_KEYS[family]
+    required, optional, _ = _FAMILY_KEYS[family]
     _object(raw, f"{family} config", required, _COMMON_KEYS + optional)
     return cfg
 
@@ -202,50 +221,16 @@ class _BuiltProblem:
         self.cfg = cfg
         self.grid = TimeGrid(cfg["grid"]["t0"], cfg["grid"]["dt"], cfg["grid"]["n_steps"])
         self.family = cfg["family"]
-        self.kernel = None
-        self.c = None
-        self.A = None
-
-        family = self.family
-        if family in ("dae", "delay"):
-            m0 = _as_complex_matrix(cfg["m0"], "m0")
-            m1 = _as_complex_matrix(cfg["m1"], "m1")
-            self.law = DaeLaw(m0, m1) if family == "dae" else DelayLaw(m0, m1, cfg["h"])
-        elif family == "integro":
-            self.kernel = _parse_kernel(cfg["kernel"])
-            self.c = cfg["c"]
-            self.law = IntegroLaw(self.kernel, self.c)
-        elif family == "mixed1d":
-            system = _parse_mixed(cfg["mixed"])
-            self.law = system.law()
-            self.A = system.A
-        else:  # custom
-            self.law, self.A = _load_custom(cfg["custom"]["import"])
-
+        self.law, self.A = _FAMILY_KEYS[self.family][2](cfg)
+        # what solve_integro reads; None for the laws without a kernel
+        self.kernel, self.c = (getattr(self.law, key, None) for key in ("kernel", "c"))
         if cfg["a"] is not None:
             self.A = SpatialOperator(_as_complex_matrix(cfg["a"], "a"))
         self.dim = self.law.dim
 
     def forcing(self) -> Signal:
         spec = self.cfg["forcing"]
-        kind = spec["kind"]
-        if kind == "pulse":
-            return gaussian_pulse(self.grid, spec["center"], spec["width"], dim=self.dim,
-                                  amplitude=spec["amplitude"])
-        if kind == "step_exp":
-            return step_exp(self.grid, start=spec["start"], rate=spec["rate"], dim=self.dim)
-        if kind == "csv":
-            # the file's dt is rebuilt as t[1] - t[0], so compare the times
-            # themselves, within the reader's tolerance, not the grids
-            try:
-                f = signal_from_csv(spec["path"])
-            except OSError as exc:
-                raise ConfigError(f"cannot read forcing csv {spec['path']}: {exc}") from exc
-            _require(_times_close(f.grid.times, self.grid.times),
-                     "forcing: csv grid does not match the config grid")
-            _require(f.dim == self.dim, "forcing: csv dimension does not match the problem")
-            return Signal(self.grid, f.values)
-        return Signal.zeros(self.grid, self.dim)
+        return _FORCINGS[spec["kind"]][1](spec, self.grid, self.dim)
 
     # ``threads`` is ignored: perfbench/workloads.py still passes threads=1.
     def run_solve(self, f: Signal, threads: int = 1) -> Signal:
@@ -253,6 +238,25 @@ class _BuiltProblem:
             return solve_integro(self.kernel, self.c, self.A, f, self.cfg["rho"])
         problem = EvolutionaryProblem(self.law, self.A, self.cfg["rho"], f)
         return solve(problem, check_certified=self.cfg["check_certified"])
+
+
+def _m0_m1(cfg: dict) -> tuple:
+    return _as_complex_matrix(cfg["m0"], "m0"), _as_complex_matrix(cfg["m1"], "m1")
+
+
+def _csv_forcing(spec: dict, grid: TimeGrid, dim: int) -> Signal:
+    """The forcing read from ``spec["path"]``, which must hold ``grid`` and
+    ``dim`` components."""
+    # the file's dt is rebuilt as t[1] - t[0], so compare the times
+    # themselves, within the reader's tolerance, not the grids
+    try:
+        f = signal_from_csv(spec["path"])
+    except OSError as exc:
+        raise ConfigError(f"cannot read forcing csv {spec['path']}: {exc}") from exc
+    _require(_times_close(f.grid.times, grid.times),
+             "forcing: csv grid does not match the config grid")
+    _require(f.dim == dim, "forcing: csv dimension does not match the problem")
+    return Signal(grid, f.values)
 
 
 def _parse_kernel(node: dict) -> Kernel:
@@ -267,7 +271,8 @@ def _parse_kernel(node: dict) -> Kernel:
     return Kernel(tuple(modes), _number(node["nu0"], "kernel.nu0"))
 
 
-def _parse_mixed(node: dict):
+def _parse_mixed(node: dict) -> tuple:
+    """The mixed-type example's law and operator."""
     _object(node, "mixed", ("p", "c", "omega0", "omega1"))
     p = _number(node["p"], "mixed.p", integral=True)
     for key in ("omega0", "omega1"):
@@ -275,10 +280,11 @@ def _parse_mixed(node: dict):
         _require(isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)),
                  f"mixed.{key} must be a finite interval of two numbers [lo, hi], got {pair!r}")
     ind0, ind1 = indicators_from_intervals(p, tuple(node["omega0"]), tuple(node["omega1"]))
-    return build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, _number(node["c"], "mixed.c"))
+    system = build_mixed_type_system(p, 1.0 / (p + 1), ind0, ind1, _number(node["c"], "mixed.c"))
+    return system.law(), system.A
 
 
-def _load_custom(spec: str):
+def _load_custom(spec: str) -> tuple:
     mod_name, attr = spec.split(":", 1)
     try:
         factory = getattr(importlib.import_module(mod_name), attr)
@@ -291,7 +297,7 @@ def _load_custom(spec: str):
 def _echo_config(cfg: dict, out_dir: str) -> None:
     """Write the resolved config as a config that loads back: the common keys
     and the family's own keys of ``_FAMILY_KEYS``, without null values."""
-    required, optional = _FAMILY_KEYS[cfg["family"]]
+    required, optional, _ = _FAMILY_KEYS[cfg["family"]]
     echo = {key: cfg[key] for key in _COMMON_KEYS + required + optional if cfg[key] is not None}
     with open(os.path.join(out_dir, "config_echo.json"), "w", encoding="ascii") as fh:
         json.dump(echo, fh, indent=2, sort_keys=True)

@@ -509,17 +509,18 @@ def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool):
     (sigma, lam): ``lam`` a 1-D array of points and ``sigma`` the sigma of
     each, in ascending sigma.
 
-    The full grid is one batch per sigma row.  The boundary scan keeps in
-    full every row with sigma at most one grid step, the larger of the sigma
-    and tau spacings.  Those rows pass through or near lambda = 0, z =
-    infinity, where the analyticity check says nothing, and near the line
-    Re lambda = -nu, where the singularities it allows can lie; the tau
-    spacing need not resolve the symbol there.  Of the other rows, at least
-    a step from every possible singularity, it takes the boundary of their
-    rectangle: the first and last in full and, in one batch between them,
-    the tau = +-tau_max ends of every other row.  With fewer than three rows
-    or three taus in all, or fewer than three of those other rows, every row
-    is scanned in full.
+    The full grid is one batch per sigma row, less the point lambda = 0,
+    z = infinity, which is not in the domain; a row left empty is skipped.
+    The boundary scan keeps in full every row with sigma at most one grid
+    step, the larger of the sigma and tau spacings.  Those rows pass through
+    or near lambda = 0, where the analyticity check says nothing, and near
+    the line Re lambda = -nu, where the singularities it allows can lie; the
+    tau spacing need not resolve the symbol there.  Of the other rows, at
+    least a step from every possible singularity, it takes the boundary of
+    their rectangle: the first and last in full and, in one batch between
+    them, the tau = +-tau_max ends of every other row.  With fewer than three
+    rows or three taus in all, or fewer than three of those other rows, every
+    row is scanned in full.
     """
     full = len(sigmas)
     if boundary and len(sigmas) >= 3 and len(taus) >= 3:
@@ -528,7 +529,10 @@ def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool):
         if len(sigmas) - full < 3:
             full = len(sigmas)
     for sigma in sigmas[:full]:
-        yield sigma, sigma + 1j * taus
+        lam = sigma + 1j * taus
+        lam = lam[lam != 0]
+        if len(lam):
+            yield sigma, lam
     upper = sigmas[full:]
     if len(upper):
         inner = upper[1:-1]
@@ -553,6 +557,9 @@ def _scan_min(batches, evaluate) -> float:
                     [np.isfinite(a).reshape(len(lam), -1).all(axis=1) for a in checked])
                 raise _nonfinite_line(float(np.broadcast_to(sigma, lam.shape)[np.argmin(finite)]))
             best = min(best, float(smallest().min()))
+    if best == np.inf:  # no batch: the grid is lambda = 0 alone
+        raise ValueError("the positivity grid holds no point but lambda = 0, "
+                         "z = infinity, which is not in the domain")
     return best
 
 
@@ -896,7 +903,10 @@ class IntegroLaw(MaterialLaw):
     STRUCT_TOL fall back to the dense scan.
 
     The bound c - nu (1 - L1(nu))^-1 holds for nu <= nu0 while the weighted
-    L1 norm L1(nu) stays below one; the rate is nu0 when the bound is
+    L1 norm L1(nu) stays below one and the transform sign condition
+    t Im Chat(t + i nu0) <= 0 holds: its derivation needs both, so without
+    the sign condition ``lower_bound`` is None at every nu, and the
+    certificate is the sampled one.  The rate is nu0 when the bound is
     nonnegative there, else its root in (0, nu0].  Construction raises on
     the structural conditions of :attr:`Kernel.conditions` and the rate on
     its transform sign condition.
@@ -1005,11 +1015,13 @@ class IntegroLaw(MaterialLaw):
         return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
 
     def lower_bound(self, nu: float) -> float | None:
-        if nu > self.kernel.nu0:
+        conditions = self.kernel.conditions
+        if nu > self.kernel.nu0 or not conditions.sign_ok:
             return None
         if nu == 0.0:
             return self.c
-        l1 = kernel_weighted_l1(self.kernel, nu)
+        # the report holds L1(nu0), from the same call
+        l1 = conditions.weighted_l1 if nu == conditions.nu0 else kernel_weighted_l1(self.kernel, nu)
         if l1 >= 1.0:
             return None
         return self.c - nu / (1.0 - l1)

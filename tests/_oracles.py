@@ -30,7 +30,8 @@ _CROSSING_OFFSETS = np.array([-1e-2, -1e-4, -1e-6, 0.0, 1e-6, 1e-4, 1e-2])
 
 def dense_positivity_scan(law, nu: float, **grid) -> float:
     """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over every
-    sampled (sigma, tau) of the certify grid, one sigma row at a time.
+    sampled (sigma, tau) of the certify grid, one sigma row at a time, less
+    lambda = sigma + i tau = 0, where z = 1/lambda is not finite.
 
     For a delay law the tau grid also holds the multiples of pi/|h| in
     [-tau_max, tau_max], where cos(tau h) takes its extremes."""
@@ -42,7 +43,11 @@ def dense_positivity_scan(law, nu: float, **grid) -> float:
         taus = np.unique(np.concatenate([taus, step * np.arange(-k_max, k_max + 1)]))
     best = np.inf
     for sigma in _sigma_grid(nu, cfg):
-        stack = law.stack(sigma + 1j * taus)
+        lam = sigma + 1j * taus
+        lam = lam[lam != 0]
+        if not len(lam):
+            continue
+        stack = law.stack(lam)
         herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
         best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
     return best

@@ -70,6 +70,20 @@ class TestRates:
         oracle = integro_rate_oracle(0.25, 1.0, 0.2, 0.5)
         assert got == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma, beta, c", [(-0.6, 2.0, 0.5), (-0.2, 1.0, 1.0)])
+    def test_integro_bound_needs_the_sign_condition(self, gamma, beta, c):
+        # the bound c - nu/(1 - L1(nu)) rests on t Im Chat(t + i nu0) <= 0,
+        # which a negative mode breaks: it claimed c(0) = 0.5 for the first
+        # law, whose Re z^-1 M(z) tends to -0.1, and c(0.3) = 0.58 for the
+        # second, whose infimum is 0.5
+        law = IntegroLaw(Kernel(modes=(KernelMode([[gamma]], beta),), nu0=0.5), c)
+        assert law.kernel.conditions.structural_ok and not law.kernel.conditions.sign_ok
+        assert [law.lower_bound(nu) for nu in (0.0, 0.3, 0.5)] == [None] * 3
+        rep = certify(law, 0.0, SamplingConfig(tau_max=5.0))
+        assert rep.certificate == "sampled" and rep.c_nu == rep.c_nu_sampled
+        assert rep.warnings == ("closed-form rate unavailable: "
+                                + "; ".join(law.kernel.conditions.problems()),)
+
     def test_integro_rate_rejects_bad_kernel(self):
         with pytest.raises(KernelAdmissibilityError):
             IntegroLaw(Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5), 1.0).rate()
@@ -390,11 +404,12 @@ class TestBoundaryScan:
         assert got >= full
         assert got == pytest.approx(dense_positivity_scan(law, nu, **kw), **MATCH)
 
-    # n_tau = 40 keeps tau = 0 off the grid: one sigma row at nu > 0 is
-    # sigma = 0, where z = 1/lambda is not finite at tau = 0
+    # n_sigma = 1 at nu > 0 is the row sigma = 0, which holds lambda = 0
+    # with an odd n_tau: both scans leave that point out
     @pytest.mark.parametrize("n_sigma, n_tau, tau_max", [
-        (1, 40, 20.0), (2, 40, 20.0), (3, 1, 20.0), (3, 2, 20.0), (1, 1, 20.0),
-        (2, 2, 20.0), (20, 1, 20.0), (20, 2, 20.0), (20, 41, 0.0), (3, 41, 0.0)])
+        (1, 40, 20.0), (2, 40, 20.0), (1, 41, 20.0), (2, 41, 20.0), (3, 1, 20.0),
+        (3, 2, 20.0), (1, 1, 20.0), (2, 2, 20.0), (20, 1, 20.0), (20, 2, 20.0),
+        (20, 41, 0.0), (3, 41, 0.0)])
     def test_degenerate_grids_equal_the_oracle(self, n_sigma, n_tau, tau_max):
         # every point is on the boundary, or every point of a row is one point
         rng = np.random.default_rng(7)
@@ -415,6 +430,25 @@ class TestBoundaryScan:
             mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
             got = solvability_constant(integro, 0.3, **kw)
         assert got == dense_positivity_scan(integro, 0.3, **kw)
+
+    @pytest.mark.parametrize("nu, kw, expected", [
+        (0.3, dict(n_sigma=1, n_tau=41), 2.0),
+        (1.5, dict(sigma_max=1.0, n_sigma=3, n_tau=41), 1.0),
+    ], ids=["one-row", "rows-minus-one-zero-one"])
+    def test_lambda_zero_is_left_out(self, nu, kw, expected):
+        # lambda M(1/lambda) = lambda + 2 is finite at lambda = 0, but the
+        # custom stack evaluates M at z = 1/lambda: the scan leaves it out
+        law = CustomLaw(1, lambda z: np.array([[1.0 + 2.0 * z]]),
+                        shifted_fn=lambda nu, z: np.array([[1.0 - nu * z + 2.0 * z]]))
+        assert 0.0 in _sigma_grid(nu, SamplingConfig(**kw))
+        rep = certify(law, nu, SamplingConfig(**kw))
+        assert rep.c_nu_sampled == pytest.approx(expected, abs=1e-12)
+        assert rep.c_nu_sampled == dense_positivity_scan(law, nu, **kw)
+
+    def test_a_grid_of_lambda_zero_alone_is_refused(self):
+        law = CustomLaw(1, lambda z: np.array([[1.0 + 2.0 * z]]))
+        with pytest.raises(ValueError, match="holds no point but lambda = 0"):
+            solvability_constant(law, 0.3, tau_max=0.0, n_sigma=1, n_tau=1)
 
     @pytest.mark.parametrize("singularities", [(), (3.0,)], ids=["boundary", "full-grid"])
     def test_nonfinite_edge_point_names_its_sigma(self, singularities):
@@ -711,6 +745,32 @@ class TestCertify:
         assert _sigma_grid(0.3, cfg).tolist() == [0.0]
         grid = "sigma in [0, 0] x 1, tau in [-100, 100] x 5"
         assert certify(DaeLaw([[1.0]], [[2.0]]), 0.3, cfg).sample_grid == grid
+
+    @pytest.mark.parametrize("law, problem", [
+        (DaeLaw([[1.0]], [[-1.0]]),
+         "Hermitian part of M1 must be positive definite, min eig = -1"),
+        (DelayLaw([[1.0]], [[1.0]], -1.0),
+         "need min eig of Hermitian part of M1 above 1, got 1"),
+    ], ids=["dae-indefinite-m1", "delay-m1-at-one"])
+    def test_missing_rate_is_a_warning(self, law, problem):
+        rep = certify(law, 0.0, SamplingConfig(n_sigma=4, n_tau=5))
+        assert rep.closed_form_rate is None and "closed_form_rate" not in dict(rep.kv_pairs())
+        assert rep.certificate == "closed_form" and not rep.passed
+        assert rep.warnings == (f"closed-form rate unavailable: {problem}",)
+
+    def test_sampled_minimum_can_contradict_a_claimed_bound(self):
+        # a bound that a law claims is checked against the sampled minimum:
+        # M(z) = -z has z^-1 M(z) = -1 everywhere
+        class ClaimedBound(CustomLaw):
+            def lower_bound(self, nu):
+                return 1.0
+
+        law = ClaimedBound(1, lambda z: np.array([[-z]]))
+        rep = certify(law, 0.0, SamplingConfig(n_sigma=4, n_tau=5))
+        assert rep.certificate == "closed_form" and rep.c_nu == 1.0
+        assert rep.c_nu_sampled == pytest.approx(-1.0)
+        assert not rep.positivity.passed and not rep.passed
+        assert rep.warnings == ("sampled minimum contradicts the closed-form bound",)
 
     def test_rate_cap_for_algebraic_law(self):
         rep = certify(DaeLaw([[0.0]], [[2.0]]), 1.0)

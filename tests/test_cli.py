@@ -17,7 +17,7 @@ import pytest
 
 from evostab import EdgeMassWarning, TimeGrid, gaussian_pulse, signal_to_csv
 from evostab.analysis import auto_tail_window, fit_decay_rate
-from evostab.cli import _BuiltProblem, main, resolve_config
+from evostab.cli import _FAMILY_KEYS, _FORCINGS, _BuiltProblem, main, resolve_config
 from evostab.errors import ConfigError
 
 
@@ -757,6 +757,18 @@ def test_unknown_family_exits_two(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (scalar_dae_cfg(family="hyperbolic"),
+     "family must be one of dae|delay|integro|mixed1d|custom, got 'hyperbolic'"),
+    (scalar_dae_cfg(forcing={"kind": "sine"}),
+     "forcing.kind must be pulse|step_exp|csv|zero, got 'sine'"),
+], ids=["family", "forcing.kind"])
+def test_unknown_family_or_forcing_kind_names_every_choice(cfg, message):
+    with pytest.raises(ConfigError) as info:
+        resolve_config(cfg)
+    assert str(info.value) == message
+
+
 def test_unknown_top_level_key_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(surprise=1))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -805,6 +817,38 @@ def test_family_requires_its_keys_and_takes_its_optional_ones(family):
         del cfg[key]
         with pytest.raises(ConfigError, match=rf"{family} config: missing keys \['{key}'\]"):
             resolve_config(cfg)
+
+
+# The law family and dimension each family's minimal config builds, and
+# whether it comes with an operator.
+BUILT = {"dae": ("dae", 1, False), "delay": ("delay", 1, False),
+         "integro": ("integro", 1, False), "mixed1d": ("dae", 97, True),
+         "custom": ("dae", 2, False)}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_KEYS))
+def test_every_family_row_builds_its_problem(tmp_path, monkeypatch, family):
+    install_custom_module(tmp_path, monkeypatch)
+    built = _BuiltProblem(resolve_config(FAMILY_CFGS[family]()))
+    assert (built.law.family, built.dim, built.A is not None) == BUILT[family]
+    integro = family == "integro"
+    assert (built.kernel is built.law.kernel) if integro else built.kernel is None
+    assert built.c == (1.0 if integro else None)
+
+
+@pytest.mark.parametrize("kind", list(_FORCINGS))
+@pytest.mark.parametrize("family", list(_FAMILY_KEYS))
+def test_every_forcing_kind_builds_a_signal_of_the_problem(tmp_path, monkeypatch, family, kind):
+    install_custom_module(tmp_path, monkeypatch)
+    raw = FAMILY_CFGS[family]()
+    if kind == "csv":  # a file on the problem's grid, of its dimension
+        built = _BuiltProblem(resolve_config(raw))
+        signal_to_csv(gaussian_pulse(built.grid, 0.5, 0.1, dim=built.dim), str(tmp_path / "f.csv"))
+    raw["forcing"] = {"kind": kind, **({"path": "f.csv"} if kind == "csv" else {})}
+    built = _BuiltProblem(resolve_config(raw, base_dir=str(tmp_path)))
+    f = built.forcing()
+    assert f.grid == built.grid and f.values.shape == (built.grid.n_steps, built.dim)
+    assert (np.abs(f.values).max() > 0) == (kind != "zero")
 
 
 @pytest.mark.parametrize("cfg, message", [

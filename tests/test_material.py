@@ -244,6 +244,21 @@ class TestKernel:
         assert calls == [0.5]
         assert check_kernel_conditions(kernel) is kernel.conditions
 
+    def test_rate_reads_the_reported_l1_at_nu0(self, monkeypatch):
+        # the rate's first bound is at nu0, where the report already holds L1
+        kernel = Kernel(modes=(KernelMode(np.diag([0.2, 0.1]), 1.0),
+                               KernelMode(np.diag([0.05, 0.1]), 2.0)), nu0=0.5)
+        law = IntegroLaw(kernel, c=1.0)
+        l1 = kernel_weighted_l1(kernel, 0.5)
+        calls = []
+        monkeypatch.setattr("evostab.material.kernel_weighted_l1",
+                            lambda kernel, nu: calls.append(nu) or l1)
+        assert law.lower_bound(0.5) == 1.0 - 0.5 / (1.0 - l1)
+        assert law.rate() == 0.5
+        assert calls == []
+        law.lower_bound(0.25)
+        assert calls == [0.25]
+
     def test_mode_eigenvalues(self):
         # commuting modes in a rotated basis: the joint eigenvalues come back
         # in one common order; non-commuting modes have no joint eigenbasis

@@ -61,3 +61,20 @@ def test_no_dead_private_names():
     dead = sorted({name for name in defined
                    if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= defined.count(name)})
     assert dead == []
+
+
+def test_readme_family_table_is_the_cli_schema():
+    # README's table of the keys each family requires and may carry restates
+    # evostab.cli._FAMILY_KEYS, row for row and in order
+    from evostab.cli import _FAMILY_KEYS
+
+    with open(os.path.join(os.path.dirname(TOOLS), "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("| family | requires | may carry |\n|---|---|---|\n", 1)[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        family, required, optional = (re.findall(r"`(\w+)`", cell)
+                                      for cell in line.strip("|").split("|"))
+        rows[family[0]] = (tuple(required), tuple(optional))
+    assert list(rows.items()) == [(family, (required, optional))
+                                  for family, (required, optional, _) in _FAMILY_KEYS.items()]
