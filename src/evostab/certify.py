@@ -6,7 +6,7 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     radius 1/(2 nu) centered at -1/(2 nu);
 (b) boundedness: the shifted symbol (1 - nu z) M(z (1 - nu z)^-1) stays
     bounded on balls B(r, r) (spot-checked at 480 points of the balls with
-    r in {0.5, 1, 10}, plus 1/nu when a ball holds it).  It is
+    r in {0.5, 1, 10}, plus 1/nu once when a ball holds it).  It is
     ``law.shifted(nu, z)``, z times the operator lambda M(1/lambda) of
     ``law.stack`` at lambda = 1/z - nu, refused where Re lambda is at or
     below the law's ``rho_floor``.  The reported maximum is a dense 2-norm;
@@ -235,15 +235,16 @@ class CertificationReport:
 
 def _shift_points(nu: float) -> list:
     """The spot-check points: 32 angles on five circles inside each ball
-    B(r, r), ball by ball, plus the removable point 1/nu where it falls
-    inside a ball."""
+    B(r, r), ball by ball, plus the removable point 1/nu once, after the
+    first ball that holds it (nu > 0.05): 480 or 481 points."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
     radii_frac = (0.25, 0.5, 0.8, 0.95, 0.999)
-    pts = []
+    pts, held = [], False
     for r in SHIFT_RADII:
         pts += [r + s * r * np.exp(1j * th) for s in radii_frac for th in thetas]
-        if nu > 0 and abs(1.0 / nu - r) < r:
+        if nu > 0 and not held and abs(1.0 / nu - r) < r:
             pts.append(1.0 / nu)  # removable point of the substitution
+            held = True
     return pts
 
 

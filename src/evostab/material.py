@@ -458,6 +458,9 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
     if not nu < kernel.beta_min:
         raise ValueError(f"weighted L1 integral diverges for nu = {nu} >= beta_min = {kernel.beta_min}")
 
+    if len(modes) == 1:
+        return _norm2(modes[0].gamma) / (modes[0].beta - nu)
+
     tail_tol = 1e-12 / len(modes)
     t_cut = 1.0
     for m in modes:
@@ -465,10 +468,6 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
         g = _norm2(m.gamma)
         if g > 0:
             t_cut = max(t_cut, np.log(max(g / (a * tail_tol), 1.0)) / a)
-
-    if len(modes) == 1:
-        g = _norm2(modes[0].gamma)
-        return g / (modes[0].beta - nu)
 
     curves = _norm_curves(kernel, nu)
     edges = np.linspace(0.0, t_cut, _L1_PANELS + 1)

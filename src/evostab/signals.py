@@ -17,6 +17,13 @@ Grid and transform conventions::
 Both sums are evaluated by FFT with phase corrections for ``t0`` and the
 centered frequency grid.
 
+The calculus is spectral: :func:`derivative`, :func:`antiderivative` and
+:func:`translate` each multiply the transform by one function of
+``i*xi + rho`` (itself, its inverse, and ``exp((i*xi + rho)*h)``), as the
+weighted time derivative becomes multiplication by ``i*xi + rho`` under the
+Fourier-Laplace transform.  The test oracles check the last two against a
+trapezoid sum and an index shift in the time domain.
+
 The grid is circular, so weighted mass at the first or last sample leaks
 across the ends under any transform-based operation; :func:`edge_mass`
 measures it, and :mod:`evostab.solver` holds the wrap-around policy that
@@ -208,38 +215,19 @@ def derivative(f: Signal, rho: float) -> Signal:
     return _multiply(f, rho, 1j * f.grid.frequencies + rho)
 
 
-def antiderivative(f: Signal, rho: float, mode: str = "spectral") -> Signal:
-    """Inverse of :func:`derivative` for rho != 0.
-
-    ``mode="spectral"`` divides by (i*xi + rho).  ``mode="time_domain"``
-    (rho > 0 only) integrates cumulatively from the left grid edge with the
-    trapezoid rule, a valid stand-in for integration from -infinity when the
-    signal vanishes near t0.  The two agree to quadrature accuracy and serve
-    as mutual checks.
-    """
+def antiderivative(f: Signal, rho: float) -> Signal:
+    """Inverse of :func:`derivative` for rho != 0: spectral division by
+    (i*xi + rho), that is integration from -infinity for rho > 0 and from
+    +infinity for rho < 0, on the circular grid."""
     if rho == 0.0:
         raise ValueError("antiderivative is unbounded at rho = 0 (0 lies in the continuous spectrum)")
-    if mode == "spectral":
-        return _multiply(f, rho, 1.0 / (1j * f.grid.frequencies + rho))
-    if mode == "time_domain":
-        if rho <= 0:
-            raise ValueError("time_domain mode implements forward integration and needs rho > 0")
-        v = f.values
-        seg = 0.5 * (v[1:] + v[:-1]) * f.grid.dt
-        out = np.zeros_like(v)
-        np.cumsum(seg, axis=0, out=out[1:])
-        return Signal(f.grid, out)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _multiply(f, rho, 1.0 / (1j * f.grid.frequencies + rho))
 
 
-def translate(f: Signal, h: float, rho: float, mode: str = "spectral") -> Signal:
+def translate(f: Signal, h: float, rho: float) -> Signal:
     """Time shift (translate(f))(t) = f(t + h) for h a nonpositive integer
-    multiple of dt.
-
-    ``mode="index"`` circularly shifts the weighted samples and re-weights;
-    ``mode="spectral"`` multiplies the transform by exp((i*xi + rho)*h).
-    Both are exact circular operations and agree to rounding.
-    """
+    multiple of dt: spectral multiplication by exp((i*xi + rho)*h), an exact
+    circular shift of the weighted samples.  h = 0 returns a copy."""
     dt = f.grid.dt
     if h > 1e-12 * dt:
         raise ValueError(f"only nonpositive shifts are supported, got h = {h}")
@@ -249,14 +237,7 @@ def translate(f: Signal, h: float, rho: float, mode: str = "spectral") -> Signal
         raise ValueError(f"shift h = {h} is not an integer multiple of dt = {dt}")
     if m == 0:
         return Signal(f.grid, f.values, meta=dict(f.meta))
-    if mode == "index":
-        g = f.values * np.exp(-rho * f.grid.times)[:, None]
-        g = np.roll(g, m, axis=0)
-        out = g * (np.exp(rho * f.grid.times) * np.exp(rho * h))[:, None]
-        return Signal(f.grid, out)
-    if mode == "spectral":
-        return _multiply(f, rho, np.exp((1j * f.grid.frequencies + rho) * h))
-    raise ValueError(f"unknown mode {mode!r}")
+    return _multiply(f, rho, np.exp((1j * f.grid.frequencies + rho) * h))
 
 
 def support_lower_bound(f: Signal, floor: float) -> float | None:

@@ -17,7 +17,7 @@ from evostab import (CustomLaw, DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLa
                      check_kernel_conditions, closed_form_rate, gaussian_pulse,
                      indicators_from_intervals, kernel_hat, solvability_constant,
                      solvability_lower_bound, solve)
-from evostab.certify import _check_shifted_bounded, _sigma_grid
+from evostab.certify import _check_shifted_bounded, _shift_points, _sigma_grid
 from evostab.material import _last_nonnegative
 
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -540,6 +540,13 @@ ROT = np.array([[0.6, 0.8j], [0.8j, 0.6]])
 
 class TestShiftedBounded:
     """The screened shifted-symbol check against the dense loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nu=st.one_of(SHIFT_NUS, st.just(0.05), st.floats(0.0501, 1e3)))
+    def test_removable_point_is_checked_once(self, nu):
+        # 1/nu lies in B(10, 10) for nu > 0.05, and in the smaller balls too
+        # for nu > 0.5 and nu > 1; it is one point all the same
+        assert len(_shift_points(nu)) == (481 if nu > 0.05 else 480)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 4), nu=SHIFT_NUS)

@@ -256,6 +256,37 @@ def test_solve_rejects_csv_on_shifted_grid(tmp_path, capsys):
     assert "csv grid does not match" in capsys.readouterr().err
 
 
+def _csv_text(times, columns: int) -> str:
+    """A forcing CSV: the header, then each time with ``columns`` zeros."""
+    return "t,re_0,im_0\n" + "".join(repr(float(t)) + ",0" * columns + "\n" for t in times)
+
+
+_CSV_TIMES = -1.0 + 0.015625 * np.arange(256)  # the grid of scalar_dae_cfg
+_BUMPED = _CSV_TIMES + 0.005 * (np.arange(256) == 100)  # one time off the grid
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # "input contained no data", header only
+@pytest.mark.parametrize("csv, message", [
+    (None, "cannot read config "),
+    (_csv_text([], 2), "need at least two samples to reconstruct a grid"),
+    (_csv_text([-1.0], 2), "need at least two samples to reconstruct a grid"),
+    (_csv_text(_BUMPED, 2), "CSV time column is not a uniform grid"),
+    (_csv_text(_CSV_TIMES, 3), "expected re/im column pairs after the time column"),
+], ids=["missing-config", "csv-header-only", "csv-one-row", "csv-not-uniform",
+        "csv-odd-columns"])
+def test_unreadable_input_files_exit_two(tmp_path, capsys, csv, message):
+    # files from outside the program: a config that is not there, and forcing
+    # CSVs from which no signal can be rebuilt
+    if csv is None:
+        cfg = str(tmp_path / "absent.json")
+    else:
+        (tmp_path / "force.csv").write_text(csv)
+        cfg = write_cfg(tmp_path, scalar_dae_cfg(forcing={"kind": "csv", "path": "force.csv"}))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("threads", ["0", "1", "2"])
 def test_threads_flag_is_a_usage_error(tmp_path, capsys, threads):
     # the solver has one serial dense core and no --threads option

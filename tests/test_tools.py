@@ -1,8 +1,10 @@
 """Invariants of the source tree checked through the scripts in ``tools/``."""
 import ast
 import importlib.util
+import json
 import os
 import re
+import types
 
 import pytest
 
@@ -78,3 +80,52 @@ def test_readme_family_table_is_the_cli_schema():
         rows[family[0]] = (tuple(required), tuple(optional))
     assert list(rows.items()) == [(family, (required, optional))
                                   for family, (required, optional, _) in _FAMILY_KEYS.items()]
+
+
+def _read_only_module(path: str, name: str) -> types.ModuleType:
+    """The module at ``path``, executed from its source: no bytecode cache
+    is written beside it."""
+    module = types.ModuleType(name)
+    module.__file__ = path
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+# The traced names that these two commands do not reach: only the dense core
+# builds the operator stack, and the integro certificate reads the kernel's
+# own admissibility report rather than check_kernel_conditions.
+UNTRACED = {"material.frequency_operator_stack", "certify.check_kernel_conditions"}
+TRACE_CASES = {
+    "mixed1d": {"family": "mixed1d",
+                "mixed": {"p": 16, "c": 1.0, "omega0": [0.0, 0.3], "omega1": [0.3, 0.6]},
+                "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 1024}, "rho": 0.05,
+                "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1}},
+    "integro": {"family": "integro",
+                "kernel": {"modes": [{"gamma": [[[0.25, 0.0]]], "beta": 1.0}], "nu0": 0.5},
+                "c": 1.0, "a": [[[0.0, 1.0]]],
+                "grid": {"t0": -2.0, "dt": 0.015625, "n_steps": 1024}, "rho": 0.05,
+                "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1}},
+}
+
+
+def test_benchmark_trace_targets_resolve_and_fire(tmp_path):
+    # perfbench/spans.py wraps the package's functions by (module, name); a
+    # renamed name, or a call path that no longer goes through it, would read
+    # 0 in the benchmark's layer metrics without an error
+    from evostab.cli import main
+
+    spans = _read_only_module(os.path.join(os.path.dirname(TOOLS), "perfbench", "spans.py"),
+                              "perfbench_spans")
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _, _ in spans.TARGETS
+               if not hasattr(mod, attr)]
+    assert missing == []
+    tracer = spans.Tracer()
+    for family, cfg in TRACE_CASES.items():
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps(cfg))
+        with tracer.command():
+            code = main(["verify", "--config", str(path), "--out", str(tmp_path / family)])
+        assert code == 0, family
+    fired = {span[0] for command in tracer.commands for span in command}
+    assert {name for _, _, name, _ in spans.TARGETS} - UNTRACED - fired == set()
