@@ -10,9 +10,9 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     ``law.shifted(nu, z)``, z times the operator lambda M(1/lambda) of
     ``law.stack`` at lambda = 1/z - nu, refused where Re lambda is at or
     below the law's ``rho_floor``.  The reported maximum is a dense 2-norm;
-    where (a) passes and the law gives the eigenvalues of that operator in
-    one unitary basis (``law.stack_eigenvalues``), only the points that can
-    hold the maximum are evaluated densely;
+    where the law gives the eigenvalues of that operator in one unitary
+    basis (``law.stack_eigenvalues``), only the points that can hold the
+    maximum are evaluated densely, each once;
 (c) positivity: Re z^-1 M(z) >= c(nu) > 0 outside the ball, parametrized
     by z^-1 = sigma + i tau with sigma > -nu.  Where (a) passes, the smallest
     eigenvalue of that Hermitian part is superharmonic in z^-1 away from
@@ -272,24 +272,22 @@ def _check_shifted_bounded(law: MaterialLaw, nu: float) -> HypothesisResult:
     2-norm is |z| max_i |values_i| within |z| slack.  Where those norms are
     all finite, only the points whose norm, widened by its slack and
     SCREEN_RTOL times the largest norm, can reach the largest lower bound
-    are evaluated densely: the point of the dense maximum is among them.
-    ``stack_eigenvalues`` answers only clear of the law's ``rho_floor``,
-    where ``shifted`` refuses no point, and the screen runs only where
-    ``law.analyticity(nu)`` passes, so never at an integro nu above nu0,
-    which ``shifted`` refuses outright.  Every other case, and a screened
-    check that does not pass, evaluates every point.
+    are evaluated densely, once: the point of the dense maximum is among
+    them.  ``stack_eigenvalues`` answers only clear of the law's
+    ``rho_floor``, where ``shifted`` refuses no point; the one refusal left
+    there, an integro nu above nu0, is the same at every point and names
+    none.  Without a screen, or with a norm that is not finite, every point
+    is evaluated.
     """
     pts = _shift_points(nu)
     z = np.array(pts)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # not finite: dense
-        screen = law.stack_eigenvalues(1.0 / z - nu) if law.analyticity(nu)[0] else None
+        screen = law.stack_eigenvalues(1.0 / z - nu)
         if screen is not None:
             norms, slack = np.abs(z) * np.abs(screen[0]).max(axis=1), np.abs(z) * screen[1]
     if screen is not None and np.isfinite(norms).all():
         keep = norms + slack >= (norms - slack).max() - SCREEN_RTOL * norms.max()
-        result = _dense_shifted_max(law, nu, [p for p, k in zip(pts, keep) if k])
-        if result.passed:
-            return result
+        pts = [p for p, k in zip(pts, keep) if k]
     return _dense_shifted_max(law, nu, pts)
 
 

@@ -233,7 +233,9 @@ class KernelConditionReport:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Exponential-sum kernel C(t) = sum_j gamma_j exp(-beta_j t), t >= 0.
+    """Exponential-sum kernel C(t) = sum_j gamma_j exp(-beta_j t), t >= 0,
+    with at least one mode; ``dim`` is the modes' common dimension.  Without
+    memory the integro law's M(z) = I + c z is ``DaeLaw(I, c I)``.
 
     ``nu0`` is the declared admissibility weight.  The admissibility
     conditions are *not* enforced at construction, so that they can be
@@ -243,7 +245,6 @@ class Kernel:
 
     modes: tuple
     nu0: float
-    dim: int | None = None
 
     def __post_init__(self):
         modes = tuple(m if isinstance(m, KernelMode) else KernelMode(*m) for m in self.modes)
@@ -251,24 +252,21 @@ class Kernel:
         if not self.nu0 > 0:
             raise ValueError(f"nu0 must be positive, got {self.nu0}")
         dims = {m.gamma.shape[0] for m in modes}
-        if len(dims) > 1:
-            raise ValueError(f"kernel modes have mixed dimensions {sorted(dims)}")
-        if dims:
-            d = dims.pop()
-            if self.dim is not None and self.dim != d:
-                raise ValueError(f"declared dim {self.dim} != mode dim {d}")
-            object.__setattr__(self, "dim", d)
-        elif self.dim is None:
-            raise ValueError("kernel without modes needs an explicit dim")
+        if len(dims) != 1:
+            raise ValueError(f"kernel needs modes, all of one dimension; got {sorted(dims)}")
+
+    @property
+    def dim(self) -> int:
+        return self.modes[0].gamma.shape[0]
 
     @property
     def beta_min(self) -> float:
-        return min((m.beta for m in self.modes), default=np.inf)
+        return min(m.beta for m in self.modes)
 
     @cached_property
     def hermitian_defect(self) -> float:
         """Largest 2-norm of gamma_j - gamma_j* over the modes."""
-        return max((_norm2(m.gamma - m.gamma.conj().T) for m in self.modes), default=0.0)
+        return max(_norm2(m.gamma - m.gamma.conj().T) for m in self.modes)
 
     @cached_property
     def joint_eigenvalues(self) -> np.ndarray | None:
@@ -284,13 +282,13 @@ class Kernel:
         norm's curves and :meth:`IntegroLaw.stack_eigenvalues`.
         """
         n = self.dim
-        gammas = np.array([m.gamma for m in self.modes], dtype=complex).reshape(-1, n, n)
+        gammas = np.array([m.gamma for m in self.modes], dtype=complex)
         weights = np.random.default_rng(0).standard_normal(len(gammas))
         _, u = np.linalg.eigh(np.tensordot(weights, gammas, axes=1))
         rotated = u.conj().T @ gammas @ u
         g = np.diagonal(rotated, axis1=1, axis2=2)  # a read-only view
         off = rotated - g[:, :, None] * np.eye(n)
-        if max((_norm2(o) for o in off), default=0.0) > STRUCT_TOL:
+        if max(_norm2(o) for o in off) > STRUCT_TOL:
             return None
         return g
 
@@ -453,19 +451,19 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
     sum is returned.
     """
     modes = kernel.modes
-    if not modes or all(_norm2(m.gamma) == 0.0 for m in modes):
+    norms = [_norm2(m.gamma) for m in modes]  # one SVD per mode
+    if not any(norms):
         return 0.0
     if not nu < kernel.beta_min:
         raise ValueError(f"weighted L1 integral diverges for nu = {nu} >= beta_min = {kernel.beta_min}")
 
     if len(modes) == 1:
-        return _norm2(modes[0].gamma) / (modes[0].beta - nu)
+        return norms[0] / (modes[0].beta - nu)
 
     tail_tol = 1e-12 / len(modes)
     t_cut = 1.0
-    for m in modes:
+    for m, g in zip(modes, norms):
         a = m.beta - nu
-        g = _norm2(m.gamma)
         if g > 0:
             t_cut = max(t_cut, np.log(max(g / (a * tail_tol), 1.0)) / a)
 
@@ -489,7 +487,7 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
         raise QuadratureError(
             f"kernel L1 quadrature at nu = {nu:.6g} did not converge within "
             f"{_L1_MAX_LEVELS} bisection rounds on {a.size} panels")
-    tail = sum(_norm2(m.gamma) * np.exp(-(m.beta - nu) * t_cut) / (m.beta - nu) for m in modes)
+    tail = sum(g * np.exp(-(m.beta - nu) * t_cut) / (m.beta - nu) for m, g in zip(modes, norms))
     return float(val + tail)
 
 

@@ -38,6 +38,7 @@ reads them back with ``np.loadtxt`` and rebuilds the grid.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,6 @@ class TimeGrid:
 
 def _as_values(values, n_steps: int) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
-    if v.ndim == 1:
-        v = v[:, None]
     if v.ndim != 2 or v.shape[0] != n_steps:
         raise ValueError(f"values must have shape (n_steps, dim), got {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -257,29 +256,24 @@ def support_lower_bound(f: Signal, floor: float) -> float | None:
     return float(f.grid.times[idx[0]])
 
 
-def _along(grid: TimeGrid, env: np.ndarray, dim: int, direction) -> Signal:
-    """The scalar envelope ``env`` times ``direction`` (all-ones of length
-    ``dim`` when None) at every sample."""
-    if direction is None:
-        direction = np.ones(dim)
-    direction = np.asarray(direction, dtype=complex).reshape(-1)
-    return Signal(grid, env[:, None] * direction[None, :])
-
-
 def gaussian_pulse(grid: TimeGrid, center: float, width: float, dim: int = 1,
-                   amplitude: float = 1.0, direction=None) -> Signal:
-    """Smooth bump amplitude*exp(-((t-center)/width)^2) along ``direction``
-    (all-ones by default); ``width`` must be positive and finite."""
+                   amplitude: float = 1.0) -> Signal:
+    """Smooth bump amplitude*exp(-((t-center)/width)^2) in each of the ``dim``
+    components; ``width`` must be positive and finite.  A pulse along a
+    direction d is ``Signal(grid, gaussian_pulse(grid, center, width,
+    dim=len(d)).values * d)``."""
     if not 0.0 < width < np.inf:
         raise ValueError(f"pulse width must be positive and finite, got {width!r}")
-    return _along(grid, amplitude * np.exp(-(((grid.times - center) / width) ** 2)), dim, direction)
+    env = amplitude * np.exp(-(((grid.times - center) / width) ** 2))
+    return Signal(grid, env[:, None] * np.ones(dim, dtype=complex))
 
 
-def step_exp(grid: TimeGrid, start: float = 0.0, rate: float = 1.0, dim: int = 1,
-             direction=None) -> Signal:
-    """Causal decaying step: exp(-rate*(t-start)) for t >= start, zero before."""
+def step_exp(grid: TimeGrid, start: float = 0.0, rate: float = 1.0, dim: int = 1) -> Signal:
+    """Causal decaying step exp(-rate*(t-start)) for t >= start, zero before,
+    in each of the ``dim`` components."""
     t = grid.times
-    return _along(grid, np.where(t >= start, np.exp(-rate * (t - start)), 0.0), dim, direction)
+    env = np.where(t >= start, np.exp(-rate * (t - start)), 0.0)
+    return Signal(grid, env[:, None] * np.ones(dim, dtype=complex))
 
 
 # ``'%.17g' % x`` in numpy.  A normal x != 0 is written from D, the integer
@@ -471,8 +465,13 @@ def _times_close(times: np.ndarray, ref: np.ndarray) -> bool:
 
 
 def signal_from_csv(path) -> Signal:
-    """Read a signal written by :func:`signal_to_csv`, rebuilding its grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a signal written by :func:`signal_to_csv`, rebuilding its grid.
+
+    A file with fewer than two data rows is refused with a ValueError, and
+    numpy's warning that a header-only file holds no data is silenced."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     t = data[:, 0]
     n = t.size
     if n < 2:

@@ -779,6 +779,21 @@ class TestCertify:
         assert not rep.positivity.passed and not rep.passed
         assert rep.warnings == ("sampled minimum contradicts the closed-form bound",)
 
+    @pytest.mark.parametrize("law, nu, warning", [
+        (IntegroLaw(Kernel((KernelMode([[-0.6]], 2.0),), 0.5), 0.5), 0.3,
+         "closed-form rate unavailable: transform sign condition violated (defect 0.239)"),
+        (IntegroLaw(scalar_kernel(), 1.0), 0.6,
+         "no closed-form positivity bound at this nu; sampled evidence only"),
+    ], ids=["no-sign-condition", "integro-beyond-nu0"])
+    def test_warnings_are_rendered(self, law, nu, warning):
+        # each warning is a "  warning: " line of the text report and the
+        # value of the kv report's "warnings" key
+        rep = certify(law, nu, SamplingConfig(n_sigma=4, n_tau=5))
+        assert rep.warnings == (warning,)
+        assert f"\n  warning: {warning}\n" in rep.to_text()
+        assert rep.to_text().count("warning:") == 1
+        assert dict(rep.kv_pairs())["warnings"] == warning
+
     def test_rate_cap_for_algebraic_law(self):
         rep = certify(DaeLaw([[0.0]], [[2.0]]), 1.0)
         got = dict(rep.kv_pairs())

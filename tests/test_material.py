@@ -273,18 +273,20 @@ class TestKernel:
         b = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert Kernel(modes=(KernelMode(a, 2.0), KernelMode(b, 3.0)),
                       nu0=0.5).joint_eigenvalues is None
-        assert Kernel(modes=(), nu0=0.5, dim=2).joint_eigenvalues.shape == (0, 2)
+        assert Kernel(modes=(KernelMode(b, 3.0),), nu0=0.5).joint_eigenvalues.shape == (1, 2)
 
     def test_construction_guards(self):
         with pytest.raises(ValueError):
             KernelMode([[1.0]], 0.0)
         with pytest.raises(ValueError):
             Kernel(modes=(KernelMode([[1.0]], 1.0),), nu0=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"all of one dimension; got \[1, 2\]"):
             Kernel(modes=(KernelMode([[1.0]], 1.0), KernelMode(np.eye(2), 2.0)), nu0=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs modes, all of one dimension; got \[\]"):
             Kernel(modes=(), nu0=0.5)
-        assert Kernel(modes=(), nu0=0.5, dim=3).dim == 3
+        with pytest.raises(TypeError):  # dim is read from the modes
+            Kernel(modes=(KernelMode(np.eye(3), 1.0),), nu0=0.5, dim=3)
+        assert Kernel(modes=(KernelMode(np.eye(3), 1.0),), nu0=0.5).dim == 3
 
 
 # Two diagonal modes whose curves s_1 = 0.3 e^{-2t} + 0.02 e^{-0.8t} and
@@ -412,6 +414,20 @@ class TestLawConstruction:
             IntegroLaw(scalar_kernel(), c=0.0)
         with pytest.raises(KernelAdmissibilityError):
             IntegroLaw(Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5), c=1.0)
+
+    @pytest.mark.parametrize("build, refusal", [
+        (lambda: DaeLaw(np.ones((2, 3)), np.eye(2)),
+         r"M0 must be a square matrix, got shape \(2, 3\)"),
+        (lambda: KernelMode(np.ones((2, 2, 2)), 1.0),
+         r"gamma must be a square matrix, got shape \(2, 2, 2\)"),
+        (lambda: DaeLaw(np.eye(1), np.eye(1)).shifted(0.5, 0.0), "z = 0 is not in the domain"),
+        (lambda: IntegroLaw(scalar_kernel(), 1.0).shifted(0.3, 0j), "z = 0 is not in the domain"),
+    ], ids=["non-square-m0", "3d-gamma", "dae-shifted-at-zero", "integro-shifted-at-zero"])
+    def test_refusals(self, build, refusal):
+        # a matrix that is not square, and z = 0 for nu > 0, where the
+        # shifted symbol (1 - nu z) M(z / (1 - nu z)) is M at infinity
+        with pytest.raises(ValueError, match=refusal):
+            build()
 
     def test_family_tags(self):
         assert DaeLaw(np.eye(1), np.eye(1)).family == "dae"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from evostab import signals
 from evostab import (GridMismatchError, Signal, TimeGrid, antiderivative,
                      derivative, edge_mass, fourier_laplace, gaussian_pulse,
-                     inverse_fourier_laplace, signal_from_csv, signal_to_csv,
+                     inverse_fourier_laplace, profile_to_csv, signal_from_csv, signal_to_csv,
                      step_exp, support_lower_bound, translate, weighted_inner,
                      weighted_norm)
 
@@ -242,6 +242,11 @@ class TestSupportAndEdges:
         vals = (((t >= 1) & (t < 2)).astype(float) + 1e-15)[:, None]
         assert support_lower_bound(Signal(g, vals), 1e-8) == pytest.approx(1.0)
 
+    def test_floor_at_the_peak_has_no_support(self):
+        # no sample exceeds the peak itself
+        f = gaussian_pulse(TimeGrid(-1.0, 0.125, 16), center=0.0, width=0.3)
+        assert support_lower_bound(f, 1.0) is None
+
     def test_edge_mass_of_interior_pulse_is_small(self):
         g = TimeGrid(-4.0, 1 / 32, 256)
         f = gaussian_pulse(g, center=0.0, width=0.2)
@@ -319,6 +324,27 @@ class TestSignalBasics:
         # negative width was silently used as |width|
         with pytest.raises(ValueError, match="pulse width must be positive and finite"):
             gaussian_pulse(TimeGrid(-1.0, 0.125, 16), 0.51, width)
+
+
+_GRID8 = TimeGrid(0.0, 0.5, 8)
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda path: Signal(_GRID8, np.ones(8)), r"shape \(n_steps, dim\), got \(8,\)"),
+    (lambda path: Signal(_GRID8, np.ones((8, 1, 1))), r"shape \(n_steps, dim\), got \(8, 1, 1\)"),
+    (lambda path: Signal(_GRID8, np.ones((4, 1))), r"shape \(n_steps, dim\), got \(4, 1\)"),
+    (lambda path: translate(Signal.zeros(_GRID8), 0.5, 0.1),
+     "only nonpositive shifts are supported, got h = 0.5"),
+    (lambda path: support_lower_bound(Signal.zeros(_GRID8), 0.0), "floor must be positive"),
+    (lambda path: profile_to_csv(np.ones((2, 2, 2)), path / "p.csv"),
+     "expected a 1-D or 2-D array, got 3-D"),
+], ids=["1d-values", "3d-values", "short-values", "positive-shift", "zero-floor", "3d-rows"])
+def test_refusals(tmp_path, call, refusal):
+    # values are (n_steps, dim) with no promotion of a 1-D column, shifts
+    # look back, support floors are relative and positive, and CSV rows are
+    # at most 2-D
+    with pytest.raises(ValueError, match=refusal):
+        call(tmp_path)
 
 
 # --- the %.17g CSV writer --------------------------------------------------

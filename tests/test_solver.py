@@ -66,7 +66,7 @@ class TestSolve:
     def test_linearity(self):
         g = TimeGrid(-2.0, 1 / 64, 512)
         f = gaussian_pulse(g, center=1.0, width=0.2, dim=2)
-        h = gaussian_pulse(g, center=2.5, width=0.4, dim=2, direction=[1.0, -1.0])
+        h = Signal(g, gaussian_pulse(g, center=2.5, width=0.4, dim=2).values * [1.0, -1.0])
         ua = solve(dae_problem(f + 2.0 * h))
         ub = solve(dae_problem(f))
         uc = solve(dae_problem(h))
@@ -244,7 +244,8 @@ class TestPencilPath:
         m1 = p @ p.conj().T + 0.5 * np.eye(dim) + (sk - sk.conj().T)
         a = (w - w.T) + r @ r.T
         grid = TimeGrid(-2.0, 1 / 16, 128)
-        f = gaussian_pulse(grid, center=1.0, width=0.3, dim=dim, direction=d[0] + 0.1)
+        pulse = gaussian_pulse(grid, center=1.0, width=0.3, dim=dim)
+        f = Signal(grid, pulse.values * (d[0] + 0.1))
         law = DaeLaw(m0, m1)
         u = solve(EvolutionaryProblem(law, a, rho, f), check_certified=False)
         if off_diagonal(m0):  # a diagonal M0 may take the banded core
@@ -280,7 +281,8 @@ class TestPencilPath:
         kernel = Kernel(tuple(modes), nu0)
         a = (w - w.T) + r @ r.T
         grid = TimeGrid(-2.0, 1 / 16, 256)
-        f = gaussian_pulse(grid, center=1.0, width=0.3, dim=dim, direction=d[0] + 0.1)
+        pulse = gaussian_pulse(grid, center=1.0, width=0.3, dim=dim)
+        f = Signal(grid, pulse.values * (d[0] + 0.1))
         law = IntegroLaw(kernel, c)
         xi = grid.frequencies
         lam = 1j * xi + rho
@@ -379,8 +381,8 @@ class TestBandedCore:
     @staticmethod
     def pulse(data, n):
         direction = data.draw(hnp.arrays(float, n, elements=st.floats(0.1, 1.0)))
-        return gaussian_pulse(TimeGrid(-2.0, 1 / 16, 128), center=1.0, width=0.3, dim=n,
-                              direction=direction)
+        grid = TimeGrid(-2.0, 1 / 16, 128)
+        return Signal(grid, gaussian_pulse(grid, center=1.0, width=0.3, dim=n).values * direction)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), rho=st.floats(0.05, 1.0))

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -80,6 +82,29 @@ def test_readme_family_table_is_the_cli_schema():
         rows[family[0]] = (tuple(required), tuple(optional))
     assert list(rows.items()) == [(family, (required, optional))
                                   for family, (required, optional, _) in _FAMILY_KEYS.items()]
+
+
+def test_rate_reprs_runs_on_the_package():
+    # tools/rate_reprs.py diffs the closed-form rates of two source trees; it
+    # must keep running on this one's API: per family two draws, each a rate
+    # repr or a ValueError, an L1 column on each integro line, and the count
+    # of integro rates below nu0
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "rate_reprs.py"),
+                           "--src", os.path.dirname(PACKAGE), "--draws", "2"],
+                          capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines[:6]] == [
+        f"{family}-{k}" for family in ("dae", "delay", "integro") for k in (0, 1)]
+
+    def is_rate(value):  # a float's repr, or "<error type>: <message>"
+        return re.fullmatch(r"\w+Error: .+", value) or repr(float(value)) == value
+
+    values = [line.split(" ", 1)[1] for line in lines[:6]]
+    integro = [value.rsplit(" ", 1) for value in values[4:]]
+    assert all(re.fullmatch(r"\d\.\d{12}e[+-]\d\d", l1) for _, l1 in integro), lines[4:6]
+    assert all(map(is_rate, values[:4] + [value for value, _ in integro])), lines
+    below = sum(value != repr(0.5) for value, _ in integro)
+    assert lines[6:] == [f"integro draws below nu0: {below}"]
 
 
 def _read_only_module(path: str, name: str) -> types.ModuleType:
