@@ -146,7 +146,7 @@ def solvability_constant(law: MaterialLaw, nu: float, sigma_max: float = Samplin
     :class:`NonFiniteSymbolError`, naming the sigma of the first point that
     is not finite, when z^-1 M(z) is not finite at a sampled point.
     """
-    if nu < 0:
+    if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     cfg = SamplingConfig(sigma_max, tau_max, n_sigma, n_tau)
     taus = np.linspace(-cfg.tau_max, cfg.tau_max, cfg.n_tau)
@@ -308,7 +308,7 @@ def certify(law: MaterialLaw, nu: float, sampling: SamplingConfig | None = None)
     Closed-form positivity bounds are authoritative for the structured
     families; sampling is the certificate for custom symbols.
     """
-    if nu < 0:
+    if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     cfg = sampling or SamplingConfig()
     warnings = []

@@ -153,9 +153,14 @@ def _is_diagonal(a: np.ndarray) -> bool:
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
+    """A read-only complex copy of ``a``, refused unless it is a square
+    matrix of finite entries: a nan entry fails every comparison, so the
+    checks that follow would pass it."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must have finite entries")
     m = m.copy()
     m.flags.writeable = False
     return m
@@ -180,11 +185,12 @@ class KernelConditionReport:
 
     Structural: Hermitian modes, commuting modes, beta_min > nu0 and the
     weighted L1 norm at nu0 below one.  Sign: t * Im Chat(t + i nu0) <= 0 as
-    a Hermitian matrix inequality, checked on a log-spaced grid of t and, as
-    corroborating evidence, along sampled lines Im z = -rho for
-    rho in [-nu0, 5].  When beta_min <= nu0, Chat has a pole in the
-    half-plane Im z <= nu0: the L1 norm and the sign defects are then inf,
-    not evaluated.
+    a Hermitian matrix inequality, checked on a log-spaced grid of t along
+    the base line Im z = nu0 and, as corroborating evidence, along sampled
+    lines Im z = -rho for rho in (-nu0, 5].  ``sign_defect`` is the largest
+    eigenvalue of t * Im Chat over all of them, the base line included.
+    When beta_min <= nu0, Chat has a pole in the half-plane Im z <= nu0:
+    the L1 norm and the sign defect are then inf, not evaluated.
     """
 
     hermitian_defect: float
@@ -192,8 +198,7 @@ class KernelConditionReport:
     beta_min: float
     nu0: float
     weighted_l1: float
-    sign_defect_base: float
-    sign_defect_lines: float
+    sign_defect: float
 
     @property
     def hermitian_ok(self) -> bool:
@@ -209,7 +214,7 @@ class KernelConditionReport:
 
     @property
     def sign_ok(self) -> bool:
-        return self.sign_defect_base <= SIGN_TOL and self.sign_defect_lines <= SIGN_TOL
+        return self.sign_defect <= SIGN_TOL
 
     @property
     def passed(self) -> bool:
@@ -219,7 +224,6 @@ class KernelConditionReport:
         """Every failed condition.  beta_min <= nu0 is the one problem
         reported for the L1 norm and the sign, which it leaves unevaluated."""
         evaluated = self.beta_min > self.nu0
-        sign_defect = max(self.sign_defect_base, self.sign_defect_lines)
         return [message for ok, message in (
             (self.hermitian_ok, f"non-Hermitian mode (defect {self.hermitian_defect:.3g})"),
             (self.commuting_ok, f"non-commuting modes (defect {self.commutation_defect:.3g})"),
@@ -227,7 +231,7 @@ class KernelConditionReport:
             (not evaluated or self.weighted_l1 < 1.0,
              f"weighted L1 norm at nu0 is {self.weighted_l1:.6g} >= 1"),
             (not evaluated or self.sign_ok,
-             f"transform sign condition violated (defect {sign_defect:.3g})"),
+             f"transform sign condition violated (defect {self.sign_defect:.3g})"),
         ) if not ok]
 
 
@@ -299,21 +303,20 @@ class Kernel:
 
         The sign condition is one batched expression: Chat(t - i rho) at
         lambda = rho + i t for every sampled (rho, t), and one batched
-        Hermitian eigenvalue call.
+        Hermitian eigenvalue call, whose largest value over every line is
+        the report's one sign defect.
         """
         comm = max((_norm2(a.gamma @ b.gamma - b.gamma @ a.gamma)
                     for a, b in combinations(self.modes, 2)), default=0.0)
-        l1 = base = lines = math.inf
+        l1 = sign = math.inf
         if self.beta_min > self.nu0:
             l1 = kernel_weighted_l1(self, self.nu0)
             rhos = np.linspace(-self.nu0, 5.0, _SIGN_LINES)
             lam = (rhos[:, None] + 1j * _SIGN_TS)[..., None, None]
             chat = _kernel_w(self, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
             im = hermitian_part(-1j * chat)  # (Chat - Chat*) / 2i, one per (line, t)
-            top = np.linalg.eigvalsh(lam.imag * im)[..., -1].max(axis=1)
-            base, lines = float(top[0]), float(top.max())
-        return KernelConditionReport(self.hermitian_defect, comm, self.beta_min, self.nu0,
-                                     l1, base, lines)
+            sign = float(np.linalg.eigvalsh(lam.imag * im)[..., -1].max())
+        return KernelConditionReport(self.hermitian_defect, comm, self.beta_min, self.nu0, l1, sign)
 
 
 def _kernel_w(kernel: Kernel, lam, one, gammas=None):
@@ -625,7 +628,7 @@ class MaterialLaw:
     def shifted(self, nu: float, z: complex) -> np.ndarray:
         """Analytic extension of (1 - nu*z) * M(z / (1 - nu*z)) for nu >= 0:
         M(z) itself at nu = 0, else ``_shifted`` at z != 0."""
-        if nu < 0:
+        if not 0 <= nu < math.inf:
             raise ValueError(f"nu must be nonnegative, got {nu}")
         z = complex(z)
         if nu == 0.0:
@@ -707,7 +710,9 @@ class _PencilLaw(MaterialLaw):
     """Shared M0/M1 fields of the DAE and delay families: M0 Hermitian and
     nonnegative, M1 of the same shape.
 
-    Their Hermitian part of z^-1 M(z) at lambda = sigma + i*tau is
+    Their operator stack starts from lambda M0 + M1, which is the DAE law's
+    whole ``stack`` and to which the delay law adds its delay term.  Their
+    Hermitian part of z^-1 M(z) at lambda = sigma + i*tau is
     sigma*M0 + H(M1) plus, for delays, a multiple of I: i*tau*M0 is skew.
     Their ``positivity_min`` is the whole grid's from that structure, one
     sigma sweep, and ignores ``boundary``.  The closed-form bound starts from
@@ -730,6 +735,9 @@ class _PencilLaw(MaterialLaw):
     @property
     def dim(self) -> int:
         return self.M0.shape[0]
+
+    def stack(self, lam: np.ndarray) -> np.ndarray:
+        return lam[:, None, None] * self.M0 + self.M1
 
     @cached_property
     def _bound_terms(self) -> tuple:
@@ -773,15 +781,13 @@ class _PencilLaw(MaterialLaw):
 class DaeLaw(_PencilLaw):
     """M(z) = M0 + z*M1 with M0 Hermitian and nonnegative; entire.
 
-    The bound c - nu*||M0|| gives the rate c / ||M0||, unchanged by skew
+    ``stack`` is the pencil lambda M0 + M1 of :class:`_PencilLaw`.  The
+    bound c - nu*||M0|| gives the rate c / ||M0||, unchanged by skew
     perturbations of M1; M0 = 0 gives the +inf sentinel (a purely algebraic
     problem, every rate is admissible).
     """
 
     family = "dae"
-
-    def stack(self, lam: np.ndarray) -> np.ndarray:
-        return lam[:, None, None] * self.M0 + self.M1
 
     def symbol(self, z: complex) -> np.ndarray:
         return self.M0 + z * self.M1
@@ -810,7 +816,8 @@ class DaeLaw(_PencilLaw):
 class DelayLaw(_PencilLaw):
     """M(z) = M0 + z*exp(h/z)*I + z*M1 with shift h < 0.
 
-    The delay term adds exp(sigma*h) cos(tau*h) I to the Hermitian part,
+    ``stack`` is the pencil's lambda M0 + M1 plus exp(lambda h) I.  The
+    delay term adds exp(sigma*h) cos(tau*h) I to the Hermitian part,
     nondecreasing in sigma exactly when cos_min <= 0 over the sampled tau;
     cos(tau*h) attains its extremes on multiples of pi/|h|, so cos_min is -1
     once the sampled range reaches pi/|h|, and the smallest sampled value
@@ -824,12 +831,11 @@ class DelayLaw(_PencilLaw):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.h < 0:
+        if not -math.inf < self.h < 0:
             raise ValueError(f"delay shift h must be negative, got {self.h}")
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
-        return (lam[:, None, None] * self.M0 + self.M1
-                + np.exp(lam * self.h)[:, None, None] * np.eye(self.dim))
+        return super().stack(lam) + np.exp(lam * self.h)[:, None, None] * np.eye(self.dim)
 
     def frequency_form(self, a: np.ndarray) -> tuple:
         """No pencil; with diagonal M0 the diagonal form
@@ -903,7 +909,9 @@ class IntegroLaw(MaterialLaw):
     L1 norm L1(nu) stays below one and the transform sign condition
     t Im Chat(t + i nu0) <= 0 holds: its derivation needs both, so without
     the sign condition ``lower_bound`` is None at every nu, and the
-    certificate is the sampled one.  The rate is nu0 when the bound is
+    certificate is the sampled one.  The analyticity check, the shifted
+    symbol and the bound each take nu <= nu0 exactly, with no tolerance, so
+    they agree at every nu.  The rate is nu0 when the bound is
     nonnegative there, else its root in (0, nu0].  Construction raises on
     the structural conditions of :attr:`Kernel.conditions` and the rate on
     its transform sign condition.
@@ -914,7 +922,7 @@ class IntegroLaw(MaterialLaw):
     family = "integro"
 
     def __post_init__(self):
-        if not self.c > 0:
+        if not 0 < self.c < math.inf:
             raise ValueError(f"c must be positive, got {self.c}")
         if not self.kernel.conditions.structural_ok:
             raise KernelAdmissibilityError("; ".join(self.kernel.conditions.problems()))
@@ -972,13 +980,13 @@ class IntegroLaw(MaterialLaw):
 
     def _shifted(self, nu: float, z: complex) -> np.ndarray:
         nu0 = self.kernel.nu0
-        if nu > nu0 + 1e-12:
+        if nu > nu0:
             raise ValueError(f"shifted symbol needs nu <= nu0 = {nu0}, got {nu}")
         return super()._shifted(nu, z)
 
     def analyticity(self, nu: float) -> tuple:
         nu0 = self.kernel.nu0
-        if nu <= nu0 + 1e-15:
+        if nu <= nu0:
             return True, f"singular ball of kernel (nu0 = {nu0:.6g}) is contained in the excluded ball"
         return False, f"requested nu = {nu:.6g} exceeds kernel nu0 = {nu0:.6g}"
 

@@ -50,14 +50,18 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = t0 + k*dt with a power-of-two sample count."""
+    """Uniform grid t_k = t0 + k*dt with a power-of-two sample count, a
+    finite start t0 and a finite step dt > 0: a nan fails every comparison,
+    so the checks would otherwise pass it and every time would be nan."""
 
     t0: float
     dt: float
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
+        if not np.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
+        if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive, got {self.dt}")
         n = self.n_steps
         if n < 8 or (n & (n - 1)) != 0:
@@ -66,10 +70,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps)
-
-    @property
-    def span(self) -> float:
-        return self.dt * self.n_steps
 
     @property
     def dxi(self) -> float:
@@ -136,9 +136,6 @@ class Signal:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Signal":
-        return Signal(self.grid, -self.values)
-
 
 @dataclass(frozen=True)
 class SpectralSignal:
@@ -150,10 +147,6 @@ class SpectralSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.values, self.grid.n_steps))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 def weighted_inner(f: Signal, g: Signal, rho: float) -> complex:

@@ -63,28 +63,20 @@ def build_grad_1d(p: int, dx: float):
 
 @dataclass(frozen=True)
 class MixedTypeSystem:
-    """First-order system on (0, 1) whose type varies by subdomain.
-
-    The state stacks p node values on top of p+1 edge fluxes.  ``indicator0``
-    marks nodes where the time derivative acts on both blocks (wave-like
-    regions), ``indicator1`` marks nodes with a first-order-in-time node
-    block only (diffusion-like); remaining nodes are purely algebraic.
-    A flux edge carries the derivative exactly when both adjacent nodes lie
-    in the indicator0 region (boundary edges follow their single neighbor).
+    """First-order system on (0, 1) whose type varies by subdomain: the
+    material law's M0 and M1 and the skew operator A that
+    :func:`build_mixed_type_system` assembled, on a state of p node values
+    stacked on top of p+1 edge fluxes.  ``dim`` is read from M0, and
+    :meth:`law` is the DAE law (M0, M1).
     """
 
-    p: int
-    dx: float
-    indicator0: np.ndarray
-    indicator1: np.ndarray
-    c: float
     M0: np.ndarray
     M1: np.ndarray
     A: SpatialOperator
 
     @property
     def dim(self) -> int:
-        return 2 * self.p + 1
+        return self.M0.shape[0]
 
     def law(self) -> DaeLaw:
         return DaeLaw(self.M0, self.M1)
@@ -94,7 +86,12 @@ def build_mixed_type_system(p: int, dx: float, indicator0, indicator1, c: float)
     """Assemble the mixed-type system (M0, M1 = c*I, A) for given indicators.
 
     ``indicator0`` and ``indicator1`` are 0/1 vectors over the p interior
-    nodes and must be disjoint.
+    nodes and must be disjoint.  ``indicator0`` marks nodes where the time
+    derivative acts on both blocks (wave-like regions), ``indicator1`` marks
+    nodes with a first-order-in-time node block only (diffusion-like);
+    remaining nodes are purely algebraic.  A flux edge carries the
+    derivative exactly when both adjacent nodes lie in the indicator0 region
+    (boundary edges follow their single neighbor).
     """
     ind0 = np.asarray(indicator0, dtype=float).reshape(-1)
     ind1 = np.asarray(indicator1, dtype=float).reshape(-1)
@@ -121,8 +118,7 @@ def build_mixed_type_system(p: int, dx: float, indicator0, indicator1, c: float)
 
     m0 = np.diag(np.concatenate([ind0 + ind1, edge]))
     m1 = c * np.eye(n)
-    return MixedTypeSystem(p=p, dx=dx, indicator0=ind0.astype(int), indicator1=ind1.astype(int),
-                           c=float(c), M0=m0, M1=m1, A=SpatialOperator(a))
+    return MixedTypeSystem(M0=m0, M1=m1, A=SpatialOperator(a))
 
 
 def indicators_from_intervals(p: int, omega0, omega1):

@@ -7,9 +7,9 @@ stated inline; grid choices keep the whole file comfortably under a minute.
 """
 
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +230,6 @@ def test_c12_cli_verify_is_byte_deterministic(tmp_path, package_env):
         assert proc.returncode == 0, proc.stderr
     for name in ("solution.csv", "decay.kv", "metadata.kv", "report.kv",
                  "config_echo.json"):
-        b1 = open(os.path.join(outs[0], name), "rb").read()
-        b2 = open(os.path.join(outs[1], name), "rb").read()
+        b1 = Path(outs[0], name).read_bytes()
+        b2 = Path(outs[1], name).read_bytes()
         assert b1 == b2, f"{name} differs between identical runs"

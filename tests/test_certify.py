@@ -626,7 +626,7 @@ class TestKernelConditions:
     def test_single_mode_passes(self):
         rep = check_kernel_conditions(scalar_kernel())
         assert rep.passed
-        assert rep.sign_defect_base <= 1e-12
+        assert rep.sign_defect <= 1e-12
 
     def test_sign_condition_matches_formula(self):
         # t * Im Chat(t + i*nu0) = -gamma t^2 / (sqrt(2 pi)((beta-nu0)^2+t^2))
@@ -679,8 +679,10 @@ class TestKernelConditions:
         kernel = Kernel(tuple(modes), nu0=0.5)
         rep = check_kernel_conditions(kernel)
         base, lines = sign_defects_oracle(kernel)
-        assert (rep.sign_defect_base, rep.sign_defect_lines) == (base, lines)
-        assert rep.sign_ok == (base <= 1e-10 and lines <= 1e-10)
+        # the base line is the first of the sampled lines, so one defect holds both
+        assert base <= lines
+        assert rep.sign_defect == lines
+        assert rep.sign_ok == (lines <= 1e-10)
 
 
 class TestCertify:

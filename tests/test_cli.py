@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,14 +30,14 @@ def write_cfg(tmp_path, cfg: dict, name: str = "cfg.json") -> str:
 
 def read_kv(path) -> dict:
     pairs = {}
-    for line in open(path, encoding="ascii"):
+    for line in Path(path).read_text(encoding="ascii").splitlines():
         key, _, value = line.strip().partition("=")
         pairs[key] = value
     return pairs
 
 
 def kv_keys(path) -> list:
-    return [line.split("=", 1)[0] for line in open(path, encoding="ascii")]
+    return [line.split("=", 1)[0] for line in Path(path).read_text(encoding="ascii").splitlines()]
 
 
 def read_solution(out_dir):
@@ -91,6 +92,9 @@ def shifted():
 def nan_symbol():
     return CustomLaw(1, lambda z: np.array([[np.nan]])), None
 
+def nan_operator():
+    return DaeLaw(np.eye(1), 2.0 * np.eye(1)), np.array([[np.nan]])
+
 def inf_beyond_scan():
     # M(z) = 1 + z, but inf where |1/z| > 150: past the gate's |tau| <= 100
     def fn(z):
@@ -115,7 +119,7 @@ def test_certify_passes_below_closed_form_rate(tmp_path):
     assert kv["pass"] == "true"
     assert abs(float(kv["c_nu"]) - 0.5) <= 0.01
     assert float(kv["closed_form_rate"]) == 2.0
-    assert "pass" in open(os.path.join(out, "report.txt")).read()
+    assert "pass" in Path(out, "report.txt").read_text()
 
 
 def test_certify_fails_above_closed_form_rate(tmp_path):
@@ -343,6 +347,23 @@ def test_solve_nonfinite_dense_solve_is_analytic(tmp_path, monkeypatch, package_
     assert proc.returncode == 1
     assert proc.stderr.startswith("solve failed: singular frequency operator at sample 0 ")
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_nonfinite_custom_operator_is_config_error(tmp_path, monkeypatch, capsys, command):
+    # a nan entry fails every comparison, so the operator would pass the
+    # monotonicity check and fail the solve (exit 1); it is refused (exit 2)
+    install_custom_module(tmp_path, monkeypatch)
+    cfg = write_cfg(tmp_path, {
+        "family": "custom",
+        "custom": {"import": "cli_custom_laws:nan_operator"},
+        "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256},
+        "rho": 0.5,
+        "nu": 0.5,
+        "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1},
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: matrix must have finite entries\n"
 
 
 def test_solve_rejects_missing_custom_import(tmp_path):
@@ -988,7 +1009,7 @@ def test_config_echo_is_resolved_and_sorted(tmp_path):
         forcing={"kind": "pulse", "center": 0.5, "width": 0.1}))
     out = str(tmp_path / "out")
     main(["solve", "--config", cfg, "--out", out])
-    raw = open(os.path.join(out, "config_echo.json"), encoding="ascii").read()
+    raw = Path(out, "config_echo.json").read_text(encoding="ascii")
     echoed = json.loads(raw)
     assert echoed["forcing"]["amplitude"] == 1.0  # default filled in
     assert echoed["sampling"]["n_sigma"] == 200
@@ -1051,6 +1072,6 @@ def test_console_script_runs_reproducibly(tmp_path):
         assert proc.returncode == 0, proc.stderr
     for name in ("solution.csv", "metadata.kv", "decay.kv", "report.kv",
                  "report.txt", "config_echo.json"):
-        b1 = open(os.path.join(outs[0], name), "rb").read()
-        b2 = open(os.path.join(outs[1], name), "rb").read()
+        b1 = Path(outs[0], name).read_bytes()
+        b2 = Path(outs[1], name).read_bytes()
         assert b1 == b2, f"{name} differs between identical runs"

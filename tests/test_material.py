@@ -11,11 +11,11 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from evostab import (CustomLaw, DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLaw, Kernel,
-                     KernelAdmissibilityError, KernelMode, QuadratureError, TimeGrid,
-                     build_mixed_type_system, certify, check_kernel_conditions,
+                     KernelAdmissibilityError, KernelMode, QuadratureError, SpatialOperator,
+                     TimeGrid, build_mixed_type_system, certify, check_kernel_conditions,
                      gaussian_pulse, hermitian_part_min_eig, indicators_from_intervals,
                      kernel_eval, kernel_hat, kernel_weighted_l1, solve)
-from evostab.certify import SHIFT_RADII
+from evostab.certify import SHIFT_RADII, solvability_constant
 from evostab.material import _eigvalsh, frequency_operator_stack
 
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -222,7 +222,7 @@ class TestKernel:
         # a pole of Chat in the strip: neither the L1 norm nor the sign is evaluated
         slow = Kernel(modes=(KernelMode([[0.25]], 1.0),), nu0=1.0)
         assert slow.conditions.problems() == ["beta_min = 1 must exceed nu0 = 1"]
-        assert slow.conditions.weighted_l1 == slow.conditions.sign_defect_base == np.inf
+        assert slow.conditions.weighted_l1 == slow.conditions.sign_defect == np.inf
         heavy = Kernel(modes=(KernelMode([[0.8]], 1.0),), nu0=0.5)
         assert any("L1" in p for p in heavy.conditions.problems())
         for kernel in (bad_h, bad_c, slow, heavy):
@@ -258,6 +258,12 @@ class TestKernel:
         assert calls == []
         law.lower_bound(0.25)
         assert calls == [0.25]
+        # L1 = 1 below nu0 leaves no bound there (c - nu / (1 - L1) would
+        # divide by zero), and the certificate falls back to sampling
+        monkeypatch.setattr("evostab.material.kernel_weighted_l1",
+                            lambda kernel, nu: 1.0 if nu < 0.5 else l1)
+        assert law.lower_bound(0.25) is None
+        assert certify(law, 0.25).certificate == "sampled"
 
     def test_mode_eigenvalues(self):
         # commuting modes in a rotated basis: the joint eigenvalues come back
@@ -422,10 +428,27 @@ class TestLawConstruction:
          r"gamma must be a square matrix, got shape \(2, 2, 2\)"),
         (lambda: DaeLaw(np.eye(1), np.eye(1)).shifted(0.5, 0.0), "z = 0 is not in the domain"),
         (lambda: IntegroLaw(scalar_kernel(), 1.0).shifted(0.3, 0j), "z = 0 is not in the domain"),
-    ], ids=["non-square-m0", "3d-gamma", "dae-shifted-at-zero", "integro-shifted-at-zero"])
+        (lambda: SpatialOperator([[np.nan]]), "matrix must have finite entries"),
+        (lambda: DaeLaw([[1.0]], [[np.nan]]), "M1 must have finite entries"),
+        (lambda: DaeLaw([[1.0]], [[np.inf]]), "M1 must have finite entries"),
+        (lambda: DaeLaw([[np.nan]], [[1.0]]), "M0 must have finite entries"),
+        (lambda: KernelMode([[np.nan]], 1.0), "gamma must have finite entries"),
+        (lambda: DelayLaw(np.eye(1), np.eye(1), -np.inf),
+         "delay shift h must be negative, got -inf"),
+        (lambda: IntegroLaw(scalar_kernel(), np.inf), "c must be positive, got inf"),
+        (lambda: certify(DaeLaw([[1.0]], [[2.0]]), np.nan), "nu must be nonnegative, got nan"),
+        (lambda: solvability_constant(DaeLaw([[1.0]], [[2.0]]), np.inf),
+         "nu must be nonnegative, got inf"),
+        (lambda: DaeLaw([[1.0]], [[2.0]]).shifted(np.nan, 0.5), "nu must be nonnegative, got nan"),
+        (lambda: IntegroLaw(scalar_kernel(), 1.0).shifted(np.inf, 0.5),
+         "nu must be nonnegative, got inf"),
+    ], ids=["non-square-m0", "3d-gamma", "dae-shifted-at-zero", "integro-shifted-at-zero",
+            "nan-operator", "nan-m1", "inf-m1", "nan-m0", "nan-gamma", "infinite-h", "infinite-c",
+            "certify-nan-nu", "sampled-inf-nu", "shifted-nan-nu", "shifted-inf-nu"])
     def test_refusals(self, build, refusal):
-        # a matrix that is not square, and z = 0 for nu > 0, where the
-        # shifted symbol (1 - nu z) M(z / (1 - nu z)) is M at infinity
+        # a matrix that is not square or has a non-finite entry, a
+        # non-finite scalar, and z = 0 for nu > 0, where the shifted symbol
+        # (1 - nu z) M(z / (1 - nu z)) is M at infinity
         with pytest.raises(ValueError, match=refusal):
             build()
 
@@ -608,6 +631,19 @@ class TestShiftedSymbol:
         law = IntegroLaw(scalar_kernel(), c=1.0)
         with pytest.raises(ValueError):
             law.shifted(0.6, 0.5)
+
+    def test_integro_nu0_is_one_boundary(self):
+        # analyticity, the shifted symbol and the closed-form bound all hold
+        # for nu <= nu0 exactly, so they agree next to nu0 as well
+        law = IntegroLaw(scalar_kernel(), c=1.0)
+        assert law.analyticity(0.5)[0]
+        assert np.isfinite(law.shifted(0.5, 0.5)).all()
+        assert law.lower_bound(0.5) is not None
+        for nu in (np.nextafter(0.5, 1.0), 0.5 + 5e-13):
+            assert not law.analyticity(nu)[0]
+            with pytest.raises(ValueError, match="shifted symbol needs nu <= nu0"):
+                law.shifted(nu, 0.5)
+            assert law.lower_bound(nu) is None
 
     def test_custom_needs_rule(self):
         law = CustomLaw(1, lambda z: np.array([[1.0 + z]]))

@@ -24,7 +24,6 @@ class TestTimeGrid:
         g = TimeGrid(-1.0, 0.25, 16)
         assert g.times[0] == -1.0
         assert g.times[-1] == pytest.approx(-1.0 + 15 * 0.25)
-        assert g.span == pytest.approx(4.0)
         # dt * dxi * n = 2 pi exactly up to rounding
         assert g.dt * g.dxi * g.n_steps == pytest.approx(2 * np.pi, rel=1e-15)
 
@@ -338,11 +337,14 @@ _GRID8 = TimeGrid(0.0, 0.5, 8)
     (lambda path: support_lower_bound(Signal.zeros(_GRID8), 0.0), "floor must be positive"),
     (lambda path: profile_to_csv(np.ones((2, 2, 2)), path / "p.csv"),
      "expected a 1-D or 2-D array, got 3-D"),
-], ids=["1d-values", "3d-values", "short-values", "positive-shift", "zero-floor", "3d-rows"])
+    (lambda path: TimeGrid(np.nan, 0.5, 8), "t0 must be finite, got nan"),
+    (lambda path: TimeGrid(0.0, np.inf, 8), "dt must be positive, got inf"),
+], ids=["1d-values", "3d-values", "short-values", "positive-shift", "zero-floor", "3d-rows",
+        "nan-t0", "inf-dt"])
 def test_refusals(tmp_path, call, refusal):
     # values are (n_steps, dim) with no promotion of a 1-D column, shifts
-    # look back, support floors are relative and positive, and CSV rows are
-    # at most 2-D
+    # look back, support floors are relative and positive, CSV rows are at
+    # most 2-D, and a grid's start and step are finite
     with pytest.raises(ValueError, match=refusal):
         call(tmp_path)
 
