@@ -42,6 +42,10 @@ Kernel admissibility is one :class:`KernelConditionReport` per kernel,
 Hermitian commuting modes, beta_min > nu0, the weighted L1 norm at nu0
 below one (:func:`kernel_weighted_l1`, an adaptive composite Gauss-Legendre
 rule in numpy) and the transform sign condition, evaluated once per kernel.
+The L1 norm is evaluated in the modes' joint eigenbasis
+(:attr:`Kernel.joint_eigenvalues`), which Hermitian commuting modes have; a
+kernel without one has no L1 norm in its report and no integro law, so every
+integro law's scan and stack eigenvalues work in that basis.
 
 Hermitian spectra go through :func:`_eigvalsh`, ``np.linalg.eigvalsh`` bit
 for bit, which sorts the real diagonal of a diagonal matrix or stack instead
@@ -86,6 +90,7 @@ _SIGN_TS = np.concatenate([-np.geomspace(1e-3, 1e3, 31)[::-1], [0.0], np.geomspa
 _SIGN_LINES = 7
 
 _OFF_DOMAIN = "z = 0 is not in the domain of this family"
+_NO_JOINT_BASIS = "the modes have no joint eigenbasis"
 
 # Stack eigenvalues are given only where Re lambda is above rho_floor by more
 # than this fraction of |rho_floor|: nearer, rounding may decide whether the
@@ -98,14 +103,6 @@ _FLOOR_CLEARANCE = 1.0 / 700.0
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _L1_PANELS = 16
 _L1_MAX_LEVELS = 48
-# Grid on which sorted fallback curves are searched for crossings, the
-# golden-section steps that refine each one (0.618^80 < 1e-16), and the gap,
-# relative to the largest |c_i|, that a grid neighbour of a crossing must
-# exceed: below it the gap is rounding, and a kink that shallow is below
-# the rule's tolerance.
-_CROSSING_GRID = 4097
-_CROSSING_STEPS = 80
-_CROSSING_FLOOR = 1e-12
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -153,12 +150,15 @@ def _is_diagonal(a: np.ndarray) -> bool:
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    """A read-only complex copy of ``a``, refused unless it is a square
-    matrix of finite entries: a nan entry fails every comparison, so the
-    checks that follow would pass it."""
+    """A read-only complex copy of ``a``, refused unless it is a nonempty
+    square matrix of finite entries: a nan entry fails every comparison, so
+    the checks that follow would pass it, and a 0 x 0 matrix has no
+    spectrum to check."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"{name} must not be empty")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} must have finite entries")
     m = m.copy()
@@ -168,15 +168,17 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelMode:
-    """One exponential mode gamma * exp(-beta*t) of a convolution kernel."""
+    """One exponential mode gamma * exp(-beta*t) of a convolution kernel,
+    with a finite decay beta > 0: at beta = inf, exp(-beta*t) is nan at
+    t = 0."""
 
     gamma: np.ndarray
     beta: float
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _as_matrix(self.gamma, "gamma"))
-        if not self.beta > 0:
-            raise ValueError(f"mode decay beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"mode decay beta must be positive and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,13 @@ class KernelConditionReport:
     the base line Im z = nu0 and, as corroborating evidence, along sampled
     lines Im z = -rho for rho in (-nu0, 5].  ``sign_defect`` is the largest
     eigenvalue of t * Im Chat over all of them, the base line included.
-    When beta_min <= nu0, Chat has a pole in the half-plane Im z <= nu0:
-    the L1 norm and the sign defect are then inf, not evaluated.
+
+    A value of inf is not evaluated.  When beta_min <= nu0, Chat has a pole
+    in the half-plane Im z <= nu0, and the L1 norm and the sign defect are
+    both inf.  When the modes have no joint eigenbasis
+    (:attr:`Kernel.joint_eigenvalues`), the L1 norm alone is inf: its
+    quadrature works in that basis.  Hermitian commuting modes have one, up
+    to rounding, so the report states its absence as a problem of its own.
     """
 
     hermitian_defect: float
@@ -222,13 +229,16 @@ class KernelConditionReport:
 
     def problems(self) -> list:
         """Every failed condition.  beta_min <= nu0 is the one problem
-        reported for the L1 norm and the sign, which it leaves unevaluated."""
+        reported for the L1 norm and the sign, which it leaves unevaluated,
+        and a missing joint eigenbasis the one reported for the L1 norm."""
         evaluated = self.beta_min > self.nu0
         return [message for ok, message in (
             (self.hermitian_ok, f"non-Hermitian mode (defect {self.hermitian_defect:.3g})"),
             (self.commuting_ok, f"non-commuting modes (defect {self.commutation_defect:.3g})"),
             (evaluated, f"beta_min = {self.beta_min:.6g} must exceed nu0 = {self.nu0:.6g}"),
-            (not evaluated or self.weighted_l1 < 1.0,
+            (not evaluated or self.weighted_l1 < math.inf,
+             f"{_NO_JOINT_BASIS}, so the weighted L1 norm is not evaluated"),
+            (not 1.0 <= self.weighted_l1 < math.inf,
              f"weighted L1 norm at nu0 is {self.weighted_l1:.6g} >= 1"),
             (not evaluated or self.sign_ok,
              f"transform sign condition violated (defect {self.sign_defect:.3g})"),
@@ -268,11 +278,6 @@ class Kernel:
         return min(m.beta for m in self.modes)
 
     @cached_property
-    def hermitian_defect(self) -> float:
-        """Largest 2-norm of gamma_j - gamma_j* over the modes."""
-        return max(_norm2(m.gamma - m.gamma.conj().T) for m in self.modes)
-
-    @cached_property
     def joint_eigenvalues(self) -> np.ndarray | None:
         """Joint eigenvalues g[j, i] = (U* gamma_j U)_ii of the modes, shape
         (modes, dim), or None when one unitary U does not diagonalise them all.
@@ -282,8 +287,10 @@ class Kernel:
         None means some U* gamma_j U is off-diagonal by more than STRUCT_TOL.
         g is complex: its imaginary part is roundoff for Hermitian modes, and the
         eigenvalues themselves for normal non-Hermitian ones.  Evaluated once
-        per kernel, like :attr:`conditions`, for the positivity scan, the L1
-        norm's curves and :meth:`IntegroLaw.stack_eigenvalues`.
+        per kernel, like :attr:`conditions`, for the L1 norm's curves, the
+        positivity scan and :meth:`IntegroLaw.stack_eigenvalues`.  Without it
+        the report holds no L1 norm, so :class:`IntegroLaw` refuses the
+        kernel: every integro law has this basis.
         """
         n = self.dim
         gammas = np.array([m.gamma for m in self.modes], dtype=complex)
@@ -301,22 +308,28 @@ class Kernel:
         """The admissibility report, evaluated once per kernel: the modes are
         read-only and the fields frozen, so the cache cannot go stale.
 
-        The sign condition is one batched expression: Chat(t - i rho) at
-        lambda = rho + i t for every sampled (rho, t), and one batched
-        Hermitian eigenvalue call, whose largest value over every line is
-        the report's one sign defect.
+        The L1 norm at nu0 is evaluated where beta_min > nu0 and the modes
+        have a joint eigenbasis, a single mode included: the positivity scan
+        and the stack eigenvalues of :class:`IntegroLaw` work in that basis,
+        so a kernel whose one mode no unitary diagonalises to STRUCT_TOL is
+        refused too.  The sign condition is one batched expression:
+        Chat(t - i rho) at lambda = rho + i t for every sampled (rho, t), and
+        one batched Hermitian eigenvalue call, whose largest value over every
+        line is the report's one sign defect.
         """
+        herm = max(_norm2(m.gamma - m.gamma.conj().T) for m in self.modes)
         comm = max((_norm2(a.gamma @ b.gamma - b.gamma @ a.gamma)
                     for a, b in combinations(self.modes, 2)), default=0.0)
         l1 = sign = math.inf
         if self.beta_min > self.nu0:
-            l1 = kernel_weighted_l1(self, self.nu0)
+            if self.joint_eigenvalues is not None:
+                l1 = kernel_weighted_l1(self, self.nu0)
             rhos = np.linspace(-self.nu0, 5.0, _SIGN_LINES)
             lam = (rhos[:, None] + 1j * _SIGN_TS)[..., None, None]
             chat = _kernel_w(self, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
             im = hermitian_part(-1j * chat)  # (Chat - Chat*) / 2i, one per (line, t)
             sign = float(np.linalg.eigvalsh(lam.imag * im)[..., -1].max())
-        return KernelConditionReport(self.hermitian_defect, comm, self.beta_min, self.nu0, l1, sign)
+        return KernelConditionReport(herm, comm, self.beta_min, self.nu0, l1, sign)
 
 
 def _kernel_w(kernel: Kernel, lam, one, gammas=None):
@@ -355,58 +368,6 @@ def kernel_hat(kernel: Kernel, z: complex) -> np.ndarray:
     return _kernel_w(kernel, 1j * z, np.zeros((kernel.dim, kernel.dim))) / -SQRT_2PI
 
 
-def _norm_curves(kernel: Kernel, nu: float) -> Callable:
-    """t -> curves c, shape (len(t), k), with ||C(t)||_2 exp(nu t) =
-    max_i |c_i(t)| and every c_i smooth, so the integrand has kinks only
-    where the largest |c_i| hands over to another.
-
-    In the modes' joint eigenbasis C(t) is diagonal and c_i(t) =
-    sum_j g_ji exp(-(beta_j - nu) t): scalar arithmetic over all t at once.
-    Without a joint eigenbasis the curves come from the batched
-    (len(t), n, n) stack: its eigenvalues for Hermitian modes, which are
-    smooth where they do not cross, else its singular values.
-    """
-    decay = np.array([m.beta - nu for m in kernel.modes])
-    g = kernel.joint_eigenvalues
-    if g is not None:
-        return lambda t: np.exp(-np.outer(t, decay)) @ g
-    gammas = np.array([m.gamma for m in kernel.modes])
-    hermitian = kernel.hermitian_defect <= STRUCT_TOL
-
-    def curves(t):
-        stack = np.tensordot(np.exp(-np.outer(t, decay)), gammas, axes=1)
-        return np.linalg.eigvalsh(stack) if hermitian else np.linalg.svd(stack, compute_uv=False)
-
-    return curves
-
-
-def _top_crossings(curves: Callable, t_cut: float) -> np.ndarray:
-    """Where the two largest |c_i| of sorted curves may cross on [0, t_cut].
-
-    Sorted eigenvalues or singular values swap places where they cross, so
-    the largest stays one curve and :func:`_panel_rules` sees no hand-over;
-    the kink shows only as a zero of the gap between the two largest.  Each
-    strict local minimum of that gap on a fine grid is refined by
-    golden-section search, all at once, to rounding; minima whose grid
-    neighbours are at rounding level too are no crossing.
-    """
-    def gap(t):
-        c = np.sort(np.abs(curves(t)), axis=1)
-        return c[:, -1] - c[:, -2]
-
-    t = np.linspace(0.0, t_cut, _CROSSING_GRID)
-    g, floor = gap(t), _CROSSING_FLOOR * np.abs(curves(t)).max()
-    lo, mid, hi = g[:-2], g[1:-1], g[2:]
-    j = np.nonzero((mid < lo) & (mid < hi) & (np.maximum(lo, hi) > floor))[0] + 1
-    a, b = t[j - 1], t[j + 1]
-    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
-    for _ in range(_CROSSING_STEPS):
-        c, d = b - ratio * (b - a), a + ratio * (b - a)
-        left = gap(c) < gap(d)
-        a, b = np.where(left, a, c), np.where(left, d, b)
-    return 0.5 * (a + b)
-
-
 def _panel_rules(curves: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
     """Gauss-Legendre rules on every panel [a_k, b_k]: (coarse, fine, smooth,
     spread).
@@ -433,6 +394,13 @@ def _panel_rules(curves: Callable, a: np.ndarray, b: np.ndarray) -> tuple:
 def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
     """Integral of ||C(t)||_2 * exp(nu*t) over t >= 0 (finite for nu < beta_min).
 
+    One mode gives the closed form ||gamma|| / (beta - nu).  More modes need
+    their joint eigenbasis (:attr:`Kernel.joint_eigenvalues`), in which C(t)
+    is diagonal: ||C(t)||_2 exp(nu t) = max_i |c_i(t)| with the smooth
+    curves c_i(t) = sum_j g_ji exp(-(beta_j - nu) t), scalar arithmetic over
+    all t at once, so the integrand has kinks only where the largest |c_i|
+    hands over to another.  Without that basis this raises ValueError.
+
     Composite Gauss-Legendre on [0, T] plus an analytic bound for the dropped
     tail, with T chosen so the tail is below 1e-12.  A panel is accepted,
     with the finer of its two values, when its tolerance 1e-15 + 1e-14
@@ -443,11 +411,7 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
     * its width times the spread of its samples is below it, which bounds
       both the rule's and the integral's distance from one another up to
       the curvature between samples.  Only panels holding a kink, where two
-      curves |c_i| of :func:`_norm_curves` cross, are settled this way.
-
-    Without a joint eigenbasis the curves are sorted and hide their
-    crossings, so those (:func:`_top_crossings`) are panel ends from the
-    start.
+      curves |c_i| cross, are settled this way.
 
     The other panels are bisected.  A panel still open after
     ``_L1_MAX_LEVELS`` rounds raises :class:`QuadratureError`; no partial
@@ -462,18 +426,18 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
 
     if len(modes) == 1:
         return norms[0] / (modes[0].beta - nu)
+    g = kernel.joint_eigenvalues
+    if g is None:
+        raise ValueError(f"{_NO_JOINT_BASIS}, which the weighted L1 norm of two or more modes needs")
 
+    decay = np.array([m.beta - nu for m in modes])
     tail_tol = 1e-12 / len(modes)
-    t_cut = 1.0
-    for m, g in zip(modes, norms):
-        a = m.beta - nu
-        if g > 0:
-            t_cut = max(t_cut, np.log(max(g / (a * tail_tol), 1.0)) / a)
+    t_cut = max([1.0] + [np.log(max(n / (a * tail_tol), 1.0)) / a for n, a in zip(norms, decay) if n > 0])
 
-    curves = _norm_curves(kernel, nu)
+    def curves(t):
+        return np.exp(-np.outer(t, decay)) @ g
+
     edges = np.linspace(0.0, t_cut, _L1_PANELS + 1)
-    if kernel.joint_eigenvalues is None:  # sorted curves: their crossings become panel ends
-        edges = np.union1d(edges, _top_crossings(curves, t_cut))
     a, b = edges[:-1], edges[1:]
     val = 0.0
     for _ in range(_L1_MAX_LEVELS):
@@ -490,7 +454,7 @@ def kernel_weighted_l1(kernel: Kernel, nu: float) -> float:
         raise QuadratureError(
             f"kernel L1 quadrature at nu = {nu:.6g} did not converge within "
             f"{_L1_MAX_LEVELS} bisection rounds on {a.size} panels")
-    tail = sum(g * np.exp(-(m.beta - nu) * t_cut) / (m.beta - nu) for m, g in zip(modes, norms))
+    tail = sum(n * np.exp(-a * t_cut) / a for n, a in zip(norms, decay))
     return float(val + tail)
 
 
@@ -897,13 +861,12 @@ class IntegroLaw(MaterialLaw):
     no mode has a nonzero off-diagonal entry, W(lambda) is diagonal
     (``_w_diagonal``) and B(lambda) = diag(lambda / w(lambda)) + K is
     the diagonal form too; rotated modes have the pencil only, because
-    their joint eigenbasis is exact only to STRUCT_TOL.  The modes are
-    Hermitian and commute, so one unitary U diagonalises every W(lambda),
-    with diagonal w_i(lambda), and the positivity minimum is
-    c + min_i Re(lambda / w_i(lambda)): one n x n eigendecomposition plus
-    scalar arithmetic over the sampled points, one batch of
-    :func:`_scan_batches` at a time.  Modes that U does not diagonalise to
-    STRUCT_TOL fall back to the dense scan.
+    their joint eigenbasis is exact only to STRUCT_TOL.  An admissible
+    kernel has that basis (:attr:`Kernel.joint_eigenvalues`): one unitary U
+    diagonalises every W(lambda), with diagonal w_i(lambda), and the
+    positivity minimum is c + min_i Re(lambda / w_i(lambda)): one n x n
+    eigendecomposition plus scalar arithmetic over the sampled points, one
+    batch of :func:`_scan_batches` at a time.
 
     The bound c - nu (1 - L1(nu))^-1 holds for nu <= nu0 while the weighted
     L1 norm L1(nu) stays below one and the transform sign condition
@@ -990,30 +953,25 @@ class IntegroLaw(MaterialLaw):
             return True, f"singular ball of kernel (nu0 = {nu0:.6g}) is contained in the excluded ball"
         return False, f"requested nu = {nu:.6g} exceeds kernel nu0 = {nu0:.6g}"
 
-    def _stack_eigenvalues(self, lam: np.ndarray) -> tuple | None:
+    def _stack_eigenvalues(self, lam: np.ndarray) -> tuple:
         """In the modes' joint eigenbasis U, lambda M(1/lambda) is
         U diag(lambda / w_i + c) U* with w_i = w_i(lambda), the diagonal of
         U* W U.  U* gamma_j U is diagonal only up to its off-diagonal part
         O_j, ||O_j|| <= STRUCT_TOL, so W = U (diag(w) - D) U* with
         ||D|| <= d = STRUCT_TOL sum_j 1/|beta_j + lambda|; by the Neumann
         series lambda W^-1 moves by at most |lambda| a^2 d / (1 - a d),
-        a = max_i 1/|w_i|: the slack.  None without a joint eigenbasis.
+        a = max_i 1/|w_i|: the slack.
         """
-        g = self.kernel.joint_eigenvalues
-        if g is None:
-            return None
-        w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g)
+        w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), self.kernel.joint_eigenvalues)
         a = 1.0 / np.abs(w).min(axis=1)
         d = STRUCT_TOL * sum(1.0 / np.abs(m.beta + lam) for m in self.kernel.modes)
         return lam[:, None] / w + self.c, np.abs(lam) * a * a * d / np.maximum(1.0 - a * d, 0.0)
 
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
-        g = self.kernel.joint_eigenvalues
-        if g is None:
-            return super().positivity_min(sigmas, taus, boundary)
+        g = self.kernel.joint_eigenvalues.real
 
         def evaluate(lam):
-            w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g.real)
+            w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g)
             values = (lam[:, None] / w).real + self.c
             return (w, values), lambda: values
 
@@ -1039,7 +997,8 @@ class IntegroLaw(MaterialLaw):
 
 @dataclass(frozen=True)
 class CustomLaw(MaterialLaw):
-    """Caller-supplied symbol with declared singularities.
+    """Caller-supplied symbol of ``dim`` x ``dim`` matrices, ``dim`` an
+    integer >= 1, with declared singularities.
 
     ``shifted_fn(nu, z)``, when given, evaluates the analytic extension of
     (1 - nu*z) * M(z/(1 - nu*z)); without it only nu = 0 is available.  The
@@ -1062,6 +1021,10 @@ class CustomLaw(MaterialLaw):
     singularities: tuple = ()
     shifted_fn: Callable[[float, complex], np.ndarray] | None = None
     family = "custom"
+
+    def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"custom law dim must be an integer >= 1, got {self.dim!r}")
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
         values = np.array([self.symbol(z) for z in (1.0 / lam).tolist()], dtype=complex)

@@ -21,15 +21,13 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from evostab.certify import SHIFT_RADII, HypothesisResult, SamplingConfig, _sigma_grid
 from evostab.material import _SIGN_LINES, _SIGN_TS, _norm2
 from evostab.signals import Signal
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
-# Break points around an avoided crossing t_c: t_c itself and t_c +- these
-_CROSSING_OFFSETS = np.array([-1e-2, -1e-4, -1e-6, 0.0, 1e-6, 1e-4, 1e-2])
 
 
 def trapezoid_antiderivative(f: Signal) -> Signal:
@@ -77,42 +75,29 @@ def dense_positivity_scan(law, nu: float, **grid) -> float:
     return best
 
 
-def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
-    """Integral of ||C(t)||_2 exp(nu t) over t >= 0 for Hermitian modes.
+def kernel_l1_oracle(kernel, nu: float, joint) -> float:
+    """Integral of ||C(t)||_2 exp(nu t) over t >= 0 for modes with the joint
+    eigenvalues ``joint`` (modes, dim), which the caller knows.
 
-    ||C(t)||_2 = max_i |c_i(t)| with smooth curves c_i: the exponential sums
-    sum_j joint[j, i] exp(-beta_j t) when the caller knows the modes' joint
-    eigenvalues ``joint`` (modes, dim), else the sorted eigenvalues of C(t),
-    smooth while they do not cross.  The kinks, where the largest |c_i|
-    hands over to another, are located by brentq between the fine-grid
-    points where the argmax changes and handed to ``quad`` as break points.
-    Sorted eigenvalues that cross swap places instead, so without ``joint``
-    the strict local minima of the gap between the two largest |c_i| on the
-    fine grid, located by bounded minimisation, are break points too, with
-    more at 1e-6, 1e-4 and 1e-2 on either side, unless the gap next to them
-    is rounding (below 1e-12 of the largest |c_i|).
-    Each piece between break points is integrated by its own ``quad`` call.
+    ||C(t)||_2 = max_i |c_i(t)| with the smooth curves c_i, the exponential
+    sums sum_j joint[j, i] exp(-beta_j t).  The kinks, where the largest
+    |c_i| hands over to another, are located by brentq between the
+    fine-grid points where the argmax changes and handed to ``quad`` as
+    break points.  Each piece between break points is integrated by its own
+    ``quad`` call.
     [0, T] leaves out less than 1e-17, which is bounded analytically.
     """
     rates = np.array([m.beta - nu for m in kernel.modes])
     norms = np.array([np.linalg.norm(m.gamma, 2) for m in kernel.modes])
     t_end = max(np.log(max(n * len(rates) / (a * 1e-17), 1.0)) / a
                 for n, a in zip(norms, rates))
-    gammas = np.array([m.gamma for m in kernel.modes])
 
     def curves(t):
-        decay = np.exp(-np.outer(np.atleast_1d(t), rates))
-        if joint is not None:
-            return decay @ np.asarray(joint)
-        return np.linalg.eigvalsh(np.tensordot(decay, gammas, axes=1))
+        return np.exp(-np.outer(np.atleast_1d(t), rates)) @ np.asarray(joint)
 
     def gap(t, i, k):
         ct = np.abs(curves(t)[0])
         return ct[i] - ct[k]
-
-    def top_gap(t):
-        ct = np.sort(np.abs(curves(t)), axis=1)
-        return ct[:, -1] - ct[:, -2]
 
     grid = np.linspace(0.0, t_end, 20001)
     top = np.abs(curves(grid)).argmax(axis=1)
@@ -121,17 +106,6 @@ def kernel_l1_oracle(kernel, nu: float, joint=None) -> float:
         args = (top[j], top[j + 1])
         if gap(grid[j], *args) * gap(grid[j + 1], *args) < 0:
             kinks.append(brentq(gap, grid[j], grid[j + 1], args=args, xtol=1e-15))
-    if joint is None and kernel.dim > 1:
-        g, floor = top_gap(grid), 1e-12 * np.abs(curves(grid)).max()
-        lo, mid, hi = g[:-2], g[1:-1], g[2:]
-        for j in np.nonzero((mid < lo) & (mid < hi) & (np.maximum(lo, hi) > floor))[0] + 1:
-            t_c = minimize_scalar(lambda t: top_gap(t)[0], method="bounded",
-                                  bounds=(grid[j - 1], grid[j + 1])).x
-            # the bounded search places t_c only to ~sqrt(eps) t, and a piece
-            # that ends that close to a narrow avoided crossing can pass
-            # quad's error estimate while 1.7e-12 off: pieces that shrink
-            # towards t_c keep each one smooth on its own scale
-            kinks += [t for t in t_c + _CROSSING_OFFSETS if 0.0 < t < t_end]
 
     def integrand(t):
         return float(np.abs(curves(t)).max())

@@ -306,16 +306,6 @@ class TestStructuredMinima:
         assert solvability_constant(law, nu, **kw) == pytest.approx(
             dense_positivity_scan(law, nu, **kw), **MATCH)
 
-    @settings(max_examples=10, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 4), nu=st.floats(0.0, 0.5))
-    def test_integro_fallback_is_the_dense_scan(self, data, dim, nu):
-        law = self.rotated_integro_law(data, dim)
-        kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
-            got = solvability_constant(law, nu, **kw)
-        assert got == dense_positivity_scan(law, nu, **kw)
-
 
 def pole_law(m0, m1, g, a, singularities=None, tally=None, k=None):
     """M(z) = M0 + z M1 + z/(1 + a z) G + z^2 K, its pole -1/a declared
@@ -387,20 +377,15 @@ class TestBoundaryScan:
         assert got == pytest.approx(oracle, **MATCH)
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 4), nu=st.floats(0.0, 0.5),
-           joint=st.booleans())
-    def test_integro_boundary_holds_the_grid_minimum(self, data, dim, nu, joint):
+    @given(data=st.data(), dim=st.integers(1, 4), nu=st.floats(0.0, 0.5))
+    def test_integro_boundary_holds_the_grid_minimum(self, data, dim, nu):
         law = TestStructuredMinima.rotated_integro_law(data, dim)
         kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
         cfg = SamplingConfig(**kw)
-        with pytest.MonkeyPatch.context() as mp:
-            if not joint:
-                mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
-            got = solvability_constant(law, nu, **kw)
-            # the same scan over every grid point; without the joint
-            # eigenbasis that is the oracle's arithmetic, bit for bit
-            full = law.positivity_min(_sigma_grid(nu, cfg), np.linspace(-100.0, 100.0, 41),
-                                      boundary=False)
+        got = solvability_constant(law, nu, **kw)
+        # the same joint-eigenbasis scan over every grid point
+        full = law.positivity_min(_sigma_grid(nu, cfg), np.linspace(-100.0, 100.0, 41),
+                                  boundary=False)
         assert got >= full
         assert got == pytest.approx(dense_positivity_scan(law, nu, **kw), **MATCH)
 
@@ -425,11 +410,9 @@ class TestBoundaryScan:
         assert solvability_constant(custom, 0.3, **kw) == dense_positivity_scan(custom, 0.3, **kw)
         # the joint-eigenbasis scan against itself over every grid point
         full = integro.positivity_min(sigmas, taus, boundary=False)
-        assert solvability_constant(integro, 0.3, **kw) == full
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Kernel, "joint_eigenvalues", property(lambda kernel: None))
-            got = solvability_constant(integro, 0.3, **kw)
-        assert got == dense_positivity_scan(integro, 0.3, **kw)
+        got = solvability_constant(integro, 0.3, **kw)
+        assert got == full
+        assert got == pytest.approx(dense_positivity_scan(integro, 0.3, **kw), **MATCH)
 
     @pytest.mark.parametrize("nu, kw, expected", [
         (0.3, dict(n_sigma=1, n_tau=41), 2.0),

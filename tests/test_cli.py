@@ -101,6 +101,12 @@ def inf_beyond_scan():
         return np.array([[np.inf if abs(1.0 / z) > 150.0 else 1.0 + z]])
 
     return CustomLaw(1, fn), None
+
+def empty_operator():
+    return CustomLaw(1, lambda z: np.eye(1)), np.zeros((0, 0))
+
+def zero_dim():
+    return CustomLaw(0, lambda z: np.zeros((0, 0))), None
 '''
 
 
@@ -366,6 +372,27 @@ def test_nonfinite_custom_operator_is_config_error(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == "config error: matrix must have finite entries\n"
 
 
+@pytest.mark.parametrize("factory, message", [
+    ("empty_operator", "matrix must not be empty"),
+    ("zero_dim", "custom law dim must be an integer >= 1, got 0"),
+])
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_empty_custom_problem_is_config_error(tmp_path, monkeypatch, capsys, command, factory,
+                                              message):
+    # a 0 x 0 operator or a law of dim 0 is refused when it is built (exit
+    # 2), not left to fail with an IndexError further on
+    install_custom_module(tmp_path, monkeypatch)
+    cfg = write_cfg(tmp_path, {
+        "family": "custom",
+        "custom": {"import": f"cli_custom_laws:{factory}"},
+        "grid": {"t0": -1.0, "dt": 0.015625, "n_steps": 256},
+        "rho": 0.5,
+        "nu": 0.5,
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_solve_rejects_missing_custom_import(tmp_path):
     cfg = write_cfg(tmp_path, {
         "family": "custom",
@@ -591,6 +618,20 @@ def crossing_integro_cfg() -> dict:
         "rho": 0.05,
         "forcing": {"kind": "pulse", "center": 0.5, "width": 0.1},
     }
+
+
+def test_certify_refuses_a_kernel_without_joint_eigenbasis(tmp_path, capsys):
+    # modes diag(1, 2) and [[2, 1], [1, 2]], scaled to an L1 norm below one,
+    # do not commute: the kernel is refused (exit 2), naming both reasons
+    cfg = crossing_integro_cfg()
+    cfg["kernel"]["modes"] = [
+        {"gamma": [[[0.1 * x, 0.0] for x in row] for row in gamma], "beta": beta}
+        for gamma, beta in (([[1.0, 0.0], [0.0, 2.0]], 2.0), ([[2.0, 1.0], [1.0, 2.0]], 3.0))]
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: non-commuting modes (defect ")
+    assert "; the modes have no joint eigenbasis, so the weighted L1 norm is not evaluated" in err
 
 
 def test_certify_unconverged_kernel_l1_is_analytic(tmp_path, monkeypatch, capsys):

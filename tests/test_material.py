@@ -265,6 +265,20 @@ class TestKernel:
         assert law.lower_bound(0.25) is None
         assert certify(law, 0.25).certificate == "sampled"
 
+    def test_one_mode_needs_its_eigenbasis_too(self):
+        # a Hermitian mode of norm ~1e6 that eigh leaves off-diagonal by more
+        # than STRUCT_TOL: its L1 norm has a closed form, but the integro
+        # law's scan works in the joint eigenbasis, so the report holds none
+        a = np.random.default_rng(1).standard_normal((4, 4))
+        gamma = 1e5 * (a @ a.T)
+        kernel = Kernel((KernelMode(gamma, 1e7),), nu0=0.5)
+        assert kernel.joint_eigenvalues is None
+        assert kernel_weighted_l1(kernel, 0.5) == np.linalg.norm(gamma, 2) / (1e7 - 0.5)
+        assert kernel.conditions.hermitian_ok and kernel.conditions.weighted_l1 == np.inf
+        with pytest.raises(KernelAdmissibilityError,
+                           match="^the modes have no joint eigenbasis, so the weighted L1"):
+            IntegroLaw(kernel, c=1.0)
+
     def test_mode_eigenvalues(self):
         # commuting modes in a rotated basis: the joint eigenvalues come back
         # in one common order; non-commuting modes have no joint eigenbasis
@@ -299,6 +313,31 @@ class TestKernel:
 # s_2 = 0.05 e^{-2t} + 0.1 e^{-0.8t} cross once: ||C(t)|| has a kink there.
 CROSSING_JOINT = np.array([[0.3, 0.05], [0.02, 0.1]])
 CROSSING_BETAS = (2.0, 0.8)
+
+
+def gram_modes(roots, betas):
+    """PSD modes r r^T / n, one per n x n root r, with the given decays."""
+    return tuple(KernelMode(r @ r.T / len(r), b) for r, b in zip(roots, betas))
+
+
+def block_roots(entry):
+    """Roots of two block-diagonal modes that do not commute: the largest
+    eigenvalue of the {1, 2} block crosses the {0} block's."""
+    r1 = np.zeros((4, 4))
+    r1[1, :2], r1[2, 1] = (0.875, entry), entry
+    r2 = np.zeros((4, 4))
+    r2[0, 0], r2[2, 1] = 0.875, 0.5
+    return r1, r2
+
+
+def avoided_crossing_roots():
+    """Roots of two modes whose sorted eigenvalues come within 1.1e-8 of each
+    other at t ~ 4.1588831 without crossing."""
+    r0 = np.full((4, 4), 1e-5)
+    r0[0, 0] = 1.0
+    r1 = np.full((4, 4), 1e-5)
+    r1[1, 0] = 0.125
+    return r0, r1
 
 
 def crossing_kernel():
@@ -341,45 +380,6 @@ class TestKernelL1:
         kernel = Kernel(modes, nu0=0.5)
         assert abs(kernel_weighted_l1(kernel, nu) - kernel_l1_oracle(kernel, nu, joint)) <= 1e-12
 
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data(), dim=st.integers(2, 4), nu=st.floats(0.0, 0.5))
-    def test_noncommuting_fallback_matches_oracle(self, data, dim, nu):
-        roots = data.draw(hnp.arrays(float, (data.draw(st.integers(2, 3)), dim, dim),
-                                     elements=st.floats(-1.0, 1.0)))
-        modes = tuple(KernelMode(r @ r.T / dim, data.draw(st.floats(0.6, 3.0))) for r in roots)
-        kernel = Kernel(modes, nu0=0.5)
-        assume(kernel.joint_eigenvalues is None)
-        assert abs(kernel_weighted_l1(kernel, nu) - kernel_l1_oracle(kernel, nu)) <= 1e-12
-
-    @pytest.mark.parametrize("entry", [1.0, 0.25])
-    def test_crossing_sorted_eigenvalues_match_oracle(self, entry):
-        # block-diagonal non-commuting modes: the largest eigenvalue of the
-        # {1, 2} block crosses the {0} block's, and sorted eigenvalues swap
-        # there without an argmax change (0.25 was 6.8e-10 off, 1.0 fooled
-        # the oracle by 2.1e-10)
-        r1 = np.zeros((4, 4))
-        r1[1, :2], r1[2, 1] = (0.875, entry), entry
-        r2 = np.zeros((4, 4))
-        r2[0, 0], r2[2, 1] = 0.875, 0.5
-        kernel = Kernel((KernelMode(r1 @ r1.T / 4, 2.0), KernelMode(r2 @ r2.T / 4, 0.75)), nu0=0.5)
-        assert kernel.joint_eigenvalues is None
-        assert abs(kernel_weighted_l1(kernel, 0.0) - kernel_l1_oracle(kernel, 0.0)) <= 1e-12
-
-    def test_avoided_crossing_at_an_oracle_piece_end(self):
-        # sorted eigenvalues avoid each other by 1.1e-8 at t ~ 4.1588831, the
-        # end of the oracle's first piece; a 40-digit mpmath integral gives
-        # 0.12503051777170696 (the oracle without the extra break points
-        # around the crossing was 1.7e-12 off)
-        r0 = np.full((4, 4), 1e-5)
-        r0[0, 0] = 1.0
-        r1 = np.full((4, 4), 1e-5)
-        r1[1, 0] = 0.125
-        kernel = Kernel((KernelMode(r0 @ r0.T / 4, 2.0), KernelMode(r1 @ r1.T / 4, 1.0)), nu0=0.5)
-        assert kernel.joint_eigenvalues is None
-        expected = kernel_l1_oracle(kernel, 0.0)
-        assert abs(expected - 0.12503051777170696) <= 1e-12
-        assert abs(kernel_weighted_l1(kernel, 0.0) - expected) <= 1e-12
-
     def test_normal_non_hermitian_modes_keep_their_phase(self):
         # |0.2i e^{-t} + 0.1 e^{-2t}|: the imaginary mode is not rounded away
         kernel = Kernel((KernelMode([[0.2j]], 1.0), KernelMode([[0.1]], 2.0)), nu0=0.5)
@@ -387,12 +387,26 @@ class TestKernelL1:
                            0.0, np.inf, epsabs=1e-14, epsrel=1e-13)
         assert abs(kernel_weighted_l1(kernel, 0.0) - expected) <= 1e-12
 
-    def test_non_normal_modes_take_singular_values(self):
-        # C(t) = [[0, e^{-t}], [0.5 e^{-2t}, 0]] has norm e^{-t}, so L1(0) = 1
-        kernel = Kernel((KernelMode([[0, 1], [0, 0]], 1.0), KernelMode([[0, 0], [0.5, 0]], 2.0)),
-                        nu0=0.5)
+    @pytest.mark.parametrize("modes", [
+        gram_modes(np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3)), (1.5, 0.8, 2.5)),
+        gram_modes(block_roots(1.0), (2.0, 0.75)),
+        gram_modes(block_roots(0.25), (2.0, 0.75)),
+        gram_modes(avoided_crossing_roots(), (2.0, 1.0)),
+        # non-normal modes: C(t) = [[0, e^{-t}], [0.5 e^{-2t}, 0]]
+        (KernelMode([[0, 1], [0, 0]], 1.0), KernelMode([[0, 0], [0.5, 0]], 2.0)),
+    ], ids=["noncommuting", "sorted-crossing-1.0", "sorted-crossing-0.25", "avoided-crossing",
+            "non-normal"])
+    def test_no_joint_eigenbasis_has_no_l1_norm(self, modes):
+        # the quadrature works in the modes' joint eigenbasis; without one
+        # the norm raises, and the report leaves it unevaluated (inf)
+        kernel = Kernel(modes, nu0=0.5)
         assert kernel.joint_eigenvalues is None
-        assert abs(kernel_weighted_l1(kernel, 0.0) - 1.0) <= 1e-12
+        with pytest.raises(ValueError, match="the modes have no joint eigenbasis"):
+            kernel_weighted_l1(kernel, 0.0)
+        assert kernel.conditions.weighted_l1 == np.inf
+        assert "the modes have no joint eigenbasis, so the weighted L1 norm is not evaluated" in (
+            kernel.conditions.problems())
+        assert not any("L1 norm at nu0" in p for p in kernel.conditions.problems())
 
     def test_level_cap_raises_instead_of_a_partial_sum(self, monkeypatch):
         monkeypatch.setattr("evostab.material._L1_MAX_LEVELS", 1)
@@ -433,6 +447,15 @@ class TestLawConstruction:
         (lambda: DaeLaw([[1.0]], [[np.inf]]), "M1 must have finite entries"),
         (lambda: DaeLaw([[np.nan]], [[1.0]]), "M0 must have finite entries"),
         (lambda: KernelMode([[np.nan]], 1.0), "gamma must have finite entries"),
+        (lambda: KernelMode([[0.25]], np.inf), "mode decay beta must be positive and finite, got inf"),
+        (lambda: DaeLaw(np.zeros((0, 0)), np.zeros((0, 0))), "M0 must not be empty"),
+        (lambda: SpatialOperator(np.zeros((0, 0))), "matrix must not be empty"),
+        (lambda: CustomLaw(0, lambda z: np.zeros((0, 0))),
+         "custom law dim must be an integer >= 1, got 0"),
+        (lambda: CustomLaw(True, lambda z: np.eye(1)),
+         "custom law dim must be an integer >= 1, got True"),
+        (lambda: CustomLaw(1.0, lambda z: np.eye(1)),
+         r"custom law dim must be an integer >= 1, got 1\.0"),
         (lambda: DelayLaw(np.eye(1), np.eye(1), -np.inf),
          "delay shift h must be negative, got -inf"),
         (lambda: IntegroLaw(scalar_kernel(), np.inf), "c must be positive, got inf"),
@@ -443,11 +466,14 @@ class TestLawConstruction:
         (lambda: IntegroLaw(scalar_kernel(), 1.0).shifted(np.inf, 0.5),
          "nu must be nonnegative, got inf"),
     ], ids=["non-square-m0", "3d-gamma", "dae-shifted-at-zero", "integro-shifted-at-zero",
-            "nan-operator", "nan-m1", "inf-m1", "nan-m0", "nan-gamma", "infinite-h", "infinite-c",
+            "nan-operator", "nan-m1", "inf-m1", "nan-m0", "nan-gamma", "infinite-beta", "empty-m0",
+            "empty-operator", "custom-dim-zero", "custom-dim-bool", "custom-dim-float", "infinite-h",
+            "infinite-c",
             "certify-nan-nu", "sampled-inf-nu", "shifted-nan-nu", "shifted-inf-nu"])
     def test_refusals(self, build, refusal):
-        # a matrix that is not square or has a non-finite entry, a
-        # non-finite scalar, and z = 0 for nu > 0, where the shifted symbol
+        # a matrix that is not square, empty or has a non-finite entry, a
+        # custom law's dim that is not a positive integer, a non-finite
+        # scalar, and z = 0 for nu > 0, where the shifted symbol
         # (1 - nu z) M(z / (1 - nu z)) is M at infinity
         with pytest.raises(ValueError, match=refusal):
             build()
@@ -731,7 +757,9 @@ class TestShiftedNorms:
         nearly = Kernel((KernelMode(np.diag([0.1, 0.1 + 1e-11]), 1.0),
                          KernelMode([[0.0, 0.01], [0.01, 0.0]], 2.0)), nu0=0.5)
         assert nearly.joint_eigenvalues is None
-        assert IntegroLaw(nearly, c=1.0).stack_eigenvalues(lam) is None
+        # so it has no L1 norm in its report, and no integro law
+        with pytest.raises(KernelAdmissibilityError, match="the modes have no joint eigenbasis"):
+            IntegroLaw(nearly, c=1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 4),
