@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for twenty-one fixed configs.
+"""Print the sha256 of every CLI artifact for twenty-two fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -46,7 +46,10 @@ path written as ``$TMP``, and the digest does not change from run to run.
 ``integro-far`` is the ``integro`` config at nu = 0.6, above the kernel's
 nu0 = 0.5, through ``certify`` only (exit 1): the analyticity check fails,
 so the positivity scan in the modes' joint eigenbasis takes every point of
-the grid, and the shifted-symbol check reports its refusal of nu > nu0.
+the grid, and the shifted-symbol check reports its refusal of nu > nu0.  ``dae-ivp-s``
+is the ``dae`` config with ``phi_scale = 0.75``, through ``ivp`` only: every
+other ``ivp`` case has scale 1, where t/s is exact, so this one byte-checks
+the cut-off where t/s rounds.
 The output is one sorted ``<case>-<command>/<file> <sha256>`` line per
 artifact, then one ``<case>-<command> exit=<code>`` line per command.
 
@@ -193,6 +196,8 @@ CASES["dae-csv"] = {**CASES["dae"], "forcing": {"kind": "csv", "path": "dae-solv
 # nu = 0.6 above the kernel's nu0 = 0.5: analyticity fails, so every point of
 # the positivity grid is scanned, and the shifted symbol is refused.
 CASES["integro-far"] = {**CASES["integro"], "nu": 0.6}
+# A cut-off scale at which t/s is inexact on the grid, through ivp only.
+CASES["dae-ivp-s"] = {**CASES["dae"], "phi_scale": 0.75}
 
 # Commands per case: certify, solve and verify unless named here.  solve and
 # ivp do not depend on nu.
@@ -200,7 +205,7 @@ COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certif
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
             "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
             "delay-dense": ["solve", "verify"], "custom-pole": ["certify"],
-            "integro-far": ["certify"]}
+            "integro-far": ["certify"], "dae-ivp-s": ["ivp"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
 
