@@ -20,8 +20,7 @@ from .certify import (CertificationReport, KernelConditionReport,
                       closed_form_rate, solvability_constant,
                       solvability_lower_bound)
 from .solver import (EvolutionaryProblem, apply_forward, convolve_time,
-                     cutoff_phi, ivp_assemble_rhs, ivp_solve, solve,
-                     solve_integro)
+                     ivp_solve, solve, solve_integro)
 from .analysis import (DecayFit, causality_check, fit_decay_rate,
                        profile_to_csv, verify_stability, weighted_norm_profile)
 

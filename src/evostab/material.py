@@ -192,12 +192,14 @@ class KernelConditionReport:
     lines Im z = -rho for rho in (-nu0, 5].  ``sign_defect`` is the largest
     eigenvalue of t * Im Chat over all of them, the base line included.
 
-    A value of inf is not evaluated.  When beta_min <= nu0, Chat has a pole
-    in the half-plane Im z <= nu0, and the L1 norm and the sign defect are
-    both inf.  When the modes have no joint eigenbasis
-    (:attr:`Kernel.joint_eigenvalues`), the L1 norm alone is inf: its
-    quadrature works in that basis.  Hermitian commuting modes have one, up
-    to rounding, so the report states its absence as a problem of its own.
+    When beta_min <= nu0, Chat has a pole in the half-plane Im z <= nu0,
+    and the L1 norm and the sign defect are both inf, not evaluated.  When
+    the modes have no joint eigenbasis (:attr:`Kernel.joint_eigenvalues`),
+    the L1 norm alone is nan, not evaluated: its quadrature works in that
+    basis.  Hermitian commuting modes have one, up to rounding, so the
+    report states its absence as a problem of its own.  Otherwise an L1 norm
+    of inf was evaluated and overflowed, and it fails as ">= 1"; a sign
+    defect that is not finite is reported as inf, so it fails too.
     """
 
     hermitian_defect: float
@@ -236,9 +238,9 @@ class KernelConditionReport:
             (self.hermitian_ok, f"non-Hermitian mode (defect {self.hermitian_defect:.3g})"),
             (self.commuting_ok, f"non-commuting modes (defect {self.commutation_defect:.3g})"),
             (evaluated, f"beta_min = {self.beta_min:.6g} must exceed nu0 = {self.nu0:.6g}"),
-            (not evaluated or self.weighted_l1 < math.inf,
+            (not math.isnan(self.weighted_l1),
              f"{_NO_JOINT_BASIS}, so the weighted L1 norm is not evaluated"),
-            (not 1.0 <= self.weighted_l1 < math.inf,
+            (not evaluated or not self.weighted_l1 >= 1.0,
              f"weighted L1 norm at nu0 is {self.weighted_l1:.6g} >= 1"),
             (not evaluated or self.sign_ok,
              f"transform sign condition violated (defect {self.sign_defect:.3g})"),
@@ -312,23 +314,26 @@ class Kernel:
         have a joint eigenbasis, a single mode included: the positivity scan
         and the stack eigenvalues of :class:`IntegroLaw` work in that basis,
         so a kernel whose one mode no unitary diagonalises to STRUCT_TOL is
-        refused too.  The sign condition is one batched expression:
-        Chat(t - i rho) at lambda = rho + i t for every sampled (rho, t), and
-        one batched Hermitian eigenvalue call, whose largest value over every
-        line is the report's one sign defect.
+        refused too; without that basis the L1 norm is nan.  The sign
+        condition is one batched expression: Chat(t - i rho) at
+        lambda = rho + i t for every sampled (rho, t), and one batched
+        Hermitian eigenvalue call, whose largest value over every line is
+        the report's one sign defect.  Where Chat overflows, that value is
+        not finite and is reported as inf.
         """
         herm = max(_norm2(m.gamma - m.gamma.conj().T) for m in self.modes)
         comm = max((_norm2(a.gamma @ b.gamma - b.gamma @ a.gamma)
                     for a, b in combinations(self.modes, 2)), default=0.0)
         l1 = sign = math.inf
         if self.beta_min > self.nu0:
-            if self.joint_eigenvalues is not None:
-                l1 = kernel_weighted_l1(self, self.nu0)
+            l1 = math.nan if self.joint_eigenvalues is None else kernel_weighted_l1(self, self.nu0)
             rhos = np.linspace(-self.nu0, 5.0, _SIGN_LINES)
             lam = (rhos[:, None] + 1j * _SIGN_TS)[..., None, None]
-            chat = _kernel_w(self, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
-            im = hermitian_part(-1j * chat)  # (Chat - Chat*) / 2i, one per (line, t)
-            sign = float(np.linalg.eigvalsh(lam.imag * im)[..., -1].max())
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow: reported as inf
+                chat = _kernel_w(self, lam, np.zeros((self.dim, self.dim))) / -SQRT_2PI
+                im = hermitian_part(-1j * chat)  # (Chat - Chat*) / 2i, one per (line, t)
+                sign = float(np.linalg.eigvalsh(lam.imag * im)[..., -1].max())
+            sign = sign if math.isfinite(sign) else math.inf
         return KernelConditionReport(herm, comm, self.beta_min, self.nu0, l1, sign)
 
 

@@ -66,13 +66,12 @@ forcing already warned, the solution's edge mass, which then carries the
 response to the forcing's, is only recorded (``meta['edge_mass_solution']``).
 
 An initial-value problem is the :class:`EvolutionaryProblem` of a DAE law,
-the same one :func:`solve` takes, plus an initial state u0; it is reduced to
-a forced equation on the whole line: with phi the plateau cutoff from
-:func:`cutoff_phi`, v = u - phi * u0 satisfies the same equation with the
-modified right-hand side assembled by :func:`ivp_assemble_rhs`, and u is
-recovered as v + phi * u0.  The jump of u at t = 0 is carried by phi
-exactly, so the achieved initial value can be read off the first grid point
-at or after zero.
+the same one :func:`solve` takes, plus an initial state u0.
+:func:`ivp_solve` states the reduction in one place: v = u - phi * u0, with
+phi a plateau cut-off, solves the same equation on the whole line with a
+modified right-hand side, and u is recovered as v + phi * u0.  The jump of u
+at t = 0 is carried by phi exactly, so the achieved initial value can be
+read off the first grid point at or after zero.
 """
 
 from __future__ import annotations
@@ -514,66 +513,52 @@ def convolve_time(kernel: Kernel, u: Signal) -> Signal:
     return Signal(u.grid, out)
 
 
-def cutoff_phi(t, scale: float = 1.0):
-    """Plateau cutoff: 1 on [0, scale], linear down to 0 on (scale, 2*scale),
-    zero elsewhere.  Accepts scalars or arrays."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    t = np.asarray(t, dtype=float)
-    out = np.where((t >= 0) & (t <= scale), 1.0,
-                   np.where((t > scale) & (t < 2 * scale), 2.0 - t / scale, 0.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
+              check_certified: bool = True) -> tuple:
+    """Solve (d/dt M0 + M1 + A) u = f on t > 0 with M0 u(0+) = M0 u0;
+    returns (u, initial_gap).
 
+    The initial-value problem is the forced equation of :func:`solve` on the
+    whole line for v = u - phi*u0.  With s = ``phi_scale``, phi the plateau
+    cut-off (1 on [0, s], 2 - t/s on (s, 2s), 0 elsewhere) and chi the
+    indicator of (s, 2s), v solves
 
-def ivp_assemble_rhs(problem: EvolutionaryProblem, u0, phi_scale: float = 1.0) -> Signal:
-    """Right-hand side for v = u - phi*u0 in the initial-value problem
-    (d/dt M0 + M1 + A) u = f on t > 0 with M0 u(0+) = M0 u0:
-    g = f + (1/s) chi_(s,2s) M0 u0 - phi M1 u0 - phi A u0.
+        (d/dt M0 + M1 + A) v = f + (chi/s) M0 u0 - phi (M1 + A) u0,
 
-    ``problem.symbol`` must be a DAE law M(z) = M0 + z*M1, ``u0`` a vector of
-    its dimension, ``problem.f`` must vanish before t = 0 and its grid must
-    hold a point t >= 0; otherwise ValueError, as for ``phi_scale <= 0``.
+    and u = v + phi*u0 carries the jump at t = 0 exactly.  The law is a DAE
+    law, so :func:`solve` takes the banded core (diagonal M0, narrow band of
+    M1 + A, positive floor) or the QZ pencil; ``check_certified`` is passed
+    on to it.
+
+    ``problem.symbol`` must be a DAE law M(z) = M0 + z*M1, ``phi_scale``
+    positive, ``u0`` a finite vector of the law's dimension, ``problem.f``
+    must vanish before t = 0 and its grid must hold a point t >= 0;
+    otherwise ValueError, raised before the solve.  ``initial_gap`` is
+    |M0 u(t+) - M0 u0| at the first grid point t+ >= 0 and shrinks linearly
+    with dt; ``u.meta`` holds it as ``initial_gap`` and t+ as
+    ``initial_time``.
     """
     law, f, s = problem.symbol, problem.f, phi_scale
     if law.family != "dae":
         raise ValueError(f"initial-value data need a DAE law M0 + z*M1, got the {law.family} family")
+    if not s > 0:
+        raise ValueError(f"phi_scale must be positive, got {s}")
     u0 = np.asarray(u0, dtype=complex).reshape(-1)
     if u0.shape != (law.dim,):
         raise ValueError(f"u0 must have length {law.dim}, got {u0.shape}")
+    if not np.isfinite(u0).all():
+        raise ValueError("u0 must have finite entries")
     slb = support_lower_bound(f, 1e-8)
     if slb is not None and slb < 0:
         raise ValueError(f"forcing must vanish before t = 0, support starts at {slb:.6g}")
     t = f.grid.times
     if not t[-1] >= 0.0:
         raise ValueError("grid does not contain t >= 0")
-    phi = cutoff_phi(t, s)
+    phi = np.where((t >= 0) & (t <= s), 1.0, np.where((t > s) & (t < 2 * s), 2.0 - t / s, 0.0))
     chi = ((t > s) & (t < 2 * s)).astype(float)
-    m0u = law.M0 @ u0
-    rest = (law.M1 + problem.A.matrix) @ u0
-    corr = (chi / s)[:, None] * m0u[None, :] - phi[:, None] * rest[None, :]
-    return Signal(f.grid, f.values + corr)
-
-
-def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
-              check_certified: bool = True) -> tuple:
-    """Solve the initial-value problem of :func:`ivp_assemble_rhs`, whose
-    checks run before the solve; returns (u, initial_gap).
-
-    ``initial_gap`` is |M0 u(t+) - M0 u0| at the first grid point >= 0 and
-    shrinks linearly with dt.  The law is a DAE law, so :func:`solve` takes
-    the banded core (diagonal M0, narrow band of M1 + A, positive floor) or
-    the QZ pencil; ``check_certified`` is passed on to it.
-    """
-    g = ivp_assemble_rhs(problem, u0, phi_scale)
-    u0 = np.asarray(u0, dtype=complex).reshape(-1)
-    v = solve(replace(problem, f=g), check_certified=check_certified)
-    t = g.grid.times
-    phi = cutoff_phi(t, phi_scale)
-    u = Signal(g.grid, v.values + phi[:, None] * u0[None, :], meta=dict(v.meta))
+    corr = (chi / s)[:, None] * (law.M0 @ u0) - phi[:, None] * ((law.M1 + problem.A.matrix) @ u0)
+    v = solve(replace(problem, f=Signal(f.grid, f.values + corr)), check_certified=check_certified)
+    u = v.values + phi[:, None] * u0[None, :]
     k = int(np.argmax(t >= 0.0))
-    gap = float(np.linalg.norm(problem.symbol.M0 @ (u.values[k] - u0)))
-    u.meta["initial_gap"] = gap
-    u.meta["initial_time"] = float(t[k])
-    return u, gap
+    gap = float(np.linalg.norm(law.M0 @ (u[k] - u0)))
+    return Signal(f.grid, u, meta=dict(v.meta, initial_gap=gap, initial_time=float(t[k]))), gap

@@ -274,7 +274,7 @@ class TestKernel:
         kernel = Kernel((KernelMode(gamma, 1e7),), nu0=0.5)
         assert kernel.joint_eigenvalues is None
         assert kernel_weighted_l1(kernel, 0.5) == np.linalg.norm(gamma, 2) / (1e7 - 0.5)
-        assert kernel.conditions.hermitian_ok and kernel.conditions.weighted_l1 == np.inf
+        assert kernel.conditions.hermitian_ok and np.isnan(kernel.conditions.weighted_l1)
         with pytest.raises(KernelAdmissibilityError,
                            match="^the modes have no joint eigenbasis, so the weighted L1"):
             IntegroLaw(kernel, c=1.0)
@@ -398,15 +398,33 @@ class TestKernelL1:
             "non-normal"])
     def test_no_joint_eigenbasis_has_no_l1_norm(self, modes):
         # the quadrature works in the modes' joint eigenbasis; without one
-        # the norm raises, and the report leaves it unevaluated (inf)
+        # the norm raises, and the report leaves it unevaluated (nan)
         kernel = Kernel(modes, nu0=0.5)
         assert kernel.joint_eigenvalues is None
         with pytest.raises(ValueError, match="the modes have no joint eigenbasis"):
             kernel_weighted_l1(kernel, 0.0)
-        assert kernel.conditions.weighted_l1 == np.inf
+        assert np.isnan(kernel.conditions.weighted_l1)
         assert "the modes have no joint eigenbasis, so the weighted L1 norm is not evaluated" in (
             kernel.conditions.problems())
         assert not any("L1 norm at nu0" in p for p in kernel.conditions.problems())
+
+    @pytest.mark.parametrize("mode, nu0", [
+        (KernelMode([[0.25]], 2e-310), 1e-310),
+        (KernelMode([[1e308]], 1e-3), 0.5e-3),
+    ], ids=["subnormal-decay", "huge-gamma"])
+    def test_overflowing_l1_norm_is_reported_as_too_large(self, mode, nu0):
+        # ||gamma|| / (beta - nu0) overflows to an evaluated inf, and so does
+        # Chat on the sign lines: both fail as values, without a numpy warning
+        # and without naming a joint eigenbasis, which a 1 x 1 mode always has
+        kernel = Kernel((mode,), nu0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = kernel.conditions
+        assert report.weighted_l1 == report.sign_defect == np.inf
+        assert report.problems() == ["weighted L1 norm at nu0 is inf >= 1",
+                                     "transform sign condition violated (defect inf)"]
+        with pytest.raises(KernelAdmissibilityError, match="inf >= 1"):
+            IntegroLaw(kernel, c=1.0)
 
     def test_level_cap_raises_instead_of_a_partial_sum(self, monkeypatch):
         monkeypatch.setattr("evostab.material._L1_MAX_LEVELS", 1)

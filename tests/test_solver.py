@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import delay_stepper, volterra_integro_stepper
+from _oracles import dae_stepper, delay_stepper, volterra_integro_stepper
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,10 +12,10 @@ from evostab import (CertificationError, CustomLaw, DaeLaw, DelayLaw, EdgeMassEr
                      Kernel, KernelAdmissibilityError, KernelMode,
                      Signal, SingularFrequencyError, SpatialOperator, TimeGrid,
                      apply_forward, build_mixed_type_system, convolve_time,
-                     cutoff_phi, fourier_laplace, gaussian_pulse,
+                     fourier_laplace, gaussian_pulse,
                      indicators_from_intervals, inverse_fourier_laplace,
-                     ivp_assemble_rhs, ivp_solve, kernel_hat, solve,
-                     solve_integro, step_exp, support_lower_bound)
+                     ivp_solve, kernel_hat, solve, solve_integro, step_exp,
+                     support_lower_bound, weighted_norm)
 from evostab.material import frequency_operator_stack
 from evostab.signals import SpectralSignal
 from evostab.solver import _band_order, _banded_solve, _chunks, _pencil_solve
@@ -610,42 +610,66 @@ class TestConvolveTime:
             convolve_time(scalar_kernel(), Signal.zeros(g, 2))
 
 
-class TestCutoffPhi:
-    def test_values(self):
-        assert cutoff_phi(0.0) == 1.0
-        assert cutoff_phi(1.0) == 1.0
-        assert cutoff_phi(1.5) == 0.5
-        assert cutoff_phi(2.0) == 0.0
-        assert cutoff_phi(-0.3) == 0.0
-        assert cutoff_phi(3.0, scale=2.0) == 0.5
-
-    def test_array_and_guard(self):
-        out = cutoff_phi(np.array([-1.0, 0.5, 1.25, 5.0]))
-        assert np.allclose(out, [0.0, 1.0, 0.75, 0.0])
-        with pytest.raises(ValueError):
-            cutoff_phi(1.0, scale=0.0)
-
-
 def scalar_ivp(m0, m1, f, rho):
     return EvolutionaryProblem(DaeLaw(m0, m1), None, rho, f)
 
 
-class TestIvp:
-    def test_rhs_unchanged_without_initial_state(self):
-        g = TimeGrid(-2.0, 1 / 64, 512)
-        f = gaussian_pulse(g, center=1.0, width=0.2)
-        q = scalar_ivp([[1.0]], [[2.0]], f, 0.5)
-        assert np.array_equal(ivp_assemble_rhs(q, [0.0]).values, f.values)
+SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def test_rhs_correction_terms(self):
+
+def pulse2(t):
+    """The forcing of the two-state initial-value tests, exact at any t."""
+    return np.exp(-(((np.asarray(t) - 1.0) / 0.2) ** 2))[..., None] * np.array([1.0, 0.5])
+
+
+class TestIvp:
+    @pytest.mark.parametrize("s", [1.0, 0.75])
+    @pytest.mark.parametrize("m0, a", [
+        (np.diag([1.0, 0.0]), None),
+        (np.array([[1.0, 0.3], [0.3, 0.5]]), SKEW),
+    ], ids=["singular-diagonal", "non-diagonal-skew"])
+    def test_solution_solves_the_reduced_equation(self, m0, a, s):
+        # v = u - phi*u0 solves (d/dt M0 + M1 + A) v
+        # = f + (chi/s) M0 u0 - phi (M1 + A) u0, with phi 1 on [0, s],
+        # 2 - t/s on (s, 2s) and 0 elsewhere, and chi the indicator of (s, 2s)
         g = TimeGrid(-2.0, 1 / 64, 512)
-        t = g.times
-        q = scalar_ivp([[1.0]], [[2.0]], Signal.zeros(g, 1), 0.5)
-        got = ivp_assemble_rhs(q, [1.0]).values[:, 0]
-        chi = ((t > 1.0) & (t < 2.0)).astype(float)
-        phi = cutoff_phi(t)
-        assert np.abs(got - (chi - 2.0 * phi)).max() <= 1e-14
-        assert np.all(got[t >= 2.0] == 0.0)
+        t, rho = g.times, 0.5
+        m1, u0 = np.diag([2.0, 1.5]), np.array([1.0, -0.5])
+        f = Signal(g, pulse2(t))
+        q = EvolutionaryProblem(DaeLaw(m0, m1), a, rho, f)
+        u, _ = ivp_solve(q, u0, phi_scale=s)
+        phi = np.clip(2.0 - t / s, 0.0, 1.0) * (t >= 0)
+        chi = ((t > s) & (t < 2 * s)).astype(float)
+        k = m1 if a is None else m1 + a
+        expected = f.values + np.outer(chi / s, m0 @ u0) - np.outer(phi, k @ u0)
+        got = apply_forward(q, Signal(g, u.values - np.outer(phi, u0)))
+        err = Signal(g, got.values - expected)
+        assert weighted_norm(err, rho) <= 1e-12 * weighted_norm(Signal(g, expected), rho)
+
+    @pytest.mark.parametrize("m0", [
+        np.eye(2), np.array([[1.0, 0.3], [0.3, 1.0]]), np.diag([1.0, 0.0]),
+    ], ids=["diagonal", "non-diagonal", "singular"])
+    def test_agrees_with_a_time_stepper(self, m0):
+        # against a theta-method from u(0) = u0, in the rho-weighted max norm
+        # on t >= 0 and 4 dt away from the cut-off's kinks and jumps at 0, s
+        # and 2s: the spectral error grows like e^{rho t} and is first order
+        # next to them, so it must fall about 4x from dt = 1/64 to 1/256; the
+        # half-cell grid offset keeps nodes off those jumps, where a sampled
+        # forcing would lose half a cell and the error would be O(dt) after 0
+        m1, rho, u0 = np.diag([2.0, 1.5]), 0.5, np.array([1.0, -0.5])
+        errs = []
+        for dt in (1 / 64, 1 / 256):
+            g = TimeGrid(dt / 2 - 1.0, dt, int(8 / dt))
+            u, _ = ivp_solve(EvolutionaryProblem(DaeLaw(m0, m1), SKEW, rho,
+                                                 Signal(g, pulse2(g.times))), u0)
+            after = g.times >= 0
+            t = g.times[after]
+            ref = dae_stepper(m0, m1 + SKEW, pulse2, u0, t)
+            keep = np.all([np.abs(t - spot) > 4 * dt for spot in (0.0, 1.0, 2.0)], axis=0)
+            weighted = np.abs(u.values[after] - ref).max(axis=1) * np.exp(-rho * t)
+            errs.append(weighted[keep].max())
+        assert errs[0] <= 1e-3
+        assert errs[1] <= errs[0] / 3
 
     def test_decaying_solution(self):
         # u' + 2u = 0, u(0) = 1: compare with e^{-2t} away from the one-cell
@@ -703,8 +727,10 @@ class TestIvp:
             ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, 0.5), [1.0, 2.0])
         with pytest.raises(ValueError):
             ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, -0.5), [1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="phi_scale must be positive"):
             ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, 0.5), [1.0], phi_scale=0.0)
+        with pytest.raises(ValueError, match="u0 must have finite entries"):
+            ivp_solve(scalar_ivp([[1.0]], [[2.0]], f, 0.5), [np.nan])
 
     @pytest.mark.parametrize("law", [
         DelayLaw([[1.0]], [[2.0]], -0.5),
@@ -716,8 +742,6 @@ class TestIvp:
         q = EvolutionaryProblem(law, None, 0.5, Signal.zeros(g, 1))
         with pytest.raises(ValueError, match="DAE law"):
             ivp_solve(q, [1.0])
-        with pytest.raises(ValueError, match="DAE law"):
-            ivp_assemble_rhs(q, [1.0])
 
     def test_grid_before_zero_is_refused_before_the_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
