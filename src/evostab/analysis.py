@@ -1,14 +1,14 @@
-"""Empirical decay-rate estimation and causality diagnostics."""
+"""Empirical decay-rate estimation: a log-linear fit of a solution's tail
+and its comparison with a certified rate."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DecayFitError
-from .signals import Signal, _write_csv, weighted_norm
+from .signals import Signal
 
 
 @dataclass(frozen=True)
@@ -41,46 +41,6 @@ def fit_decay_rate(u: Signal, window, floor: float = 1e-13) -> DecayFit:
                     window=(float(t_a), float(t_b)),
                     rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                     samples_used=n_used)
-
-
-def weighted_norm_profile(u: Signal, mu_values) -> list:
-    """Weighted norms of ``u`` over a list of weights mu.
-
-    Finite-grid surrogate for membership in the scale of weighted spaces:
-    a signal decaying like exp(-nu*t) keeps a stable profile for mu > -nu
-    and blows up with grid length past it.
-    """
-    return [(float(mu), weighted_norm(u, float(mu))) for mu in mu_values]
-
-
-def profile_to_csv(profile, path) -> None:
-    """Write a (mu, norm) profile as CSV with a ``mu,norm`` header, each
-    float as ``'%.17g'``; an empty profile writes the header line only."""
-    _write_csv(path, profile, "mu,norm")
-
-
-def causality_check(solve_fn: Callable[[Signal], Signal], f: Signal, g: Signal,
-                    a: float) -> float:
-    """Relative discrepancy of two solutions before time ``a`` for forcings
-    that agree there.
-
-    Causal solution maps cannot see post-``a`` differences before ``a``, so
-    the returned value is pure numerical leakage.
-    """
-    f._check_compatible(g)
-    t = f.grid.times
-    before = t < a
-    pre_diff = np.abs(f.values[before] - g.values[before]).max() if before.any() else 0.0
-    scale = max(np.abs(f.values).max(), np.abs(g.values).max(), 1e-300)
-    if pre_diff > 1e-12 * scale:
-        raise ValueError(f"forcings differ before t = {a} (max diff {pre_diff:.3g})")
-    uf = solve_fn(f)
-    ug = solve_fn(g)
-    denom = uf.magnitudes().max()
-    if denom == 0.0:
-        return 0.0
-    num = np.linalg.norm((uf.values - ug.values)[before], axis=1).max() if before.any() else 0.0
-    return float(num / denom)
 
 
 def default_margin(nu: float) -> float:

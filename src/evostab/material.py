@@ -70,8 +70,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import KernelAdmissibilityError, NonFiniteSymbolError, QuadratureError
-
-SQRT_2PI = np.sqrt(2.0 * np.pi)
+from .signals import SQRT_2PI
 
 # Absolute tolerance for Hermiticity / commutation checks (matrix 2-norm).
 STRUCT_TOL = 1e-12
@@ -352,17 +351,6 @@ def _kernel_w(kernel: Kernel, lam, one, gammas=None):
     for g, m in zip(gammas, kernel.modes):
         w = w - g / (m.beta + lam)
     return w
-
-
-def kernel_eval(kernel: Kernel, t: float) -> np.ndarray:
-    """C(t) for t >= 0; zero matrix for t < 0 (causal kernel)."""
-    n = kernel.dim
-    out = np.zeros((n, n), dtype=complex)
-    if t < 0:
-        return out
-    for m in kernel.modes:
-        out += m.gamma * np.exp(-m.beta * t)
-    return out
 
 
 def kernel_hat(kernel: Kernel, z: complex) -> np.ndarray:

@@ -420,23 +420,6 @@ def _g17_cells(v, ncols: int) -> bytes:
     return B.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path, rows, header: str) -> None:
-    """Write ``header`` and ``rows`` (a 1-D or 2-D float array or nested
-    sequence) with the bytes of ``np.savetxt(path, rows, fmt="%.17g",
-    delimiter=",", header=header, comments="")``."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    if rows.ndim != 2:
-        raise ValueError(f"expected a 1-D or 2-D array, got {rows.ndim}-D")
-    ncols = rows.shape[1]
-    step = max(1, _CSV_BLOCK // max(ncols, 1))
-    with open(path, "wb") as fh:
-        fh.write(header.encode("latin1") + b"\n")
-        for r in range(0, rows.shape[0], step):
-            fh.write(_g17_cells(np.ravel(rows[r:r + step]), ncols))
-
-
 def signal_to_csv(f: Signal, path) -> None:
     """Write ``t,re_0,im_0,...`` rows with 17 significant digits.
 
@@ -447,7 +430,12 @@ def signal_to_csv(f: Signal, path) -> None:
     digit is formatted by Python's ``%`` instead.
     """
     header = "t," + ",".join(f"re_{i},im_{i}" for i in range(f.dim))
-    _write_csv(path, np.column_stack([f.grid.times, f.values.view(float)]), header)
+    rows = np.column_stack([f.grid.times, f.values.view(float)])
+    step = max(1, _CSV_BLOCK // rows.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(header.encode("latin1") + b"\n")
+        for r in range(0, f.grid.n_steps, step):
+            fh.write(_g17_cells(np.ravel(rows[r:r + step]), rows.shape[1]))
 
 
 def _times_close(times: np.ndarray, ref: np.ndarray) -> bool:

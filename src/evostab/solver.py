@@ -482,37 +482,6 @@ def solve_integro(kernel: Kernel, c: float, A, f: Signal, rho: float) -> Signal:
     return _spectral_solve(f, rho, solve_hat, "integro")
 
 
-def convolve_time(kernel: Kernel, u: Signal) -> Signal:
-    """Causal convolution (C * u)(t_k) by trapezoid quadrature from the grid
-    start: dt * (half-weighted first and last samples, full in between).
-
-    This is the time-domain counterpart of multiplying the weighted
-    transform by sqrt(2 pi) * Chat(xi - i rho) and serves as its oracle.
-    The running sums for each exponential mode are accumulated recursively,
-    which evaluates the same quadrature sum in O(n_steps).
-    """
-    if u.dim != kernel.dim:
-        raise ValueError(f"dimension mismatch: kernel {kernel.dim}, signal {u.dim}")
-    n_steps = u.grid.n_steps
-    dt = u.grid.dt
-    vals = u.values
-    out = np.zeros_like(vals)
-    for m in kernel.modes:
-        r = np.exp(-m.beta * dt)
-        prefix = np.empty_like(vals)
-        acc = vals[0].copy()
-        prefix[0] = acc
-        for k in range(1, n_steps):
-            acc = r * acc + vals[k]
-            prefix[k] = acc
-        # trapezoid: halve the l = 0 and l = k endpoint contributions
-        decay0 = np.exp(-m.beta * dt * np.arange(n_steps))[:, None]
-        trap = prefix - 0.5 * decay0 * vals[0][None, :] - 0.5 * vals
-        out += dt * trap @ m.gamma.T
-    out[0] = 0.0  # zero-length integral at the first grid point
-    return Signal(u.grid, out)
-
-
 def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
               check_certified: bool = True) -> tuple:
     """Solve (d/dt M0 + M1 + A) u = f on t > 0 with M0 u(0+) = M0 u0;

@@ -11,7 +11,7 @@ is exactly skew-adjoint, hence maximal monotone with margin zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,12 @@ class SpatialOperator:
     """Square matrix acting on the state space, validated to be monotone."""
 
     matrix: np.ndarray
-    monotone_margin: float = field(init=False)  # min eigenvalue of the Hermitian part
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, "matrix"))
         margin = hermitian_part_min_eig(self.matrix)
         if margin < -MONOTONE_TOL:
             raise ValueError(f"operator is not monotone: min Hermitian eigenvalue {margin:.3g}")
-        object.__setattr__(self, "monotone_margin", margin)
 
     @property
     def dim(self) -> int:
@@ -66,17 +64,13 @@ class MixedTypeSystem:
     """First-order system on (0, 1) whose type varies by subdomain: the
     material law's M0 and M1 and the skew operator A that
     :func:`build_mixed_type_system` assembled, on a state of p node values
-    stacked on top of p+1 edge fluxes.  ``dim`` is read from M0, and
-    :meth:`law` is the DAE law (M0, M1).
+    stacked on top of p+1 edge fluxes (2p+1 entries).  :meth:`law` is the
+    DAE law (M0, M1).
     """
 
     M0: np.ndarray
     M1: np.ndarray
     A: SpatialOperator
-
-    @property
-    def dim(self) -> int:
-        return self.M0.shape[0]
 
     def law(self) -> DaeLaw:
         return DaeLaw(self.M0, self.M1)

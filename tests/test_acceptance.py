@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import index_translate
+from _oracles import convolve_time, index_translate
 
 from evostab import (DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLaw,
                      Kernel, KernelMode, Signal, TimeGrid,
                      build_mixed_type_system, check_kernel_conditions,
-                     convolve_time, fourier_laplace, gaussian_pulse,
+                     fourier_laplace, gaussian_pulse,
                      indicators_from_intervals, inverse_fourier_laplace,
                      ivp_solve, kernel_hat, solve, solve_integro, step_exp,
                      translate, verify_stability, weighted_inner)

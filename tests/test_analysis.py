@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
+from _oracles import causality_check
 
 from evostab import (DaeLaw, DecayFit, EvolutionaryProblem, Signal, TimeGrid,
-                     causality_check, fit_decay_rate, gaussian_pulse,
-                     profile_to_csv, solve, verify_stability,
-                     weighted_norm_profile)
+                     fit_decay_rate, gaussian_pulse, solve, verify_stability)
 
 
 def exp_signal(grid, rate, amp=1.0):
@@ -53,47 +52,6 @@ class TestFitDecayRate:
         assert isinstance(fit, DecayFit)
         assert fit.window == (1.0, 5.0)
         assert fit.samples_used >= 8
-
-
-class TestWeightedNormProfile:
-    def test_zero_signal(self):
-        g = TimeGrid(0.0, 1 / 16, 128)
-        prof = weighted_norm_profile(Signal.zeros(g, 2), [-1.0, 0.0, 1.0])
-        assert [norm for _, norm in prof] == [0.0, 0.0, 0.0]
-
-    def test_decaying_exponential_integral(self):
-        # |e^{-t}|_{mu=-0.5}^2 = integral of e^{-2t} e^{t} over t >= 0 = 1;
-        # jump at 0 sampled mid-cell so the Riemann sum is midpoint-accurate
-        dt = 1 / 64
-        g = TimeGrid(dt / 2 - 1.0, dt, 1024)
-        u = Signal(g, np.where(g.times >= 0, np.exp(-g.times), 0.0)[:, None])
-        (mu, norm), = weighted_norm_profile(u, [-0.5])
-        assert mu == -0.5
-        assert norm == pytest.approx(1.0, abs=1e-3)
-
-    def test_profile_stable_under_grid_doubling(self):
-        dt = 1 / 64
-        norms = []
-        for n in (1024, 2048):
-            g = TimeGrid(dt / 2 - 1.0, dt, n)
-            u = Signal(g, np.where(g.times >= 0, np.exp(-g.times), 0.0)[:, None])
-            norms.append(weighted_norm_profile(u, [-0.5])[0][1])
-        assert abs(norms[1] - norms[0]) < 1e-3
-
-    def test_csv_output(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        profile_to_csv([(-0.5, 1.25), (0.0, 0.5)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "mu,norm"
-        assert lines[1].startswith("-0.5,1.25")
-        assert len(lines) == 3
-
-    @pytest.mark.parametrize("profile", [[], [(-0.5, 1.25), (0.0, 0.1), (1e-5, 2.0 / 3.0)]])
-    def test_csv_matches_savetxt(self, tmp_path, profile):
-        profile_to_csv(profile, tmp_path / "new.csv")
-        np.savetxt(tmp_path / "old.csv", profile, fmt="%.17g", delimiter=",",
-                   header="mu,norm", comments="")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestCausalityCheck:

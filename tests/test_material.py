@@ -14,7 +14,7 @@ from evostab import (CustomLaw, DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLa
                      KernelAdmissibilityError, KernelMode, QuadratureError, SpatialOperator,
                      TimeGrid, build_mixed_type_system, certify, check_kernel_conditions,
                      gaussian_pulse, hermitian_part_min_eig, indicators_from_intervals,
-                     kernel_eval, kernel_hat, kernel_weighted_l1, solve)
+                     kernel_hat, kernel_weighted_l1, solve)
 from evostab.certify import SHIFT_RADII, solvability_constant
 from evostab.material import _eigvalsh, frequency_operator_stack
 
@@ -173,12 +173,6 @@ class TestEigvalsh:
 
 
 class TestKernel:
-    def test_eval_causal(self):
-        k = scalar_kernel()
-        assert kernel_eval(k, -0.5)[0, 0] == 0.0
-        assert kernel_eval(k, 0.0)[0, 0] == pytest.approx(0.25)
-        assert kernel_eval(k, np.log(2.0))[0, 0] == pytest.approx(0.125)
-
     def test_hat_values(self):
         k = scalar_kernel()
         assert kernel_hat(k, 0.0)[0, 0] == pytest.approx(0.25 / SQRT_2PI)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from evostab import signals
 from evostab import (GridMismatchError, Signal, TimeGrid, antiderivative,
                      derivative, edge_mass, fourier_laplace, gaussian_pulse,
-                     inverse_fourier_laplace, profile_to_csv, signal_from_csv, signal_to_csv,
+                     inverse_fourier_laplace, signal_from_csv, signal_to_csv,
                      step_exp, support_lower_bound, translate, weighted_inner,
                      weighted_norm)
 
@@ -73,6 +73,29 @@ class TestWeightedInner:
         assert lhs == pytest.approx(-1j * weighted_inner(f, h, 0.5), abs=1e-12)
         assert weighted_inner(f, 1j * h, 0.5) == pytest.approx(
             1j * weighted_inner(f, h, 0.5), abs=1e-12)
+
+
+class TestWeightedNorm:
+    def test_zero_signal(self):
+        g = TimeGrid(0.0, 1 / 16, 128)
+        assert [weighted_norm(Signal.zeros(g, 2), mu) for mu in (-1.0, 0.0, 1.0)] == [0.0] * 3
+
+    def test_decaying_exponential_integral(self):
+        # |e^{-t}|_{mu=-0.5}^2 = integral of e^{-2t} e^{t} over t >= 0 = 1;
+        # jump at 0 sampled mid-cell so the Riemann sum is midpoint-accurate
+        dt = 1 / 64
+        g = TimeGrid(dt / 2 - 1.0, dt, 1024)
+        u = Signal(g, np.where(g.times >= 0, np.exp(-g.times), 0.0)[:, None])
+        assert weighted_norm(u, -0.5) == pytest.approx(1.0, abs=1e-3)
+
+    def test_stable_under_grid_doubling(self):
+        dt = 1 / 64
+        norms = []
+        for n in (1024, 2048):
+            g = TimeGrid(dt / 2 - 1.0, dt, n)
+            u = Signal(g, np.where(g.times >= 0, np.exp(-g.times), 0.0)[:, None])
+            norms.append(weighted_norm(u, -0.5))
+        assert abs(norms[1] - norms[0]) < 1e-3
 
 
 class TestTransformPair:
@@ -335,16 +358,14 @@ _GRID8 = TimeGrid(0.0, 0.5, 8)
     (lambda path: translate(Signal.zeros(_GRID8), 0.5, 0.1),
      "only nonpositive shifts are supported, got h = 0.5"),
     (lambda path: support_lower_bound(Signal.zeros(_GRID8), 0.0), "floor must be positive"),
-    (lambda path: profile_to_csv(np.ones((2, 2, 2)), path / "p.csv"),
-     "expected a 1-D or 2-D array, got 3-D"),
     (lambda path: TimeGrid(np.nan, 0.5, 8), "t0 must be finite, got nan"),
     (lambda path: TimeGrid(0.0, np.inf, 8), "dt must be positive, got inf"),
-], ids=["1d-values", "3d-values", "short-values", "positive-shift", "zero-floor", "3d-rows",
-        "nan-t0", "inf-dt"])
+], ids=["1d-values", "3d-values", "short-values", "positive-shift", "zero-floor", "nan-t0",
+        "inf-dt"])
 def test_refusals(tmp_path, call, refusal):
     # values are (n_steps, dim) with no promotion of a 1-D column, shifts
-    # look back, support floors are relative and positive, CSV rows are at
-    # most 2-D, and a grid's start and step are finite
+    # look back, support floors are relative and positive, and a grid's start
+    # and step are finite
     with pytest.raises(ValueError, match=refusal):
         call(tmp_path)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import dae_stepper, delay_stepper, volterra_integro_stepper
+from _oracles import convolve_time, dae_stepper, delay_stepper, volterra_integro_stepper
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -11,7 +11,7 @@ from evostab import (CertificationError, CustomLaw, DaeLaw, DelayLaw, EdgeMassEr
                      EdgeMassWarning, EvolutionaryProblem, IntegroLaw,
                      Kernel, KernelAdmissibilityError, KernelMode,
                      Signal, SingularFrequencyError, SpatialOperator, TimeGrid,
-                     apply_forward, build_mixed_type_system, convolve_time,
+                     apply_forward, build_mixed_type_system,
                      fourier_laplace, gaussian_pulse,
                      indicators_from_intervals, inverse_fourier_laplace,
                      ivp_solve, kernel_hat, solve, solve_integro, step_exp,

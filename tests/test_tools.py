@@ -67,6 +67,61 @@ def test_no_dead_private_names():
     assert dead == []
 
 
+# Exported names that no pipeline needs to reach, each kept for a reason.
+UNREACHED_EXPORTS = {
+    "derivative": "the transform calculus of the acceptance suite's headline guarantees",
+    "antiderivative": "the transform calculus of the acceptance suite's headline guarantees",
+    "translate": "the transform calculus of the acceptance suite's headline guarantees",
+    "weighted_inner": "the transform calculus of the acceptance suite's headline guarantees",
+    "kernel_hat": "the paper's Chat, checked against time-domain quadrature by the acceptance suite",
+}
+
+
+def _references(node, name, out):
+    """Add to ``out`` every name that ``node`` loads, reads as an attribute,
+    imports or spells as a string constant, outside definitions of ``name``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        out.add(node.attr)
+    elif isinstance(node, ast.alias):
+        out.add((node.asname or node.name).rsplit(".", 1)[-1])
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        out.add(node.value)  # perfbench/spans.py names its trace targets as strings
+    for child in ast.iter_child_nodes(node):
+        _references(child, name, out)
+
+
+def test_every_exported_name_is_reached():
+    # a name the package exports is used by the package itself, a tool or
+    # the benchmark, not only by tests; a test oracle lives in tests/_oracles.py
+    with open(os.path.join(PACKAGE, "__init__.py"), encoding="utf-8") as fh:
+        init = ast.parse(fh.read())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert set(UNREACHED_EXPORTS) <= set(exported)
+    root = os.path.dirname(TOOLS)
+    paths = [os.path.join(PACKAGE, n) for n in os.listdir(PACKAGE)
+             if n.endswith(".py") and n != "__init__.py"]
+    for top in (TOOLS, os.path.join(root, "perfbench")):
+        paths += [os.path.join(d, n) for d, _, names in os.walk(top) for n in names
+                  if n.endswith(".py")]
+    trees = []
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read()))
+    unreached = []
+    for name in exported:
+        seen = set()
+        for tree in trees:
+            _references(tree, name, seen)
+        if name not in seen and name not in UNREACHED_EXPORTS:
+            unreached.append(name)
+    assert unreached == []
+
+
 def test_readme_family_table_is_the_cli_schema():
     # README's table of the keys each family requires and may carry restates
     # evostab.cli._FAMILY_KEYS, row for row and in order
