@@ -69,7 +69,8 @@ An initial-value problem is the :class:`EvolutionaryProblem` of a DAE law,
 the same one :func:`solve` takes, plus an initial state u0.
 :func:`ivp_solve` states the reduction in one place: v = u - phi * u0, with
 phi a plateau cut-off, solves the same equation on the whole line with a
-modified right-hand side, and u is recovered as v + phi * u0.  The jump of u
+modified right-hand side (sampled as cell averages, so that its jumps are
+exact on any grid), and u is recovered as v + phi * u0.  The jump of u
 at t = 0 is carried by phi exactly, so the achieved initial value can be
 read off the first grid point at or after zero.
 """
@@ -494,7 +495,15 @@ def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
 
         (d/dt M0 + M1 + A) v = f + (chi/s) M0 u0 - phi (M1 + A) u0,
 
-    and u = v + phi*u0 carries the jump at t = 0 exactly.  The law is a DAE
+    and u = v + phi*u0 carries the jump at t = 0 exactly.  The correction
+    takes phi and chi as their averages over each cell
+    [t - dt/2, t + dt/2], exact for any grid alignment: phi's from its
+    integral Phi(x) (0, x, 2x - x^2/(2s) - s/2 and 3s/2 on x < 0, [0, s],
+    (s, 2s) and x >= 2s), chi's from the length of the cell inside (s, 2s).
+    A point sample would lose half a cell at each jump on a node at 0, s or
+    2s and leave an O(dt) error after 0.  u is recovered with the point
+    values of phi, so it jumps at 0 and ``initial_gap`` reads the first
+    point at or after it.  The law is a DAE
     law, so :func:`solve` takes the banded core (diagonal M0, narrow band of
     M1 + A, positive floor) or the QZ pencil; ``check_certified`` is passed
     on to it.
@@ -524,8 +533,12 @@ def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
     if not t[-1] >= 0.0:
         raise ValueError("grid does not contain t >= 0")
     phi = np.where((t >= 0) & (t <= s), 1.0, np.where((t > s) & (t < 2 * s), 2.0 - t / s, 0.0))
-    chi = ((t > s) & (t < 2 * s)).astype(float)
-    corr = (chi / s)[:, None] * (law.M0 @ u0) - phi[:, None] * ((law.M1 + problem.A.matrix) @ u0)
+    dt = f.grid.dt
+    x = np.clip(np.stack([t - dt / 2, t + dt / 2]), 0.0, 2 * s)  # cell ends, clipped to phi's support
+    big_phi = np.where(x <= s, x, 2 * x - x * x / (2 * s) - s / 2)  # integral of phi over [0, x]
+    phi_avg = (big_phi[1] - big_phi[0]) / dt
+    chi_avg = (np.clip(x[1], s, 2 * s) - np.clip(x[0], s, 2 * s)) / dt
+    corr = (chi_avg / s)[:, None] * (law.M0 @ u0) - phi_avg[:, None] * ((law.M1 + problem.A.matrix) @ u0)
     v = solve(replace(problem, f=Signal(f.grid, f.values + corr)), check_certified=check_certified)
     u = v.values + phi[:, None] * u0[None, :]
     k = int(np.argmax(t >= 0.0))

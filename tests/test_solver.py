@@ -622,6 +622,16 @@ def pulse2(t):
     return np.exp(-(((np.asarray(t) - 1.0) / 0.2) ** 2))[..., None] * np.array([1.0, 0.5])
 
 
+def cell_averages(fn, t, dt, breaks):
+    """Mean of ``fn`` over each [t_k - dt/2, t_k + dt/2], by the midpoint rule
+    on the pieces between ``breaks``: exact for a piecewise linear ``fn``."""
+    out = np.empty(len(t))
+    for k, tk in enumerate(t):
+        ends = np.unique(np.clip([tk - dt / 2, *breaks, tk + dt / 2], tk - dt / 2, tk + dt / 2))
+        out[k] = np.sum(fn((ends[1:] + ends[:-1]) / 2) * np.diff(ends)) / dt
+    return out
+
+
 class TestIvp:
     @pytest.mark.parametrize("s", [1.0, 0.75])
     @pytest.mark.parametrize("m0, a", [
@@ -631,7 +641,9 @@ class TestIvp:
     def test_solution_solves_the_reduced_equation(self, m0, a, s):
         # v = u - phi*u0 solves (d/dt M0 + M1 + A) v
         # = f + (chi/s) M0 u0 - phi (M1 + A) u0, with phi 1 on [0, s],
-        # 2 - t/s on (s, 2s) and 0 elsewhere, and chi the indicator of (s, 2s)
+        # 2 - t/s on (s, 2s) and 0 elsewhere, and chi the indicator of (s, 2s);
+        # the correction holds their cell averages, and this grid has nodes
+        # on the jumps at 0, s and 2s
         g = TimeGrid(-2.0, 1 / 64, 512)
         t, rho = g.times, 0.5
         m1, u0 = np.diag([2.0, 1.5]), np.array([1.0, -0.5])
@@ -639,9 +651,11 @@ class TestIvp:
         q = EvolutionaryProblem(DaeLaw(m0, m1), a, rho, f)
         u, _ = ivp_solve(q, u0, phi_scale=s)
         phi = np.clip(2.0 - t / s, 0.0, 1.0) * (t >= 0)
-        chi = ((t > s) & (t < 2 * s)).astype(float)
+        breaks = (0.0, s, 2 * s)
+        phi_avg = cell_averages(lambda x: np.clip(2.0 - x / s, 0.0, 1.0) * (x >= 0), t, g.dt, breaks)
+        chi_avg = cell_averages(lambda x: ((x > s) & (x < 2 * s)).astype(float), t, g.dt, breaks)
         k = m1 if a is None else m1 + a
-        expected = f.values + np.outer(chi / s, m0 @ u0) - np.outer(phi, k @ u0)
+        expected = f.values + np.outer(chi_avg / s, m0 @ u0) - np.outer(phi_avg, k @ u0)
         got = apply_forward(q, Signal(g, u.values - np.outer(phi, u0)))
         err = Signal(g, got.values - expected)
         assert weighted_norm(err, rho) <= 1e-12 * weighted_norm(Signal(g, expected), rho)
@@ -651,25 +665,27 @@ class TestIvp:
     ], ids=["diagonal", "non-diagonal", "singular"])
     def test_agrees_with_a_time_stepper(self, m0):
         # against a theta-method from u(0) = u0, in the rho-weighted max norm
-        # on t >= 0 and 4 dt away from the cut-off's kinks and jumps at 0, s
+        # on t > 0 and 4 dt away from the cut-off's kinks and jumps at 0, s
         # and 2s: the spectral error grows like e^{rho t} and is first order
-        # next to them, so it must fall about 4x from dt = 1/64 to 1/256; the
-        # half-cell grid offset keeps nodes off those jumps, where a sampled
-        # forcing would lose half a cell and the error would be O(dt) after 0
+        # next to them, so it must fall about 4x from dt = 1/64 to 1/256.  Two
+        # grids: one offset by half a cell, one with nodes on the jumps, where
+        # a point-sampled correction would lose half a cell at each and leave
+        # an O(dt) error after 0
         m1, rho, u0 = np.diag([2.0, 1.5]), 0.5, np.array([1.0, -0.5])
-        errs = []
-        for dt in (1 / 64, 1 / 256):
-            g = TimeGrid(dt / 2 - 1.0, dt, int(8 / dt))
-            u, _ = ivp_solve(EvolutionaryProblem(DaeLaw(m0, m1), SKEW, rho,
-                                                 Signal(g, pulse2(g.times))), u0)
-            after = g.times >= 0
-            t = g.times[after]
-            ref = dae_stepper(m0, m1 + SKEW, pulse2, u0, t)
-            keep = np.all([np.abs(t - spot) > 4 * dt for spot in (0.0, 1.0, 2.0)], axis=0)
-            weighted = np.abs(u.values[after] - ref).max(axis=1) * np.exp(-rho * t)
-            errs.append(weighted[keep].max())
-        assert errs[0] <= 1e-3
-        assert errs[1] <= errs[0] / 3
+        for offset in (0.5, 0.0):
+            errs = []
+            for dt in (1 / 64, 1 / 256):
+                g = TimeGrid(offset * dt - 1.0, dt, int(8 / dt))
+                u, _ = ivp_solve(EvolutionaryProblem(DaeLaw(m0, m1), SKEW, rho,
+                                                     Signal(g, pulse2(g.times))), u0)
+                after = g.times > 0
+                t = g.times[after]
+                ref = dae_stepper(m0, m1 + SKEW, pulse2, u0, t)
+                keep = np.all([np.abs(t - spot) > 4 * dt for spot in (0.0, 1.0, 2.0)], axis=0)
+                weighted = np.abs(u.values[after] - ref).max(axis=1) * np.exp(-rho * t)
+                errs.append(weighted[keep].max())
+            assert errs[0] <= 1e-3, offset
+            assert errs[1] <= errs[0] / 3, offset
 
     def test_decaying_solution(self):
         # u' + 2u = 0, u(0) = 1: compare with e^{-2t} away from the one-cell
