@@ -650,13 +650,12 @@ class TestIvp:
         f = Signal(g, pulse2(t))
         q = EvolutionaryProblem(DaeLaw(m0, m1), a, rho, f)
         u, _ = ivp_solve(q, u0, phi_scale=s)
-        phi = np.clip(2.0 - t / s, 0.0, 1.0) * (t >= 0)
-        breaks = (0.0, s, 2 * s)
-        phi_avg = cell_averages(lambda x: np.clip(2.0 - x / s, 0.0, 1.0) * (x >= 0), t, g.dt, breaks)
-        chi_avg = cell_averages(lambda x: ((x > s) & (x < 2 * s)).astype(float), t, g.dt, breaks)
+        phi, chi = (lambda x: np.clip(2.0 - x / s, 0.0, 1.0) * (x >= 0),
+                    lambda x: ((x > s) & (x < 2 * s)).astype(float))
+        phi_avg, chi_avg = (cell_averages(fn, t, g.dt, (0.0, s, 2 * s)) for fn in (phi, chi))
         k = m1 if a is None else m1 + a
         expected = f.values + np.outer(chi_avg / s, m0 @ u0) - np.outer(phi_avg, k @ u0)
-        got = apply_forward(q, Signal(g, u.values - np.outer(phi, u0)))
+        got = apply_forward(q, Signal(g, u.values - np.outer(phi(t), u0)))
         err = Signal(g, got.values - expected)
         assert weighted_norm(err, rho) <= 1e-12 * weighted_norm(Signal(g, expected), rho)
 

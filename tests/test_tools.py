@@ -77,49 +77,45 @@ UNREACHED_EXPORTS = {
 }
 
 
-def _references(node, name, out):
-    """Add to ``out`` every name that ``node`` loads, reads as an attribute,
-    imports or spells as a string constant, outside definitions of ``name``."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name:
-        return
+def _references(node, enclosing=frozenset()):
+    """Yield (name, enclosing) for every name that ``node`` loads, reads as an
+    attribute, imports or spells as a string constant, where ``enclosing``
+    holds the names of the functions and classes around the reference."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        out.add(node.id)
+        yield node.id, enclosing
     elif isinstance(node, ast.Attribute):
-        out.add(node.attr)
+        yield node.attr, enclosing
     elif isinstance(node, ast.alias):
-        out.add((node.asname or node.name).rsplit(".", 1)[-1])
+        yield (node.asname or node.name).rsplit(".", 1)[-1], enclosing
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        out.add(node.value)  # perfbench/spans.py names its trace targets as strings
+        yield node.value, enclosing  # perfbench/spans.py names its trace targets as strings
     for child in ast.iter_child_nodes(node):
-        _references(child, name, out)
+        yield from _references(child, enclosing)
 
 
 def test_every_exported_name_is_reached():
     # a name the package exports is used by the package itself, a tool or
-    # the benchmark, not only by tests; a test oracle lives in tests/_oracles.py
+    # the benchmark, not only by tests, and outside its own definition; a
+    # test oracle lives in tests/_oracles.py
     with open(os.path.join(PACKAGE, "__init__.py"), encoding="utf-8") as fh:
         init = ast.parse(fh.read())
     exported = [alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert set(UNREACHED_EXPORTS) <= set(exported)
-    root = os.path.dirname(TOOLS)
     paths = [os.path.join(PACKAGE, n) for n in os.listdir(PACKAGE)
              if n.endswith(".py") and n != "__init__.py"]
-    for top in (TOOLS, os.path.join(root, "perfbench")):
+    for top in (TOOLS, os.path.join(os.path.dirname(TOOLS), "perfbench")):
         paths += [os.path.join(d, n) for d, _, names in os.walk(top) for n in names
                   if n.endswith(".py")]
-    trees = []
-    for path in sorted(paths):
+    reached = set()
+    for path in paths:
         with open(path, encoding="utf-8") as fh:
-            trees.append(ast.parse(fh.read()))
-    unreached = []
-    for name in exported:
-        seen = set()
-        for tree in trees:
-            _references(tree, name, seen)
-        if name not in seen and name not in UNREACHED_EXPORTS:
-            unreached.append(name)
-    assert unreached == []
+            reached.update(name for name, enclosing in _references(ast.parse(fh.read()))
+                           if name not in enclosing)
+    assert [name for name in exported
+            if name not in reached and name not in UNREACHED_EXPORTS] == []
 
 
 def test_readme_family_table_is_the_cli_schema():
