@@ -534,8 +534,9 @@ def ivp_solve(problem: EvolutionaryProblem, u0, *, phi_scale: float = 1.0,
         raise ValueError("grid does not contain t >= 0")
     phi = np.where((t >= 0) & (t <= s), 1.0, np.where((t > s) & (t < 2 * s), 2.0 - t / s, 0.0))
     dt = f.grid.dt
-    x = np.clip(np.stack([t - dt / 2, t + dt / 2]), 0.0, 2 * s)  # cell ends, clipped to phi's support
-    big_phi = np.where(x <= s, x, 2 * x - x * x / (2 * s) - s / 2)  # integral of phi over [0, x]
+    # the cells' ends, clipped to phi's support, and the integral of phi over [0, x] at each
+    x = np.clip(np.stack([t - dt / 2, t + dt / 2]), 0.0, 2 * s)
+    big_phi = np.where(x <= s, x, 2 * x - x * x / (2 * s) - s / 2)
     phi_avg = (big_phi[1] - big_phi[0]) / dt
     chi_avg = (np.clip(x[1], s, 2 * s) - np.clip(x[0], s, 2 * s)) / dt
     corr = (chi_avg / s)[:, None] * (law.M0 @ u0) - phi_avg[:, None] * ((law.M1 + problem.A.matrix) @ u0)

@@ -73,7 +73,7 @@ UNREACHED_EXPORTS = {
     "antiderivative": "the transform calculus of the acceptance suite's headline guarantees",
     "translate": "the transform calculus of the acceptance suite's headline guarantees",
     "weighted_inner": "the transform calculus of the acceptance suite's headline guarantees",
-    "kernel_hat": "the paper's Chat, checked against time-domain quadrature by the acceptance suite",
+    "kernel_hat": "the paper's Chat, checked against quadrature by the acceptance suite",
 }
 
 
