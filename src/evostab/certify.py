@@ -23,10 +23,11 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     (:func:`solvability_constant`).
 
 For the three structured families (c) has closed-form lower bounds derived
-from the defining matrices, which are authoritative; the sampled minimum
-over a (sigma, tau) rectangle is reported as corroborating evidence and is
-the only certificate available for custom symbols.  Each family's closed-form
-rate is the largest nu at which its bound on c(nu) stays nonnegative.
+from the defining matrices, exact for DAE and delay laws, which are
+authoritative; the sampled minimum over a (sigma, tau) rectangle is reported
+as corroborating evidence and is the only certificate available for custom
+symbols.  Each family's closed-form rate is the largest nu at which its
+bound on c(nu) stays nonnegative.
 
 The family-specific parts (analyticity, the sampled minimum, the bound and
 the rate) are methods of the law classes in :mod:`evostab.material`, where

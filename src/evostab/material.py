@@ -672,8 +672,10 @@ class _PencilLaw(MaterialLaw):
     Hermitian part of z^-1 M(z) at lambda = sigma + i*tau is
     sigma*M0 + H(M1) plus, for delays, a multiple of I: i*tau*M0 is skew.
     Their ``positivity_min`` is the whole grid's from that structure, one
-    sigma sweep, and ignores ``boundary``.  The closed-form bound starts from
-    c - nu*||M0||, with c the smallest eigenvalue of H(M1).
+    sigma sweep, and ignores ``boundary``.  The closed-form bound at nu is
+    that minimum on the one line sigma = -nu over every tau: M0 >= 0 makes
+    sigma*M0 + H(M1) nondecreasing in sigma, so it is the exact infimum over
+    Re lambda > -nu, lambda_min(H(M1) - nu*M0), less exp(-nu*h) for delays.
     """
 
     M0: np.ndarray
@@ -695,16 +697,6 @@ class _PencilLaw(MaterialLaw):
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
         return lam[:, None, None] * self.M0 + self.M1
-
-    @cached_property
-    def _bound_terms(self) -> tuple:
-        """(c, ||M0||): smallest eigenvalue of H(M1) and the 2-norm of M0.
-
-        Cached because the delay rate's bisection evaluates the bound about
-        40 times (at dim 101 the two decompositions cost ~6 ms per call);
-        M0 and M1 are read-only, so the cache cannot go stale.
-        """
-        return hermitian_part_min_eig(self.M1), _norm2(self.M0)
 
     @cached_property
     def _m0_min_eig(self) -> float:
@@ -730,8 +722,9 @@ class _PencilLaw(MaterialLaw):
         return sigmas, _eigvalsh(stack)[:, 0]
 
     def lower_bound(self, nu: float) -> float:
-        c, n0 = self._bound_terms
-        return c - nu * n0
+        # the DAE sweep reads no tau; the delay scan reads tau_max = inf as
+        # cos(tau h) = -1, and an overflowing exp(-nu h) as -inf
+        return self.positivity_min(np.array([-nu]), np.array([math.inf]), False)
 
 
 @dataclass(frozen=True)
@@ -739,9 +732,12 @@ class DaeLaw(_PencilLaw):
     """M(z) = M0 + z*M1 with M0 Hermitian and nonnegative; entire.
 
     ``stack`` is the pencil lambda M0 + M1 of :class:`_PencilLaw`.  The
-    bound c - nu*||M0|| gives the rate c / ||M0||, unchanged by skew
-    perturbations of M1; M0 = 0 gives the +inf sentinel (a purely algebraic
-    problem, every rate is admissible).
+    bound lambda_min(H(M1) - nu*M0) gives the rate, the largest nu with
+    H(M1) - nu*M0 >= 0, unchanged by skew perturbations of M1: the smallest
+    h_i / m_i over m_i > 0 when M0 and H(M1) are diagonal, else
+    1 / lambda_max(L^-1 M0 L^-*) with H(M1) = L L*.  An M0 with no positive
+    eigenvalue (M0 = 0, a purely algebraic problem, every rate is
+    admissible) gives the +inf sentinel.
     """
 
     family = "dae"
@@ -763,10 +759,16 @@ class DaeLaw(_PencilLaw):
         return float(self._sigma_sweep(sigmas, True)[1].min())
 
     def rate(self) -> float:
-        c, n0 = self._bound_terms
+        h1 = hermitian_part(self.M1)
+        c = float(_eigvalsh(h1)[0])
         if c <= 0:
             raise ValueError(f"Hermitian part of M1 must be positive definite, min eig = {c:.6g}")
-        return math.inf if n0 == 0.0 else c / n0
+        if self._m0_diagonal is not None and _is_diagonal(h1):
+            m, h = np.diagonal(self.M0).real, np.diagonal(h1).real
+            return float(min(h[m > 0] / m[m > 0], default=math.inf))
+        inv = np.linalg.inv(np.linalg.cholesky(h1))
+        top = np.linalg.eigvalsh(inv @ self.M0 @ inv.conj().T)[-1]
+        return math.inf if top <= 0 else float(1.0 / top)
 
 
 @dataclass(frozen=True)
@@ -778,8 +780,10 @@ class DelayLaw(_PencilLaw):
     nondecreasing in sigma exactly when cos_min <= 0 over the sampled tau;
     cos(tau*h) attains its extremes on multiples of pi/|h|, so cos_min is -1
     once the sampled range reaches pi/|h|, and the smallest sampled value
-    below that.  The bound c - nu*||M0|| - exp(-nu*h) is nonnegative up to
-    the unique root of nu*||M0|| + exp(-nu*h) = c, which needs c > 1.
+    below that.  The bound lambda_min(H(M1) - nu*M0) - exp(-nu*h) falls
+    strictly with nu and is nonnegative up to its unique root, the rate,
+    which needs c = lambda_min(H(M1)) > 1; lambda_min(H(M1) - nu*M0) <= c
+    puts the root at or below ln(c)/|h|, where exp(-nu*h) = c.
     """
 
     h: float
@@ -823,21 +827,16 @@ class DelayLaw(_PencilLaw):
         else:
             cos_min = float(np.cos(taus * self.h).min())
         sigmas, base = self._sigma_sweep(sigmas, cos_min <= 0)
-        with np.errstate(over="ignore"):  # sigma*h > 709.78 gives an inf term, reported
+        # sigma*h > 709.78 gives an infinite term: reported by the scan, and
+        # -inf as the bound at nu = -sigma, which is below every float there
+        with np.errstate(over="ignore"):
             return float(np.min(base + np.exp(sigmas * self.h) * cos_min))
 
-    def lower_bound(self, nu: float) -> float:
-        try:
-            return super().lower_bound(nu) - math.exp(-nu * self.h)
-        except OverflowError:  # nu*|h| > 709.78: the bound is below every float
-            return -math.inf
-
     def rate(self) -> float:
-        c, n0 = self._bound_terms
+        c = hermitian_part_min_eig(self.M1)
         if c <= 1.0:
             raise ValueError(f"need min eig of Hermitian part of M1 above 1, got {c:.6g}")
-        hi = c / max(n0, 1e-12) + abs(math.log(c)) / abs(self.h) + 1.0
-        return _last_nonnegative(self.lower_bound, hi, 1e-12)
+        return _last_nonnegative(self.lower_bound, math.log(c) / abs(self.h), 1e-12)
 
 
 @dataclass(frozen=True)

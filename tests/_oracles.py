@@ -17,7 +17,10 @@ shift of the weighted samples.  The kernel transform is checked against a
 causal convolution by trapezoid quadrature in the time domain, and the
 solver's causality by solving for two forcings that agree up to a time and
 comparing the solutions there.  An initial-value solve is checked against
-a theta-method time stepper that starts from u0 at t = 0.
+a theta-method time stepper that starts from u0 at t = 0.  The spectral
+decay rate of a DAE pencil lambda M0 + (M1 + A), the bound that no certified
+rate may exceed, comes from the eigenvalues of one shifted and inverted
+matrix.
 """
 from __future__ import annotations
 
@@ -242,6 +245,19 @@ def delay_rate_oracle(norm_m0: float, h: float, c: float) -> float:
     while g(hi) < 0:
         hi *= 2.0
     return brentq(g, 0.0, hi, xtol=1e-14)
+
+
+def pencil_spectral_rate(e, f, rho: float) -> float:
+    """-max Re lambda over the finite eigenvalues lambda of the pencil
+    lambda E + F, inf when it has none.
+
+    The eigenvalues mu of K = (rho E + F)^-1 E are 1/(rho - lambda), and an
+    infinite lambda gives mu = 0; the mu with |mu| <= 1e-10 max |mu| are
+    taken for those.  rho must not be an eigenvalue.
+    """
+    mu = np.linalg.eigvals(np.linalg.solve(rho * np.asarray(e) + f, e))
+    mu = mu[np.abs(mu) > 1e-10 * np.abs(mu).max(initial=0.0)]
+    return -float(np.max((rho - 1.0 / mu).real)) if len(mu) else math.inf
 
 
 def integro_rate_oracle(gamma: float, beta: float, c: float, nu0: float) -> float:

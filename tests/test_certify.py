@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from _oracles import (delay_rate_oracle, dense_positivity_scan, integro_rate_oracle,
-                      shifted_bounded_oracle, sign_defects_oracle)
-from hypothesis import given, settings
+                      pencil_spectral_rate, shifted_bounded_oracle, sign_defects_oracle)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -305,6 +306,127 @@ class TestStructuredMinima:
         kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
         assert solvability_constant(law, nu, **kw) == pytest.approx(
             dense_positivity_scan(law, nu, **kw), **MATCH)
+
+
+def hermitian(a):
+    return 0.5 * (a + a.conj().T)
+
+
+def draw_pencil(data, dim, floor):
+    """(M0, M1): M0 = G G* >= 0 with G complex of a random rank, zero
+    included, so a nonzero M0 is in general not diagonal; M1 with Hermitian
+    part Q Q* + floor I plus a skew part."""
+    g, s, q = (a + 1j * b for a, b in data.draw(
+        hnp.arrays(float, (3, 2, dim, dim), elements=st.floats(-1.0, 1.0))))
+    rank = data.draw(st.integers(0, dim))
+    m0 = g[:, :rank] @ g[:, :rank].conj().T
+    return hermitian(m0), q @ q.conj().T + floor * np.eye(dim) + (s - s.conj().T)
+
+
+class TestPencilRates:
+    """The DAE and delay bounds are lambda_min(H(M1) - nu M0) (less
+    exp(-nu h) for delays), and their rates its exact root; no certified rate
+    exceeds the spectral rate of the pencil lambda M0 + (M1 + A) with A
+    monotone."""
+
+    def test_spectral_oracle_matches_scipy_on_mixed1d(self):
+        p = 24
+        ind = np.arange(p) * 3 // p
+        sys_ = build_mixed_type_system(p, 1.0 / (p + 1), ind == 0, ind == 1, 1.0)
+        f = sys_.M1 + sys_.A.matrix
+        finite = scipy.linalg.eigvals(-f, sys_.M0)
+        finite = finite[np.isfinite(finite)]
+        assert len(finite) == np.count_nonzero(sys_.M0)
+        assert pencil_spectral_rate(sys_.M0, f, 0.05) == pytest.approx(
+            -finite.real.max(), rel=1e-10)
+        assert pencil_spectral_rate(np.zeros((2, 2)), np.eye(2), 0.5) == math.inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 8), rho=st.sampled_from([0.05, 1.0]))
+    def test_certified_rate_is_at_most_spectral_dae(self, data, dim, rho):
+        m0, m1 = draw_pencil(data, dim, data.draw(st.floats(0.01, 2.0)))
+        b, g = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+        a = b - b.T + (g @ g.T if data.draw(st.booleans()) else 0.0)  # monotone
+        rate = DaeLaw(m0, m1).rate()
+        assert rate <= pencil_spectral_rate(m0, m1 + a, rho) * (1.0 + 1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 8), c=st.floats(0.05, 4.0), data=st.data())
+    def test_certified_rate_is_at_most_spectral_mixed1d(self, p, c, data):
+        kind = np.array(data.draw(st.lists(st.integers(0, 2), min_size=p, max_size=p)))
+        sys_ = build_mixed_type_system(p, 1.0 / (p + 1), kind == 0, kind == 1, c)
+        rate = sys_.law().rate()
+        assert rate <= pencil_spectral_rate(sys_.M0, sys_.M1 + sys_.A.matrix, 0.05) * (1.0 + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 5), nu=st.floats(0.0, 3.0),
+           h=st.floats(0.1, 2.0))
+    def test_bound_is_the_exact_infimum(self, data, dim, nu, h):
+        m0, m1 = draw_pencil(data, dim, 0.1)
+        exact = np.linalg.eigvalsh(hermitian(m1) - nu * m0)[0]
+        assert DaeLaw(m0, m1).lower_bound(nu) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        exact = np.linalg.eigvalsh(hermitian(m1 + 1.5 * np.eye(dim)) - nu * m0)[0]
+        assert DelayLaw(m0, m1 + 1.5 * np.eye(dim), -h).lower_bound(nu) == pytest.approx(
+            exact - math.exp(nu * h), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 5))
+    def test_dae_rate_is_the_generalized_eigenvalue(self, data, dim):
+        m0, m1 = draw_pencil(data, dim, 0.1)
+        top = scipy.linalg.eigh(m0, hermitian(m1), eigvals_only=True)[-1]
+        assume(top > 1e-6)
+        law = DaeLaw(m0, m1)
+        rate = law.rate()
+        assert rate == pytest.approx(1.0 / top, rel=1e-12)
+        assert law.lower_bound(rate * (1 - 1e-9)) >= 0 > law.lower_bound(rate * (1 + 1e-9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4), h=st.floats(0.1, 2.0))
+    def test_delay_rate_is_the_root(self, data, dim, h):
+        # c >= 1.5, ||M0|| <= 32 and |h| <= 2 put the root above 0.01, where
+        # 1e-9 of it is well outside the bisection's 1e-12
+        m0, m1 = draw_pencil(data, dim, 1.5)
+        law = DelayLaw(m0, m1, -h)
+        rate = law.rate()
+        assert law.lower_bound(rate * (1 - 1e-9)) >= 0 > law.lower_bound(rate * (1 + 1e-9))
+
+    def test_diagonal_dae_rate_is_exact(self):
+        # min h_i / m_i; the Cholesky form reads 2.0000000000000004 for the
+        # first and 11.999999999999996 for the last
+        assert DaeLaw(np.diag([1.0, 0.5]), np.diag([2.0, 3.0])).rate() == 2.0
+        assert DaeLaw(np.diag([1.0, 0.5]), np.diag([3.0, 1.0])).rate() == 2.0
+        assert DaeLaw(np.diag([0.0, 0.25]), np.diag([1.0, 3.0])).rate() == 12.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), h=st.floats(0.1, 2.0),
+           factor=st.sampled_from([0.5, 1.5]), nu=st.floats(0.0, 1.0))
+    def test_unitary_conjugation_keeps_certificates(self, data, dim, h, factor, nu):
+        m0, m1 = draw_pencil(data, dim, 1.5)
+        re, im = data.draw(hnp.arrays(float, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+        u = random_unitary(re + 2.0 * np.eye(dim), im)
+        for law, turned in ((DaeLaw(m0, m1), DaeLaw(u @ m0 @ u.conj().T, u @ m1 @ u.conj().T)),
+                            (DelayLaw(m0, m1, -h),
+                             DelayLaw(u @ m0 @ u.conj().T, u @ m1 @ u.conj().T, -h))):
+            rate = law.rate()
+            # the delay rate is a bisection to 1e-12 absolute
+            assert turned.rate() == pytest.approx(rate, rel=1e-12, abs=1e-12)
+            assert turned.lower_bound(nu) == pytest.approx(law.lower_bound(nu),
+                                                           rel=1e-12, abs=1e-12)
+            finite = math.isfinite(rate)  # M0 = 0: every rate is certified
+            at = factor * rate if finite else 1.0
+            expected = factor < 1 or not finite
+            assert certify(turned, at).passed == certify(law, at).passed == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), h=st.floats(0.1, 2.0),
+           a=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    def test_time_rescaling_scales_the_rate(self, data, dim, h, a):
+        # t -> t/a maps M0 to M0/a and h to h/a; each bisection ends within
+        # half its 1e-12 of its root
+        m0, m1 = draw_pencil(data, dim, 1.5)
+        assert DaeLaw(m0 / a, m1).rate() == pytest.approx(a * DaeLaw(m0, m1).rate(), rel=1e-12)
+        assert DelayLaw(m0 / a, m1, -h / a).rate() == pytest.approx(
+            a * DelayLaw(m0, m1, -h).rate(), rel=0.0, abs=0.5e-12 * (1.0 + a))
 
 
 def pole_law(m0, m1, g, a, singularities=None, tally=None, k=None):
