@@ -24,7 +24,8 @@ Exit codes: 0 success, 1 analytic failure (certification, a symbol that is
 not finite on the positivity scan, a kernel L1 quadrature that does not
 converge, edge mass of forcing or solution, singular frequency,
 residual/gap/decay out of bounds, a decay fit without enough usable
-samples), 2 usage or config error.
+samples), 2 usage or config error (an output directory that cannot be
+created, or an artifact that cannot be written, included).
 """
 from __future__ import annotations
 
@@ -411,8 +412,11 @@ def main(argv=None) -> int:
         except OSError as exc:  # a file in the way, or no permission
             raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
         built = _BuiltProblem(cfg)
-        passed = _COMMANDS[args.command](built, args.out)
-        _echo_config(cfg, args.out)
+        try:
+            passed = _COMMANDS[args.command](built, args.out)
+            _echo_config(cfg, args.out)
+        except OSError as exc:  # an artifact path taken by a directory, or no permission
+            raise ConfigError(f"cannot write artifacts in {args.out}: {exc}") from exc
         return 0 if passed else 1
     except (CertificationError, EdgeMassError, DecayFitError) as exc:
         print(f"analytic failure: {exc}", file=sys.stderr)

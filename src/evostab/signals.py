@@ -15,7 +15,9 @@ Grid and transform conventions::
     inverse:  f(t_k)  = exp(rho t_k) * dxi/sqrt(2*pi) * sum_j exp(i xi_j t_k) F(xi_j)
 
 Both sums are evaluated by FFT with phase corrections for ``t0`` and the
-centered frequency grid.
+centered frequency grid.  Since n is a power of two, the centring is a swap
+of the two halves, which the phase multiply writes straight into place: no
+shifted copy is made, and the bits are those of ``fftshift``/``ifftshift``.
 
 The calculus is spectral: :func:`derivative`, :func:`antiderivative` and
 :func:`translate` each multiply the transform by one function of
@@ -32,7 +34,8 @@ gates on it.
 CSV I/O: :func:`signal_to_csv` writes the time column followed by
 interleaved re/im columns with 17 significant digits, the exact bytes of
 ``np.savetxt(..., fmt="%.17g")``, but with the digits computed in numpy
-rather than by Python's per-float ``%`` formatting; :func:`signal_from_csv`
+rather than by Python's per-float ``%`` formatting, and each cell laid out
+once in a byte matrix from 4-digit and exponent tables; :func:`signal_from_csv`
 reads them back with ``np.loadtxt`` and rebuilds the grid.
 """
 
@@ -177,23 +180,42 @@ def edge_mass(f: Signal, rho: float) -> float:
     return float(max(g[0], g[-1]) / peak)
 
 
+def _shifted_product(a, b, out):
+    """``out = fftshift(a * b)`` along axis 0, written half by half with no
+    shifted copy: for n = 2^m samples the centring is a swap of the two
+    halves (``fftshift`` and ``ifftshift`` agree).  The operand order is
+    kept, because numpy's complex multiply is not bitwise commutative."""
+    h = out.shape[0] // 2
+    np.multiply(a[h:], b[h:], out=out[:h])
+    np.multiply(a[:h], b[:h], out=out[h:])
+    return out
+
+
 def fourier_laplace(f: Signal, rho: float) -> SpectralSignal:
-    """Weighted Fourier transform of ``f`` evaluated on the centered xi grid."""
+    """Weighted Fourier transform of ``f`` evaluated on the centered xi grid.
+
+    The centred, phase-corrected FFT is written into the weighted samples'
+    buffer, so the transform allocates only that buffer, the FFT output and
+    the result's copy."""
     grid = f.grid
     g = f.values * np.exp(-rho * grid.times)[:, None]
-    spec = np.fft.fftshift(np.fft.fft(g, axis=0), axes=0)
-    phase = np.exp(-1j * grid.frequencies * grid.t0)
-    vals = (grid.dt / SQRT_2PI) * phase[:, None] * spec
-    return SpectralSignal(grid, rho, vals)
+    phase = np.fft.ifftshift((grid.dt / SQRT_2PI) * np.exp(-1j * grid.frequencies * grid.t0))
+    return SpectralSignal(grid, rho, _shifted_product(phase[:, None], np.fft.fft(g, axis=0), g))
 
 
 def inverse_fourier_laplace(F: SpectralSignal) -> Signal:
-    """Inverse of :func:`fourier_laplace`; uses the rho carried by ``F``."""
+    """Inverse of :func:`fourier_laplace`; uses the rho carried by ``F``.
+
+    The phase-corrected samples are un-centred into one new buffer, and the
+    three scalings (``n``, then ``dxi/sqrt(2 pi)``, then ``exp(rho t)``) are
+    applied in place on the ``ifft`` output."""
     grid = F.grid
-    h = F.values * np.exp(1j * grid.frequencies * grid.t0)[:, None]
-    g = np.fft.ifft(np.fft.ifftshift(h, axes=0), axis=0) * grid.n_steps
-    vals = (grid.dxi / SQRT_2PI) * g * np.exp(F.rho * grid.times)[:, None]
-    return Signal(grid, vals)
+    phase = np.exp(1j * grid.frequencies * grid.t0)[:, None]
+    g = np.fft.ifft(_shifted_product(F.values, phase, np.empty_like(F.values)), axis=0)
+    g *= grid.n_steps
+    g *= grid.dxi / SQRT_2PI
+    g *= np.exp(F.rho * grid.times)[:, None]
+    return Signal(grid, g)
 
 
 def _multiply(f: Signal, rho: float, mult: np.ndarray) -> Signal:
@@ -300,21 +322,25 @@ def _pow5_table():
 
 
 _P5_HH, _P5_HL, _P5_LO = _pow5_table()
-# "0000" .. "9999" as 4 bytes each, and the number of trailing '0's of each.
+# "0000" .. "9999" as 4 bytes each, read as one uint32, and the number of
+# trailing '0's of each.
 _QUAD_BYTES = np.empty((10, 10, 10, 10, 4), np.uint8)
 for _i in range(4):
     _QUAD_BYTES[..., _i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - _i))
-_QUAD_BYTES = _QUAD_BYTES.reshape(10000, 4)
-_QUADS = _QUAD_BYTES.view(np.uint32).ravel()
+_QUADS = _QUAD_BYTES.reshape(10000, 4).view(np.uint32).ravel()
 _QUAD_TZ = np.zeros(10000, np.int64)
 for _i in (10, 100, 1000, 10000):
     _QUAD_TZ[::_i] += 1
-# "e-330" .. "e+330" at row exponent + _EXP_OFF; below 100 the hundreds digit
-# is a 0, so "e+05" keeps two digits as in %.17g.
+# "e-330," .. "e+330," (plane 0) and the same ended by a newline (plane 1), one
+# 6-byte void item each, at
+# row exponent + _EXP_OFF; below 100 the hundreds digit is a 0, so "e+05"
+# keeps two digits as in %.17g.
 _EXP_OFF = 330
-_EXPONENT = np.frombuffer(b"".join(b"e%+04d" % e for e in range(-_EXP_OFF, _EXP_OFF + 1)),
-                          np.uint8).reshape(-1, 5).copy()
-_EXPONENT[np.abs(np.arange(-_EXP_OFF, _EXP_OFF + 1)) < 100, 2] = 0
+_EXP_SEP = np.frombuffer(b"".join(b"e%+04d%c" % (e, c) for c in b",\n"
+                                  for e in range(-_EXP_OFF, _EXP_OFF + 1)),
+                         np.uint8).reshape(2, -1, 6).copy()
+_EXP_SEP[:, np.abs(np.arange(-_EXP_OFF, _EXP_OFF + 1)) < 100, 2] = 0
+_EXP_SEP = _EXP_SEP.view("V6")[..., 0]
 # Row 2*last + fixed zeroes the columns after ``last`` up to 18 in a
 # scientific cell (the exponent stays) or up to 23 in a fixed one.
 _COL = np.arange(25)
@@ -328,13 +354,16 @@ def _floor_frac(a, k):
     fraction to about 4e-15 where the product lies in [2^53, 2^63), which
     holds for k within one of floor(log10 a) unless it is one too large;
     then the product is below 10^16 and so is the floor, if one low."""
-    j = (16 - k).astype(np.int32)
-    x = np.ldexp(a, j)
+    x = np.ldexp(a, (16 - k).astype(np.int32))  # ldexp is vectorised for int32
     xh, xl = _split(x)
-    j -= _J0
+    j = 16 - _J0 - k  # the table row of 5^(16-k); take is fastest with int64 rows
     hh, hl = _P5_HH.take(j), _P5_HL.take(j)
     p = x * (hh + hl)
-    t = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl) + x * _P5_LO.take(j)
+    t = xh * hh - p  # + xh*hl + xl*hh + xl*hl + x*lo, in that order, in place
+    t += np.multiply(xh, hl, out=xh)
+    t += np.multiply(xl, hh, out=hh)
+    t += np.multiply(xl, hl, out=xl)
+    t += np.multiply(x, _P5_LO.take(j), out=x)
     ft = np.floor(t)
     return p.astype(np.int64) + ft.astype(np.int64), t - ft
 
@@ -344,12 +373,17 @@ def _g17_cells(v, ncols: int) -> bytes:
     rows of ``ncols``, the cells joined by commas and each row ended by a
     newline.
 
-    Each cell is laid out in a row of a (n, 25) byte matrix, first in
-    scientific form, then in fixed form for -4 <= X <= 16; every byte that
-    ``%.17g`` drops (an absent sign, trailing zero digits, a point with no
-    fraction, a hundreds digit of the exponent below 100) is a 0, and the
-    cells are the matrix's nonzero bytes (the separator column holds the
-    comma or the newline).  Subnormals, non-finite values and
+    Each cell is laid out once in a row of a (n, 25) byte matrix in
+    scientific form: the sign, the leading digit and the point, the other
+    16 digits as four 4-digit quads written through one unaligned uint32
+    view, and the exponent with its separator (comma, or newline at a row's
+    end) as one 6-byte table row.  The trailing zeros are read from the
+    last quad, and from the ones before it only where it is ``0000``.  Only
+    fixed-form cells (-4 <= X <= 16), which are moved in place, and cells
+    with a trailing zero are then masked: every byte that ``%.17g`` drops
+    (an absent sign, trailing zero digits, a point with no fraction, a
+    hundreds digit of the exponent below 100) is a 0, and the cells are the
+    matrix's nonzero bytes.  Subnormals, non-finite values and
     |frac - 1/2| <= 1e-6 (an exact tie such as 1 + 2**-17 rounds half to
     even, which the ~4e-15 error above cannot decide) go to Python's own
     ``%``.
@@ -365,7 +399,7 @@ def _g17_cells(v, ncols: int) -> bytes:
     # floor, not on the rounded p: 9.9999999999999998e-266 is not 1e-265.
     # One step corrects; the second pass only confirms.
     for _ in range(2):
-        off = (D >= 10 ** 17).astype(np.int64) - (D < 10 ** 16)
+        off = (D >= 10 ** 17).view(np.int8) - (D < 10 ** 16).view(np.int8)
         bad = np.flatnonzero(off)
         if not bad.size:
             break
@@ -378,26 +412,30 @@ def _g17_cells(v, ncols: int) -> bytes:
     k += carry
     D[zero] = 0
     k[zero] = 0
-    digits = []  # d0, then four groups of four digits
-    for s in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4):
-        digits.append(D // s)
-        D = D - digits[-1] * s
-    digits.append(D)
-    tz = np.zeros(n, np.int64)  # trailing zero digits of D
-    run = np.ones(n, bool)
-    for g in digits[:0:-1]:
-        tz += run * _QUAD_TZ.take(g)
-        run &= g == 0
-    tz += run & (digits[0] == 0)
+    q = np.empty((5, n), np.int64)  # d0, then four quads of four digits
+    for i, s in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(D, s, out=q[i])
+        D -= q[i] * s
+    q[4] = D
+    tz = _QUAD_TZ.take(q[4])  # trailing zero digits of D
+    rows = np.flatnonzero(q[4] == 0)
+    for g in q[3:0:-1]:
+        g = g[rows]
+        tz[rows] += _QUAD_TZ.take(g)
+        rows = rows[g == 0]
+    tz[rows] += q[0, rows] == 0
 
     B = np.empty((n, 25), np.uint8)
     B[:, 0] = np.signbit(v) * np.uint8(45)
-    B[:, 1] = digits[0] + 48
+    B[:, 1] = q[0] + 48
     B[:, 2] = 46
-    B[:, 3:19] = _QUADS.take(np.stack(digits[1:], axis=1)).view(np.uint8)
-    B[:, 19:24] = _EXPONENT.take(k + _EXP_OFF, axis=0)
-    B[:, 24] = 44
-    B[ncols - 1::ncols, 24] = 10
+    quads = np.ndarray((n, 4), np.uint32, B, 3, (25, 4))  # unaligned: columns 3..18
+    for i in range(4):
+        quads[:, i] = _QUADS.take(q[i + 1])
+    e = k + _EXP_OFF
+    exp_sep = np.ndarray((n,), _EXP_SEP.dtype, B, 19, (25,))  # columns 19..24
+    exp_sep[...] = _EXP_SEP[0].take(e)
+    exp_sep[ncols - 1::ncols] = _EXP_SEP[1].take(e[ncols - 1::ncols])
     last = 18 - tz  # the column of the last fraction digit kept
     last[last < 3] = 1  # no fraction digit left: drop the point too
     fixed = (k >= -4) & (k <= 16)
@@ -414,7 +452,8 @@ def _g17_cells(v, ncols: int) -> bytes:
             B[rows, 2 - X] = B[rows, 1]
             B[rows, 1:2 - X] = _LEAD[:1 - X]
             last[rows] = 18 - X - tz[rows]
-    B &= _KEEP.take(2 * last + fixed, axis=0)
+    rows = np.flatnonzero(fixed | (tz > 0))
+    B[rows] &= _KEEP.take(2 * last[rows] + fixed[rows], axis=0)
     for i in np.flatnonzero(fallback):
         B[i, :24] = np.frombuffer((b"%.17g" % v[i]).ljust(24, b"\0"), np.uint8)
     return B.tobytes().translate(None, b"\0")

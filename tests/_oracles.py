@@ -13,7 +13,9 @@ one point at a time into a preallocated array.  The shifted-symbol check is
 the dense loop, one 2-norm at every spot-check point.  The spectral calculus
 of :mod:`evostab.signals` is checked in the time domain: the antiderivative
 against a cumulative trapezoid sum, the translation against a circular index
-shift of the weighted samples.  The kernel transform is checked against a
+shift of the weighted samples.  The transform pair is checked bit for bit
+against its plain form, which centres the FFT with ``fftshift`` and
+``ifftshift`` copies.  The kernel transform is checked against a
 causal convolution by trapezoid quadrature in the time domain, and the
 solver's causality by solving for two forcings that agree up to a time and
 comparing the solutions there.  An initial-value solve is checked against
@@ -33,7 +35,7 @@ from scipy.optimize import brentq
 
 from evostab.certify import SHIFT_RADII, HypothesisResult, SamplingConfig, _sigma_grid
 from evostab.material import _SIGN_LINES, _SIGN_TS, Kernel, _norm2
-from evostab.signals import Signal
+from evostab.signals import Signal, SpectralSignal
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -56,6 +58,25 @@ def index_translate(f: Signal, h: float, rho: float) -> Signal:
     g = np.roll(g, m, axis=0)
     out = g * (np.exp(rho * f.grid.times) * np.exp(rho * h))[:, None]
     return Signal(f.grid, out)
+
+
+def fftshift_fourier_laplace(f: Signal, rho: float) -> SpectralSignal:
+    """The weighted transform with its FFT centred by an ``fftshift`` copy."""
+    grid = f.grid
+    g = f.values * np.exp(-rho * grid.times)[:, None]
+    spec = np.fft.fftshift(np.fft.fft(g, axis=0), axes=0)
+    phase = np.exp(-1j * grid.frequencies * grid.t0)
+    vals = (grid.dt / SQRT_2PI) * phase[:, None] * spec
+    return SpectralSignal(grid, rho, vals)
+
+
+def ifftshift_inverse_fourier_laplace(F: SpectralSignal) -> Signal:
+    """The inverse weighted transform, un-centred by an ``ifftshift`` copy."""
+    grid = F.grid
+    h = F.values * np.exp(1j * grid.frequencies * grid.t0)[:, None]
+    g = np.fft.ifft(np.fft.ifftshift(h, axes=0), axis=0) * grid.n_steps
+    vals = (grid.dxi / SQRT_2PI) * g * np.exp(F.rho * grid.times)[:, None]
+    return Signal(grid, vals)
 
 
 def convolve_time(kernel: Kernel, u: Signal) -> Signal:

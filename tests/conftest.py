@@ -1,8 +1,14 @@
 import os
+import sys
 
 import pytest
 
-import evostab
+try:
+    import evostab
+except ImportError:  # neither installed nor on PYTHONPATH: test this checkout's src
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "src"))
+    import evostab
 
 
 @pytest.fixture

@@ -1045,6 +1045,20 @@ def test_out_that_cannot_be_created_exits_two(tmp_path, capsys, below):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, artifact", [("solve", "solution.csv"),
+                                               ("certify", "report.kv")])
+def test_artifact_that_cannot_be_written_exits_two(tmp_path, capsys, command, artifact):
+    # a directory where an artifact goes raised IsADirectoryError out of
+    # main, which exited 1 (the analytic-failure code) with a traceback
+    cfg = write_cfg(tmp_path, scalar_dae_cfg())
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write artifacts in {out}: ")
+    assert str(out / artifact) in err and err.count("\n") == 1
+
+
 def test_config_echo_is_resolved_and_sorted(tmp_path):
     cfg = write_cfg(tmp_path, scalar_dae_cfg(
         forcing={"kind": "pulse", "center": 0.5, "width": 0.1}))

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import index_translate, trapezoid_antiderivative
+from _oracles import (fftshift_fourier_laplace, ifftshift_inverse_fourier_laplace,
+                      index_translate, trapezoid_antiderivative)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +137,38 @@ class TestTransformPair:
         norm = weighted_norm(f, rho)
         assert weighted_norm(inverse_fourier_laplace(F) - f, rho) <= 1e-12 * norm
         assert np.sum(np.abs(F.values) ** 2) * g.dxi == pytest.approx(norm ** 2, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t0=st.floats(-50.0, 50.0), dt=st.floats(1e-4, 1.0), k=st.integers(3, 12),
+           rho_frac=st.floats(0.0, 1.0, exclude_min=True), dim=st.integers(1, 5),
+           scale=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+    def test_pair_equals_the_fftshift_oracle_bit_for_bit(self, t0, dt, k, rho_frac, dim, scale,
+                                                          seed):
+        # the halves are swapped in place of the shift copies, and the
+        # operands and scalings keep their order, so every bit is the same
+        g = TimeGrid(t0, dt, 2 ** k)
+        rho = rho_frac * min(1.0, 50.0 / np.abs(g.times).max())
+        f = random_signal(g, dim, np.random.default_rng(seed)) * 10.0 ** scale
+        F = fourier_laplace(f, rho)
+        assert np.array_equal(F.values, fftshift_fourier_laplace(f, rho).values)
+        assert np.array_equal(inverse_fourier_laplace(F).values,
+                              ifftshift_inverse_fourier_laplace(F).values)
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_peak_memory_is_within_budget(self, inverse):
+        # with the fftshift/ifftshift copies and fresh temporaries the peak
+        # was 4 x values.nbytes; in place it is the weighted or un-centred
+        # buffer, the FFT output and the result's copy at most
+        g = TimeGrid(-2.0, 1 / 64, 4096)
+        f = random_signal(g, 101, np.random.default_rng(3))
+        F = fourier_laplace(f, 0.05)
+        tracemalloc.start()
+        try:
+            inverse_fourier_laplace(F) if inverse else fourier_laplace(f, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * f.values.nbytes
 
     def test_pulse_recovered(self):
         g = TimeGrid(-4.0, 1 / 64, 512)
@@ -397,6 +431,8 @@ _G17_FLOATS = st.one_of(
     st.integers(1, 2 ** 52 - 1).map(lambda m: m * 5e-324),  # subnormals
     st.builds(_power_of_ten_neighbour, st.integers(-323, 308), st.sampled_from([-1, 0, 1])),
     st.builds(_decimal_tie, st.integers(0, 15), st.integers(0, 2 ** 60)),
+    # short mantissas m * 10^k: trailing zero digits, often fixed form
+    st.builds(lambda m, k: float(f"{m}e{k}"), st.integers(1, 10 ** 6), st.integers(-30, 30)),
 ).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
@@ -423,6 +459,23 @@ class TestCsvWriter:
         rng = np.random.default_rng(13)
         vals = rng.standard_normal((g.n_steps, 2)) * 10.0 ** rng.integers(-25, 25, (g.n_steps, 2))
         vals = vals + 1j * np.where(rng.random((g.n_steps, 2)) < 0.1, 0.0, vals[::-1])
+        f = Signal(g, vals)
+        signal_to_csv(f, tmp_path / "new.csv")
+        np.savetxt(tmp_path / "old.csv", np.column_stack([g.times, f.values.view(float)]),
+                   fmt="%.17g", delimiter=",", header="t,re_0,im_0,re_1,im_1", comments="")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_three_blocks_with_a_partial_last_matches_savetxt(self, tmp_path):
+        g = TimeGrid(-4.0, 2.0 ** -10, 16384)
+        step = signals._CSV_BLOCK // 5  # rows per block: t and two re/im pairs
+        assert 2 * step < g.n_steps < 3 * step
+        rng = np.random.default_rng(17)
+        vals = rng.standard_normal((g.n_steps, 2)) + 1j * rng.standard_normal((g.n_steps, 2))
+        # the partial last block holds a subnormal, an exact tie, trailing
+        # zeros in scientific and fixed form, and zeros of both signs
+        vals[-3:] = [[5e-324 + 1j * (1 + 2 ** -17), 1.5e20 - 120.0j],
+                     [-2.5e-300 + 0.25j, complex(-0.0, 1e-5)],
+                     [-(1 + 3 * 2 ** -17), 7e-310 - 3e100j]]
         f = Signal(g, vals)
         signal_to_csv(f, tmp_path / "new.csv")
         np.savetxt(tmp_path / "old.csv", np.column_stack([g.times, f.values.view(float)]),
