@@ -328,19 +328,16 @@ _QUAD_BYTES = np.empty((10, 10, 10, 10, 4), np.uint8)
 for _i in range(4):
     _QUAD_BYTES[..., _i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - _i))
 _QUADS = _QUAD_BYTES.reshape(10000, 4).view(np.uint32).ravel()
-_QUAD_TZ = np.zeros(10000, np.int64)
-for _i in (10, 100, 1000, 10000):
-    _QUAD_TZ[::_i] += 1
-# "e-330," .. "e+330," (plane 0) and the same ended by a newline (plane 1), one
-# 6-byte void item each, at
-# row exponent + _EXP_OFF; below 100 the hundreds digit is a 0, so "e+05"
-# keeps two digits as in %.17g.
+_QUAD_TZ = sum(np.arange(10000) % m == 0 for m in (10, 100, 1000, 10000))
+# "e-330," .. "e+330," (plane 0) and the same ended by a newline (plane 1) at
+# row exponent + _EXP_OFF, each after two zero bytes and read as one uint64;
+# below 100 the hundreds digit is a 0, so "e+05" keeps two digits as in %.17g.
 _EXP_OFF = 330
-_EXP_SEP = np.frombuffer(b"".join(b"e%+04d%c" % (e, c) for c in b",\n"
+_EXP_SEP = np.frombuffer(b"".join(b"\0\0e%+04d%c" % (e, c) for c in b",\n"
                                   for e in range(-_EXP_OFF, _EXP_OFF + 1)),
-                         np.uint8).reshape(2, -1, 6).copy()
-_EXP_SEP[:, np.abs(np.arange(-_EXP_OFF, _EXP_OFF + 1)) < 100, 2] = 0
-_EXP_SEP = _EXP_SEP.view("V6")[..., 0]
+                         np.uint8).reshape(2, -1, 8).copy()
+_EXP_SEP[:, np.abs(np.arange(-_EXP_OFF, _EXP_OFF + 1)) < 100, 4] = 0
+_EXP_SEP = _EXP_SEP.view(np.uint64)[..., 0]
 # Row 2*last + fixed zeroes the columns after ``last`` up to 18 in a
 # scientific cell (the exponent stays) or up to 23 in a fixed one.
 _COL = np.arange(25)
@@ -374,11 +371,13 @@ def _g17_cells(v, ncols: int) -> bytes:
     newline.
 
     Each cell is laid out once in a row of a (n, 25) byte matrix in
-    scientific form: the sign, the leading digit and the point, the other
-    16 digits as four 4-digit quads written through one unaligned uint32
-    view, and the exponent with its separator (comma, or newline at a row's
-    end) as one 6-byte table row.  The trailing zeros are read from the
-    last quad, and from the ones before it only where it is ``0000``.  Only
+    scientific form: the exponent with its separator (comma, or newline at a
+    row's end) as one table row, written as a uint64 over columns 17..24
+    whose two leading zero bytes the digits then cover; the sign, the
+    leading digit and the point; the other 16 digits as four 4-digit quads
+    written through one unaligned uint32 view.  The trailing zeros are read
+    from the last quad, and from the ones before it only where it is
+    ``0000``.  Only
     fixed-form cells (-4 <= X <= 16), which are moved in place, and cells
     with a trailing zero are then masked: every byte that ``%.17g`` drops
     (an absent sign, trailing zero digits, a point with no fraction, a
@@ -407,9 +406,9 @@ def _g17_cells(v, ncols: int) -> bytes:
         D[bad], frac[bad] = _floor_frac(a[bad], k[bad])
     fallback |= np.abs(frac - 0.5) <= 1e-6
     D += frac > 0.5
-    carry = D == 10 ** 17
+    carry = np.flatnonzero(D == 10 ** 17)
     D[carry] = 10 ** 16
-    k += carry
+    k[carry] += 1
     D[zero] = 0
     k[zero] = 0
     q = np.empty((5, n), np.int64)  # d0, then four quads of four digits
@@ -426,16 +425,16 @@ def _g17_cells(v, ncols: int) -> bytes:
     tz[rows] += q[0, rows] == 0
 
     B = np.empty((n, 25), np.uint8)
+    e = k + _EXP_OFF
+    exp_sep = np.ndarray((n,), np.uint64, B, 17, (25,))  # unaligned: columns 17..24
+    exp_sep[...] = _EXP_SEP[0].take(e)
+    exp_sep[ncols - 1::ncols] = _EXP_SEP[1].take(e[ncols - 1::ncols])
     B[:, 0] = np.signbit(v) * np.uint8(45)
     B[:, 1] = q[0] + 48
     B[:, 2] = 46
     quads = np.ndarray((n, 4), np.uint32, B, 3, (25, 4))  # unaligned: columns 3..18
-    for i in range(4):
+    for i in range(4):  # the last quad overwrites the exponent rows' two zero bytes
         quads[:, i] = _QUADS.take(q[i + 1])
-    e = k + _EXP_OFF
-    exp_sep = np.ndarray((n,), _EXP_SEP.dtype, B, 19, (25,))  # columns 19..24
-    exp_sep[...] = _EXP_SEP[0].take(e)
-    exp_sep[ncols - 1::ncols] = _EXP_SEP[1].take(e[ncols - 1::ncols])
     last = 18 - tz  # the column of the last fraction digit kept
     last[last < 3] = 1  # no fraction digit left: drop the point too
     fixed = (k >= -4) & (k <= 16)
