@@ -328,7 +328,9 @@ _QUAD_BYTES = np.empty((10, 10, 10, 10, 4), np.uint8)
 for _i in range(4):
     _QUAD_BYTES[..., _i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - _i))
 _QUADS = _QUAD_BYTES.reshape(10000, 4).view(np.uint32).ravel()
-_QUAD_TZ = sum(np.arange(10000) % m == 0 for m in (10, 100, 1000, 10000))
+_QUAD_TZ = np.zeros(10000, np.int64)
+for _i in (10, 100, 1000, 10000):
+    _QUAD_TZ[::_i] += 1
 # "e-330," .. "e+330," (plane 0) and the same ended by a newline (plane 1) at
 # row exponent + _EXP_OFF, each after two zero bytes and read as one uint64;
 # below 100 the hundreds digit is a 0, so "e+05" keeps two digits as in %.17g.
