@@ -436,6 +436,14 @@ _G17_FLOATS = st.one_of(
 ).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
+def _assert_csv_matches_savetxt(f: Signal, tmp_path) -> None:
+    signal_to_csv(f, tmp_path / "new.csv")
+    header = "t," + ",".join(f"re_{i},im_{i}" for i in range(f.dim))
+    np.savetxt(tmp_path / "old.csv", np.column_stack([f.grid.times, f.values.view(float)]),
+               fmt="%.17g", delimiter=",", header=header, comments="")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestCsvWriter:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_G17_FLOATS, min_size=1, max_size=40))
@@ -459,11 +467,7 @@ class TestCsvWriter:
         rng = np.random.default_rng(13)
         vals = rng.standard_normal((g.n_steps, 2)) * 10.0 ** rng.integers(-25, 25, (g.n_steps, 2))
         vals = vals + 1j * np.where(rng.random((g.n_steps, 2)) < 0.1, 0.0, vals[::-1])
-        f = Signal(g, vals)
-        signal_to_csv(f, tmp_path / "new.csv")
-        np.savetxt(tmp_path / "old.csv", np.column_stack([g.times, f.values.view(float)]),
-                   fmt="%.17g", delimiter=",", header="t,re_0,im_0,re_1,im_1", comments="")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        _assert_csv_matches_savetxt(Signal(g, vals), tmp_path)
 
     def test_three_blocks_with_a_partial_last_matches_savetxt(self, tmp_path):
         g = TimeGrid(-4.0, 2.0 ** -10, 16384)
@@ -471,13 +475,9 @@ class TestCsvWriter:
         assert 2 * step < g.n_steps < 3 * step
         rng = np.random.default_rng(17)
         vals = rng.standard_normal((g.n_steps, 2)) + 1j * rng.standard_normal((g.n_steps, 2))
-        # the partial last block holds a subnormal, an exact tie, trailing
-        # zeros in scientific and fixed form, and zeros of both signs
+        # the partial last block holds subnormals, two exact ties, trailing
+        # zeros in scientific and fixed form, and a -0
         vals[-3:] = [[5e-324 + 1j * (1 + 2 ** -17), 1.5e20 - 120.0j],
                      [-2.5e-300 + 0.25j, complex(-0.0, 1e-5)],
                      [-(1 + 3 * 2 ** -17), 7e-310 - 3e100j]]
-        f = Signal(g, vals)
-        signal_to_csv(f, tmp_path / "new.csv")
-        np.savetxt(tmp_path / "old.csv", np.column_stack([g.times, f.values.view(float)]),
-                   fmt="%.17g", delimiter=",", header="t,re_0,im_0,re_1,im_1", comments="")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        _assert_csv_matches_savetxt(Signal(g, vals), tmp_path)
