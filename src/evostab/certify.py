@@ -9,10 +9,10 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     r in {0.5, 1, 10}, plus 1/nu once when a ball holds it).  It is
     ``law.shifted(nu, z)``, z times the operator lambda M(1/lambda) of
     ``law.stack`` at lambda = 1/z - nu, refused where Re lambda is at or
-    below the law's ``rho_floor``.  The reported maximum is a dense 2-norm;
-    where the law gives the eigenvalues of that operator in one unitary
-    basis (``law.stack_eigenvalues``), only the points that can hold the
-    maximum are evaluated densely, each once;
+    below the law's ``rho_floor``.  The reported maximum is a dense 2-norm,
+    taken in batched SVDs; where the law gives the eigenvalues of that
+    operator in one unitary basis (``law.stack_eigenvalues``), only the
+    points that can hold the maximum are evaluated densely, each once;
 (c) positivity: Re z^-1 M(z) >= c(nu) > 0 outside the ball, parametrized
     by z^-1 = sigma + i tau with sigma > -nu.  Where (a) passes, the smallest
     eigenvalue of that Hermitian part is superharmonic in z^-1 away from
@@ -67,6 +67,10 @@ SHIFT_RADII = (0.5, 1.0, 10.0)
 # Relative rounding window between the 2-norms that a law's stack eigenvalues
 # give and the dense 2-norm; the dense errors are a few ulps of the largest norm.
 SCREEN_RTOL = 1e-12
+
+# Complex entries per stack of the dense check's batched 2-norms: every point
+# of a small law in one stack, and a bounded stack (16 MB) for a large one.
+_NORM_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -250,9 +254,51 @@ def _shift_points(nu: float) -> list:
 
 
 def _dense_shifted_max(law: MaterialLaw, nu: float, pts: list) -> HypothesisResult:
-    """The dense check: one 2-norm per point, failing at the first point that
-    is not finite or that the shifted symbol refuses."""
-    worst = 0.0
+    """The dense check: the 2-norm of ``law.shifted(nu, z)`` at every point,
+    failing at the first point that is not finite or that the shifted symbol
+    refuses.
+
+    The points are evaluated in order, a chunk of about ``_NORM_CHUNK``
+    entries at a time, and each chunk's matrices take their 2-norms in one
+    batched SVD, the same LAPACK call per matrix as one ``_norm2`` each.  A
+    chunk with a refused point, a matrix that does not stack with the
+    chunk's first or a norm that is not finite is checked again point by
+    point (:func:`_pointwise_shifted_max`), which names the first bad point.
+    """
+    worst, start = 0.0, 0
+    while start < len(pts):
+        norms = _stacked_norms(law, nu, pts, start)
+        if norms is None:
+            return _pointwise_shifted_max(law, nu, pts[start:], worst)
+        worst, start = max(worst, float(norms.max())), start + norms.size
+    return _bounded(worst)
+
+
+def _stacked_norms(law: MaterialLaw, nu: float, pts: list, start: int) -> np.ndarray | None:
+    """2-norms of the shifted symbol at the chunk of ``pts`` from ``start``,
+    as many points as keep the stack near ``_NORM_CHUNK`` entries; None where
+    a point is refused, does not stack or has a norm that is not finite."""
+    try:
+        first = np.atleast_2d(law.shifted(nu, pts[start]))
+        if first.ndim != 2:
+            return None
+        chunk = pts[start:start + max(1, _NORM_CHUNK // max(1, first.size))]
+        stack = np.empty((len(chunk),) + first.shape, complex)  # every law's symbol is complex
+        stack[0] = first
+        for k, z in enumerate(chunk[1:], 1):
+            a = np.atleast_2d(law.shifted(nu, z))
+            if a.shape != first.shape:
+                return None
+            stack[k] = a
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    except ValueError:  # a refusal, or an SVD that fails on a point that is not finite
+        return None
+    return norms if np.isfinite(norms).all() else None
+
+
+def _pointwise_shifted_max(law: MaterialLaw, nu: float, pts: list, worst: float) -> HypothesisResult:
+    """The dense check one ``_norm2`` at a time, from the largest norm
+    ``worst`` of the points before ``pts``."""
     try:
         for z in pts:
             norm = _norm2(law.shifted(nu, z))
@@ -261,6 +307,10 @@ def _dense_shifted_max(law: MaterialLaw, nu: float, pts: list) -> HypothesisResu
             worst = max(worst, norm)
     except ValueError as exc:
         return HypothesisResult(False, f"shifted symbol unavailable: {exc}")
+    return _bounded(worst)
+
+
+def _bounded(worst: float) -> HypothesisResult:
     return HypothesisResult(True, f"finite on sampled balls B(r, r), r in {SHIFT_RADII}; max norm {worst:.6g}", worst)
 
 
@@ -278,7 +328,9 @@ def _check_shifted_bounded(law: MaterialLaw, nu: float) -> HypothesisResult:
     ``rho_floor``, where ``shifted`` refuses no point; the one refusal left
     there, an integro nu above nu0, is the same at every point and names
     none.  Without a screen, or with a norm that is not finite, every point
-    is evaluated.
+    is evaluated.  The points kept are evaluated in order and take their
+    dense 2-norms in batches (:func:`_dense_shifted_max`), with the result
+    of one ``_norm2`` per point.
     """
     pts = _shift_points(nu)
     z = np.array(pts)

@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -683,15 +684,96 @@ class TestShiftedBounded:
         assert not got.passed and got.evidence.startswith(evidence)
         assert_same_result(got, shifted_bounded_oracle(law, nu))
 
-    @staticmethod
-    def dense_norm_calls(law, nu):
-        """(report, number of dense 2-norms certify took).  The package
-        attribute evostab.certify is the function, so the module is reached
-        through sys.modules."""
-        module = sys.modules["evostab.certify"]
-        norm2, calls = module._norm2, []
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), nu=SHIFT_NUS,
+           fault=st.sampled_from([None, "inf", "nan", "overflow", "raise", "row", "cube"]),
+           chunk=st.sampled_from([None, 1, 7]), scale=st.sampled_from([1e-3, 1e3]))
+    def test_custom_laws_match_dense_loop(self, data, dim, nu, fault, chunk, scale):
+        # one drawn point, often one of the last, where the norms are
+        # largest, is inf, nan (an SVD that fails), so large that its norm
+        # overflows, or refused; or it does not stack with the others: its
+        # first row alone, times scale, which has a finite norm, or a stack
+        # of one matrix, which has no 2-norm.  A chunk of one or seven
+        # points, not the default all, puts it in a later chunk than the first
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m0, m1 = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        pts = _shift_points(nu)
+        at = data.draw(st.one_of(st.integers(0, len(pts) - 1), st.integers(len(pts) - 20, len(pts) - 1)))
+        bad = complex(pts[at])
+        scalar = dim == 1 and data.draw(st.booleans())  # a 0-d value for a 1 x 1 law
+
+        def value(nu, z):
+            if z == bad and fault == "raise":
+                raise ValueError(f"refused at z = {z}")
+            entry = {"inf": np.inf, "nan": np.nan, "overflow": 1.5e308}.get(fault)
+            if z == bad and entry is not None:
+                return np.full((dim, dim), entry)
+            m = (1.0 - nu * z) * m0 + z * m1
+            if z == bad and fault == "cube":
+                return m[None]
+            if z == bad and fault == "row":
+                return scale * m[:1]
+            return m[0, 0] if scalar else m
+
+        law = CustomLaw(dim, lambda z: value(0.0, z), shifted_fn=value)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, "_norm2", lambda a: calls.append(a) or norm2(a))
+            if chunk is not None:
+                mp.setattr(sys.modules["evostab.certify"], "_NORM_CHUNK", chunk * dim * dim)
+            got = _check_shifted_bounded(law, nu)
+        assert_same_result(got, shifted_bounded_oracle(law, nu))
+        if fault in ("inf", "nan", "raise", "cube") or (fault == "overflow" and dim > 1):
+            assert not got.passed
+
+    @pytest.mark.parametrize("fault, at, chunk", [
+        ("row", 479, 5), ("cube", 10, 5), ("cube", 11, 5), ("cube", 10, 1)])
+    def test_points_that_do_not_stack_are_normed_alone(self, fault, at, chunk):
+        # M(z) = M0 + z M1 in chunks of five points or one, the largest norm
+        # at point 448 (z near 20): a first row alone after it must not lose
+        # it, and a stack of one matrix, first in its chunk, after it or
+        # alone in it, has no 2-norm
+        rng = np.random.default_rng(1)
+        m0, m1 = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        bad = complex(_shift_points(0.0)[at])
+
+        def value(z):
+            m = m0 + z * m1
+            if z != bad:
+                return m
+            return 1e-3 * m[:1] if fault == "row" else m[None]
+
+        law = CustomLaw(2, value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys.modules["evostab.certify"], "_NORM_CHUNK", chunk * 4)
+            got = _check_shifted_bounded(law, 0.0)
+        assert_same_result(got, shifted_bounded_oracle(law, 0.0))
+        assert got.passed == (fault != "cube")
+
+    def test_large_law_stacks_its_norms_in_bounded_chunks(self):
+        # a dim-101 DAE law with a non-diagonal M1 has no screen: all 481
+        # points are evaluated, in 2^20-entry stacks of 102 points (16.6 MB),
+        # not one 78.5 MB stack
+        m1 = 2.0 * np.eye(101) + np.diag(np.full(100, 0.3), 1) - np.diag(np.full(100, 0.2j), -1)
+        law = DaeLaw(np.eye(101), m1)
+        shifted, calls = DaeLaw.shifted, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DaeLaw, "shifted", lambda self, nu, z: calls.append(z) or shifted(self, nu, z))
+            tracemalloc.start()
+            try:
+                got = _check_shifted_bounded(law, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(calls) == 481 and peak < 32e6
+        assert_same_result(got, shifted_bounded_oracle(law, 0.5))
+
+    @staticmethod
+    def dense_points(law, nu):
+        """(report, number of points at which certify evaluated the shifted
+        symbol): check (b) alone calls ``law.shifted``, once per point it
+        takes a dense 2-norm at."""
+        shifted, calls = type(law).shifted, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(law), "shifted", lambda self, nu, z: calls.append(z) or shifted(self, nu, z))
             report = certify(law, nu, SamplingConfig(n_sigma=4, n_tau=5))
         return report, len(calls)
 
@@ -700,7 +782,7 @@ class TestShiftedBounded:
         mixed = build_mixed_type_system(50, 1.0 / 51, ind0, ind1, 1.0)
         law = DaeLaw(mixed.M0, mixed.M1)
         for nu in (0.0, 0.5):
-            report, calls = self.dense_norm_calls(law, nu)
+            report, calls = self.dense_points(law, nu)
             assert calls <= 4
             assert_same_result(report.shifted_bounded, shifted_bounded_oracle(law, nu))
 
@@ -714,7 +796,7 @@ class TestShiftedBounded:
     ], ids=["delay", "integro", "integro-rot"])
     def test_structured_laws_take_a_handful_of_dense_norms(self, law):
         for nu in (0.0, 0.3):
-            report, calls = self.dense_norm_calls(law, nu)
+            report, calls = self.dense_points(law, nu)
             assert calls <= 4
             assert_same_result(report.shifted_bounded, shifted_bounded_oracle(law, nu))
 
@@ -723,7 +805,7 @@ class TestShiftedBounded:
         custom = CustomLaw(1, lambda z: np.array([[1.0 + 2.0 * z]]),
                            shifted_fn=lambda nu, z: np.array([[1.0 - nu * z + 2.0 * z]]))
         for law in (dense, custom):
-            report, calls = self.dense_norm_calls(law, 0.5)  # 1/nu = 2 lies in B(10, 10)
+            report, calls = self.dense_points(law, 0.5)  # 1/nu = 2 lies in B(10, 10)
             assert report.shifted_bounded.passed and calls == 481
 
 

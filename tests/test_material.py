@@ -591,6 +591,50 @@ class TestCustomStack:
         assert got.shape == want.shape == (lam.size, dim, dim)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           sings=st.lists(st.one_of(st.just(0.0), st.complex_numbers(max_magnitude=2.0),
+                                    st.complex_numbers(max_magnitude=1e-11)), max_size=3),
+           sigma=_parts, taus=hnp.arrays(float, st.integers(0, 8), elements=_parts))
+    def test_batched_guard_matches_the_per_point_symbol(self, data, dim, sings, sigma, taus):
+        # batches that may hold lambda = inf (z = 0), points within 1e-12 +-
+        # a few ulps of a declared singularity and points z = c (1 + i) whose
+        # distance to one may overflow Python's complex abs (c > 1.27e308):
+        # the stack, or the error, and the eval_fn arguments are those of the
+        # per-point loop
+        lam = list(sigma + 1j * taus)
+        if data.draw(st.booleans()):
+            d = 0.5 / data.draw(st.floats(1e308, 1.7e308))  # 1/lambda = c (1 + i)
+            lam.insert(data.draw(st.integers(0, len(lam))), complex(d, -d))
+        for s in sings:
+            if not data.draw(st.booleans()):
+                continue
+            delta = 1e-12 + data.draw(st.integers(-3, 3)) * np.spacing(abs(s) + 1e-12)
+            z = s + delta * np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
+            if z != 0:
+                lam.insert(data.draw(st.integers(0, len(lam))), 1.0 / z)
+        if data.draw(st.booleans()):
+            lam.insert(data.draw(st.integers(0, len(lam))), complex(np.inf, 0.0))
+        lam = np.array(lam, dtype=complex)
+        rng = np.random.default_rng(dim)
+        m0, m1 = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        results = []
+        for stack in (lambda law: law.stack(lam), lambda law: custom_stack_oracle(law, lam)):
+            calls = []
+            law = CustomLaw(dim, lambda z: calls.append(z) or m0 + z * m1, tuple(sings))
+            with np.errstate(all="ignore"):
+                try:
+                    out = stack(law)
+                except (ValueError, OverflowError) as exc:
+                    out = (type(exc), str(exc))
+            results.append((out, calls))
+        (got, got_calls), (want, want_calls) = results
+        assert repr(got_calls) == repr(want_calls)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_python_scalar_symbol_stacks_for_dim_one(self):
         lam = np.array([0.5 + 2j, 1.0, -3j])
         stack = CustomLaw(1, lambda z: 1.0 + z).stack(lam)

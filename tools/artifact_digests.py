@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for twenty-two fixed configs.
+"""Print the sha256 of every CLI artifact for twenty-three fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -20,7 +20,11 @@ closed-form rate and no ``nu``.  ``custom-pole`` is a dim-2 custom law
 pole -1/2 declared, through ``certify`` only at nu = 0.8, where the pole
 lies inside the excluded ball but off its centre: the positivity scan of an
 analytic law with a singularity, which samples the rows near sigma = 0 in
-full and only the boundary of the rest of the rectangle.  ``mixed1d-ivp`` is the ``mixed1d`` config
+full and only the boundary of the rest of the rectangle.
+``custom-unbounded`` is the ``custom`` config with a law ``M0 + z M1`` whose
+``shifted_fn`` returns an inf matrix at the sampled point z = 0.625, through
+``certify`` only (exit 1): the shifted-symbol check fails, and its evidence
+names that point.  ``mixed1d-ivp`` is the ``mixed1d`` config
 with a 49-entry ``u0``, through ``ivp`` only, so that the initial-value path
 is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``tau_max = 2``, below the first critical value pi/|h| = pi, through
@@ -130,6 +134,20 @@ def pole_law():
         return (1.0 - nu * z) * M0 + z * M1 + (z * (1.0 - nu * z) / (1.0 + (A - nu) * z)) * GP
 
     return CustomLaw(2, eval_fn, (-1.0 / A,), shifted_fn), None
+
+
+def unbounded_law():
+    """M(z) = M0 + z M1, whose shifted symbol is inf at the sampled z = 0.625."""
+
+    def eval_fn(z):
+        return M0 + z * M1
+
+    def shifted_fn(nu, z):
+        if z == 0.625:
+            return np.full((2, 2), np.inf)
+        return (1.0 - nu * z) * M0 + z * M1
+
+    return CustomLaw(2, eval_fn, (), shifted_fn), None
 '''
 
 CASES = {
@@ -189,6 +207,11 @@ CASES["dae-fast"] = {
 # (radius 0.625 about -0.625) but not at its centre, through certify only.
 CASES["custom-pole"] = {**CASES["custom"], "custom": {"import": "digest_custom_law:pole_law"},
                         "nu": 0.8}
+# A shifted symbol that is inf at the sampled z = 0.625 = 0.5 + 0.25 * 0.5,
+# through certify only (exit 1): the evidence names the first point that is
+# not finite.
+CASES["custom-unbounded"] = {**CASES["custom"],
+                             "custom": {"import": "digest_custom_law:unbounded_law"}}
 # The other two forcing kinds.  dae-csv reads the solution that dae-solve
 # writes, so it must come after dae here.
 CASES["dae-step"] = {**CASES["dae"], "forcing": {"kind": "step_exp", "start": 0.0, "rate": 4.0}}
@@ -205,6 +228,7 @@ COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certif
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
             "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
             "delay-dense": ["solve", "verify"], "custom-pole": ["certify"],
+            "custom-unbounded": ["certify"],
             "integro-far": ["certify"], "dae-ivp-s": ["ivp"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
