@@ -262,8 +262,9 @@ def _dense_shifted_max(law: MaterialLaw, nu: float, pts: list) -> HypothesisResu
     entries at a time, and each chunk's matrices take their 2-norms in one
     batched SVD, the same LAPACK call per matrix as one ``_norm2`` each.  A
     chunk with a refused point, a matrix that does not stack with the
-    chunk's first or a norm that is not finite is checked again point by
-    point (:func:`_pointwise_shifted_max`), which names the first bad point.
+    chunk's first or a norm that is not finite is evaluated again, with the
+    points after it, one point at a time (:func:`_pointwise_shifted_max`),
+    which names the first bad point.
     """
     worst, start = 0.0, 0
     while start < len(pts):
