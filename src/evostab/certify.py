@@ -261,10 +261,11 @@ def _dense_shifted_max(law: MaterialLaw, nu: float, pts: list) -> HypothesisResu
     The points are evaluated in order, a chunk of about ``_NORM_CHUNK``
     entries at a time, and each chunk's matrices take their 2-norms in one
     batched SVD, the same LAPACK call per matrix as one ``_norm2`` each.  A
-    chunk with a refused point, a matrix that does not stack with the
-    chunk's first or a norm that is not finite is evaluated again, with the
-    points after it, one point at a time (:func:`_pointwise_shifted_max`),
-    which names the first bad point.
+    chunk with a point that raises (a refusal, or any other error), a
+    matrix that does not stack with the chunk's first or a norm that is not
+    finite is evaluated again, with the points after it, one point at a time
+    (:func:`_pointwise_shifted_max`), which names the first bad point or
+    raises where the point loop raises.
     """
     worst, start = 0.0, 0
     while start < len(pts):
@@ -278,7 +279,7 @@ def _dense_shifted_max(law: MaterialLaw, nu: float, pts: list) -> HypothesisResu
 def _stacked_norms(law: MaterialLaw, nu: float, pts: list, start: int) -> np.ndarray | None:
     """2-norms of the shifted symbol at the chunk of ``pts`` from ``start``,
     as many points as keep the stack near ``_NORM_CHUNK`` entries; None where
-    a point is refused, does not stack or has a norm that is not finite."""
+    a point raises, does not stack or has a norm that is not finite."""
     try:
         first = np.atleast_2d(law.shifted(nu, pts[start]))
         if first.ndim != 2:
@@ -292,7 +293,7 @@ def _stacked_norms(law: MaterialLaw, nu: float, pts: list, start: int) -> np.nda
                 return None
             stack[k] = a
         norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    except ValueError:  # a refusal, or an SVD that fails on a point that is not finite
+    except Exception:  # any error, refusals included: the point loop meets it again in order
         return None
     return norms if np.isfinite(norms).all() else None
 

@@ -1002,14 +1002,16 @@ class CustomLaw(MaterialLaw):
     M(z) = z + z^2 passes it, and its Re z^-1 M(z) = 1 + sigma/|lambda|^2
     is unbounded below there, so the rows near lambda = 0 are scanned in
     full.  ``stack`` is one
-    expression over a batch of points: 1/lambda and the guards of ``symbol``
-    for the whole batch, ``eval_fn`` once per point in order, one
-    conversion of all its values to a complex array, then one
-    multiplication by lambda.  A batch that holds a point the guards may
-    refuse goes through ``symbol`` point by point, so it raises as
-    ``symbol`` does, after the same ``eval_fn`` calls.  A value that does
-    not convert raises after the batch's calls.  ``eval_fn`` takes one
-    Python complex; there is no vectorised form.
+    expression over a batch of points: 1/lambda for the whole batch,
+    ``eval_fn`` once per point in order, then one multiplication by lambda.
+    A law with declared singularities, or a batch that holds lambda =
+    infinity, goes through ``symbol`` and its guards point by point;
+    otherwise ``eval_fn``'s values are converted to one complex array
+    together, so a value that does not convert raises after the batch's
+    calls.  The values are kept until the batch is stacked, so ``eval_fn``
+    must return a new value at each call: a buffer that it overwrites would
+    give every point its last value.  ``eval_fn`` takes one Python complex;
+    there is no vectorised form.
     """
 
     dim: int
@@ -1024,19 +1026,9 @@ class CustomLaw(MaterialLaw):
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
         z = 1.0 / lam
-        # Where symbol's guards may act: z = 0, and |z - s| below 1e-12 or
-        # overflowing in Python's complex abs.  That abs is the hypot of the
-        # parts of z - s, between the larger part m and sqrt(2) m, so only
-        # m < 1e-12, m > 1e308 and m not finite are doubtful.
-        doubtful = z == 0
-        with np.errstate(invalid="ignore", over="ignore"):
-            for s in self.singularities:
-                d = z - s
-                m = np.maximum(np.abs(d.real), np.abs(d.imag))
-                doubtful |= ~((m >= 1e-12) & (m <= 1e308))
-        # converted to complex once, as a batch, unless symbol checks each point
-        values = np.array(list(map(self.symbol if doubtful.any() else self.eval_fn, z.tolist())),
-                          dtype=complex)
+        # converted to complex once, as a batch, where symbol's guards cannot refuse a point
+        values = np.array(list(map(self.symbol if self.singularities or (z == 0).any() else self.eval_fn,
+                                   z.tolist())), dtype=complex)
         return lam[:, None, None] * values.reshape(lam.size, self.dim, self.dim)
 
     def symbol(self, z: complex) -> np.ndarray:

@@ -684,30 +684,38 @@ class TestShiftedBounded:
         assert not got.passed and got.evidence.startswith(evidence)
         assert_same_result(got, shifted_bounded_oracle(law, nu))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 4), nu=SHIFT_NUS,
-           fault=st.sampled_from([None, "inf", "nan", "overflow", "raise", "row", "cube"]),
+           fault=st.sampled_from([None, "inf", "nan", "overflow", "raise", "row", "cube", "error",
+                                  "inf+error"]),
+           error=st.sampled_from([ZeroDivisionError, OverflowError, TypeError]),
            chunk=st.sampled_from([None, 1, 7]), scale=st.sampled_from([1e-3, 1e3]))
-    def test_custom_laws_match_dense_loop(self, data, dim, nu, fault, chunk, scale):
+    def test_custom_laws_match_dense_loop(self, data, dim, nu, fault, error, chunk, scale):
         # one drawn point, often one of the last, where the norms are
         # largest, is inf, nan (an SVD that fails), so large that its norm
         # overflows, or refused; or it does not stack with the others: its
         # first row alone, times scale, which has a finite norm, or a stack
-        # of one matrix, which has no 2-norm.  A chunk of one or seven
-        # points, not the default all, puts it in a later chunk than the first
+        # of one matrix, which has no 2-norm; or it raises an error that is
+        # not a refusal, alone or at a later point than an inf.  A chunk of
+        # one or seven points, not the default all, puts it in a later chunk
+        # than the first
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         m0, m1 = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
         pts = _shift_points(nu)
         at = data.draw(st.one_of(st.integers(0, len(pts) - 1), st.integers(len(pts) - 20, len(pts) - 1)))
         bad = complex(pts[at])
+        later = complex(pts[data.draw(st.integers(min(at + 1, len(pts) - 1), len(pts) - 1))])
+        raises = {"error": bad, "inf+error": later}.get(fault)
         scalar = dim == 1 and data.draw(st.booleans())  # a 0-d value for a 1 x 1 law
 
         def value(nu, z):
             if z == bad and fault == "raise":
                 raise ValueError(f"refused at z = {z}")
-            entry = {"inf": np.inf, "nan": np.nan, "overflow": 1.5e308}.get(fault)
+            entry = {"inf": np.inf, "nan": np.nan, "overflow": 1.5e308, "inf+error": np.inf}.get(fault)
             if z == bad and entry is not None:
                 return np.full((dim, dim), entry)
+            if z == raises:
+                raise error(f"failed at z = {z}")
             m = (1.0 - nu * z) * m0 + z * m1
             if z == bad and fault == "cube":
                 return m[None]
@@ -715,14 +723,26 @@ class TestShiftedBounded:
                 return scale * m[:1]
             return m[0, 0] if scalar else m
 
+        def outcome(check):
+            try:
+                return check(law, nu)
+            except Exception as exc:
+                return type(exc), str(exc)
+
         law = CustomLaw(dim, lambda z: value(0.0, z), shifted_fn=value)
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(sys.modules["evostab.certify"], "_NORM_CHUNK", chunk * dim * dim)
-            got = _check_shifted_bounded(law, nu)
-        assert_same_result(got, shifted_bounded_oracle(law, nu))
-        if fault in ("inf", "nan", "raise", "cube") or (fault == "overflow" and dim > 1):
+            got = outcome(_check_shifted_bounded)
+        want = outcome(shifted_bounded_oracle)
+        if fault == "error":
+            assert got == want == (error, f"failed at z = {bad}")
+            return
+        assert_same_result(got, want)
+        if fault in ("inf", "nan", "raise", "cube", "inf+error") or (fault == "overflow" and dim > 1):
             assert not got.passed
+        if fault == "inf+error":
+            assert got.evidence == f"shifted symbol not finite at z = {bad}"
 
     @pytest.mark.parametrize("fault, at, chunk", [
         ("row", 479, 5), ("cube", 10, 5), ("cube", 11, 5), ("cube", 10, 1)])

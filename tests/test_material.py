@@ -599,9 +599,9 @@ class TestCustomStack:
     def test_batched_guard_matches_the_per_point_symbol(self, data, dim, sings, sigma, taus):
         # batches that may hold lambda = inf (z = 0), points within 1e-12 +-
         # a few ulps of a declared singularity and points z = c (1 + i) whose
-        # distance to one may overflow Python's complex abs (c > 1.27e308):
-        # the stack, or the error, and the eval_fn arguments are those of the
-        # per-point loop
+        # distance to one may overflow Python's complex abs (c > 1.27e308),
+        # with and without declared singularities: the stack, or the error,
+        # and the eval_fn arguments are those of the per-point loop
         lam = list(sigma + 1j * taus)
         if data.draw(st.booleans()):
             d = 0.5 / data.draw(st.floats(1e308, 1.7e308))  # 1/lambda = c (1 + i)
@@ -634,6 +634,20 @@ class TestCustomStack:
             assert isinstance(got, tuple) and got == want
         else:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["float64", "complex64", "list", "tuple"])
+    @pytest.mark.parametrize("sings", [(), (5.0,)])
+    def test_new_values_of_other_types_stack_as_the_per_point_loop(self, kind, sings):
+        # eval_fn returns a new value at each call, not complex128: the batch
+        # conversion and symbol's own give the same bits
+        rng = np.random.default_rng(4)
+        m0, m1 = rng.standard_normal((2, 2, 2))
+        convert = {"float64": np.asarray, "complex64": lambda m: m.astype(np.complex64),
+                   "list": lambda m: m.tolist(), "tuple": lambda m: tuple(map(tuple, m))}[kind]
+        law = CustomLaw(2, lambda z: convert(m0 + z.real * m1), sings)
+        lam = np.array([0.5 + 2j, 1.0, -3j, 0.25])
+        got, want = law.stack(lam), custom_stack_oracle(law, lam)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_python_scalar_symbol_stacks_for_dim_one(self):
         lam = np.array([0.5 + 2j, 1.0, -3j])
