@@ -54,8 +54,10 @@ import numpy as np
 
 # KernelConditionReport, check_kernel_conditions and kernel_weighted_l1 are
 # re-exported: kernel admissibility is part of the certificate's public API.
-from .material import (KernelConditionReport, MaterialLaw, _norm2, check_kernel_conditions,
-                       kernel_weighted_l1)
+# SCREEN_RTOL is the one rounding window of check (b)'s screen and the
+# positivity scan's.
+from .material import (SCREEN_RTOL, KernelConditionReport, MaterialLaw, _norm2,
+                       check_kernel_conditions, kernel_weighted_l1)
 
 # Cap on reported rates: unbounded ones (M0 = 0, purely algebraic problems)
 # and finite ones above it are reported as RATE_CAP and flagged as capped.
@@ -63,10 +65,6 @@ RATE_CAP = 1e6
 
 # Spot-check radii for the shifted-symbol boundedness check.
 SHIFT_RADII = (0.5, 1.0, 10.0)
-
-# Relative rounding window between the 2-norms that a law's stack eigenvalues
-# give and the dense 2-norm; the dense errors are a few ulps of the largest norm.
-SCREEN_RTOL = 1e-12
 
 # Complex entries per stack of the dense check's batched 2-norms: every point
 # of a small law in one stack, and a bounded stack (16 MB) for a large one.

@@ -54,8 +54,9 @@ matrix's largest |entry| is 0 or inside LAPACK's unscaled range (about
 [1.4e-146, 7.1e145]).  The mixed-type example makes every Hermitian matrix
 whose spectrum is asked for diagonal (M0, H(A), H(M1), sigma*M0 + H(M1),
 H(M1 + A)), and each LAPACK call on them left the idle workers of a
-threaded BLAS spinning.  The dense positivity scan and every 2-norm still
-call LAPACK.
+threaded BLAS spinning.  The dense positivity scan calls LAPACK only on the
+points that its Gershgorin screen keeps (:func:`_screen`), and every 2-norm
+calls LAPACK.
 """
 
 from __future__ import annotations
@@ -74,6 +75,16 @@ from .signals import SQRT_2PI
 
 # Absolute tolerance for Hermiticity / commutation checks (matrix 2-norm).
 STRUCT_TOL = 1e-12
+
+# Relative rounding window of the two screens that spare LAPACK calls, times
+# a bound on the norms they compare: between the 2-norms that a law's stack
+# eigenvalues give and the dense 2-norm (check (b) in evostab.certify), and
+# between the Gershgorin and diagonal bounds of a Hermitian matrix and its
+# LAPACK eigenvalues (the dense positivity scan, :func:`_screen`).  LAPACK's
+# errors are a few ulps of the norm (Golub & Van Loan, Matrix Computations,
+# 4th ed., 7.2 and 8.1; LAPACK Users' Guide, 3rd ed., 4.7); 1e-12 is about
+# 4500 ulps.
+SCREEN_RTOL = 1e-12
 
 # ?heevd rescales a matrix whose largest |entry| lies outside [sqrt(s), 1/sqrt(s)],
 # s = safe minimum / eps, and its eigenvalues then need not be the diagonal's
@@ -500,24 +511,54 @@ def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool):
 
 def _scan_min(batches, evaluate) -> float:
     """Smallest value over the batches of :func:`_scan_batches`, where
-    ``evaluate(lam)`` gives (checked, smallest): arrays whose first axis
-    runs over the batch's points and that must be finite, and a function
-    that then gives the batch's values.  The first point that is not finite
-    raises, naming its sigma, with no numpy warning before it; only a batch
-    that is not finite is checked point by point."""
+    ``evaluate(lam, best)``, ``best`` the smallest value of the batches
+    before (inf for the first), gives (checked, smallest): arrays whose
+    first axis runs over the batch's points and that must be finite, and a
+    function that then gives values of the batch, possibly none, whose
+    smallest is the batch's smallest wherever that is below ``best``.  So a
+    scan may leave out the points that cannot go below ``best``
+    (:func:`_screen`), and the minimum is the same.  The first point that is
+    not finite raises, naming its sigma, with no numpy warning before it;
+    every point is checked before any is left out, and only a batch that is
+    not finite is checked point by point."""
     best = np.inf
     for sigma, lam in batches:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            checked, smallest = evaluate(lam)
+            checked, smallest = evaluate(lam, best)
             if not all(np.isfinite(a).all() for a in checked):
                 finite = np.logical_and.reduce(
                     [np.isfinite(a).reshape(len(lam), -1).all(axis=1) for a in checked])
                 raise _nonfinite_line(float(np.broadcast_to(sigma, lam.shape)[np.argmin(finite)]))
-            best = min(best, float(smallest().min()))
+            best = min(best, float(smallest().min(initial=np.inf)))
     if best == np.inf:  # no batch: the grid is lambda = 0 alone
         raise ValueError("the positivity grid holds no point but lambda = 0, "
                          "z = infinity, which is not in the domain")
     return best
+
+
+def _screen(herm: np.ndarray, best: float) -> np.ndarray:
+    """Which matrices of a finite Hermitian stack can hold an eigenvalue that
+    LAPACK puts at or below both ``best`` and every matrix's smallest one.
+
+    With d the real diagonal, a matrix's smallest eigenvalue lies in
+    [min_i (d_i - sum_{j != i} |h_ij|), min_i d_i]: Gershgorin's discs, and
+    the Rayleigh quotient of a unit vector.  LAPACK's differs from it by a
+    few ulps of the matrix's 2-norm, which is at most the largest absolute
+    row sum.  Both bounds are widened by the slack SCREEN_RTOL
+    times that row sum, which covers LAPACK's error and the rounding of the
+    bounds, plus the smallest normal float, which covers a matrix whose
+    entries are subnormal.  A matrix whose LAPACK eigenvalue is the batch's
+    smallest and below ``best`` has its lower bound at or below both, so it
+    is kept, and the minimum keeps its bits.
+    """
+    # |h_ij| as (dim, dim, points) and d as (dim, points), contiguous: each
+    # sum and min below is a few vector operations over the batch's points
+    a = np.ascontiguousarray(np.abs(herm).transpose(1, 2, 0))
+    d = np.ascontiguousarray(np.diagonal(herm, axis1=-2, axis2=-1).real.T)
+    rows = a.sum(axis=1)
+    slack = SCREEN_RTOL * rows.max(axis=0) + np.finfo(float).tiny
+    lo = (d - (rows - np.abs(d))).min(axis=0) - slack
+    return lo <= min(best, float((d.min(axis=0) + slack).min()))
 
 
 def _last_nonnegative(bound, hi: float, tol: float) -> float:
@@ -638,15 +679,21 @@ class MaterialLaw:
         ``boundary`` from the analyticity check, which the scan relies on.
 
         This is the dense scan: stack(lambda) one batch of
-        :func:`_scan_batches` at a time, one batched Hermitian eigenvalue
-        call per batch.  ``stack`` has no domain guard, so a row past the
-        family's domain (an integro nu above nu0) is reported, not raised;
-        :class:`NonFiniteSymbolError`, naming the sigma of the first point
-        that is not finite, when a batch is not finite.
+        :func:`_scan_batches` at a time, and one batched Hermitian
+        eigenvalue call per batch on the points that the Gershgorin screen
+        (:func:`_screen`) keeps: those whose lower bound, less its slack,
+        reaches the running minimum and every point's upper bound plus its
+        slack.  The point that holds the minimum is always kept, and LAPACK
+        gives each matrix the same bits alone or in a stack, so the minimum
+        is the unscreened scan's, bit for bit.  ``stack`` has no domain
+        guard, so a row past the family's domain (an integro nu above nu0)
+        is reported, not raised; :class:`NonFiniteSymbolError`, naming the
+        sigma of the first point that is not finite, when a batch is not
+        finite, checked at every point before the screen.
         """
-        def evaluate(lam):
+        def evaluate(lam, best):
             herm = hermitian_part(self.stack(lam))
-            return (herm,), lambda: np.linalg.eigvalsh(herm)[:, 0]
+            return (herm,), lambda: np.linalg.eigvalsh(herm[_screen(herm, best)])[:, 0]
 
         return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
 
@@ -962,7 +1009,7 @@ class IntegroLaw(MaterialLaw):
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         g = self.kernel.joint_eigenvalues.real
 
-        def evaluate(lam):
+        def evaluate(lam, _):  # no screen: these values cost no eigenvalue call
             w = _kernel_w(self.kernel, lam[:, None], np.ones(self.dim), g)
             values = (lam[:, None] / w).real + self.c
             return (w, values), lambda: values
@@ -994,7 +1041,10 @@ class CustomLaw(MaterialLaw):
 
     ``shifted_fn(nu, z)``, when given, evaluates the analytic extension of
     (1 - nu*z) * M(z/(1 - nu*z)); without it only nu = 0 is available.  The
-    positivity minimum is the dense scan, and there is no closed-form bound
+    positivity minimum is the dense scan, which solves a LAPACK eigenvalue
+    problem only at the points whose Gershgorin bound can reach the running
+    minimum, with the bits of the unscreened scan
+    (:meth:`MaterialLaw.positivity_min`), and there is no closed-form bound
     or rate.  The analyticity check trusts ``singularities``: where it
     passes, the scan skips most of the interior of its rectangle
     (:func:`_scan_batches`), so a singularity left undeclared can hide

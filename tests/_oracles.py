@@ -9,7 +9,10 @@ and samples a delay law's critical tau values itself.
 The kernel L1 norm is scipy ``quad`` told where the integrand's kinks are.
 The transform sign condition is evaluated one sampled point at a time, with
 Chat summed from its defining formula, and a custom law's lambda * M(1/lambda)
-one point at a time into a preallocated array.  The shifted-symbol check is
+one point at a time into a preallocated array.  The dense positivity scan
+of a law without structure is checked bit for bit against the same scan
+without its Gershgorin screen, one LAPACK eigenvalue problem at every
+point.  The shifted-symbol check is
 the dense loop, one 2-norm at every spot-check point.  The spectral calculus
 of :mod:`evostab.signals` is checked in the time domain: the antiderivative
 against a cumulative trapezoid sum, the translation against a circular index
@@ -34,7 +37,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from evostab.certify import SHIFT_RADII, HypothesisResult, SamplingConfig, _sigma_grid
-from evostab.material import _SIGN_LINES, _SIGN_TS, Kernel, _norm2
+from evostab.material import (_SIGN_LINES, _SIGN_TS, Kernel, _norm2, _scan_batches, _scan_min,
+                              hermitian_part)
 from evostab.signals import Signal, SpectralSignal
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -157,6 +161,17 @@ def dense_positivity_scan(law, nu: float, **grid) -> float:
         herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
         best = min(best, float(np.linalg.eigvalsh(herm)[:, 0].min()))
     return best
+
+
+def unscreened_positivity_min(law, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
+    """``MaterialLaw.positivity_min`` without its Gershgorin screen: the same
+    batches and finiteness checks, and one LAPACK eigenvalue problem at every
+    point of every batch."""
+    def evaluate(lam, best):
+        herm = hermitian_part(law.stack(lam))
+        return (herm,), lambda: np.linalg.eigvalsh(herm)[:, 0]
+
+    return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
 
 
 def kernel_l1_oracle(kernel, nu: float, joint) -> float:

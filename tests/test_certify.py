@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 from _oracles import (delay_rate_oracle, dense_positivity_scan, integro_rate_oracle,
-                      pencil_spectral_rate, shifted_bounded_oracle, sign_defects_oracle)
+                      pencil_spectral_rate, shifted_bounded_oracle, sign_defects_oracle,
+                      unscreened_positivity_min)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -20,7 +21,7 @@ from evostab import (CustomLaw, DaeLaw, DelayLaw, EvolutionaryProblem, IntegroLa
                      indicators_from_intervals, kernel_hat, solvability_constant,
                      solvability_lower_bound, solve)
 from evostab.certify import _check_shifted_bounded, _shift_points, _sigma_grid
-from evostab.material import _last_nonnegative
+from evostab.material import _last_nonnegative, _scan_batches
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -626,6 +627,108 @@ class TestBoundaryScan:
         # sigma <= 1.25, one tau step, in full, then the boundary of the
         # other 35
         assert counts == [5 * 81 + 2 * 81 + 33 * 2]
+
+
+def screen_law(data, dim, kind, scale):
+    """A custom law for the screened positivity scan, its values times
+    ``scale``:
+
+    * ``positive``: M0 + z M1 + z^2 K, M0 >= 0, H(M1) > 0 and K Hermitian
+      of either sign, a pole of z^-1 M(z) at lambda = 0, or zero;
+    * ``negative``: M0 + z M1 with Hermitian M0 and H(M1) of either sign;
+    * ``tie``: z K, whose lambda M(1/lambda) is K at every point up to the
+      rounding of lambda (1/lambda), so the points tie within a few ulps,
+      and exactly where those roundings agree;
+    * ``tight``: z (a I + b R), R the reversal permutation, whose smallest
+      eigenvalue a - |b| is Gershgorin's bound itself, so LAPACK's may lie
+      below the bound by its rounding;
+    * ``heavy``: M0 + z M1 with off-diagonal entries of M1 up to 50 times
+      its unit diagonal, where Gershgorin's discs reach below every point's
+      smallest eigenvalue and the screen keeps every point.
+    """
+    g, s, q_re, q_im, k_re, k_im = data.draw(
+        hnp.arrays(float, (6, dim, dim), elements=st.floats(-1.0, 1.0)))
+    q, k = q_re + 1j * q_im, k_re + 1j * k_im
+    if kind == "positive":
+        m0, m1 = g @ g.T, q @ q.conj().T + 0.1 * np.eye(dim) + (s - s.T)
+        k = (k + k.conj().T) * data.draw(st.sampled_from([0.0, 0.01, 1.0]))
+    elif kind == "negative":
+        m0, m1, k = g + g.T, q + (s - s.T), 0.0 * k
+    elif kind == "tie":
+        m0, m1, k = 0.0 * g, k + k.conj().T, 0.0 * k
+    elif kind == "tight":
+        a, b = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0))
+        m0, m1, k = 0.0 * g, a * np.eye(dim) + b * np.eye(dim)[::-1], 0.0 * k
+    else:
+        m0, m1 = g @ g.T, np.eye(dim) + data.draw(st.floats(1.0, 50.0)) * (q + q.conj().T)
+        np.fill_diagonal(m1, 1.0)
+        k = 0.0 * k
+    return CustomLaw(dim, lambda z: scale * (m0 + z * m1 + z * z * k))
+
+
+class TestPositivityScreen:
+    """The dense positivity scan calls LAPACK only on the points that its
+    Gershgorin screen keeps, and its minimum is the unscreened scan's, bit
+    for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6),
+           nu=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+           kind=st.sampled_from(["positive", "negative", "tie", "tight", "heavy"]),
+           scale=st.sampled_from([1e-150, 1.0, 1e150]),
+           n_tau=st.sampled_from([1, 2, 41]))
+    def test_screened_scan_is_the_unscreened_scan(self, data, dim, nu, kind, scale, n_tau):
+        law = screen_law(data, dim, kind, scale)
+        sigmas = _sigma_grid(nu, SamplingConfig(n_sigma=20))
+        taus = np.linspace(-50.0, 50.0, n_tau)
+        for boundary in (False, True):
+            got = law.positivity_min(sigmas, taus, boundary)
+            assert got.hex() == unscreened_positivity_min(law, sigmas, taus, boundary).hex()
+
+    @staticmethod
+    def counted_scan(monkeypatch, law, *grid):
+        """(minimum, LAPACK eigenvalue problems) of ``law.positivity_min``,
+        with numpy.linalg.eigvalsh as evostab.material calls it wrapped."""
+        linalg, calls = sys.modules["evostab.material"].np.linalg, []
+        eigvalsh = linalg.eigvalsh
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "eigvalsh", lambda h: calls.append(len(h)) or eigvalsh(h))
+            value = law.positivity_min(*grid)
+        return value, sum(calls)
+
+    def test_screen_spares_eigenvalue_problems(self, monkeypatch):
+        # certify's grid at nu = 0.5 on a law whose points' smallest
+        # eigenvalues lie far apart compared with their Gershgorin radii
+        m0 = np.array([[1.0, 0.1], [0.1, 2.0]])
+        m1 = np.array([[3.0, 0.2 + 0.1j], [0.4 - 0.3j, 4.0]])
+        law = CustomLaw(2, lambda z: m0 + z * m1)
+        grid = (_sigma_grid(0.5, SamplingConfig()), np.linspace(-100.0, 100.0, 401), True)
+        points = sum(len(lam) for _, lam in _scan_batches(*grid))
+        value, problems = self.counted_scan(monkeypatch, law, *grid)
+        assert 4 * problems < points
+        assert value.hex() == unscreened_positivity_min(law, *grid).hex()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("nu", [0.0, 0.5])
+    def test_a_tight_gershgorin_bound_keeps_the_minimum(self, scale, nu):
+        # the Hermitian part is about K, whose smallest eigenvalue 1 - b is
+        # Gershgorin's bound: at 1e-150 LAPACK scales K and puts it 1-4 ulps
+        # below the bound at some points, and only the slack keeps them
+        b = 0.7830663077426994
+        k = np.array([[1.0, b], [b, 1.0]])
+        law = CustomLaw(2, lambda z: scale * (z * k))
+        sigmas, taus = _sigma_grid(nu, SamplingConfig(n_sigma=20)), np.linspace(-50.0, 50.0, 41)
+        for boundary in (False, True):
+            got = law.positivity_min(sigmas, taus, boundary)
+            assert got.hex() == unscreened_positivity_min(law, sigmas, taus, boundary).hex()
+
+    def test_tied_points_keep_the_minimum(self, monkeypatch):
+        k = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+        law = CustomLaw(2, lambda z: z * k)
+        grid = (_sigma_grid(0.5, SamplingConfig()), np.linspace(-100.0, 100.0, 401), True)
+        value, _ = self.counted_scan(monkeypatch, law, *grid)
+        assert value.hex() == unscreened_positivity_min(law, *grid).hex()
+        assert value == pytest.approx(np.linalg.eigvalsh(k)[0], rel=1e-14)
 
 
 def assert_same_result(got, expected):

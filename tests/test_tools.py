@@ -136,10 +136,11 @@ def test_readme_family_table_is_the_cli_schema():
 
 
 def test_rate_reprs_runs_on_the_package():
-    # tools/rate_reprs.py diffs the closed-form rates of two source trees; it
-    # must keep running on this one's API: per family two draws, each a rate
-    # repr or a ValueError, an L1 column on each integro line, and the count
-    # of integro rates below nu0
+    # tools/rate_reprs.py diffs the closed-form rates and the custom laws'
+    # sampled minima of two source trees; it must keep running on this one's
+    # API: per family two draws, each a rate repr or a ValueError, an L1
+    # column on each integro line, the count of integro rates below nu0, then
+    # two custom lines of two minima each, at nu = 0 and at a drawn nu > 0
     proc = subprocess.run([sys.executable, os.path.join(TOOLS, "rate_reprs.py"),
                            "--src", os.path.dirname(PACKAGE), "--draws", "2"],
                           capture_output=True, text=True, check=True)
@@ -155,7 +156,11 @@ def test_rate_reprs_runs_on_the_package():
     assert all(re.fullmatch(r"\d\.\d{12}e[+-]\d\d", l1) for _, l1 in integro), lines[4:6]
     assert all(map(is_rate, values[:4] + [value for value, _ in integro])), lines
     below = sum(value != repr(0.5) for value, _ in integro)
-    assert lines[6:] == [f"integro draws below nu0: {below}"]
+    assert lines[6] == f"integro draws below nu0: {below}"
+    custom = [line.split() for line in lines[7:]]
+    assert [words[0] for words in custom] == ["custom-0", "custom-1"]
+    assert all(len(words) == 3 and all(repr(float(v)) == v for v in words[1:])
+               for words in custom), lines[7:]
 
 
 def _read_only_module(path: str, name: str) -> types.ModuleType:

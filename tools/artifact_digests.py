@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for twenty-three fixed configs.
+"""Print the sha256 of every CLI artifact for twenty-four fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -24,7 +24,12 @@ full and only the boundary of the rest of the rectangle.
 ``custom-unbounded`` is the ``custom`` config with a law ``M0 + z M1`` whose
 ``shifted_fn`` returns an inf matrix at the sampled point z = 0.625, through
 ``certify`` only (exit 1): the shifted-symbol check fails, and its evidence
-names that point.  ``mixed1d-ivp`` is the ``mixed1d`` config
+names that point.  ``custom-dense`` is a dim-6 custom law ``M0 + z M1`` at
+nu = 0.25 whose Hermitian parts have off-diagonal entries of modulus 0.1 and
+0.8 against diagonals near 1 and 2, through ``certify`` and ``solve``: the
+Gershgorin screen of the positivity scan keeps most points there (6,522 of
+7,183 in ``certify``, 506 of 633 in the solve's nu = 0 gate), so LAPACK's
+eigenvalues of dim-6 matrices give the sampled minimum.  ``mixed1d-ivp`` is the ``mixed1d`` config
 with a 49-entry ``u0``, through ``ivp`` only, so that the initial-value path
 is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``tau_max = 2``, below the first critical value pi/|h| = pi, through
@@ -148,6 +153,27 @@ def unbounded_law():
         return (1.0 - nu * z) * M0 + z * M1
 
     return CustomLaw(2, eval_fn, (), shifted_fn), None
+
+
+# P = v v* with v_k = exp(0.5 i k): Hermitian, every entry of modulus one
+K6 = np.arange(6)
+P6 = np.exp(0.5j * np.subtract.outer(K6, K6))
+U6 = np.triu(np.ones((6, 6)), 1)
+M0_6 = np.diag([1.0, 1.2, 0.9, 1.1, 1.0, 0.8]) + 0.1 * (P6 - np.eye(6))
+M1_6 = 2.0 * np.eye(6) + 0.8 * (P6.conj() - np.eye(6)) + 0.3 * (U6 - U6.T)
+
+
+def dense_law():
+    """M(z) = M0_6 + z M1_6, dim 6: off-diagonal entries of H(M1_6) of
+    modulus 0.8 against its diagonal 2."""
+
+    def eval_fn(z):
+        return M0_6 + z * M1_6
+
+    def shifted_fn(nu, z):
+        return (1.0 - nu * z) * M0_6 + z * M1_6
+
+    return CustomLaw(6, eval_fn, (), shifted_fn), None
 '''
 
 CASES = {
@@ -212,6 +238,11 @@ CASES["custom-pole"] = {**CASES["custom"], "custom": {"import": "digest_custom_l
 # not finite.
 CASES["custom-unbounded"] = {**CASES["custom"],
                              "custom": {"import": "digest_custom_law:unbounded_law"}}
+# A dim-6 law whose Hermitian parts have off-diagonal entries comparable to
+# their diagonal, so that the Gershgorin screen of the positivity scan keeps
+# most points, through certify and through solve, whose nu = 0 gate scans too.
+CASES["custom-dense"] = {**CASES["custom"], "custom": {"import": "digest_custom_law:dense_law"},
+                         "nu": 0.25}
 # The other two forcing kinds.  dae-csv reads the solution that dae-solve
 # writes, so it must come after dae here.
 CASES["dae-step"] = {**CASES["dae"], "forcing": {"kind": "step_exp", "start": 0.0, "rate": 4.0}}
@@ -228,7 +259,7 @@ COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certif
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
             "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
             "delay-dense": ["solve", "verify"], "custom-pole": ["certify"],
-            "custom-unbounded": ["certify"],
+            "custom-unbounded": ["certify"], "custom-dense": ["certify", "solve"],
             "integro-far": ["certify"], "dae-ivp-s": ["ivp"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
