@@ -29,9 +29,9 @@ nu = 0.25 whose Hermitian parts have off-diagonal entries of modulus 0.1 and
 0.8 against diagonals near 1 and 2, through ``certify`` and ``solve``: the
 Gershgorin screen of the positivity scan keeps most points there (6,522 of
 7,183 in ``certify``, 506 of 633 in the solve's nu = 0 gate), so LAPACK's
-eigenvalues of dim-6 matrices give the sampled minimum.  ``mixed1d-ivp`` is the ``mixed1d`` config
-with a 49-entry ``u0``, through ``ivp`` only, so that the initial-value path
-is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
+eigenvalues of dim-6 matrices give the sampled minimum.  ``mixed1d-ivp`` is
+the ``mixed1d`` config with a 49-entry ``u0``, through ``ivp`` only, so that
+the initial-value path is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``tau_max = 2``, below the first critical value pi/|h| = pi, through
 ``certify`` only: the delay scan's smallest cos(tau h) is then a sampled
 value, not -1.  ``dae-dense`` is a DAE law with a non-diagonal Hermitian
