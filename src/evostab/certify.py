@@ -18,8 +18,9 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     eigenvalue of that Hermitian part is superharmonic in z^-1 away from
     z^-1 = 0, which (a) does not cover, and takes its minimum over any
     rectangle that avoids z^-1 = 0 on that rectangle's boundary.  So the
-    rows with sigma at most one grid step, and the boundary of the rest,
-    are sampled; where (a) fails every grid point is
+    boundary of the rectangle less a box around z^-1 = 0, and the box, are
+    sampled, with graded samples near z^-1 = 0 and the declared
+    singularities; where (a) fails every grid point is
     (:func:`solvability_constant`).
 
 For the three structured families (c) has closed-form lower bounds derived
@@ -125,16 +126,24 @@ def solvability_constant(law: MaterialLaw, nu: float, sigma_max: float = Samplin
     an infimum of the harmonic functions Re <lambda M(1/lambda) x, x>, is
     superharmonic and takes its minimum over a rectangle that avoids
     lambda = 0 on the rectangle's boundary (the minimum principle).  So the
-    rows with sigma at most one grid step (the larger of the sigma and tau
-    spacings) are sampled in full: they pass through or near lambda = 0 and
-    the singularities on Re lambda <= -nu, where the tau spacing need not
-    resolve the symbol.  Of the other rows only the first and last and the
-    tau = +-tau_max ends of the rows between are sampled: 5188 points of the
-    default 200 x 401 at nu = 0 and 8779 at nu = 0.5, where all 80,200 were
-    (``material._scan_batches``).  Elsewhere, as for an integro law at
-    nu > nu0, whose kernel poles can lie inside the rectangle, every grid
-    point is.  The value is that of the dense scan, one Hermitian eigenvalue
-    problem per sampled point; the structured families compute it from
+    scan samples the boundary of the rectangle less an open box of
+    half-width two grid steps (the larger of the sigma and tau spacings)
+    around lambda = 0: the first and last rows in full, the tau = +-tau_max
+    ends of the rows between, and the samples with |tau| at most two steps
+    of the rows inside the box and of the nearest row on each side of it.
+    The first row, next to the singularities on Re lambda <= -nu, and the
+    rows inside the box, around lambda = 0, also take graded tau samples
+    around lambda = 0 and lambda = 1/s for each declared singularity
+    s != 0, where the tau spacing need not resolve the symbol: samples whose
+    spacing is at most half their distance to that point, until it reaches
+    the tau step (the report's "plus graded tau samples at the
+    singularities").  That is 1435 points of the default 200 x 401 at
+    nu = 0 and 1593 at nu = 0.5 for a law without declared singularities,
+    where all 80,200 grid points were (``material._scan_batches``).
+    Elsewhere, as for an integro law at nu > nu0, whose kernel poles can lie
+    inside the rectangle, every grid point is, and no graded sample.  The
+    value is that of the dense scan, one Hermitian eigenvalue problem per
+    sampled point; the structured families compute it from
     their structure (``positivity_min`` of each law class): scalar
     arithmetic in the modes' joint eigenbasis at each sampled point for
     integro laws, and one eigenvalue problem for the whole grid of most DAE
@@ -396,7 +405,9 @@ def certify(law: MaterialLaw, nu: float, sampling: SamplingConfig | None = None)
         nu=nu,
         c_nu=c_nu,
         c_nu_sampled=c_sampled,
-        sample_grid=cfg.describe(nu, law.extra_samples),
+        # the boundary scan's condition in material._scan_batches
+        sample_grid=cfg.describe(nu, law.extra_samples(
+            analyticity.passed and min(cfg.n_sigma, cfg.n_tau) >= 3)),
         closed_form_rate=rate,
         analyticity=analyticity,
         shifted_bounded=shifted,

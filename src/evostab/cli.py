@@ -301,8 +301,8 @@ def _echo_config(cfg: dict, out_dir: str) -> None:
     required, optional, _ = _FAMILY_KEYS[cfg["family"]]
     echo = {key: cfg[key] for key in _COMMON_KEYS + required + optional if cfg[key] is not None}
     with open(os.path.join(out_dir, "config_echo.json"), "w", encoding="ascii") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # one write: json.dump writes each token as a chunk of its own
+        fh.write(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
 def _write_certification(report, out_dir: str) -> None:

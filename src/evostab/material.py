@@ -86,6 +86,16 @@ STRUCT_TOL = 1e-12
 # 4500 ulps.
 SCREEN_RTOL = 1e-12
 
+# Graded tau samples of the boundary scan around a point p where
+# lambda M(1/lambda) may be singular: tau = Im p +- d sinh(k a), k = 0, 1, ...,
+# a = ln(1 + MESH_RATIO), d the row's distance from p.  The spacing from the
+# sample k to k + 1 is 2 d cosh((k + 1/2) a) sinh(a/2), at most e^a - 1 =
+# MESH_RATIO times d cosh(k a), the distance of the sample k from p.  The
+# table's 24 terms reach a spacing of 1870 d, past the grid step at the floor
+# d = 1e-3 step (:func:`_graded_taus`).
+MESH_RATIO = 0.5
+_GRADED = np.array([math.sinh(k * math.log1p(MESH_RATIO)) for k in range(24)])
+
 # ?heevd rescales a matrix whose largest |entry| lies outside [sqrt(s), 1/sqrt(s)],
 # s = safe minimum / eps, and its eigenvalues then need not be the diagonal's
 # bits.  LAPACK builds take eps = 2**-52 or 2**-53; 2**-53 gives the narrower
@@ -472,41 +482,75 @@ def _nonfinite_line(sigma: float) -> NonFiniteSymbolError:
     return NonFiniteSymbolError(f"z^-1 M(z) is not finite on the sampled line sigma = {sigma:.6g}")
 
 
-def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool):
+def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool, poles: tuple):
     """The points lambda = sigma + i*tau of a positivity scan, in batches of
     (sigma, lam): ``lam`` a 1-D array of points and ``sigma`` the sigma of
-    each, in ascending sigma.
+    each, in ascending sigma, and lambda = 0, z = infinity, which is not in
+    the domain, left out.
 
-    The full grid is one batch per sigma row, less the point lambda = 0,
-    z = infinity, which is not in the domain; a row left empty is skipped.
-    The boundary scan keeps in full every row with sigma at most one grid
-    step, the larger of the sigma and tau spacings.  Those rows pass through
-    or near lambda = 0, where the analyticity check says nothing, and near
-    the line Re lambda = -nu, where the singularities it allows can lie; the
-    tau spacing need not resolve the symbol there.  Of the other rows, at
-    least a step from every possible singularity, it takes the boundary of
-    their rectangle: the first and last in full and, in one batch between
-    them, the tau = +-tau_max ends of every other row.  With fewer than three
-    rows or three taus in all, or fewer than three of those other rows, every
-    row is scanned in full.
+    The full grid is one batch per sigma row; a row left empty is skipped.
+    The boundary scan, with ``boundary`` and at least three sigmas and three
+    taus, takes the boundary of the rectangle less an open box of half-width
+    two grid steps (the larger of the sigma and tau spacings) around
+    lambda = 0, where the analyticity check says nothing: the first and last
+    rows in full, the tau = +-tau_max ends of every other row and, in the
+    rows inside the box and the nearest row on each side of it, the samples
+    with |tau| <= 2 steps.  The first row and the rows inside the box also
+    take graded tau samples (:func:`_graded_taus`) around each of ``poles``,
+    the points where lambda M(1/lambda) may be singular (those of the rows
+    after the first inside the box only), so that a dip between tau samples
+    near one of them is seen.  Each batch holds at most ``len(taus)``
+    points.
     """
-    full = len(sigmas)
-    if boundary and len(sigmas) >= 3 and len(taus) >= 3:
-        step = max(sigmas[1] - sigmas[0], taus[1] - taus[0])
-        full = int(np.searchsorted(sigmas, step, side="right"))
-        if len(sigmas) - full < 3:
-            full = len(sigmas)
-    for sigma in sigmas[:full]:
-        lam = sigma + 1j * taus
-        lam = lam[lam != 0]
-        if len(lam):
-            yield sigma, lam
-    upper = sigmas[full:]
-    if len(upper):
-        inner = upper[1:-1]
-        yield upper[0], upper[0] + 1j * taus
-        yield np.repeat(inner, 2), (inner[:, None] + 1j * taus[[0, -1]]).ravel()
-        yield upper[-1], upper[-1] + 1j * taus
+    if not boundary or len(sigmas) < 3 or len(taus) < 3:
+        for sigma in sigmas:
+            lam = sigma + 1j * taus
+            lam = lam[lam != 0]
+            if len(lam):
+                yield sigma, lam
+        return
+    n, step = len(sigmas), max(sigmas[1] - sigmas[0], taus[1] - taus[0])
+    near = np.abs(sigmas) < 2.0 * step  # the rows inside the box
+    box = near.copy()
+    box[1:] |= near[:-1]
+    box[:-1] |= near[1:]
+    box_rows = np.flatnonzero(box[1:-1]) + 1
+    box_taus = taus[np.abs(taus) <= 2.0 * step]
+    mesh_rows, mesh_taus = _graded_taus(sigmas, taus, np.union1d(0, np.flatnonzero(near)),
+                                        step, poles)
+    inside = (mesh_rows == 0) | (np.abs(mesh_taus) <= 2.0 * step)
+    # the (row, tau) pairs of the first and last rows, the ends, the box and
+    # the graded samples, sorted by row and tau, each pair once
+    rows = np.concatenate([np.repeat([0, n - 1], len(taus)), np.repeat(np.arange(1, n - 1), 2),
+                           np.repeat(box_rows, len(box_taus)), mesh_rows[inside]])
+    tau = np.concatenate([taus, taus, np.tile(taus[[0, -1]], n - 2),
+                          np.tile(box_taus, len(box_rows)), mesh_taus[inside]])
+    order = np.lexsort((tau, rows))
+    rows, tau = rows[order], tau[order]
+    new = np.ones(len(rows), bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (tau[1:] != tau[:-1])
+    sigma = sigmas[rows[new]]
+    lam = sigma + 1j * tau[new]
+    sigma, lam = sigma[lam != 0], lam[lam != 0]
+    for start in range(0, len(lam), len(taus)):
+        yield sigma[start:start + len(taus)], lam[start:start + len(taus)]
+
+
+def _graded_taus(sigmas: np.ndarray, taus: np.ndarray, rows: np.ndarray, step: float,
+                 poles) -> tuple:
+    """(rows, taus) of the graded samples of the scan rows ``rows`` around
+    each pole p: tau = Im p +- d sinh(k ln(1 + MESH_RATIO)), k = 0, 1, ...,
+    with d = |sigma - Re p| floored at 1e-3 ``step``, while the spacing
+    stays below the tau grid's and tau inside [taus[0], taus[-1]]."""
+    p = np.asarray(poles, dtype=complex)
+    d = np.maximum(np.abs(sigmas[rows, None] - p.real), 1e-3 * step)[..., None]
+    dense = d * np.diff(_GRADED) < taus[1] - taus[0]  # spacing of each sample from the last
+    take = np.concatenate([np.ones_like(dense[..., :1]), dense], axis=-1)
+    offsets = d * _GRADED
+    mesh = np.stack([p.imag[:, None] + offsets, p.imag[:, None] - offsets])
+    take = take & (mesh >= taus[0]) & (mesh <= taus[-1])
+    at = np.broadcast_to(rows[:, None, None], offsets.shape)
+    return np.broadcast_to(at, mesh.shape)[take], mesh[take]
 
 
 def _scan_min(batches, evaluate) -> float:
@@ -565,9 +609,10 @@ def _last_nonnegative(bound, hi: float, tol: float) -> float:
     """Largest nu in [0, hi] with bound(nu) >= 0, for a bound that decreases
     from bound(0) > 0: hi itself when bound(hi) >= 0, else bisection to tol.
 
-    The bracket keeps bound(lo) >= 0 > bound(hi).  Where tol is below the
-    float spacing near the root, it shrinks to two adjacent floats, and lo is
-    returned."""
+    The bracket keeps bound(lo) >= 0 > bound(hi), and its lower end lo is
+    returned, within tol below the root, so that bound(rate) >= 0 holds at
+    the returned rate.  Where tol is below the float spacing near the root,
+    the bracket shrinks to two adjacent floats."""
     if bound(hi) >= 0:
         return hi
     lo = 0.0
@@ -579,7 +624,7 @@ def _last_nonnegative(bound, hi: float, tol: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 class MaterialLaw:
@@ -606,9 +651,10 @@ class MaterialLaw:
     # or -inf: a weight rho at or below it puts lambda = i*xi + rho outside.
     rho_floor = -math.inf
 
-    # What the positivity scan samples besides its sigma x tau grid, for the
-    # report's sample grid; None when it samples the grid alone.
-    extra_samples = None
+    # The points where lambda M(1/lambda) may be singular, about which the
+    # boundary scan takes graded tau samples (:func:`_scan_batches`): lambda = 0,
+    # z = infinity, for every law, where the analyticity check says nothing.
+    scan_singularities = (0j,)
 
     def frequency_form(self, a: np.ndarray) -> tuple:
         """(pencil, diagonal): the structured forms of the frequency operator
@@ -671,12 +717,22 @@ class MaterialLaw:
         d, c = diagonal
         return d(lam) + np.diagonal(c), 0.0
 
+    def extra_samples(self, boundary: bool) -> str | None:
+        """What the positivity scan samples besides its sigma x tau grid, for
+        the report's sample grid, where the boundary scan of
+        :func:`_scan_batches` applies (``boundary``) or not; None when it
+        samples the grid alone.  This default names the graded tau samples of
+        the boundary scan."""
+        return "graded tau samples at the singularities" if boundary else None
+
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over
         z^-1 = lambda = sigma + i*tau for every sampled pair, or, with
-        ``boundary``, for the pairs of the boundary scan of
-        :func:`_scan_batches`.  ``certify.solvability_constant`` decides
-        ``boundary`` from the analyticity check, which the scan relies on.
+        ``boundary``, for the points of the boundary scan of
+        :func:`_scan_batches`, graded tau samples around
+        ``scan_singularities`` included.  ``certify.solvability_constant``
+        decides ``boundary`` from the analyticity check, which the scan
+        relies on.
 
         This is the dense scan: stack(lambda) one batch of
         :func:`_scan_batches` at a time, and one batched Hermitian
@@ -695,7 +751,7 @@ class MaterialLaw:
             herm = hermitian_part(self.stack(lam))
             return (herm,), lambda: np.linalg.eigvalsh(herm[_screen(herm, best)])[:, 0]
 
-        return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
+        return _scan_min(_scan_batches(sigmas, taus, boundary, self.scan_singularities), evaluate)
 
     def lower_bound(self, nu: float) -> float | None:
         """Closed-form lower bound on Re z^-1 M(z) over Re z^-1 > -nu, or None."""
@@ -744,6 +800,9 @@ class _PencilLaw(MaterialLaw):
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
         return lam[:, None, None] * self.M0 + self.M1
+
+    def extra_samples(self, boundary: bool) -> str | None:
+        return None  # the sigma sweep has no boundary scan
 
     @cached_property
     def _m0_min_eig(self) -> float:
@@ -835,7 +894,6 @@ class DelayLaw(_PencilLaw):
 
     h: float
     family = "delay"
-    extra_samples = "critical values"  # tau = k pi/|h|, where cos(tau h) = +-1
 
     def __post_init__(self):
         super().__post_init__()
@@ -867,6 +925,9 @@ class DelayLaw(_PencilLaw):
 
     def analyticity(self, nu: float) -> tuple:
         return True, "holomorphic away from 0, which lies in the excluded ball"
+
+    def extra_samples(self, boundary: bool) -> str:
+        return "critical values"  # tau = k pi/|h|, where cos(tau h) = +-1
 
     def positivity_min(self, sigmas: np.ndarray, taus: np.ndarray, boundary: bool) -> float:
         if float(np.abs(taus).max()) / (math.pi / abs(self.h)) >= 1.0:
@@ -1014,7 +1075,7 @@ class IntegroLaw(MaterialLaw):
             values = (lam[:, None] / w).real + self.c
             return (w, values), lambda: values
 
-        return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
+        return _scan_min(_scan_batches(sigmas, taus, boundary, self.scan_singularities), evaluate)
 
     def lower_bound(self, nu: float) -> float | None:
         conditions = self.kernel.conditions
@@ -1050,8 +1111,11 @@ class CustomLaw(MaterialLaw):
     (:func:`_scan_batches`), so a singularity left undeclared can hide
     inside it.  The check says nothing about z = infinity, lambda = 0:
     M(z) = z + z^2 passes it, and its Re z^-1 M(z) = 1 + sigma/|lambda|^2
-    is unbounded below there, so the rows near lambda = 0 are scanned in
-    full.  ``stack`` is one
+    is unbounded below there, so a box around lambda = 0 is scanned at
+    every grid point.  The scan also takes graded tau samples around
+    lambda = 0 and around lambda = 1/s for each declared singularity
+    s != 0 (``scan_singularities``), in the first row and inside that box,
+    where a dip between tau samples can hide.  ``stack`` is one
     expression over a batch of points: 1/lambda for the whole batch,
     ``eval_fn`` once per point in order, then one multiplication by lambda.
     A law with declared singularities, or a batch that holds lambda =
@@ -1073,6 +1137,10 @@ class CustomLaw(MaterialLaw):
     def __post_init__(self):
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise ValueError(f"custom law dim must be an integer >= 1, got {self.dim!r}")
+
+    @property
+    def scan_singularities(self) -> tuple:
+        return (0j,) + tuple(1.0 / complex(s) for s in self.singularities if s != 0)
 
     def stack(self, lam: np.ndarray) -> np.ndarray:
         z = 1.0 / lam

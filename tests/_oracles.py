@@ -5,7 +5,8 @@ integro/delay solvers are plain time steppers, so agreement with the library
 is evidence rather than tautology.  The positivity scan is the brute-force
 definition of the sampled minimum: it shares only the sigma grid and the
 law's lambda * M(1/lambda) builder with the structured minima it checks,
-and samples a delay law's critical tau values itself.
+and samples a delay law's critical tau values and the graded tau samples of
+a boundary scan itself, every point of every row.
 The kernel L1 norm is scipy ``quad`` told where the integrand's kinks are.
 The transform sign condition is evaluated one sampled point at a time, with
 Chat summed from its defining formula, and a custom law's lambda * M(1/lambda)
@@ -37,8 +38,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from evostab.certify import SHIFT_RADII, HypothesisResult, SamplingConfig, _sigma_grid
-from evostab.material import (_SIGN_LINES, _SIGN_TS, Kernel, _norm2, _scan_batches, _scan_min,
-                              hermitian_part)
+from evostab.material import (_SIGN_LINES, _SIGN_TS, MESH_RATIO, Kernel, _norm2, _scan_batches,
+                              _scan_min, hermitian_part)
 from evostab.signals import Signal, SpectralSignal
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -138,21 +139,56 @@ def causality_check(solve_fn: Callable[[Signal], Signal], f: Signal, g: Signal,
     return float(num / denom)
 
 
-def dense_positivity_scan(law, nu: float, **grid) -> float:
-    """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over every
-    sampled (sigma, tau) of the certify grid, one sigma row at a time, less
-    lambda = sigma + i tau = 0, where z = 1/lambda is not finite.
+def scan_rows(law, nu: float, **grid) -> list:
+    """(sigma, taus) for every sigma row of the certify grid: the row's tau
+    grid plus, where the law's scan takes them, its graded tau samples.
 
     For a delay law the tau grid also holds the multiples of pi/|h| in
-    [-tau_max, tau_max], where cos(tau h) takes its extremes."""
+    [-tau_max, tau_max], where cos(tau h) takes its extremes.  A custom or
+    integro law whose analyticity check passes on a grid of at least three
+    sigmas and three taus takes, on its first row and on the rows with
+    |sigma| below two grid steps (the larger of the two spacings), the
+    samples tau = Im p +- d sinh(k ln(1 + MESH_RATIO)) for k = 0, 1, ...
+    while they are closer than a tau step to the sample before, around
+    p = 0 and p = 1/s for each declared singularity s != 0, with
+    d = |sigma - Re p| but at least 1e-3 grid steps; those of the rows after
+    the first only where |tau| is at most two grid steps.  Each is one loop
+    over k with ``math.sinh``."""
     cfg = SamplingConfig(**grid)
+    sigmas = _sigma_grid(nu, cfg)
     taus = np.linspace(-cfg.tau_max, cfg.tau_max, cfg.n_tau)
     if law.family == "delay":
         step = np.pi / abs(law.h)
         k_max = int(np.floor(cfg.tau_max / step))
         taus = np.unique(np.concatenate([taus, step * np.arange(-k_max, k_max + 1)]))
+    rows = [(sigma, taus) for sigma in sigmas]
+    if (law.family not in ("custom", "integro") or not law.analyticity(nu)[0]
+            or cfg.n_sigma < 3 or cfg.n_tau < 3):
+        return rows
+    step = max(sigmas[1] - sigmas[0], taus[1] - taus[0])
+    poles = [0j] + [1.0 / complex(s) for s in getattr(law, "singularities", ()) if s != 0]
+    a = math.log1p(MESH_RATIO)
+    for i, sigma in enumerate(sigmas):
+        if i and not abs(sigma) < 2.0 * step:
+            continue
+        extra = []
+        for p in poles:
+            d = max(abs(sigma - p.real), 1e-3 * step)
+            k = 0
+            while k == 0 or d * (math.sinh(k * a) - math.sinh((k - 1) * a)) < taus[1] - taus[0]:
+                extra += [p.imag + d * math.sinh(k * a), p.imag - d * math.sinh(k * a)]
+                k += 1
+        extra = [t for t in extra if taus[0] <= t <= taus[-1] and (i == 0 or abs(t) <= 2.0 * step)]
+        rows[i] = (sigma, np.unique(np.concatenate([taus, extra])))
+    return rows
+
+
+def dense_positivity_scan(law, nu: float, **grid) -> float:
+    """Smallest eigenvalue of the Hermitian part of z^-1 M(z) over every
+    point of :func:`scan_rows`, one sigma row at a time, less
+    lambda = sigma + i tau = 0, where z = 1/lambda is not finite."""
     best = np.inf
-    for sigma in _sigma_grid(nu, cfg):
+    for sigma, taus in scan_rows(law, nu, **grid):
         lam = sigma + 1j * taus
         lam = lam[lam != 0]
         if not len(lam):
@@ -171,7 +207,7 @@ def unscreened_positivity_min(law, sigmas: np.ndarray, taus: np.ndarray, boundar
         herm = hermitian_part(law.stack(lam))
         return (herm,), lambda: np.linalg.eigvalsh(herm)[:, 0]
 
-    return _scan_min(_scan_batches(sigmas, taus, boundary), evaluate)
+    return _scan_min(_scan_batches(sigmas, taus, boundary, law.scan_singularities), evaluate)
 
 
 def kernel_l1_oracle(kernel, nu: float, joint) -> float:

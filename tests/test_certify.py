@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 from _oracles import (delay_rate_oracle, dense_positivity_scan, integro_rate_oracle,
-                      pencil_spectral_rate, shifted_bounded_oracle, sign_defects_oracle,
-                      unscreened_positivity_min)
+                      pencil_spectral_rate, scan_rows, shifted_bounded_oracle,
+                      sign_defects_oracle, unscreened_positivity_min)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -111,6 +111,26 @@ class TestRates:
         rate, nonnegative = proc.stdout.split()
         assert float(rate) == pytest.approx(expected, rel=1e-12)
         assert nonnegative == "True"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 4, 8]),
+       h=st.one_of(st.just(0.5), st.floats(0.1, 2.0)))
+def test_delay_rate_keeps_the_bound_nonnegative(data, dim, h):
+    # the rate is the bisection's lower end, where the bound was found >= 0;
+    # the bracket's midpoint read below 0 on 25 of 60 such laws
+    m0, m1 = draw_pencil(data, dim, 1.5)
+    law = DelayLaw(m0, m1, -h)
+    assert law.lower_bound(law.rate()) >= 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), c=st.floats(0.05, 0.5))
+def test_integro_rate_keeps_the_bound_nonnegative(data, dim, c):
+    kernel = TestStructuredMinima.rotated_integro_law(data, dim).kernel
+    assume(kernel.conditions.sign_ok)  # which negative modes can break
+    law = IntegroLaw(kernel, c)
+    assert law.lower_bound(law.rate()) >= 0
 
 
 _BOUND_SHAPES = {
@@ -423,12 +443,13 @@ class TestPencilRates:
     @given(data=st.data(), dim=st.integers(1, 4), h=st.floats(0.1, 2.0),
            a=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
     def test_time_rescaling_scales_the_rate(self, data, dim, h, a):
-        # t -> t/a maps M0 to M0/a and h to h/a; each bisection ends within
-        # half its 1e-12 of its root
+        # t -> t/a maps M0 to M0/a and h to h/a; each bisection ends at its
+        # bracket's lower end, less than its 1e-12 below its root, so the
+        # scaled rate and a times the rate both lie in (a root - 1e-12 max(1, a), a root]
         m0, m1 = draw_pencil(data, dim, 1.5)
         assert DaeLaw(m0 / a, m1).rate() == pytest.approx(a * DaeLaw(m0, m1).rate(), rel=1e-12)
         assert DelayLaw(m0 / a, m1, -h / a).rate() == pytest.approx(
-            a * DelayLaw(m0, m1, -h).rate(), rel=0.0, abs=0.5e-12 * (1.0 + a))
+            a * DelayLaw(m0, m1, -h).rate(), rel=0.0, abs=1e-12 * max(1.0, a))
 
 
 def pole_law(m0, m1, g, a, singularities=None, tally=None, k=None):
@@ -505,11 +526,11 @@ class TestBoundaryScan:
     def test_integro_boundary_holds_the_grid_minimum(self, data, dim, nu):
         law = TestStructuredMinima.rotated_integro_law(data, dim)
         kw = dict(sigma_max=10.0, tau_max=100.0, n_sigma=20, n_tau=41)
-        cfg = SamplingConfig(**kw)
         got = solvability_constant(law, nu, **kw)
-        # the same joint-eigenbasis scan over every grid point
-        full = law.positivity_min(_sigma_grid(nu, cfg), np.linspace(-100.0, 100.0, 41),
-                                  boundary=False)
+        # the same joint-eigenbasis scan over every grid point and the same
+        # graded tau samples, one row at a time
+        full = min(law.positivity_min(np.array([sigma]), taus, boundary=False)
+                   for sigma, taus in scan_rows(law, nu, **kw))
         assert got >= full
         assert got == pytest.approx(dense_positivity_scan(law, nu, **kw), **MATCH)
 
@@ -559,9 +580,9 @@ class TestBoundaryScan:
 
     @pytest.mark.parametrize("singularities", [(), (3.0,)], ids=["boundary", "full-grid"])
     def test_nonfinite_edge_point_names_its_sigma(self, singularities):
-        # NaN at tau = tau_max of the eighth sigma row only.  The rows up to
-        # one grid step, sigma <= 2, are the first five, scanned in full, and
-        # the batch of interior edges starts at the seventh row
+        # NaN at tau = tau_max of the eighth sigma row only, a row end that
+        # the boundary scan samples in a batch of 21 points in ascending
+        # sigma, which holds points of other rows too
         kw = dict(sigma_max=5.0, tau_max=20.0, n_sigma=10, n_tau=21)
         sigmas = _sigma_grid(0.5, SamplingConfig(**kw))
         bad = 1.0 / complex(sigmas[7], 20.0)
@@ -580,23 +601,33 @@ class TestBoundaryScan:
         law = pole_law(np.eye(2), 3.0 * np.eye(2), 0.2 * np.eye(2), 2.0, tally=tally)
         report = certify(law, 0.8)
         assert report.analyticity.passed
-        # the 24 rows with sigma <= 0.5, one tau step, in full, then the
-        # boundary of the other 176
-        assert counts == [24 * 401 + 2 * 401 + 174 * 2]
-        assert report.sample_grid == SamplingConfig().describe(0.8)
+        # one eval_fn call per point of the boundary scan of the 200 x 401
+        # grid at nu = 0.8: the first and last rows in full, the tau = +-100
+        # ends of the 198 rows between, and the 5 taus |tau| <= 1 (two tau
+        # steps) of the 33 other rows with |sigma| < 1 and of the next row
+        # above them; the other 268 points are graded tau samples around
+        # lambda = 0 and the declared pole's lambda = -2
+        sigmas, taus = _sigma_grid(0.8, SamplingConfig()), np.linspace(-100.0, 100.0, 401)
+        points = np.concatenate([lam for _, lam in _scan_batches(sigmas, taus, True,
+                                                                 law.scan_singularities)])
+        assert np.isin(points.imag, taus).sum() == 2 * 401 + 198 * 2 + 34 * 5
+        assert counts == [len(points)] == [1636]
+        assert report.sample_grid == SamplingConfig().describe(
+            0.8, "graded tau samples at the singularities")
 
     @pytest.mark.parametrize("m1, g, k, nu, sampling, shifted, c_sampled", [
         (1.0, 0.0, 0.02, 0.04, SamplingConfig(sigma_max=1.0), True, -5.2),
         (1.0, 0.0, 0.1, 0.5, SamplingConfig(), False, -3.40),
-        (-0.8, 1.0, 0.025, 0.0, SamplingConfig(), True, -0.05)])
+        (-0.8, 1.0, 0.025, 0.0, SamplingConfig(), True, -0.18)])
     def test_pole_at_infinity_fails_positivity(self, m1, g, k, nu, sampling, shifted, c_sampled):
         # M(z) = m1 z + g z/(1 + z/10) + k z^2 passes analyticity, but
         # z^-1 M(z) has the pole k/lambda at lambda = 0, z = infinity.  In
         # the first two Re z^-1 M(z) = 1 + k sigma/|lambda|^2 is unbounded
         # below on the rows with sigma <= 0.  In the third it dips below 0
-        # between the tau samples of the first row, sigma = 0.05, and only the
-        # grid's row sigma = 0.15 sees the dip.  The boundedness spot check
-        # misses z = 1/nu = 25 of the first.
+        # between the tau samples of the first row, sigma = 0.05, to -0.18
+        # at tau = -0.075, which the graded tau samples around lambda = 0
+        # reach (the grid's row sigma = 0.15 alone read -0.05).  The
+        # boundedness spot check misses z = 1/nu = 25 of the first.
         law = pole_law(np.zeros((1, 1)), m1 * np.eye(1), g * np.eye(1), 0.1,
                        None if g else (), k=k * np.eye(1))
         report = certify(law, nu, sampling)
@@ -607,6 +638,44 @@ class TestBoundaryScan:
                     n_sigma=sampling.n_sigma, n_tau=sampling.n_tau)
         assert report.c_nu_sampled == dense_positivity_scan(law, nu, **grid)
         assert report.c_nu_sampled == pytest.approx(c_sampled, abs=0.01)
+
+    def test_a_dip_between_tau_samples_fails_positivity(self):
+        # M(z) = -0.7 z + z/(1 + z/10) + 0.025 z^2, its pole -10 declared:
+        # Re z^-1 M(z) = -0.7 + Re lambda/(lambda + 0.1) + 0.025 Re 1/lambda
+        # is -0.0795 at lambda = 0.05 - 0.075i, between the first row's tau
+        # samples 0 and -0.5, and at least 0.05 at every grid point.  The
+        # graded tau samples around lambda = 0 reach the dip
+        law = pole_law(np.zeros((1, 1)), -0.7 * np.eye(1), np.eye(1), 0.1, k=0.025 * np.eye(1))
+        report = certify(law, 0.0)
+        assert report.analyticity.passed and report.shifted_bounded.passed
+        assert not report.positivity.passed and not report.passed
+        assert report.c_nu_sampled == dense_positivity_scan(law, 0.0) < -0.079
+        grid = _sigma_grid(0.0, SamplingConfig()), np.linspace(-100.0, 100.0, 401)
+        assert law.positivity_min(*grid, boundary=False) == pytest.approx(0.05, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           nu=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+           n_sigma=st.sampled_from([10, 20, 40]), n_tau=st.sampled_from([21, 41]),
+           tau_max=st.sampled_from([5.0, 50.0]), kind=st.sampled_from(["pole", "z+z^2"]))
+    def test_boxed_scan_holds_the_meshed_grid_minimum(self, data, dim, nu, n_sigma, n_tau,
+                                                      tau_max, kind):
+        # the boundary scan against every grid point plus the same graded
+        # tau samples.  z + z^2 at nu = 0.3: Re z^-1 M(z) = 1 + sigma/|lambda|^2
+        # is smallest at tau = 0 on the last row with sigma < 0, inside the
+        # box around lambda = 0
+        kw = dict(sigma_max=10.0, tau_max=tau_max, n_sigma=n_sigma, n_tau=n_tau)
+        if kind == "pole":
+            law = self.analytic_pole_law(data, dim, nu)
+        else:
+            law, nu = CustomLaw(1, lambda z: np.array([[z + z * z]])), 0.3
+        assert law.analyticity(nu)[0]
+        got, oracle = solvability_constant(law, nu, **kw), dense_positivity_scan(law, nu, **kw)
+        assert got >= oracle
+        assert got == pytest.approx(oracle, **MATCH)
+        if kind != "pole":
+            below = max(s for s in _sigma_grid(nu, SamplingConfig(**kw)) if s < 0)
+            assert got == oracle == pytest.approx(1.0 + 1.0 / below, rel=1e-12)
 
     def test_certify_scans_the_full_grid_where_analyticity_fails(self, monkeypatch):
         # a declared singularity at z = 0.5 lies outside the excluded ball
@@ -623,10 +692,17 @@ class TestBoundaryScan:
         law = pole_law(np.eye(1), 3.0 * np.eye(1), 0.2 * np.eye(1), 2.0, tally=tally)
         f = gaussian_pulse(TimeGrid(-2.0, 1 / 16, 256), center=1.0, width=0.2)
         solve(EvolutionaryProblem(law, None, 0.5, f))
-        # of the 40 x 81 grid at nu = 0 with tau_max = 50: the 5 rows with
-        # sigma <= 1.25, one tau step, in full, then the boundary of the
-        # other 35
-        assert counts == [5 * 81 + 2 * 81 + 33 * 2]
+        # of the 40 x 81 grid at nu = 0 with tau_max = 50: the first and
+        # last rows in full, the tau = +-50 ends of the 38 rows between, and
+        # the 5 taus |tau| <= 2.5 (two tau steps) of the 8 other rows with
+        # sigma < 2.5 and of the next row; the other 76 points are graded tau
+        # samples around lambda = 0 and the declared pole's lambda = -2
+        sigmas = _sigma_grid(0.0, SamplingConfig(10.0, 50.0, 40, 81))
+        taus = np.linspace(-50.0, 50.0, 81)
+        points = np.concatenate([lam for _, lam in _scan_batches(sigmas, taus, True,
+                                                                 law.scan_singularities)])
+        assert np.isin(points.imag, taus).sum() == 2 * 81 + 38 * 2 + 9 * 5
+        assert counts == [len(points)] == [359]
 
 
 def screen_law(data, dim, kind, scale):
@@ -702,13 +778,17 @@ class TestPositivityScreen:
         return value, sum(calls)
 
     def test_screen_spares_eigenvalue_problems(self, monkeypatch):
-        # certify's grid at nu = 0.5 on a law whose points' smallest
-        # eigenvalues lie far apart compared with their Gershgorin radii
+        # every point of certify's grid at nu = 0.5, the scan of a law that
+        # fails the analyticity check, on a law whose points' smallest
+        # eigenvalues lie far apart compared with their Gershgorin radii.
+        # Its Hermitian part sigma M0 + H(M1) does not depend on tau, so the
+        # first row's 401 points tie and are all solved: on the boundary
+        # scan they are more than a quarter of its points
         m0 = np.array([[1.0, 0.1], [0.1, 2.0]])
         m1 = np.array([[3.0, 0.2 + 0.1j], [0.4 - 0.3j, 4.0]])
         law = CustomLaw(2, lambda z: m0 + z * m1)
-        grid = (_sigma_grid(0.5, SamplingConfig()), np.linspace(-100.0, 100.0, 401), True)
-        points = sum(len(lam) for _, lam in _scan_batches(*grid))
+        grid = (_sigma_grid(0.5, SamplingConfig()), np.linspace(-100.0, 100.0, 401), False)
+        points = sum(len(lam) for _, lam in _scan_batches(*grid, law.scan_singularities))
         value, problems = self.counted_scan(monkeypatch, law, *grid)
         assert 4 * problems < points
         assert value.hex() == unscreened_positivity_min(law, *grid).hex()
@@ -849,8 +929,8 @@ class TestShiftedBounded:
         assert_same_result(got, want)
         if fault in ("inf", "nan", "raise", "cube", "inf+error") or (fault == "overflow" and dim > 1):
             assert not got.passed
-        if fault == "inf+error":
-            assert got.evidence == f"shifted symbol not finite at z = {bad}"
+        if fault == "inf+error":  # the point as listed: the removable 1/nu is a float
+            assert got.evidence == f"shifted symbol not finite at z = {pts[at]}"
 
     @pytest.mark.parametrize("fault, at, chunk", [
         ("row", 479, 5), ("cube", 10, 5), ("cube", 11, 5), ("cube", 10, 1)])
@@ -1059,9 +1139,18 @@ class TestCertify:
         kw = SamplingConfig(n_sigma=4, n_tau=5)
         grid = "sigma in [2.5, 10] x 4, tau in [-100, 100] x 5"
         assert certify(DaeLaw([[1.0]], [[2.0]]), 0.0, kw).sample_grid == grid
-        assert certify(IntegroLaw(scalar_kernel(), 1.0), 0.0, kw).sample_grid == grid
         assert certify(DelayLaw([[1.0]], [[2.0]], -1.0), 0.0, kw).sample_grid == \
             grid + " plus critical values"
+        # the boundary scan of an analytic law takes graded tau samples; the
+        # full grid, of a law that fails the check or of fewer than three
+        # taus, does not
+        graded = grid + " plus graded tau samples at the singularities"
+        assert certify(IntegroLaw(scalar_kernel(), 1.0), 0.0, kw).sample_grid == graded
+        assert certify(IntegroLaw(scalar_kernel(), 1.0), 0.6, kw).sample_grid == \
+            "sigma in [-0.45, 10] x 4, tau in [-100, 100] x 5"
+        two = SamplingConfig(n_sigma=4, n_tau=2)
+        assert certify(IntegroLaw(scalar_kernel(), 1.0), 0.0, two).sample_grid == \
+            "sigma in [2.5, 10] x 4, tau in [-100, 100] x 2"
 
     def test_single_sigma_grid_names_the_sampled_sigma(self):
         # n_sigma = 1 at nu = 0.3 samples sigma = -nu + nu/1 = 0 alone

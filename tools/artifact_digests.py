@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for twenty-four fixed configs.
+"""Print the sha256 of every CLI artifact for twenty-five fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -29,7 +29,12 @@ nu = 0.25 whose Hermitian parts have off-diagonal entries of modulus 0.1 and
 0.8 against diagonals near 1 and 2, through ``certify`` and ``solve``: the
 Gershgorin screen of the positivity scan keeps most points there (6,522 of
 7,183 in ``certify``, 506 of 633 in the solve's nu = 0 gate), so LAPACK's
-eigenvalues of dim-6 matrices give the sampled minimum.  ``mixed1d-ivp`` is
+eigenvalues of dim-6 matrices give the sampled minimum.  ``custom-dip`` is
+the scalar custom law ``-0.7 z + z/(1 + z/10) + 0.025 z^2`` with its pole
+-10 declared, through ``certify`` only at nu = 0 (exit 1): its
+Re z^-1 M(z) is at least 0.05 at every grid point but dips to -0.0795
+between the first row's tau samples, where only the graded tau samples
+around lambda = 0 see it.  ``mixed1d-ivp`` is
 the ``mixed1d`` config with a 49-entry ``u0``, through ``ivp`` only, so that
 the initial-value path is byte-checked on a second law.  ``delay-tau`` is the ``delay`` config with
 ``tau_max = 2``, below the first critical value pi/|h| = pi, through
@@ -174,6 +179,16 @@ def dense_law():
         return (1.0 - nu * z) * M0_6 + z * M1_6
 
     return CustomLaw(6, eval_fn, (), shifted_fn), None
+
+
+def dip_law():
+    """M(z) = -0.7 z + z / (1 + z/10) + 0.025 z^2, singular at z = -10 and,
+    as z^-1 M(z), at z = infinity."""
+
+    def eval_fn(z):
+        return np.array([[-0.7 * z + z / (1.0 + 0.1 * z) + 0.025 * z * z]])
+
+    return CustomLaw(1, eval_fn, (-10.0,)), None
 '''
 
 CASES = {
@@ -243,6 +258,9 @@ CASES["custom-unbounded"] = {**CASES["custom"],
 # most points, through certify and through solve, whose nu = 0 gate scans too.
 CASES["custom-dense"] = {**CASES["custom"], "custom": {"import": "digest_custom_law:dense_law"},
                          "nu": 0.25}
+# A dip of Re z^-1 M(z) below 0 between the tau samples of the first row of
+# the nu = 0 grid, through certify only (exit 1).
+CASES["custom-dip"] = {**CASES["custom-nu0"], "custom": {"import": "digest_custom_law:dip_law"}}
 # The other two forcing kinds.  dae-csv reads the solution that dae-solve
 # writes, so it must come after dae here.
 CASES["dae-step"] = {**CASES["dae"], "forcing": {"kind": "step_exp", "start": 0.0, "rate": 4.0}}
@@ -260,6 +278,7 @@ COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certif
             "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
             "delay-dense": ["solve", "verify"], "custom-pole": ["certify"],
             "custom-unbounded": ["certify"], "custom-dense": ["certify", "solve"],
+            "custom-dip": ["certify"],
             "integro-far": ["certify"], "dae-ivp-s": ["ivp"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
 
