@@ -516,7 +516,7 @@ def _scan_batches(sigmas: np.ndarray, taus: np.ndarray, boundary: bool, poles: t
     box[:-1] |= near[1:]
     box_rows = np.flatnonzero(box[1:-1]) + 1
     box_taus = taus[np.abs(taus) <= 2.0 * step]
-    mesh_rows, mesh_taus = _graded_taus(sigmas, taus, np.union1d(0, np.flatnonzero(near)),
+    mesh_rows, mesh_taus = _graded_taus(sigmas, taus, np.flatnonzero(np.r_[True, near[1:]]),
                                         step, poles)
     inside = (mesh_rows == 0) | (np.abs(mesh_taus) <= 2.0 * step)
     # the (row, tau) pairs of the first and last rows, the ends, the box and
