@@ -118,7 +118,7 @@ class TestRates:
        h=st.one_of(st.just(0.5), st.floats(0.1, 2.0)))
 def test_delay_rate_keeps_the_bound_nonnegative(data, dim, h):
     # the rate is the bisection's lower end, where the bound was found >= 0;
-    # the bracket's midpoint read below 0 on 25 of 60 such laws
+    # the bracket's midpoint, which it was before, can lie past the root
     m0, m1 = draw_pencil(data, dim, 1.5)
     law = DelayLaw(m0, m1, -h)
     assert law.lower_bound(law.rate()) >= 0

@@ -27,8 +27,8 @@ full and only the boundary of the rest of the rectangle.
 names that point.  ``custom-dense`` is a dim-6 custom law ``M0 + z M1`` at
 nu = 0.25 whose Hermitian parts have off-diagonal entries of modulus 0.1 and
 0.8 against diagonals near 1 and 2, through ``certify`` and ``solve``: the
-Gershgorin screen of the positivity scan keeps most points there (6,522 of
-7,183 in ``certify``, 506 of 633 in the solve's nu = 0 gate), so LAPACK's
+Gershgorin screen of the positivity scan keeps most points there (890 of
+1,551 in ``certify``, 222 of 349 in the solve's nu = 0 gate), so LAPACK's
 eigenvalues of dim-6 matrices give the sampled minimum.  ``custom-dip`` is
 the scalar custom law ``-0.7 z + z/(1 + z/10) + 0.025 z^2`` with its pole
 -10 declared, through ``certify`` only at nu = 0 (exit 1): its
