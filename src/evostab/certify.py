@@ -12,7 +12,10 @@ A symbol M certifies decay rate nu > 0 when three checks pass:
     below the law's ``rho_floor``.  The reported maximum is a dense 2-norm,
     taken in batched SVDs; where the law gives the eigenvalues of that
     operator in one unitary basis (``law.stack_eigenvalues``), only the
-    points that can hold the maximum are evaluated densely, each once;
+    points that can hold the maximum are evaluated densely.  Each point is
+    evaluated once, in order, and the check fails at the first one whose
+    value has an entry or a 2-norm that is not finite, naming it, or that
+    the shifted symbol refuses;
 (c) positivity: Re z^-1 M(z) >= c(nu) > 0 outside the ball, parametrized
     by z^-1 = sigma + i tau with sigma > -nu.  Where (a) passes, the smallest
     eigenvalue of that Hermitian part is superharmonic in z^-1 away from
@@ -57,8 +60,8 @@ import numpy as np
 # re-exported: kernel admissibility is part of the certificate's public API.
 # SCREEN_RTOL is the one rounding window of check (b)'s screen and the
 # positivity scan's.
-from .material import (SCREEN_RTOL, KernelConditionReport, MaterialLaw, _norm2,
-                       check_kernel_conditions, kernel_weighted_l1)
+from .material import (SCREEN_RTOL, KernelConditionReport, MaterialLaw, check_kernel_conditions,
+                       kernel_weighted_l1)
 
 # Cap on reported rates: unbounded ones (M0 = 0, purely algebraic problems)
 # and finite ones above it are reported as RATE_CAP and flagged as capped.
@@ -245,10 +248,10 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _shift_points(nu: float) -> list:
+def _shift_points(nu: float) -> np.ndarray:
     """The spot-check points: 32 angles on five circles inside each ball
     B(r, r), ball by ball, plus the removable point 1/nu once, after the
-    first ball that holds it (nu > 0.05): 480 or 481 points."""
+    first ball that holds it (nu > 0.05): 480 or 481 complex points."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
     radii_frac = (0.25, 0.5, 0.8, 0.95, 0.999)
     pts, held = [], False
@@ -257,69 +260,42 @@ def _shift_points(nu: float) -> list:
         if nu > 0 and not held and abs(1.0 / nu - r) < r:
             pts.append(1.0 / nu)  # removable point of the substitution
             held = True
-    return pts
+    return np.array(pts, dtype=complex)
 
 
-def _dense_shifted_max(law: MaterialLaw, nu: float, pts: list) -> HypothesisResult:
-    """The dense check: the 2-norm of ``law.shifted(nu, z)`` at every point,
-    failing at the first point that is not finite or that the shifted symbol
-    refuses.
+def _dense_shifted_max(law: MaterialLaw, nu: float, pts: np.ndarray) -> HypothesisResult:
+    """The dense check: the largest 2-norm of ``law.shifted(nu, z)`` over
+    ``pts``, each point evaluated once, in order, into stacks of about
+    ``_NORM_CHUNK`` entries whose 2-norms are one batched SVD, the same
+    LAPACK call per matrix as one ``material._norm2`` each.
 
-    The points are evaluated in order, a chunk of about ``_NORM_CHUNK``
-    entries at a time, and each chunk's matrices take their 2-norms in one
-    batched SVD, the same LAPACK call per matrix as one ``_norm2`` each.  A
-    chunk with a point that raises (a refusal, or any other error), a
-    matrix that does not stack with the chunk's first or a norm that is not
-    finite is evaluated again, with the points after it, one point at a time
-    (:func:`_pointwise_shifted_max`), which names the first bad point or
-    raises where the point loop raises.
+    The first point that raises ends its stack.  The check fails at the
+    first point before it whose value has an entry, or a 2-norm, that is not
+    finite; else a ValueError at that point, a refusal, fails it as
+    unavailable, and any other error propagates.
     """
-    worst, start = 0.0, 0
-    while start < len(pts):
-        norms = _stacked_norms(law, nu, pts, start)
-        if norms is None:
-            return _pointwise_shifted_max(law, nu, pts[start:], worst)
-        worst, start = max(worst, float(norms.max())), start + norms.size
-    return _bounded(worst)
-
-
-def _stacked_norms(law: MaterialLaw, nu: float, pts: list, start: int) -> np.ndarray | None:
-    """2-norms of the shifted symbol at the chunk of ``pts`` from ``start``,
-    as many points as keep the stack near ``_NORM_CHUNK`` entries; None where
-    a point raises, does not stack or has a norm that is not finite."""
-    try:
-        first = np.atleast_2d(law.shifted(nu, pts[start]))
-        if first.ndim != 2:
-            return None
-        chunk = pts[start:start + max(1, _NORM_CHUNK // max(1, first.size))]
-        stack = np.empty((len(chunk),) + first.shape, complex)  # every law's symbol is complex
-        stack[0] = first
-        for k, z in enumerate(chunk[1:], 1):
-            a = np.atleast_2d(law.shifted(nu, z))
-            if a.shape != first.shape:
-                return None
-            stack[k] = a
-        norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    except Exception:  # any error, refusals included: the point loop meets it again in order
-        return None
-    return norms if np.isfinite(norms).all() else None
-
-
-def _pointwise_shifted_max(law: MaterialLaw, nu: float, pts: list, worst: float) -> HypothesisResult:
-    """The dense check one ``_norm2`` at a time, from the largest norm
-    ``worst`` of the points before ``pts``."""
-    try:
-        for z in pts:
-            norm = _norm2(law.shifted(nu, z))
-            if not math.isfinite(norm):
-                return HypothesisResult(False, f"shifted symbol not finite at z = {z}")
-            worst = max(worst, norm)
-    except ValueError as exc:
-        return HypothesisResult(False, f"shifted symbol unavailable: {exc}")
-    return _bounded(worst)
-
-
-def _bounded(worst: float) -> HypothesisResult:
+    worst, size = 0.0, max(1, _NORM_CHUNK // law.dim ** 2)
+    for start in range(0, len(pts), size):
+        chunk, stack, error = pts[start:start + size], None, None  # the last stack freed first
+        stack = np.empty((len(chunk), law.dim, law.dim), complex)  # every law's symbol is complex
+        for k, z in enumerate(chunk.tolist()):
+            try:
+                stack[k] = law.shifted(nu, z)
+            except Exception as exc:  # handled below, after the points before it
+                stack, error = stack[:k], exc
+                break
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        n = len(stack) if finite.all() else int(finite.argmin())  # no SVD of a nan
+        norms = np.full(len(stack), math.inf)
+        norms[:n] = np.linalg.norm(stack[:n], 2, axis=(1, 2))
+        bad = ~np.isfinite(norms)
+        if bad.any():
+            return HypothesisResult(False, f"shifted symbol not finite at z = {chunk[bad.argmax()]}")
+        if isinstance(error, ValueError):
+            return HypothesisResult(False, f"shifted symbol unavailable: {error}")
+        if error is not None:
+            raise error
+        worst = max(worst, float(norms.max()))
     return HypothesisResult(True, f"finite on sampled balls B(r, r), r in {SHIFT_RADII}; max norm {worst:.6g}", worst)
 
 
@@ -332,24 +308,23 @@ def _check_shifted_bounded(law: MaterialLaw, nu: float) -> HypothesisResult:
     2-norm is |z| max_i |values_i| within |z| slack.  Where those norms are
     all finite, only the points whose norm, widened by its slack and
     SCREEN_RTOL times the largest norm, can reach the largest lower bound
-    are evaluated densely, once: the point of the dense maximum is among
-    them.  ``stack_eigenvalues`` answers only clear of the law's
-    ``rho_floor``, where ``shifted`` refuses no point; the one refusal left
-    there, an integro nu above nu0, is the same at every point and names
-    none.  Without a screen, or with a norm that is not finite, every point
-    is evaluated.  The points kept are evaluated in order and take their
-    dense 2-norms in batches (:func:`_dense_shifted_max`), with the result
-    of one ``_norm2`` per point.
+    are evaluated densely: the point of the dense maximum is among them.
+    ``stack_eigenvalues`` answers only clear of the law's ``rho_floor``,
+    where ``shifted`` refuses no point; the one refusal left there, an
+    integro nu above nu0, is the same at every point and names none.
+    Without a screen, or with a norm that is not finite, every point is
+    evaluated.  The points kept are evaluated in order, each once, and take
+    their dense 2-norms in batches (:func:`_dense_shifted_max`), with the
+    result of a point loop that takes one ``material._norm2`` per point and
+    fails at a value with an entry that is not finite.
     """
     pts = _shift_points(nu)
-    z = np.array(pts)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # not finite: dense
-        screen = law.stack_eigenvalues(1.0 / z - nu)
+        screen = law.stack_eigenvalues(1.0 / pts - nu)
         if screen is not None:
-            norms, slack = np.abs(z) * np.abs(screen[0]).max(axis=1), np.abs(z) * screen[1]
+            norms, slack = np.abs(pts) * np.abs(screen[0]).max(axis=1), np.abs(pts) * screen[1]
     if screen is not None and np.isfinite(norms).all():
-        keep = norms + slack >= (norms - slack).max() - SCREEN_RTOL * norms.max()
-        pts = [p for p, k in zip(pts, keep) if k]
+        pts = pts[norms + slack >= (norms - slack).max() - SCREEN_RTOL * norms.max()]
     return _dense_shifted_max(law, nu, pts)
 
 

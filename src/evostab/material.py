@@ -1125,7 +1125,13 @@ class CustomLaw(MaterialLaw):
     calls.  The values are kept until the batch is stacked, so ``eval_fn``
     must return a new value at each call: a buffer that it overwrites would
     give every point its last value.  ``eval_fn`` takes one Python complex;
-    there is no vectorised form.
+    there is no vectorised form.  Every value of ``eval_fn`` and
+    ``shifted_fn`` must be a ``dim`` x ``dim`` matrix, or a scalar or a (1,)
+    value when ``dim`` is 1 (``_check_value``, read by ``symbol``,
+    ``_shifted`` and ``stack``); any other shape is a ValueError, which
+    check (b) reports as the shifted symbol unavailable at the first point
+    that gives one.  Check (b) calls ``shifted`` once per point it takes a
+    2-norm at.
     """
 
     dim: int
@@ -1147,7 +1153,15 @@ class CustomLaw(MaterialLaw):
         # converted to complex once, as a batch, where symbol's guards cannot refuse a point
         values = np.array(list(map(self.symbol if self.singularities or (z == 0).any() else self.eval_fn,
                                    z.tolist())), dtype=complex)
+        if lam.size:  # an empty batch holds no value
+            self._check_value(values.shape[1:], "eval_fn")
         return lam[:, None, None] * values.reshape(lam.size, self.dim, self.dim)
+
+    def _check_value(self, shape: tuple, source: str) -> None:
+        """Refuse a value of ``shape`` from ``source`` unless it is a dim x dim
+        matrix, or a scalar or a (1,) value when dim is 1."""
+        if shape != (self.dim, self.dim) and not (self.dim == 1 and shape in ((), (1,))):
+            raise ValueError(f"{source} must return a {self.dim} x {self.dim} matrix, got shape {shape}")
 
     def symbol(self, z: complex) -> np.ndarray:
         if z == 0:
@@ -1155,12 +1169,16 @@ class CustomLaw(MaterialLaw):
         for s in self.singularities:
             if abs(z - s) < 1e-12:
                 raise ValueError(f"z = {z} is a declared singularity")
-        return np.asarray(self.eval_fn(z), dtype=complex)
+        value = np.asarray(self.eval_fn(z), dtype=complex)
+        self._check_value(value.shape, "eval_fn")
+        return value
 
     def _shifted(self, nu: float, z: complex) -> np.ndarray:
         if self.shifted_fn is None:
             raise ValueError("custom law has no shifted-extension rule; only nu = 0 is available")
-        return np.asarray(self.shifted_fn(nu, z), dtype=complex)
+        value = np.asarray(self.shifted_fn(nu, z), dtype=complex)
+        self._check_value(value.shape, "shifted_fn")
+        return value
 
     def analyticity(self, nu: float) -> tuple:
         if not self.singularities:

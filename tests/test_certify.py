@@ -880,13 +880,13 @@ class TestShiftedBounded:
            chunk=st.sampled_from([None, 1, 7]), scale=st.sampled_from([1e-3, 1e3]))
     def test_custom_laws_match_dense_loop(self, data, dim, nu, fault, error, chunk, scale):
         # one drawn point, often one of the last, where the norms are
-        # largest, is inf, nan (an SVD that fails), so large that its norm
-        # overflows, or refused; or it does not stack with the others: its
-        # first row alone, times scale, which has a finite norm, or a stack
-        # of one matrix, which has no 2-norm; or it raises an error that is
-        # not a refusal, alone or at a later point than an inf.  A chunk of
-        # one or seven points, not the default all, puts it in a later chunk
-        # than the first
+        # largest, is inf, nan, so large that its norm overflows, or
+        # refused; or its value is not dim x dim, which the law refuses: its
+        # first row alone, times scale (a 1 x 1 matrix for dim 1), or a
+        # stack of one matrix; or it raises an error that is not a refusal,
+        # alone or at a later point than an inf.  A chunk of one or seven
+        # points, not the default all, puts it in a later chunk than the
+        # first
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         m0, m1 = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
         pts = _shift_points(nu)
@@ -927,34 +927,95 @@ class TestShiftedBounded:
             assert got == want == (error, f"failed at z = {bad}")
             return
         assert_same_result(got, want)
-        if fault in ("inf", "nan", "raise", "cube", "inf+error") or (fault == "overflow" and dim > 1):
+        if fault in ("inf", "nan", "raise", "cube", "inf+error") or (fault in ("overflow", "row") and dim > 1):
             assert not got.passed
-        if fault == "inf+error":  # the point as listed: the removable 1/nu is a float
+        if fault in ("inf", "nan", "inf+error"):  # the point as listed, 1/nu complex like the others
             assert got.evidence == f"shifted symbol not finite at z = {pts[at]}"
 
-    @pytest.mark.parametrize("fault, at, chunk", [
-        ("row", 479, 5), ("cube", 10, 5), ("cube", 11, 5), ("cube", 10, 1)])
-    def test_points_that_do_not_stack_are_normed_alone(self, fault, at, chunk):
-        # M(z) = M0 + z M1 in chunks of five points or one, the largest norm
-        # at point 448 (z near 20): a first row alone after it must not lose
-        # it, and a stack of one matrix, first in its chunk, after it or
-        # alone in it, has no 2-norm
+    @pytest.mark.parametrize("fault", ["row", "cube", "flat"])
+    def test_values_that_are_not_dim_by_dim_are_refused(self, fault):
+        # M(z) = M0 + z M1 of dim 2 whose value at point 479 is its first row
+        # alone, a stack of one matrix or its four entries flat.  Check (b)
+        # used to pass on the row, whose 2-norm is finite, and the stack to
+        # reshape a flat value into the matrix
         rng = np.random.default_rng(1)
         m0, m1 = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        bad = complex(_shift_points(0.0)[at])
+        bad = complex(_shift_points(0.5)[479])  # the same point at nu = 0
 
-        def value(z):
-            m = m0 + z * m1
-            if z != bad:
-                return m
-            return 1e-3 * m[:1] if fault == "row" else m[None]
+        def value(nu, z):
+            m = (1.0 - nu * z) * m0 + z * m1
+            return {"row": m[:1], "cube": m[None], "flat": m.ravel()}[fault] if z == bad else m
 
-        law = CustomLaw(2, value)
+        law = CustomLaw(2, lambda z: value(0.0, z), shifted_fn=value)
+        refusal = f"must return a 2 x 2 matrix, got shape {value(0.0, bad).shape}"
+        for nu, source in ((0.0, "eval_fn"), (0.5, "shifted_fn")):
+            got = _check_shifted_bounded(law, nu)
+            assert not got.passed and got.evidence == f"shifted symbol unavailable: {source} {refusal}"
+            assert_same_result(got, shifted_bounded_oracle(law, nu))
+        with pytest.raises(ValueError, match=re.escape(f"eval_fn {refusal}")):
+            law.symbol(bad)
+        every = CustomLaw(2, lambda z: value(0.0, bad))  # every value bad, as stack sees it
+        with pytest.raises(ValueError, match=re.escape(f"eval_fn {refusal}")):
+            every.stack(np.array([0.5, 1.0 + 1j]))
+        assert every.stack(np.array([], dtype=complex)).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_dim_one_takes_scalar_values(self, shape):
+        # a 1 x 1 law may return a scalar or a (1,) value from eval_fn and
+        # shifted_fn alike
+        def value(nu, z):
+            return np.full(shape, (1.0 - nu * z) + 2.0 * z)
+
+        law = CustomLaw(1, lambda z: value(0.0, z), shifted_fn=value)
+        for nu in (0.0, 0.5):
+            got = _check_shifted_bounded(law, nu)
+            assert got.passed
+            assert_same_result(got, shifted_bounded_oracle(law, nu))
+        assert law.symbol(0.5).shape == shape
+        assert np.array_equal(law.stack(np.array([0.5, 2.0j])), [[[2.5]], [[2.0 + 2.0j]]])
+        assert law.stack(np.array([], dtype=complex)).shape == (0, 1, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), nu=SHIFT_NUS)
+    def test_each_point_is_evaluated_once(self, data, dim, nu):
+        # in chunks of seven points, a TypeError at a drawn point ends the
+        # check there, after one evaluation of each point up to it; the
+        # chunk that held it used to be evaluated again point by point, the
+        # raising point too
+        pts = _shift_points(nu)
+        at = data.draw(st.integers(0, len(pts) - 1))
+        bad, calls = complex(pts[at]), []
+
+        def value(nu, z):
+            calls.append(z)
+            if z == bad:
+                raise TypeError(f"failed at z = {z}")
+            return (1.0 - nu * z) * np.eye(dim) + z * np.ones((dim, dim))
+
+        law = CustomLaw(dim, lambda z: value(0.0, z), shifted_fn=value)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sys.modules["evostab.certify"], "_NORM_CHUNK", chunk * 4)
-            got = _check_shifted_bounded(law, 0.0)
-        assert_same_result(got, shifted_bounded_oracle(law, 0.0))
-        assert got.passed == (fault != "cube")
+            mp.setattr(sys.modules["evostab.certify"], "_NORM_CHUNK", 7 * dim * dim)
+            with pytest.raises(TypeError, match=re.escape(f"failed at z = {bad}")):
+                _check_shifted_bounded(law, nu)
+        assert calls == [complex(z) for z in pts[:at + 1]]
+
+    @pytest.mark.parametrize("nu, at, named", [
+        (0.0, 0, None), (0.0, 479, None), (0.5, 200, None), (0.5, 480, "(2+0j)")])
+    def test_a_nan_value_names_its_point(self, nu, at, named):
+        # a value with a nan entry fails as not finite at its point, the
+        # removable point 1/nu as complex as the others; it used to fail as
+        # "unavailable: SVD did not converge", naming no point
+        pts = _shift_points(nu)
+        bad = complex(pts[at])
+
+        def value(nu, z):
+            return np.full((2, 2), np.nan) if z == bad else (1.0 - nu * z) * np.eye(2) + z * ROT
+
+        law = CustomLaw(2, lambda z: value(0.0, z), shifted_fn=value)
+        got = _check_shifted_bounded(law, nu)
+        assert not got.passed and got.evidence == f"shifted symbol not finite at z = {pts[at]}"
+        assert named is None or got.evidence.endswith(f"z = {named}")
+        assert_same_result(got, shifted_bounded_oracle(law, nu))
 
     def test_large_law_stacks_its_norms_in_bounded_chunks(self):
         # a dim-101 DAE law with a non-diagonal M1 has no screen: all 481

@@ -1,4 +1,4 @@
-"""Print the sha256 of every CLI artifact for twenty-five fixed configs.
+"""Print the sha256 of every CLI artifact for twenty-six fixed configs.
 
 Runs ``python -m evostab`` with ``PYTHONPATH=DIR`` on one config per family:
 ``dae``, ``delay``, ``integro``, ``mixed1d`` with p = 24, and a dim-2
@@ -24,7 +24,8 @@ full and only the boundary of the rest of the rectangle.
 ``custom-unbounded`` is the ``custom`` config with a law ``M0 + z M1`` whose
 ``shifted_fn`` returns an inf matrix at the sampled point z = 0.625, through
 ``certify`` only (exit 1): the shifted-symbol check fails, and its evidence
-names that point.  ``custom-dense`` is a dim-6 custom law ``M0 + z M1`` at
+names that point.  ``custom-nan`` is the same with nan in place of inf: a
+value with an entry that is not finite fails at its point as well.  ``custom-dense`` is a dim-6 custom law ``M0 + z M1`` at
 nu = 0.25 whose Hermitian parts have off-diagonal entries of modulus 0.1 and
 0.8 against diagonals near 1 and 2, through ``certify`` and ``solve``: the
 Gershgorin screen of the positivity scan keeps most points there (890 of
@@ -146,18 +147,23 @@ def pole_law():
     return CustomLaw(2, eval_fn, (-1.0 / A,), shifted_fn), None
 
 
-def unbounded_law():
-    """M(z) = M0 + z M1, whose shifted symbol is inf at the sampled z = 0.625."""
+def unbounded_law(entry=np.inf):
+    """M(z) = M0 + z M1, whose shifted symbol is ``entry`` at the sampled z = 0.625."""
 
     def eval_fn(z):
         return M0 + z * M1
 
     def shifted_fn(nu, z):
         if z == 0.625:
-            return np.full((2, 2), np.inf)
+            return np.full((2, 2), entry)
         return (1.0 - nu * z) * M0 + z * M1
 
     return CustomLaw(2, eval_fn, (), shifted_fn), None
+
+
+def nan_law():
+    """``unbounded_law`` with nan in place of inf."""
+    return unbounded_law(np.nan)
 
 
 # P = v v* with v_k = exp(0.5 i k): Hermitian, every entry of modulus one
@@ -253,6 +259,8 @@ CASES["custom-pole"] = {**CASES["custom"], "custom": {"import": "digest_custom_l
 # not finite.
 CASES["custom-unbounded"] = {**CASES["custom"],
                              "custom": {"import": "digest_custom_law:unbounded_law"}}
+# The same with nan in place of inf (exit 1): the evidence names that point too.
+CASES["custom-nan"] = {**CASES["custom"], "custom": {"import": "digest_custom_law:nan_law"}}
 # A dim-6 law whose Hermitian parts have off-diagonal entries comparable to
 # their diagonal, so that the Gershgorin screen of the positivity scan keeps
 # most points, through certify and through solve, whose nu = 0 gate scans too.
@@ -277,7 +285,8 @@ COMMANDS = {"dae": ["certify", "solve", "verify", "ivp"], "custom-nu0": ["certif
             "mixed1d-ivp": ["ivp"], "delay-tau": ["certify"], "dae-dense": ["certify", "verify"],
             "dae-fast": ["certify"], "dae-step": ["solve"], "dae-csv": ["solve"],
             "delay-dense": ["solve", "verify"], "custom-pole": ["certify"],
-            "custom-unbounded": ["certify"], "custom-dense": ["certify", "solve"],
+            "custom-unbounded": ["certify"], "custom-nan": ["certify"],
+            "custom-dense": ["certify", "solve"],
             "custom-dip": ["certify"],
             "integro-far": ["certify"], "dae-ivp-s": ["ivp"]}
 COMMANDS.update({f"{case}-nu": ["certify", "verify"] for case in NU_CASES})
