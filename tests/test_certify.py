@@ -932,6 +932,29 @@ class TestShiftedBounded:
         if fault in ("inf", "nan", "inf+error"):  # the point as listed, 1/nu complex like the others
             assert got.evidence == f"shifted symbol not finite at z = {pts[at]}"
 
+    @pytest.mark.parametrize("fault, at, chunk", [("cube", 10, 5), ("cube", 11, 5), ("cube", 10, 1)])
+    def test_points_that_do_not_stack_are_normed_alone(self, fault, at, chunk):
+        # M(z) = M0 + z M1 in chunks of five points or one: a stack of one
+        # matrix, first in its chunk, after it or alone in it, has no 2-norm
+        # and the law refuses it wherever it sits, after the points before it
+        # were normed
+        rng = np.random.default_rng(1)
+        m0, m1 = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        bad = complex(_shift_points(0.0)[at])
+
+        def value(z):
+            m = m0 + z * m1
+            return m if z != bad else m[None]
+
+        law = CustomLaw(2, value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys.modules["evostab.certify"], "_NORM_CHUNK", chunk * 4)
+            got = _check_shifted_bounded(law, 0.0)
+        assert_same_result(got, shifted_bounded_oracle(law, 0.0))
+        assert not got.passed
+        refusal = "eval_fn must return a 2 x 2 matrix, got shape (1, 2, 2)"
+        assert got.evidence == f"shifted symbol unavailable: {refusal}"
+
     @pytest.mark.parametrize("fault", ["row", "cube", "flat"])
     def test_values_that_are_not_dim_by_dim_are_refused(self, fault):
         # M(z) = M0 + z M1 of dim 2 whose value at point 479 is its first row
